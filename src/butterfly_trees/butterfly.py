@@ -13,6 +13,11 @@ Fixed word convention for one nonsimple step on halves w1, w2 of size M:
     bit 1 (outer 21):  (w1 + M | w2)
 
 so the first child always owns the block containing the root of the tree.
+
+Tree statistics come straight from the shape: :func:`stats_from_shape_bits`
+evaluates the (h, l, r) recursion over the level-ordered bits, one numpy
+step per level, and is what ``fig8`` samples. The words and the trees
+built from them by insertion remain the oracle the tests check it against.
 """
 
 from __future__ import annotations
@@ -201,28 +206,13 @@ def stats_recursion_simple(bits: Sequence[int]) -> tuple[int, int, int]:
 
 
 def stats_recursion_nonsimple(shape: ButterflyShape) -> tuple[int, int, int]:
-    """(h, l, r) of the nonsimple butterfly tree, evaluated from the leaves.
+    """(h, l, r) of the nonsimple butterfly tree: :func:`stats_from_shape_bits` on one row.
 
-    With (H1, L1, R1) and (H2, L2, R2) the child triples, a node combines as
-
-        bit 0:  (max(H1, R1 + 1 + H2), L1, R1 + 1 + R2)
-        bit 1:  (max(H1, L1 + 1 + H2), L1 + 1 + L2, R1)
-
-    matching the word convention of :func:`build_nonsimple` (the first
-    child owns the root block).
+    >>> stats_recursion_nonsimple(ButterflyShape.from_string("101"))
+    (2, 2, 1)
     """
-    bits = shape.bits
-
-    def rec(idx: int, level: int) -> tuple[int, int, int]:
-        if level == 1:
-            return (1, 1, 0) if bits[idx] else (1, 0, 1)
-        H1, L1, R1 = rec(2 * idx + 1, level - 1)
-        H2, L2, R2 = rec(2 * idx + 2, level - 1)
-        if bits[idx]:
-            return max(H1, L1 + 1 + H2), L1 + 1 + L2, R1
-        return max(H1, R1 + 1 + H2), L1, R1 + 1 + R2
-
-    return rec(0, shape.depth)
+    h, l, r = stats_from_shape_bits(shape.depth, np.array([shape.bits]))
+    return int(h[0]), int(l[0]), int(r[0])
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +258,40 @@ def words_from_shape_bits(n: int, bits: np.ndarray) -> np.ndarray:
             out[:, t, M:] = np.where(bit == 1, w2, w2 + M)
         W = out.reshape(B, P * 2 * M)
     return W
+
+
+def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, l, r) arrays of the nonsimple butterfly trees of a (B, 2^n - 1)
+    matrix of level-ordered shape bits, evaluated from the leaves up.
+
+    A bottom node (one bit, two keys) is (1, 1, 0) for bit 1 and (1, 0, 1)
+    for bit 0. With (H1, L1, R1) and (H2, L2, R2) the child triples, a node
+    combines as
+
+        bit 0:  (max(H1, R1 + 1 + H2), L1, R1 + 1 + R2)
+        bit 1:  (max(H1, L1 + 1 + H2), L1 + 1 + L2, R1)
+
+    matching the word convention of :func:`build_nonsimple` (the first
+    child owns the root block, and the second child's tree hangs below the
+    first child's edge on the side of its block). One numpy step per level,
+    on (B, 2^d) arrays; no word or tree is built.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or bits.shape[1] != (1 << n) - 1:
+        raise ValueError("wrong number of shape bits")
+    b = bits[:, (1 << (n - 1)) - 1 :] == 1
+    h = np.ones(b.shape, dtype=np.int64)
+    l = b.astype(np.int64)
+    r = 1 - l
+    for d in range(n - 2, -1, -1):
+        b = bits[:, (1 << d) - 1 : (1 << (d + 1)) - 1] == 1
+        L1, R1 = l[:, 0::2], r[:, 0::2]
+        edge = np.where(b, L1, R1) + 1
+        h = np.maximum(h[:, 0::2], edge + h[:, 1::2])
+        l, r = np.where(b, edge + l[:, 1::2], L1), np.where(b, R1, edge + r[:, 1::2])
+    return h[:, 0], l[:, 0], r[:, 0]
 
 
 def all_nonsimple_words(n: int, cap: int = DEFAULT_NONSIMPLE_CAP) -> np.ndarray:

@@ -34,8 +34,10 @@ _CHUNK = 250
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, np.integer):
+        return str(int(v))
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     return str(v)
@@ -102,8 +104,7 @@ def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
     chunk_id = 0
     while done < trials:
         b = min(_CHUNK, trials - done)
-        words = sampling.nonsimple_butterfly_words(n, b, sampling.RngState(seed, chunk_id))
-        h, _, _ = bst.batch_summaries(words)
+        h, _, _ = sampling.nonsimple_butterfly_stats(n, b, sampling.RngState(seed, chunk_id))
         heights.append(h)
         done += b
         chunk_id += 1
@@ -330,7 +331,8 @@ def law_hist_data(law: str, n: int, trials: int, seed: int) -> tuple[dict, dict]
     if n <= 12:
         counts, denom_exp = law_counts(n)
         support = sorted(set(observed) | set(counts))
-        expected = [trials * counts.get(v, 0) / 2.0**denom_exp for v in support]
+        # int / int is correctly rounded; a float denominator overflows from n = 10
+        expected = [trials * counts.get(v, 0) / (1 << denom_exp) for v in support]
         obs = [observed.get(v, 0) for v in support]
         res = stats.chisquare(obs, f_exp=expected)
         meta["pvalue"] = float(res.pvalue)
@@ -355,18 +357,29 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     return grid
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="butterfly-trees", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="64-bit experiment seed")
-    common.add_argument("--trials", type=int, default=None, help="Monte Carlo trial count")
+    common.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED, help="64-bit experiment seed")
+    common.add_argument("--trials", type=_int_at_least(1), default=None, help="Monte Carlo trial count")
     common.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     sub.add_parser("table1", parents=[common])
     p = sub.add_parser("fig8", parents=[common])
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_int_at_least(1), default=10)
     p = sub.add_parser("theorem2-diff", parents=[common])
     p.add_argument("--n", type=int, default=10_000)
     p.add_argument("--m", type=int, default=2)
@@ -391,28 +404,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--n", type=int, default=4)
 
     args = parser.parse_args(argv)
-    trials = args.trials
+
+    def trials(default: int) -> int:
+        return default if args.trials is None else args.trials
 
     if args.cmd == "table1":
         meta, cols = table1_data()
     elif args.cmd == "fig8":
-        meta, cols = fig8_data(args.n, trials or 10_000, args.seed)
+        meta, cols = fig8_data(args.n, trials(10_000), args.seed)
     elif args.cmd == "theorem2-diff":
-        meta, cols = theorem2_diff_data(args.n, args.m, trials or 2000, args.seed)
+        meta, cols = theorem2_diff_data(args.n, args.m, trials(2000), args.seed)
     elif args.cmd == "clt-simple":
         meta, cols = clt_simple_data(args.n, args.samples, args.seed)
     elif args.cmd == "bounds":
         meta, cols = bounds_data(args.n_max, args.exact_max)
     elif args.cmd == "explore-conjecture":
-        meta, cols = explore_conjecture_data(args.grid, trials or 500, args.seed)
+        meta, cols = explore_conjecture_data(args.grid, trials(500), args.seed)
     elif args.cmd == "gepp-check":
-        meta, cols = gepp_check_data(args.n, trials or 80_000, args.seed, args.family)
+        meta, cols = gepp_check_data(args.n, trials(80_000), args.seed, args.family)
     elif args.cmd == "lattice-degrees":
         meta, cols = lattice_degrees_data(args.n)
     elif args.cmd == "pmf":
         meta, cols = pmf_data(args.which, args.n)
     elif args.cmd == "law-hist":
-        meta, cols = law_hist_data(args.law, args.n, trials or 100_000, args.seed)
+        meta, cols = law_hist_data(args.law, args.n, trials(100_000), args.seed)
     else:  # pragma: no cover
         parser.error(f"unhandled subcommand {args.cmd}")
     meta.setdefault("seed", args.seed)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .butterfly import build_simple, words_from_shape_bits
+from .butterfly import build_simple, stats_from_shape_bits, words_from_shape_bits
 from .perms import Word, assemble_wreath, kron
 
 
@@ -86,20 +86,32 @@ def sample_simple_butterfly(n: int, rng: RngState | np.random.Generator) -> Word
     return build_simple(tuple(int(b) for b in g.integers(0, 2, size=n)))
 
 
+def _nonsimple_shape_bits(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
+    """(count, 2^n - 1) fair shape bits: the one draw behind every nonsimple sampler."""
+    return _gen(rng).integers(0, 2, size=(count, (1 << n) - 1))
+
+
 def sample_nonsimple_butterfly(n: int, rng: RngState | np.random.Generator) -> Word:
     """Uniform nonsimple butterfly word of length 2^n (2^n - 1 fair node bits)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = _gen(rng)
-    bits = g.integers(0, 2, size=(1, (1 << n) - 1))
-    return tuple(int(x) for x in words_from_shape_bits(n, bits)[0])
+    return tuple(int(x) for x in nonsimple_butterfly_words(n, 1, rng)[0])
 
 
 def nonsimple_butterfly_words(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
     """(count, 2^n) matrix of iid uniform nonsimple butterfly words."""
-    g = _gen(rng)
-    bits = g.integers(0, 2, size=(count, (1 << n) - 1))
-    return words_from_shape_bits(n, bits)
+    return words_from_shape_bits(n, _nonsimple_shape_bits(n, count, rng))
+
+
+def nonsimple_butterfly_stats(
+    n: int, count: int, rng: RngState | np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, l, r) arrays of ``count`` iid uniform nonsimple butterfly trees.
+
+    Draws the same bits as :func:`nonsimple_butterfly_words`, so an equal
+    state gives the trees of exactly those words, but builds neither.
+    """
+    return stats_from_shape_bits(n, _nonsimple_shape_bits(n, count, rng))
 
 
 def uniform_words(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:

@@ -15,6 +15,7 @@ from butterfly_trees.butterfly import (
     enumerate_simple,
     is_nonsimple_butterfly,
     is_simple_butterfly,
+    stats_from_shape_bits,
     stats_recursion_nonsimple,
     stats_recursion_simple,
     words_from_shape_bits,
@@ -154,6 +155,22 @@ def test_stats_recursion_nonsimple_matches_summaries():
             w = build_nonsimple(shape)
             s = summary(w)
             assert stats_recursion_nonsimple(shape) == (s.h, s.l, s.r)
+
+
+def test_stats_from_shape_bits_matches_built_trees():
+    # the trees built by insertion stay the oracle of the shape recursion
+    g = np.random.default_rng(2024)
+    for n in range(1, 11):
+        T = (1 << n) - 1
+        bits = np.vstack([np.zeros((1, T), dtype=np.int64), np.ones((1, T), dtype=np.int64), g.integers(0, 2, size=(20, T))])
+        h, l, r = stats_from_shape_bits(n, bits)
+        for t, row in enumerate(bits):
+            s = summary(build_nonsimple(ButterflyShape(n, tuple(int(b) for b in row))))
+            assert (h[t], l[t], r[t]) == (s.h, s.l, s.r)
+    with pytest.raises(ValueError):
+        stats_from_shape_bits(3, np.zeros((2, 6), dtype=np.int64))
+    with pytest.raises(ValueError):
+        stats_from_shape_bits(0, np.zeros((2, 0), dtype=np.int64))
 
 
 def test_cycles_match_right_edge_in_distribution():

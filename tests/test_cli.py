@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from butterfly_trees import cli
+from butterfly_trees import cli, exact
 
 
 def run_cli(capsys, args):
@@ -18,6 +21,70 @@ def test_table1(capsys):
     assert "k,height,count_law,count_enum,equal" in lines
     assert "5,62,252,252,1" in lines
     assert "0,1023,2,2,1" in lines
+
+
+FIG8_GOLDEN = [
+    ([], "418688ec7aa41b08fe684703d402671510744bb20e32332c3101cbb8e8d07948"),
+    (["--n", "6", "--trials", "777", "--seed", "5", "--format", "json"], "469fd178b3ad7e109097aa709ee6af1890e4c5bf1aa6421f06addf4a79b9d915"),
+]
+
+
+@pytest.mark.parametrize("args,digest", FIG8_GOLDEN, ids=["default-csv", "n6-json"])
+def test_fig8_golden_digest(capsys, args, digest):
+    # recorded from the tree-building implementation; the shape recursion must reproduce it
+    out = run_cli(capsys, ["fig8"] + args)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["fig8", "--trials", "0"], "argument --trials: must be >= 1"),
+        (["law-hist", "--trials", "-5"], "argument --trials: must be >= 1"),
+        (["fig8", "--seed", "-1"], "argument --seed: must be >= 0"),
+        (["bounds", "--seed", "-7"], "argument --seed: must be >= 0"),
+        (["fig8", "--n", "0"], "argument --n: must be >= 1"),
+        (["fig8", "--n", "-3"], "argument --n: must be >= 1"),
+        (["fig8", "--trials", "ten"], "argument --trials: invalid int value"),
+    ],
+)
+def test_bad_arguments_are_argparse_errors(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_trials_default_only_when_omitted(capsys):
+    doc = json.loads(run_cli(capsys, ["law-hist", "--n", "2", "--format", "json"]))
+    assert doc["meta"]["trials"] == 100_000
+    doc = json.loads(run_cli(capsys, ["law-hist", "--n", "2", "--trials", "1", "--format", "json"]))
+    assert doc["meta"]["trials"] == 1 and sum(doc["columns"]["observed"]) == 1
+
+
+def test_fmt_numpy_scalars():
+    assert cli._fmt(np.float64(0.1)) == "0.1" == cli._fmt(0.1)
+    assert cli._fmt(np.float32(0.5)) == "0.5"
+    assert cli._fmt(np.int64(7)) == "7" == cli._fmt(7)
+    assert cli._fmt(np.uint8(255)) == "255"
+    assert cli._fmt(Fraction(3, 4)) == "3/4"
+    text = cli.render_csv({"mean": np.float64(2.5)}, {"h": [np.int64(3)], "x": [np.float64(1.0)]})
+    assert text == "# mean=2.5\nh,x\n3,1.0\n"
+
+
+@pytest.mark.parametrize("law", ["cycle", "lis"])
+def test_law_hist_exact_columns_at_n10(law):
+    trials = 2000
+    meta, cols = cli.law_hist_data(law, 10, trials, seed=3)
+    counts, denom_exp = getattr(exact, f"{law}_law_counts")(10)
+    mean = Fraction(sum(v * c for v, c in counts.items()), 1 << denom_exp)
+    expected = cols["expected"]
+    assert sum(cols["observed"]) == trials
+    assert math.isclose(math.fsum(expected), trials, rel_tol=1e-9)
+    assert math.isclose(math.fsum(v * e for v, e in zip(cols["value"], expected)) / trials, float(mean), rel_tol=1e-12)
+    assert 0.0 <= meta["pvalue"] <= 1.0
 
 
 def test_output_is_deterministic(capsys):

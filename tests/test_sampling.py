@@ -1,8 +1,10 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from scipy import stats
 
+from butterfly_trees.bst import batch_summaries
 from butterfly_trees.butterfly import enumerate_nonsimple, enumerate_simple, is_nonsimple_butterfly, is_simple_butterfly
 from butterfly_trees.exact import cycle_law_counts, lis_law_counts
 from butterfly_trees.perms import check_word, cycle_count, lis
@@ -10,6 +12,7 @@ from butterfly_trees.sampling import (
     RngState,
     cycle_law_samples,
     lis_law_samples,
+    nonsimple_butterfly_stats,
     nonsimple_butterfly_words,
     sample_cycle_law,
     sample_kron,
@@ -110,6 +113,15 @@ def test_butterfly_samplers():
     assert all(is_nonsimple_butterfly(sample_nonsimple_butterfly(4, RngState(2, i))) for i in range(50))
     n1 = Counter(sample_nonsimple_butterfly(1, RngState(3, i)) for i in range(2000))
     assert set(n1) == {(1, 2), (2, 1)}
+
+
+def test_nonsimple_butterfly_stats_are_the_trees_of_the_sampled_words():
+    for n in range(1, 11):
+        state = RngState(31, n)
+        stats_hlr = nonsimple_butterfly_stats(n, 40, state)
+        trees_hlr = batch_summaries(nonsimple_butterfly_words(n, 40, state))
+        for a, b in zip(stats_hlr, trees_hlr):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_law_sampler_base_cases():
