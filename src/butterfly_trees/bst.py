@@ -7,13 +7,25 @@ edge, top-right edge) are provided:
 
 - ``build_bst`` -> explicit node-array tree (parents, children, depths),
 - ``summary`` -> O(n) scan without building the tree,
-- ``batch_summaries`` -> the same scan vectorized across many words.
+- ``batch_summaries`` -> one vectorized pass per column across many words.
 
-The O(n) scan uses the insertion-neighbour identity: the parent of a
-newly inserted key is whichever of its current predecessor/successor was
-inserted later, so depth(v) = 1 + max(depth(pred), depth(succ)) with
-sentinel depths -1. Predecessor/successor pairs at insertion time are
-recovered by deleting keys from a doubly linked list in reverse order.
+Both scans delete keys from a doubly linked list over 0..n+1 in reverse
+insertion order. The deleted key v is a leaf of the tree built by the
+keys up to and including it, and its neighbours p < v < s in the list are
+its insertion-time predecessor and successor.
+
+``summary`` stores those pairs and replays insertion with the identity
+depth(v) = 1 + max(depth(p), depth(s)) (sentinel depths -1): the parent
+of a new key is whichever neighbour was inserted later.
+
+``batch_summaries`` keeps no depths. Every live key k owns gap[k], the
+node count of the longest root-to-leaf path in the final subtree that
+fills the interval between k and its live successor. Deleting v joins the
+intervals (p, v) and (v, s) under v, so gap[p] = 1 + max(gap[p], gap[v]);
+when every key is gone, gap[0] is the node count of the tallest path and
+h = gap[0] - 1. The edges need no tree: key 1 lies under every prefix
+minimum of the word and key n under every prefix maximum, so l and r are
+those record counts minus one.
 """
 
 from __future__ import annotations
@@ -124,27 +136,38 @@ def summary(word: Sequence[int]) -> BstSummary:
 
 
 def batch_summaries(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, l, r) arrays for a (B, n) matrix of 1-based words, one tree per row."""
+    """(h, l, r) int64 arrays for a (B, n) matrix of 1-based words, one tree per row.
+
+    Raises ValueError unless ``words`` is a 2-d integer array with n >= 1
+    whose rows are permutations of 1..n.
+    """
     W = np.asarray(words)
-    if W.ndim != 2:
-        raise ValueError("expected a 2-d array of words")
+    if W.ndim != 2 or W.shape[1] == 0:
+        raise ValueError(f"expected a 2-d array of words with n >= 1, got shape {W.shape}")
+    if not np.issubdtype(W.dtype, np.integer):
+        raise ValueError(f"expected an integer array of words, got dtype {W.dtype}")
     B, n = W.shape
-    rows = np.arange(B)
-    nxt = np.tile(np.arange(1, n + 3, dtype=np.int64), (B, 1))
-    prv = np.tile(np.arange(-1, n + 1, dtype=np.int64), (B, 1))
-    preds = np.empty((B, n), dtype=np.int64)
-    succs = np.empty((B, n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        v = W[:, i]
-        p = prv[rows, v]
-        s = nxt[rows, v]
-        preds[:, i] = p
-        succs[:, i] = s
-        nxt[rows, p] = s
-        prv[rows, s] = p
-    depth = np.full((B, n + 2), -1, dtype=np.int64)
-    for i in range(n):
-        v = W[:, i]
-        depth[rows, v] = 1 + np.maximum(depth[rows, preds[:, i]], depth[rows, succs[:, i]])
-    h = depth[:, 1 : n + 1].max(axis=1)
-    return h, depth[:, 1].copy(), depth[:, n].copy()
+    if W.size and (W.min() < 1 or W.max() > n):
+        raise ValueError(f"word values must lie in 1..{n}")
+    records = np.empty(W.shape, dtype=W.dtype)
+    l = np.count_nonzero(np.minimum.accumulate(W, axis=1, out=records) == W, axis=1) - 1
+    r = np.count_nonzero(np.maximum.accumulate(W, axis=1, out=records) == W, axis=1) - 1
+    del records  # freed before the pass allocates its three link arrays
+    # key k of row b lives in slot b*(n+2) + k: live neighbours of a key in one row tend to
+    # share its cache line, and each column of words becomes one contiguous row of slots
+    m = n + 2
+    slots = np.array(W.T, dtype=np.int64, order="C")  # always a copy: it is shifted in place
+    slots += np.arange(0, B * m, m, dtype=np.int64)
+    nxt = np.arange(1, B * m + 1, dtype=np.int64)
+    prv = np.arange(-1, B * m - 1, dtype=np.int64)
+    gap = np.zeros(B * m, dtype=np.int64)
+    for v in slots[::-1]:
+        p = prv[v]
+        s = nxt[v]
+        nxt[p] = s
+        prv[s] = p
+        gap[p] = np.maximum(gap[p], gap[v]) + 1
+    # a key missing from a row is never deleted, and no relink jumps over it
+    if not np.array_equal(nxt[::m], np.arange(n + 1, B * m, m)):
+        raise ValueError("every row must be a permutation of 1..n")
+    return gap[::m] - 1, l, r

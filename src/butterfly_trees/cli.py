@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats
 
 from . import bst, butterfly, exact, lattice, sampling
-from .gepp import gepp_factorization, nonsimple_matrices, simple_matrices, uniformity_check
+from .gepp import UNIFORMITY_CAP, gepp_factorization, nonsimple_matrices, simple_matrices, uniformity_check
 
 DEFAULT_SEED = 1024
 _CHUNK = 250
@@ -353,57 +353,76 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     grid = []
     for part in text.split(","):
         a, _, b = part.partition("x")
-        grid.append((int(a), int(b)))
+        n, m = int(a), int(b)
+        if n < 1 or m < 1:
+            raise argparse.ArgumentTypeError(f"grid entries must be >= 1, got {part!r}")
+        grid.append((n, m))
     return grid
 
 
-def _int_at_least(low: int):
+def _bounded_int(low: int, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
+        if high is None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
     return parse
 
 
+def _joint_range_error(args: argparse.Namespace) -> str | None:
+    """The message for a bound that depends on two arguments, or None."""
+    if args.cmd == "theorem2-diff" and args.n * args.m < 2:
+        return f"need n*m >= 2 (differences are scaled by log(n*m)), got n={args.n}, m={args.m}"
+    if args.cmd == "pmf" and args.which != "cycle-moments" and args.n < 1:
+        return f"argument --n: must be >= 1 for --which {args.which}, got {args.n}"
+    if args.cmd == "gepp-check" and args.n > UNIFORMITY_CAP[args.family]:
+        return f"argument --n: must be <= {UNIFORMITY_CAP[args.family]} for --family {args.family}, got {args.n}"
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="butterfly-trees", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED, help="64-bit experiment seed")
-    common.add_argument("--trials", type=_int_at_least(1), default=None, help="Monte Carlo trial count")
+    common.add_argument("--seed", type=_bounded_int(0), default=DEFAULT_SEED, help="64-bit experiment seed")
+    common.add_argument("--trials", type=_bounded_int(1), default=None, help="Monte Carlo trial count")
     common.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     sub.add_parser("table1", parents=[common])
     p = sub.add_parser("fig8", parents=[common])
-    p.add_argument("--n", type=_int_at_least(1), default=10)
+    p.add_argument("--n", type=_bounded_int(1), default=10)
     p = sub.add_parser("theorem2-diff", parents=[common])
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--n", type=_bounded_int(1), default=10_000)
+    p.add_argument("--m", type=_bounded_int(1), default=2)
     p = sub.add_parser("clt-simple", parents=[common])
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--n", type=_bounded_int(1), default=400)
+    p.add_argument("--samples", type=_bounded_int(1), default=100_000)
     p = sub.add_parser("bounds", parents=[common])
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=_bounded_int(1), default=10)
     p.add_argument("--exact-max", type=int, default=4)
     p = sub.add_parser("explore-conjecture", parents=[common])
     p.add_argument("--grid", type=_parse_grid, default=[(50, 50)], help="pairs like 50x50,100x20")
     p = sub.add_parser("gepp-check", parents=[common])
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_bounded_int(1), default=2)
     p.add_argument("--family", choices=("simple", "nonsimple"), default="nonsimple")
     p = sub.add_parser("lattice-degrees", parents=[common])
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_bounded_int(1, lattice.ANALYTIC_CAP), default=10)
     p = sub.add_parser("pmf", parents=[common])
     p.add_argument("--which", choices=("stirling", "simple-height", "cycle-moments"), default="stirling")
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_bounded_int(0), default=10)
     p = sub.add_parser("law-hist", parents=[common])
     p.add_argument("--law", choices=("lis", "cycle"), default="cycle")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_bounded_int(0), default=4)
 
     args = parser.parse_args(argv)
+    problem = _joint_range_error(args)
+    if problem:
+        sub.choices[args.cmd].error(problem)
 
     def trials(default: int) -> int:
         return default if args.trials is None else args.trials

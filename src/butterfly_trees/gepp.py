@@ -173,6 +173,7 @@ class UniformityReport:
 
 
 _CHUNK_ENTRIES = 1 << 22  # soft memory limit for batched matrices
+UNIFORMITY_CAP = {"simple": 10, "nonsimple": 3}  # largest n per family; nonsimple n = 3 has 128 classes
 
 
 def uniformity_check(
@@ -182,16 +183,14 @@ def uniformity_check(
     family: str = "nonsimple",
 ) -> UniformityReport:
     """Chi-square test of GEPP permutations against uniform on the butterfly group."""
+    if n > UNIFORMITY_CAP.get(family, n):
+        raise ValueError(f"{family} uniformity check capped at n = {UNIFORMITY_CAP[family]}")
     if family == "simple":
-        if n > 10:
-            raise ValueError("simple uniformity check capped at n = 10")
         classes = {w: 0 for w in enumerate_simple(n)}
         n_angles = n
         make = simple_matrices
         member = is_simple_butterfly
     elif family == "nonsimple":
-        if n > 3:
-            raise ValueError("nonsimple uniformity check capped at n = 3 (128 classes)")
         classes = {w: 0 for w in enumerate_nonsimple(n)}
         n_angles = (1 << n) - 1
         make = nonsimple_matrices

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from butterfly_trees.blocks import block_decomposition, block_height
 from butterfly_trees.bst import batch_summaries, build_bst, summary
-from butterfly_trees.exact import stirling1_row
+from butterfly_trees.butterfly import all_simple_words
+from butterfly_trees.exact import simple_height_counts, stirling1_row
+from butterfly_trees.sampling import RngState, wreath_words
 from butterfly_trees.perms import ltr_maxima_len, ltr_minima_len
 
 from conftest import all_words, naive_depths, naive_summary, traversal_depths
@@ -115,11 +118,91 @@ def test_batch_summaries_matches_scalar():
         for t in range(40):
             s = summary(tuple(int(x) for x in W[t]))
             assert (h[t], l[t], r[t]) == (s.h, s.l, s.r)
+
+
+def test_batch_summaries_matches_naive_insertion_exhaustive():
+    for n in range(1, 8):
+        words = list(all_words(n))
+        h, l, r = batch_summaries(np.array(words, dtype=np.int64))
+        assert h.dtype == l.dtype == r.dtype == np.int64
+        assert list(zip(h.tolist(), l.tolist(), r.tolist())) == [naive_summary(w) for w in words]
+
+
+def test_batch_summaries_chains():
+    n = 2000
+    up = np.arange(1, n + 1)
+    h, l, r = batch_summaries(np.stack([up, up[::-1]]))
+    assert h.tolist() == [n - 1, n - 1]
+    assert l.tolist() == [0, n - 1] and r.tolist() == [n - 1, 0]
+
+
+def test_batch_summaries_simple_butterflies_follow_exact_law():
+    h, _, _ = batch_summaries(all_simple_words(10))
+    values, freqs = np.unique(h, return_counts=True)
+    assert dict(zip(values.tolist(), freqs.tolist())) == simple_height_counts(10)
+
+
+@pytest.mark.parametrize("n,m", [(1, 5), (2, 2), (3, 4), (5, 3), (7, 6)])
+def test_batch_summaries_wreath_heights_match_block_decomposition(n, m):
+    words = wreath_words(n, m, 60, RngState(17, n * 100 + m))
+    h, _, _ = batch_summaries(words)
+    for row, height in zip(words.tolist(), h.tolist()):
+        rho = [(row[i * n] - 1) // n + 1 for i in range(m)]
+        blocks = [None] * m
+        for i, j in enumerate(rho):
+            blocks[j - 1] = [x - (j - 1) * n for x in row[i * n : (i + 1) * n]]
+        assert height == block_height(block_decomposition(rho, blocks))
+
+
+def test_batch_summaries_leaves_input_and_accepts_any_int_dtype():
+    W = np.array([[1], [1], [1]], dtype=np.int64)
+    assert [a.tolist() for a in batch_summaries(W)] == [[0, 0, 0]] * 3
+    assert W.tolist() == [[1], [1], [1]]
+    W = np.array([[3, 1, 2], [2, 3, 1]], dtype=np.uint8)
+    h, l, r = batch_summaries(W)
+    assert (h.tolist(), l.tolist(), r.tolist()) == ([2, 1], [1, 1], [0, 1])
+    assert h.dtype == l.dtype == r.dtype == np.int64
+    assert W.tolist() == [[3, 1, 2], [2, 3, 1]]
+    assert all(a.shape == (0,) for a in batch_summaries(np.empty((0, 4), dtype=np.int64)))
+
+
+@pytest.mark.parametrize(
+    "words,message",
+    [
+        (np.array([1, 2, 3]), "2-d"),
+        (np.ones((2, 2, 2), dtype=np.int64), "2-d"),
+        (np.empty((3, 0), dtype=np.int64), "n >= 1"),
+        (np.array([[1.0, 2.0]]), "integer"),
+        (np.array([[True, False]]), "integer"),
+        (np.array([[1, 2], [0, 1]]), "1..2"),
+        (np.array([[1, 2], [2, 3]]), "1..2"),
+        (np.array([[1, 2, 3], [2, 2, 1]]), "permutation"),
+        (np.array([[3, 3, 3]]), "permutation"),
+    ],
+    ids=["1-d", "3-d", "width-0", "float", "bool", "below-1", "above-n", "repeat", "constant"],
+)
+def test_batch_summaries_rejects_bad_words(words, message):
+    with pytest.raises(ValueError, match=message):
+        batch_summaries(words)
+
+
+def test_batch_summaries_rejects_every_non_permutation_row():
+    # random rows over 1..n are mostly not permutations; each must be refused on its own
+    rng = np.random.default_rng(99)
     for n in range(1, 7):
-        W = np.array(list(all_words(n)), dtype=np.int64)
-        h, l, r = batch_summaries(W)
-        for t, w in enumerate(all_words(n)):
-            assert (h[t], l[t], r[t]) == naive_summary(w)
+        rows = rng.integers(1, n + 1, size=(3000, n))
+        is_perm = (np.sort(rows, axis=1) == np.arange(1, n + 1)).all(axis=1)
+        for row, ok in zip(rows, is_perm):
+            if ok:
+                batch_summaries(row[None, :])
+            else:
+                with pytest.raises(ValueError, match="permutation"):
+                    batch_summaries(row[None, :])
+        if is_perm.all():
+            batch_summaries(rows)
+        else:
+            with pytest.raises(ValueError, match="permutation"):
+                batch_summaries(rows)
 
 
 def test_naive_depth_oracle_agrees_with_tree():

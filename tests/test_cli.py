@@ -36,6 +36,24 @@ def test_fig8_golden_digest(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+TREE_GOLDEN = [
+    (["table1"], "07138414ce3b46fae8089f342c858aca3f69548e87fe84904205073f2c5b964b"),
+    (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "60a42e6ea12a915e08e9c093186cf23f9625a8b9a3a880409e2ad9233abe113f"),
+    (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "d2f14b11b8eee8e3eef8f530bedbf91ddf0dd56eabe0b4604a33c157346f4e55"),
+    (
+        ["explore-conjecture", "--grid", "20x5,1x3,30x1", "--trials", "300", "--seed", "3", "--format", "json"],
+        "436ad4127695e2d88d357226e8b6a899d3cb6bbc5cf79ffcf23e70cd4886a539",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", TREE_GOLDEN, ids=["table1", "theorem2-csv", "theorem2-json", "explore-json"])
+def test_tree_golden_digest(capsys, args, digest):
+    # recorded from the two-pass depth-array batch_summaries; every output here goes through it
+    out = run_cli(capsys, args)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -46,6 +64,22 @@ def test_fig8_golden_digest(capsys, args, digest):
         (["fig8", "--n", "0"], "argument --n: must be >= 1"),
         (["fig8", "--n", "-3"], "argument --n: must be >= 1"),
         (["fig8", "--trials", "ten"], "argument --trials: invalid int value"),
+        (["law-hist", "--n", "-1"], "argument --n: must be >= 0"),
+        (["theorem2-diff", "--n", "-4"], "argument --n: must be >= 1"),
+        (["theorem2-diff", "--m", "0"], "argument --m: must be >= 1"),
+        (["theorem2-diff", "--n", "1", "--m", "1"], "need n*m >= 2"),
+        (["clt-simple", "--n", "0"], "argument --n: must be >= 1"),
+        (["clt-simple", "--samples", "0"], "argument --samples: must be >= 1"),
+        (["gepp-check", "--n", "0"], "argument --n: must be >= 1"),
+        (["gepp-check", "--n", "4"], "argument --n: must be <= 3 for --family nonsimple"),
+        (["gepp-check", "--n", "11", "--family", "simple"], "argument --n: must be <= 10 for --family simple"),
+        (["pmf", "--n", "-2"], "argument --n: must be >= 0"),
+        (["pmf", "--which", "simple-height", "--n", "0"], "argument --n: must be >= 1 for --which simple-height"),
+        (["lattice-degrees", "--n", "-1"], "argument --n: must be in 1..20"),
+        (["lattice-degrees", "--n", "21"], "argument --n: must be in 1..20"),
+        (["bounds", "--n-max", "-1"], "argument --n-max: must be >= 1"),
+        (["explore-conjecture", "--grid", "0x5"], "argument --grid: grid entries must be >= 1"),
+        (["explore-conjecture", "--grid", "4x6,5x0"], "argument --grid: grid entries must be >= 1"),
     ],
 )
 def test_bad_arguments_are_argparse_errors(capsys, args, message):
@@ -55,6 +89,21 @@ def test_bad_arguments_are_argparse_errors(capsys, args, message):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["theorem2-diff", "--n", "1", "--m", "2", "--trials", "3"],
+        ["pmf", "--which", "cycle-moments", "--n", "0"],
+        ["law-hist", "--n", "0", "--trials", "3"],
+        ["lattice-degrees", "--n", "20"],
+        ["gepp-check", "--n", "3", "--trials", "10"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_edge_arguments_are_accepted(capsys, args):
+    assert run_cli(capsys, args).startswith(f"# subcommand={args[0]}")
 
 
 def test_trials_default_only_when_omitted(capsys):
