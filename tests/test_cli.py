@@ -54,6 +54,22 @@ def test_tree_golden_digest(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+EXACT_GOLDEN = [
+    (["bounds"], "9d6c3fd82048d3a44cb28765650006c4bf563f9abd9c26219ce557c8ca555ad1"),
+    (["bounds", "--n-max", "10", "--exact-max", "5"], "dd32e10ae17d4f73838d11d54077367d2e2c6ee09d0497362a36773f8bb9b43f"),
+    (["law-hist", "--law", "cycle", "--n", "10", "--trials", "2000"], "580f770f4025d9e19c85dcd13883e6f306196dff5efa84c3525f5139338024be"),
+    (["law-hist", "--law", "lis", "--n", "10", "--trials", "2000"], "4615bdcac38bd814e3d30fd8aa54240f5dfb52ffd1c05b0778d389172810142e"),
+    (["pmf", "--which", "stirling"], "0af9cfa422609bbe8fa1909a1ef5a859e56e203e60cd21b644c1aee8d61b729e"),
+]
+
+
+@pytest.mark.parametrize("args,digest", EXACT_GOLDEN, ids=["bounds", "bounds-exact5", "law-cycle-n10", "law-lis-n10", "pmf-stirling"])
+def test_exact_golden_digest(capsys, args, digest):
+    # recorded from the dict convolutions; the dense and Kronecker laws must reproduce it
+    out = run_cli(capsys, args)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
