@@ -19,13 +19,16 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import bst, butterfly, exact, lattice, sampling
 from .gepp import UNIFORMITY_CAP, gepp_factorization, nonsimple_matrices, simple_matrices, uniformity_check
 
 DEFAULT_SEED = 1024
 _CHUNK = 250
+# bounds: the exact law takes ~1.4 s at n = 7 and ~25 s with 0.7 GB at n = 8 (2-vCPU Xeon)
+EXACT_MAX_CAP = 7
+# law-hist: a sample holds 2^n values; 2^17 is the largest within one chunk's _CHUNK * 1024
+LAW_HIST_CAP = 17
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +169,8 @@ def theorem2_diff_data(n: int, m: int, trials: int, seed: int) -> tuple[dict, di
 
 def clt_simple_data(n: int, samples: int, seed: int) -> tuple[dict, dict]:
     """KS distance of the standardized log-height (exact binomial law) to |N(0,1)|."""
+    from scipy import stats  # imported where used: it dominates the package's import time
+
     g = sampling.RngState(seed).generator()
     x = g.binomial(n, 0.5, size=samples).astype(np.int64)
     a = np.maximum(x, n - x).astype(float)
@@ -309,6 +314,8 @@ def pmf_data(which: str, n: int) -> tuple[dict, dict]:
 
 def law_hist_data(law: str, n: int, trials: int, seed: int) -> tuple[dict, dict]:
     """Histogram of a recursion-law sampler next to its exact dyadic law."""
+    from scipy import stats
+
     if law == "lis":
         sampler, law_counts = sampling.lis_law_samples, exact.lis_law_counts
     elif law == "cycle":
@@ -353,19 +360,24 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     grid = []
     for part in text.split(","):
         a, _, b = part.partition("x")
-        n, m = int(a), int(b)
+        try:
+            n, m = int(a), int(b)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected NxM pairs like 50x50,100x20, got {part!r}") from None
         if n < 1 or m < 1:
             raise argparse.ArgumentTypeError(f"grid entries must be >= 1, got {part!r}")
         grid.append((n, m))
     return grid
 
 
-def _bounded_int(low: int, high: int | None = None):
+def _bounded_int(low: int | None, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if high is None and value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and not low <= value <= high:
+        if low is None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        if None not in (low, high) and not low <= value <= high:
             raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {value}")
         return value
 
@@ -404,7 +416,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--samples", type=_bounded_int(1), default=100_000)
     p = sub.add_parser("bounds", parents=[common])
     p.add_argument("--n-max", type=_bounded_int(1), default=10)
-    p.add_argument("--exact-max", type=int, default=4)
+    p.add_argument("--exact-max", type=_bounded_int(None, EXACT_MAX_CAP), default=4, help="negative: no exact column")
     p = sub.add_parser("explore-conjecture", parents=[common])
     p.add_argument("--grid", type=_parse_grid, default=[(50, 50)], help="pairs like 50x50,100x20")
     p = sub.add_parser("gepp-check", parents=[common])
@@ -417,7 +429,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--n", type=_bounded_int(0), default=10)
     p = sub.add_parser("law-hist", parents=[common])
     p.add_argument("--law", choices=("lis", "cycle"), default="cycle")
-    p.add_argument("--n", type=_bounded_int(0), default=4)
+    p.add_argument("--n", type=_bounded_int(0, LAW_HIST_CAP), default=4)
 
     args = parser.parse_args(argv)
     problem = _joint_range_error(args)

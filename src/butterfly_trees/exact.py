@@ -6,14 +6,28 @@ numbers are arbitrary-precision integers/rationals, butterfly-tree pmfs
 carry dyadic weights (integer numerators over a power-of-two denominator),
 and the bound sequences/constants are double precision with documented
 defining formulas.
+
+The level recursions avoid pairwise loops over supports:
+
+- The nonsimple (H, L, R) law is a dense count array ``W[h, l, r]`` per
+  level. A step conditions on the first copy's edge and takes the height
+  maximum from products of CDFs along h, then first differences; counts are
+  int64 up to level 5 and Python ints in object arrays from level 6 on,
+  where the total 2^63 no longer fits int64.
+- The LIS and cycle laws square their count polynomial by Kronecker
+  substitution: the counts are packed into one Python integer, which is
+  squared and cut back into counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 LAMBDA = Fraction(3, 2)
 
@@ -295,27 +309,53 @@ class TripleDistribution:
         return self.moment(0)
 
 
+def _wreath_step(W: np.ndarray) -> np.ndarray:
+    """Level-(k+1) counts from the level-k counts ``W[h, l, r]`` of shape (D, D, D).
+
+    Bit 0 maps the iid pair to (max(H1, R1+1+H2), L1, R1+1+R2), so it needs
+    only the (H2, R2) marginal of the second copy. For each R1 = c the count
+    of max(H1, c+1+H2) <= h is the CDF product F1(h)·F2(h-c-1); first
+    differences along h give the point counts, which all lie in
+    h = c+1 .. c+D. Bit 1 is the mirror image of bit 0, and the law is
+    symmetric in (L, R), so its counts are bit 0's with L and R swapped.
+    """
+    D = W.shape[0]
+    F1 = np.cumsum(W, axis=0)  # F1[h, l, c] = #{H1 <= h, L1 = l, R1 = c}
+    F2 = np.cumsum(W.sum(axis=1), axis=0)  # F2[h, r] = #{H2 <= h, R2 = r}
+    new = np.zeros((2 * D, 2 * D, 2 * D), dtype=W.dtype)
+    for c in range(D):
+        m = D - c  # L1 < D - c: the two top edges share only the root
+        f1 = F1[np.minimum(np.arange(c + 1, c + D + 1), D - 1), :m, c]
+        cdf = f1[:, :, None] * F2[:, None, :]  # rows h = c+1 .. c+D
+        new[c + 1 : c + D + 1, :m, c + 1 : c + D + 1] += np.diff(cdf, axis=0, prepend=np.zeros_like(cdf[:1]))
+    return new + new.transpose(0, 2, 1)
+
+
 def triple_dist_nonsimple(n: int, support_cap: int = 5_000_000) -> TripleDistribution:
     """Exact joint (H, L, R) law at level n by convolving two iid level-(n-1)
-    copies through the deterministic edge recursion with a fair outer bit."""
+    copies through the deterministic edge recursion with a fair outer bit.
+
+    Each level is a dense count array ``W[h, l, r]`` of side 2^level; see
+    :func:`_wreath_step` for one step. The counts sum to 2^(2^level - 1),
+    so they are int64 up to level 5 and Python ints in an object array from
+    level 6 on, where int64 would wrap. ``SupportCapExceeded`` is raised as
+    soon as a level has more than ``support_cap`` nonzero cells.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    weights = {(1, 0, 1): 1, (1, 1, 0): 1}
+    W = np.zeros((2, 2, 2), dtype=np.int64)
+    W[1, 0, 1] = W[1, 1, 0] = 1
     exp = 1
     for level in range(2, n + 1):
-        new: dict[tuple[int, int, int], int] = {}
-        items = list(weights.items())
-        for (H1, L1, R1), w1 in items:
-            for (H2, L2, R2), w2 in items:
-                w = w1 * w2
-                t0 = (max(H1, R1 + 1 + H2), L1, R1 + 1 + R2)
-                t1 = (max(H1, L1 + 1 + H2), L1 + 1 + L2, R1)
-                new[t0] = new.get(t0, 0) + w
-                new[t1] = new.get(t1, 0) + w
-        if len(new) > support_cap:
-            raise SupportCapExceeded(level, len(new), support_cap)
-        weights = new
         exp = 2 * exp + 1
+        if 1 << exp > np.iinfo(np.int64).max:
+            W = W.astype(object)
+        W = _wreath_step(W)
+        support = np.count_nonzero(W)
+        if support > support_cap:
+            raise SupportCapExceeded(level, support, support_cap)
+    h, l, r = np.nonzero(W)
+    weights = dict(zip(zip(h.tolist(), l.tolist(), r.tolist()), W[h, l, r].tolist()))
     return TripleDistribution(n, weights, exp)
 
 
@@ -324,22 +364,38 @@ def exact_mean_height(n: int, support_cap: int = 5_000_000) -> Fraction:
     return triple_dist_nonsimple(n, support_cap).mean_height()
 
 
-def _law_counts(n: int, combine) -> tuple[dict[int, int], int]:
+def _square_poly(c: list[int], bits: int) -> list[int]:
+    """Coefficients of (sum_v c[v] x^v)^2, each below 2^bits, by Kronecker
+    substitution: pack c into one integer in fixed byte-wide slots, square
+    it, and cut the product back into slots."""
+    width = bits // 8 + 1
+    packed = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in c), "little")
+    size = 2 * len(c) - 1
+    data = (packed * packed).to_bytes(width * size, "little")
+    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(size)]
+
+
+def _law_counts(n: int, extra) -> tuple[dict[int, int], int]:
+    """Level-n law of a recursion whose fair bit picks X1 + X2 or a second
+    combination; ``extra(c, total)`` gives the counts of that combination
+    over values 0..len(c)-1 from the level's counts c (index = value)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts = {1: 1}
+    counts = [0, 1]
     exp = 0
     for _ in range(n):
-        new: dict[int, int] = {}
-        items = list(counts.items())
-        for a, wa in items:
-            for b, wb in items:
-                w = wa * wb
-                for v in combine(a, b):
-                    new[v] = new.get(v, 0) + w
+        new = _square_poly(counts, 2 * exp + 1)
+        for v, w in enumerate(extra(counts, 1 << exp)):
+            new[v] += w
         counts = new
         exp = 2 * exp + 1
-    return counts, exp
+    return {v: w for v, w in enumerate(counts) if w}, exp
+
+
+def _max_counts(c: list[int], total: int) -> list[int]:
+    """Counts of max(X1, X2) for iid X1, X2 with counts c: F(v)^2 - F(v-1)^2."""
+    F = [0, *itertools.accumulate(c)]
+    return [b * b - a * a for a, b in zip(F, F[1:])]
 
 
 def lis_law_counts(n: int) -> tuple[dict[int, int], int]:
@@ -348,9 +404,9 @@ def lis_law_counts(n: int) -> tuple[dict[int, int], int]:
     One step maps iid copies (X1, X2) with a fair bit to X1 + X2 or
     max(X1, X2); level 0 is the constant 1.
     """
-    return _law_counts(n, lambda a, b: (a + b, max(a, b)))
+    return _law_counts(n, _max_counts)
 
 
 def cycle_law_counts(n: int) -> tuple[dict[int, int], int]:
     """Exact level-n cycle law: one step maps (Y1, Y2) to Y1 + Y2 or Y1."""
-    return _law_counts(n, lambda a, b: (a + b, a))
+    return _law_counts(n, lambda c, total: [total * w for w in c])

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .butterfly import (
     enumerate_nonsimple,
@@ -210,6 +209,8 @@ def uniformity_check(
                 raise AssertionError(f"GEPP produced non-member word {w} ({member.__name__} fails)")
             classes[w] += 1
         done += b
+    from scipy import stats  # imported where used: it dominates the package's import time
+
     res = stats.chisquare(list(classes.values()))
     return UniformityReport(
         family=family,

@@ -2,7 +2,8 @@
 
 These deliberately re-derive quantities with implementations unrelated to
 the package internals: plain pointer-chasing BST insertion, exhaustive
-subsequence enumeration for LIS/LDS, and depth recomputation by traversal.
+subsequence enumeration for LIS/LDS, depth recomputation by traversal, and
+the exact laws by pairwise dict convolution over their supports.
 """
 
 from __future__ import annotations
@@ -122,3 +123,32 @@ def lis_brute_all(n: int) -> tuple[np.ndarray, np.ndarray]:
     ok_all = np.logical_and.reduceat(ok, np.array(seg_start), axis=1)
     lens = np.where(ok_all, np.array(seg_len)[None, :], 0)
     return words, np.maximum(1, lens.max(axis=1))
+
+
+def dict_triple_levels(n: int) -> list[dict[tuple[int, int, int], int]]:
+    """Nonsimple (H, L, R) counts at levels 1..n, each level over every pair
+    of triples of two iid copies of the level below (O(support^2) dict work)."""
+    levels = [{(1, 0, 1): 1, (1, 1, 0): 1}]
+    for _ in range(2, n + 1):
+        new: dict[tuple[int, int, int], int] = {}
+        for (H1, L1, R1), w1 in levels[-1].items():
+            for (H2, L2, R2), w2 in levels[-1].items():
+                for t in ((max(H1, R1 + 1 + H2), L1, R1 + 1 + R2), (max(H1, L1 + 1 + H2), L1 + 1 + L2, R1)):
+                    new[t] = new.get(t, 0) + w1 * w2
+        levels.append(new)
+    return levels
+
+
+def dict_law_levels(n: int, law: str) -> list[dict[int, int]]:
+    """LIS or cycle law counts at levels 0..n, each level over every pair of
+    values of two iid copies of the level below; a fair bit picks a + b or
+    max(a, b) (LIS), a (cycle)."""
+    levels = [{1: 1}]
+    for _ in range(n):
+        new: dict[int, int] = {}
+        for a, wa in levels[-1].items():
+            for b, wb in levels[-1].items():
+                for v in (a + b, max(a, b) if law == "lis" else a):
+                    new[v] = new.get(v, 0) + wa * wb
+        levels.append(new)
+    return levels

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,7 +84,7 @@ def test_exact_golden_digest(capsys, args, digest):
         (["fig8", "--n", "0"], "argument --n: must be >= 1"),
         (["fig8", "--n", "-3"], "argument --n: must be >= 1"),
         (["fig8", "--trials", "ten"], "argument --trials: invalid int value"),
-        (["law-hist", "--n", "-1"], "argument --n: must be >= 0"),
+        (["law-hist", "--n", "-1"], "argument --n: must be in 0..17"),
         (["theorem2-diff", "--n", "-4"], "argument --n: must be >= 1"),
         (["theorem2-diff", "--m", "0"], "argument --m: must be >= 1"),
         (["theorem2-diff", "--n", "1", "--m", "1"], "need n*m >= 2"),
@@ -96,6 +100,10 @@ def test_exact_golden_digest(capsys, args, digest):
         (["bounds", "--n-max", "-1"], "argument --n-max: must be >= 1"),
         (["explore-conjecture", "--grid", "0x5"], "argument --grid: grid entries must be >= 1"),
         (["explore-conjecture", "--grid", "4x6,5x0"], "argument --grid: grid entries must be >= 1"),
+        (["bounds", "--exact-max", "8"], "argument --exact-max: must be <= 7, got 8"),
+        (["law-hist", "--n", "18"], "argument --n: must be in 0..17, got 18"),
+        (["explore-conjecture", "--grid", "5"], "argument --grid: expected NxM pairs like 50x50,100x20, got '5'"),
+        (["explore-conjecture", "--grid", "4x6,ax5"], "argument --grid: expected NxM pairs like 50x50,100x20, got 'ax5'"),
     ],
 )
 def test_bad_arguments_are_argparse_errors(capsys, args, message):
@@ -122,11 +130,29 @@ def test_edge_arguments_are_accepted(capsys, args):
     assert run_cli(capsys, args).startswith(f"# subcommand={args[0]}")
 
 
+def test_upper_bounds_accept_their_edge(capsys):
+    out = run_cli(capsys, ["bounds", "--n-max", "2", "--exact-max", "7"])
+    assert out.endswith("1,1.00,1.0,1.00\n2,2.50,2.5,3.38\n")
+    out = run_cli(capsys, ["bounds", "--n-max", "2", "--exact-max", "-3"])
+    assert out.endswith("1,1.00,,1.00\n2,2.50,,3.38\n")
+    doc = json.loads(run_cli(capsys, ["law-hist", "--n", "17", "--trials", "3", "--format", "json"]))
+    assert sum(doc["columns"]["observed"]) == 3
+
+
 def test_trials_default_only_when_omitted(capsys):
     doc = json.loads(run_cli(capsys, ["law-hist", "--n", "2", "--format", "json"]))
     assert doc["meta"]["trials"] == 100_000
     doc = json.loads(run_cli(capsys, ["law-hist", "--n", "2", "--trials", "1", "--format", "json"]))
     assert doc["meta"]["trials"] == 1 and sum(doc["columns"]["observed"]) == 1
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.stats is imported by the three functions that use it, not by the package
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, butterfly_trees.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_fmt_numpy_scalars():

@@ -30,8 +30,9 @@ from butterfly_trees.exact import (
     triple_dist_nonsimple,
 )
 from butterfly_trees.perms import ltr_maxima_len
+from butterfly_trees.sampling import RngState, nonsimple_butterfly_stats
 
-from conftest import all_words
+from conftest import all_words, dict_law_levels, dict_triple_levels
 
 
 def test_stirling_values():
@@ -196,6 +197,31 @@ def test_triple_dist_matches_enumeration():
         assert dict(hist) == triple_dist_nonsimple(n).weights
 
 
+def test_triple_dist_matches_dict_convolution():
+    for n, oracle in enumerate(dict_triple_levels(5), start=1):
+        weights = triple_dist_nonsimple(n).weights
+        assert weights == oracle
+        assert all(w > 0 for w in weights.values())
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_triple_dist_past_int64(n):
+    # level 6 is the first whose total 2^63 wraps int64; its counts are Python ints
+    d = triple_dist_nonsimple(n)
+    assert d.denom_exp == (1 << n) - 1
+    assert sum(d.weights.values()) == 1 << d.denom_exp
+    assert all(w > 0 for w in d.weights.values())
+    m1, m2 = edge_moments(n)
+    assert d.moment(1, 1) == m1 and d.moment(1, 2) == m2
+    assert d.marginal_counts(1) == d.marginal_counts(2)
+    # independent of the convolution: heights from sampled shape bits
+    h, _, _ = nonsimple_butterfly_stats(n, 4000, RngState(2024, n))
+    sem = h.std(ddof=1) / math.sqrt(len(h))
+    assert abs(h.mean() - float(d.mean_height())) <= 5 * sem
+    lo, up = nonsimple_mean_bounds(n)
+    assert lo <= float(d.mean_height()) <= up
+
+
 def test_exact_mean_heights():
     assert exact_mean_height(1) == 1
     assert exact_mean_height(2) == Fraction(5, 2)
@@ -213,6 +239,15 @@ def test_support_cap():
         triple_dist_nonsimple(4, support_cap=100)
     assert exc.value.attained > 100
     assert exc.value.cap == 100
+
+
+@pytest.mark.parametrize("law,law_counts", [("lis", lis_law_counts), ("cycle", cycle_law_counts)])
+def test_law_counts_match_dict_convolution(law, law_counts):
+    for n, oracle in enumerate(dict_law_levels(10, law)):
+        counts, denom_exp = law_counts(n)
+        assert counts == oracle
+        assert denom_exp == (1 << n) - 1
+        assert all(w > 0 for w in counts.values())
 
 
 def test_law_counts_match_butterfly_statistics():
