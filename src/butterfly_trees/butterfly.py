@@ -14,6 +14,12 @@ Fixed word convention for one nonsimple step on halves w1, w2 of size M:
 
 so the first child always owns the block containing the root of the tree.
 
+On 0-based positions i both families are XOR masks: a simple word is
+1 + (i ^ m), bit j of m being factor bit j, and a nonsimple word is
+1 + (i ^ f(i)), bit k-1 of f(i) being the bit of the level-k node that
+owns i. Every builder computes one of these two forms, and
+:func:`class_indices` inverts both.
+
 Tree statistics come straight from the shape: :func:`stats_from_shape_bits`
 evaluates the (h, l, r) recursion over the level-ordered bits, one numpy
 step per level, and is what ``fig8`` samples. The words and the trees
@@ -78,24 +84,25 @@ def _bad_bit(c: str) -> int:
 def build_simple(bits: Sequence[int]) -> Word:
     """Word of the simple butterfly permutation with the given factor bits.
 
-    ``bits[0]`` is the innermost factor; bit 1 means the factor is 21.
+    ``bits[0]`` is the innermost factor; bit 1 means the factor is 21. The
+    word is ``1 + (i ^ m)`` at 0-based position i, with bit j of the mask m
+    equal to ``bits[j]``.
 
     >>> build_simple((1, 0, 0))
     (2, 1, 4, 3, 6, 5, 8, 7)
     >>> build_simple((1, 0, 1))
     (6, 5, 8, 7, 2, 1, 4, 3)
+    >>> m = 0b101
+    >>> build_simple((1, 0, 1)) == tuple(1 + (i ^ m) for i in range(8))
+    True
     """
     bs = tuple(bits)
     if not bs:
         raise ValueError("need at least one bit")
     if any(b not in (0, 1) for b in bs):
         raise ValueError("bits must be 0 or 1")
-    w = (2, 1) if bs[0] else (1, 2)
-    for b in bs[1:]:
-        M = len(w)
-        hi = tuple(x + M for x in w)
-        w = hi + w if b else w + hi
-    return w
+    m = sum(b << j for j, b in enumerate(bs))
+    return tuple(1 + (i ^ m) for i in range(1 << len(bs)))
 
 
 def build_nonsimple(shape: ButterflyShape) -> Word:
@@ -104,84 +111,47 @@ def build_nonsimple(shape: ButterflyShape) -> Word:
     >>> build_nonsimple(ButterflyShape.from_string("101"))
     (3, 4, 2, 1)
     """
-    bits = shape.bits
-
-    def rec(idx: int, level: int) -> tuple[int, ...]:
-        if level == 0:
-            return (1,)
-        w1 = rec(2 * idx + 1, level - 1)
-        w2 = rec(2 * idx + 2, level - 1)
-        M = 1 << (level - 1)
-        if bits[idx]:
-            return tuple(x + M for x in w1) + w2
-        return w1 + tuple(x + M for x in w2)
-
-    return rec(0, shape.depth)
+    return tuple(words_from_shape_bits(shape.depth, np.array([shape.bits]))[0].tolist())
 
 
 def is_nonsimple_butterfly(p: Sequence[int]) -> bool:
     """Whether the word splits recursively into contiguous value half-blocks."""
-    w = check_word(p)
-    return _is_nonsimple(w)
-
-
-def _is_nonsimple(w: tuple[int, ...]) -> bool:
-    n = len(w)
-    if n & (n - 1):
-        return False
-    if n == 1:
-        return True
-    M = n // 2
-    first, second = w[:M], w[M:]
-    if max(first) == M:
-        return _is_nonsimple(first) and _is_nonsimple(tuple(x - M for x in second))
-    if min(first) == M + 1:
-        return _is_nonsimple(tuple(x - M for x in first)) and _is_nonsimple(second)
-    return False
+    return bool(class_indices(np.array([check_word(p)]), "nonsimple")[0] >= 0)
 
 
 def is_simple_butterfly(p: Sequence[int]) -> bool:
     """Nonsimple structure with identical shifted halves at every level."""
-    w = check_word(p)
-    return _is_simple(w)
-
-
-def _is_simple(w: tuple[int, ...]) -> bool:
-    n = len(w)
-    if n & (n - 1):
-        return False
-    if n == 1:
-        return True
-    M = n // 2
-    first, second = w[:M], w[M:]
-    if max(first) == M:
-        lo, hi = first, tuple(x - M for x in second)
-    elif min(first) == M + 1:
-        lo, hi = second, tuple(x - M for x in first)
-    else:
-        return False
-    return lo == hi and _is_simple(lo)
+    return bool(class_indices(np.array([check_word(p)]), "simple")[0] >= 0)
 
 
 def enumerate_simple(n: int) -> Iterator[Word]:
     """All 2^n simple butterfly words of length 2^n, one per bit tuple."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for i in range(1 << n):
-        yield build_simple(tuple((i >> j) & 1 for j in range(n)))
+    return (tuple(row) for row in all_simple_words(n).tolist())
 
 
 def enumerate_nonsimple(n: int, cap: int = DEFAULT_NONSIMPLE_CAP) -> Iterator[Word]:
     """All 2^(2^n - 1) nonsimple butterfly words, in shape-index order.
 
-    Guarded by ``cap`` because the count is doubly exponential in n.
+    Guarded by ``cap`` because the count is doubly exponential in n; the
+    words are built 4096 shapes at a time.
     """
+    _check_cap(n, cap)
+    total = 1 << ((1 << n) - 1)
+    chunks = (_index_bits(n, np.arange(lo, min(lo + 4096, total))) for lo in range(0, total, 4096))
+    return (tuple(row) for bits in chunks for row in words_from_shape_bits(n, bits).tolist())
+
+
+def _check_cap(n: int, cap: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > cap:
         raise ValueError(f"n={n} exceeds cap={cap}; pass a larger cap explicitly")
+
+
+def _index_bits(n: int, index: np.ndarray) -> np.ndarray:
+    """Level-ordered shape bits of the given shape indices, one row each, root most significant."""
     T = (1 << n) - 1
-    return (build_nonsimple(ButterflyShape.from_index(n, i)) for i in range(1 << T))
+    return (index[:, None] >> np.arange(T - 1, -1, -1)) & 1
 
 
 def stats_recursion_simple(bits: Sequence[int]) -> tuple[int, int, int]:
@@ -222,42 +192,78 @@ def stats_recursion_nonsimple(shape: ButterflyShape) -> tuple[int, int, int]:
 
 
 def all_simple_words(n: int) -> np.ndarray:
-    """(2^n, 2^n) matrix whose row i is build_simple of the bits of i (lsb innermost)."""
+    """(2^n, 2^n) matrix whose row m is build_simple of the bits of m (lsb innermost): 1 + (i ^ m)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    B = 1 << n
-    W = np.ones((B, 1), dtype=np.int64)
-    for j in range(n):
-        M = W.shape[1]
-        bit = ((np.arange(B, dtype=np.int64) >> j) & 1)[:, None]
-        lo = np.where(bit == 1, W + M, W)
-        hi = np.where(bit == 1, W, W + M)
-        W = np.concatenate([lo, hi], axis=1)
-    return W
+    i = np.arange(1 << n, dtype=np.int64)
+    return 1 + (i[None, :] ^ i[:, None])
 
 
 def words_from_shape_bits(n: int, bits: np.ndarray) -> np.ndarray:
-    """(B, 2^n) words from a (B, 2^n - 1) matrix of level-ordered shape bits."""
-    bits = np.asarray(bits)
-    B = bits.shape[0]
-    if bits.shape[1] != (1 << n) - 1:
-        raise ValueError("wrong number of shape bits")
-    W = np.ones((B, 1 << n), dtype=np.int64)
+    """(B, 2^n) words from a (B, 2^n - 1) matrix of level-ordered shape bits.
+
+    Row t is ``1 + (i ^ f)``, where bit k-1 of f[i] is the bit of the
+    level-k node that owns position i:
+
+    >>> bits = np.array([[1, 0, 1]])  # root 1, left leaf 0, right leaf 1
+    >>> f = np.array([0b10, 0b10, 0b11, 0b11])
+    >>> words_from_shape_bits(2, bits).tolist() == [(1 + (np.arange(4) ^ f)).tolist()]
+    True
+    """
+    bits = _checked_bits(n, bits).astype(np.int64, copy=False)
+    i = np.arange(1 << n, dtype=np.int64)
+    f = np.zeros((bits.shape[0], 1 << n), dtype=np.int64)
     for k in range(1, n + 1):
-        M = 1 << (k - 1)
-        lev = n - k
-        first = (1 << lev) - 1
-        P = 1 << lev
-        Wb = W.reshape(B, P, 2, M)
-        out = np.empty((B, P, 2 * M), dtype=np.int64)
-        for t in range(P):
-            bit = bits[:, first + t][:, None]
-            w1 = Wb[:, t, 0, :]
-            w2 = Wb[:, t, 1, :]
-            out[:, t, :M] = np.where(bit == 1, w1 + M, w1)
-            out[:, t, M:] = np.where(bit == 1, w2, w2 + M)
-        W = out.reshape(B, P * 2 * M)
-    return W
+        f |= bits[:, (1 << (n - k)) - 1 + (i >> k)] << (k - 1)
+    return 1 + (i ^ f)
+
+
+def _checked_bits(n: int, bits: np.ndarray) -> np.ndarray:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or bits.shape[1] != (1 << n) - 1:
+        raise ValueError(f"need a (B, {(1 << n) - 1}) matrix of shape bits, got shape {bits.shape}")
+    if bits.dtype.kind not in "biu" or bits.size and (bits.min() < 0 or bits.max() > 1):
+        raise ValueError("shape bits must be integers 0 or 1")
+    return bits
+
+
+def class_indices(words: np.ndarray, family: str) -> np.ndarray:
+    """Class index of each row of a (B, N) word matrix in ``family``, -1 for non-members.
+
+    With f = (word - 1) ^ i, a word is simple iff f is constant, with index
+    f[0]; it is nonsimple iff bit k-1 of f is constant on every aligned
+    block of 2^k positions, with index its level-ordered shape bits read
+    root first (as :meth:`ButterflyShape.from_index`). The index is the
+    word's row in :func:`all_simple_words` or :func:`all_nonsimple_words`;
+    past N = 64 nonsimple indices are Python ints in an object array.
+
+    >>> class_indices(np.array([[3, 4, 2, 1], [3, 4, 1, 2]]), "nonsimple").tolist()
+    [5, 4]
+    >>> class_indices(np.array([[3, 4, 2, 1], [3, 4, 1, 2]]), "simple").tolist()
+    [-1, 2]
+    """
+    if family not in ("simple", "nonsimple"):
+        raise ValueError(f"unknown family {family!r}")
+    words = np.asarray(words, dtype=np.int64)
+    B, N = words.shape
+    if N & (N - 1):
+        return np.full(B, -1)
+    n = N.bit_length() - 1
+    i = np.arange(N)
+    f = (words - 1) ^ i
+    ok = ((f >> n) == 0).all(axis=1)
+    if family == "simple":
+        return np.where(ok & (f == f[:, :1]).all(axis=1), f[:, 0], -1)
+    weights = np.array([1 << q for q in range(N - 2, -1, -1)], dtype=np.int64 if N <= 64 else object)
+    index, drift = 0, np.zeros_like(f)
+    # bit k-1 of f must equal its value at the start of the level-k block, which is that node's bit
+    for k in range(1, n + 1):
+        drift |= (f ^ f[:, (i >> k) << k]) & (1 << (k - 1))
+        first = (1 << (n - k)) - 1
+        index = index + ((f[:, :: 1 << k] >> (k - 1)) & 1) @ weights[first : 2 * first + 1]
+    return np.where(ok & (drift == 0).all(axis=1), index, -1)
 
 
 def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,11 +282,7 @@ def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndar
     first child's edge on the side of its block). One numpy step per level,
     on (B, 2^d) arrays; no word or tree is built.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    bits = np.asarray(bits)
-    if bits.ndim != 2 or bits.shape[1] != (1 << n) - 1:
-        raise ValueError("wrong number of shape bits")
+    bits = _checked_bits(n, bits)
     b = bits[:, (1 << (n - 1)) - 1 :] == 1
     h = np.ones(b.shape, dtype=np.int64)
     l = b.astype(np.int64)
@@ -296,13 +298,5 @@ def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def all_nonsimple_words(n: int, cap: int = DEFAULT_NONSIMPLE_CAP) -> np.ndarray:
     """(2^(2^n - 1), 2^n) matrix of all nonsimple words, row i = shape index i."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds cap={cap}; pass a larger cap explicitly")
-    T = (1 << n) - 1
-    idx = np.arange(1 << T, dtype=np.int64)
-    bits = np.empty((1 << T, T), dtype=np.int64)
-    for q in range(T):
-        bits[:, q] = (idx >> (T - 1 - q)) & 1
-    return words_from_shape_bits(n, bits)
+    _check_cap(n, cap)
+    return words_from_shape_bits(n, _index_bits(n, np.arange(1 << ((1 << n) - 1))))

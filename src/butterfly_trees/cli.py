@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bst, butterfly, exact, lattice, sampling
-from .gepp import UNIFORMITY_CAP, gepp_factorization, nonsimple_matrices, simple_matrices, uniformity_check
+from .gepp import UNIFORMITY_CAP, gepp_factorization, random_butterfly_matrices, uniformity_check
 
 DEFAULT_SEED = 1024
 _CHUNK = 250
@@ -246,10 +246,7 @@ def gepp_check_data(n: int, trials: int, seed: int, family: str) -> tuple[dict, 
     """GEPP membership + uniformity + reconstruction check for one butterfly family."""
     rng = sampling.RngState(seed)
     report = uniformity_check(n, trials, rng, family=family)
-    g = sampling.RngState(seed, 777).generator()
-    n_angles = n if family == "simple" else (1 << n) - 1
-    make = simple_matrices if family == "simple" else nonsimple_matrices
-    mats = make(n, g.uniform(0, 2 * np.pi, size=(50, n_angles)))
+    mats = random_butterfly_matrices(family, n, 50, sampling.RngState(seed, 777))
     max_err = 0.0
     for M in mats:
         word, L, U = gepp_factorization(M)

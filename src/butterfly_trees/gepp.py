@@ -5,9 +5,12 @@ pivoting (GEPP).
 A scalar butterfly matrix of order 2^n is built recursively from plane
 rotations: each internal node contributes (R_theta (x) I)(A1 (+) A2) with
 a fresh uniform angle; the simple family reuses one angle per level so
-the whole matrix collapses to a Kronecker product of rotations. GEPP's
-row-swap history defines a permutation word w with P B = L U, where P
-has its 1 of column j in row w[j].
+the whole matrix collapses to a Kronecker product of rotations. In the
+XOR-mask form of :mod:`butterfly_trees.butterfly`, entry (i, j) is the
+product over levels k of the rotation entry of the level-k node owning
+column j, at bits k-1 of i and j. GEPP's row-swap history defines a
+permutation word w with P B = L U, where P has its 1 of column j in row
+w[j]; :func:`~butterfly_trees.butterfly.class_indices` maps w to its class.
 
 Pivot ties (equal magnitudes) resolve to the smallest row index, which is
 what ``argmax`` returns; exact ties have probability zero for the random
@@ -20,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .butterfly import (
-    enumerate_nonsimple,
-    enumerate_simple,
-    is_nonsimple_butterfly,
-    is_simple_butterfly,
-)
+from .butterfly import all_nonsimple_words, all_simple_words, class_indices
 from .perms import Word
 from .sampling import RngState, _gen
 
@@ -39,29 +37,27 @@ def rotation(theta: float) -> np.ndarray:
 
 
 def nonsimple_matrices(n: int, thetas: np.ndarray) -> np.ndarray:
-    """(B, 2^n, 2^n) butterfly matrices from (B, 2^n - 1) level-ordered angles."""
+    """(B, 2^n, 2^n) butterfly matrices from (B, 2^n - 1) level-ordered angles.
+
+    Level k multiplies in place by the (B, 2, 2^n) factor of its rotation
+    entries, row r broadcast over the rows i with bit k-1 equal to r. Leaf
+    level first, as in the block recursion, so every float matches it.
+    """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    B = thetas.shape[0]
-    if thetas.shape[1] != (1 << n) - 1:
+    B, T = thetas.shape
+    if T != (1 << n) - 1:
         raise ValueError("wrong number of angles")
-    A = np.ones((B, 1 << n, 1, 1))
+    c, s = np.cos(thetas), np.sin(thetas)
+    N = 1 << n
+    j = np.arange(N)
+    A = np.ones((B, N, N))
     for k in range(1, n + 1):
-        M = 1 << (k - 1)
-        lev = n - k
-        first = (1 << lev) - 1
-        P = 1 << lev
-        out = np.empty((B, P, 2 * M, 2 * M))
-        for t in range(P):
-            th = thetas[:, first + t][:, None, None]
-            c, s = np.cos(th), np.sin(th)
-            A1 = A[:, 2 * t]
-            A2 = A[:, 2 * t + 1]
-            out[:, t, :M, :M] = c * A1
-            out[:, t, :M, M:] = s * A2
-            out[:, t, M:, :M] = -s * A1
-            out[:, t, M:, M:] = c * A2
-        A = out
-    return A[:, 0]
+        node = (1 << (n - k)) - 1 + (j >> k)
+        bit = ((j >> (k - 1)) & 1) == 1
+        cj, sj = c[:, node], s[:, node]
+        rows = np.stack([np.where(bit, sj, cj), np.where(bit, cj, -sj)], axis=1)  # [[c, s], [-s, c]]
+        A.reshape(B, N >> k, 2, 1 << (k - 1), N)[...] *= rows[:, None, :, None, :]
+    return A
 
 
 def simple_matrices(n: int, thetas: np.ndarray) -> np.ndarray:
@@ -73,28 +69,35 @@ def simple_matrices(n: int, thetas: np.ndarray) -> np.ndarray:
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != n:
         raise ValueError("wrong number of angles")
-    full = np.empty((thetas.shape[0], (1 << n) - 1))
-    for k in range(1, n + 1):
-        lev = n - k
-        first = (1 << lev) - 1
-        full[:, first : first + (1 << lev)] = thetas[:, k - 1][:, None]
-    return nonsimple_matrices(n, full)
+    return nonsimple_matrices(n, np.repeat(thetas[:, ::-1], 1 << np.arange(n), axis=1))
+
+
+def _family(family: str, n: int):
+    """(angles per matrix, matrix builder, all GEPP classes by class index) of a butterfly family."""
+    if family == "simple":
+        return n, simple_matrices, all_simple_words
+    if family == "nonsimple":
+        return (1 << n) - 1, nonsimple_matrices, all_nonsimple_words
+    raise ValueError(f"unknown family {family!r}")
+
+
+def random_butterfly_matrices(family: str, n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
+    """(count, 2^n, 2^n) random matrices of ``family``: one angle uniform on [0, 2pi)
+    per level (simple) or per internal node (nonsimple)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    angles, make, _ = _family(family, n)
+    return make(n, _gen(rng).uniform(0, 2 * np.pi, size=(count, angles)))
 
 
 def random_simple_butterfly_matrix(n: int, rng: RngState | np.random.Generator) -> np.ndarray:
     """Kronecker product of n independent rotations, angles uniform on [0, 2pi)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = _gen(rng)
-    return simple_matrices(n, g.uniform(0, 2 * np.pi, size=(1, n)))[0]
+    return random_butterfly_matrices("simple", n, 1, rng)[0]
 
 
 def random_nonsimple_butterfly_matrix(n: int, rng: RngState | np.random.Generator) -> np.ndarray:
     """Recursive butterfly matrix with one fresh uniform angle per internal node."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = _gen(rng)
-    return nonsimple_matrices(n, g.uniform(0, 2 * np.pi, size=(1, (1 << n) - 1)))[0]
+    return random_butterfly_matrices("nonsimple", n, 1, rng)[0]
 
 
 def batch_gepp_words(mats: np.ndarray, check_singular: bool = False) -> np.ndarray:
@@ -181,43 +184,36 @@ def uniformity_check(
     rng: RngState | np.random.Generator,
     family: str = "nonsimple",
 ) -> UniformityReport:
-    """Chi-square test of GEPP permutations against uniform on the butterfly group."""
+    """Chi-square test of GEPP permutations against uniform on the butterfly group.
+
+    Every GEPP word is mapped to its class index by
+    :func:`~butterfly_trees.butterfly.class_indices`; a non-member raises
+    ``AssertionError``.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if n > UNIFORMITY_CAP.get(family, n):
         raise ValueError(f"{family} uniformity check capped at n = {UNIFORMITY_CAP[family]}")
-    if family == "simple":
-        classes = {w: 0 for w in enumerate_simple(n)}
-        n_angles = n
-        make = simple_matrices
-        member = is_simple_butterfly
-    elif family == "nonsimple":
-        classes = {w: 0 for w in enumerate_nonsimple(n)}
-        n_angles = (1 << n) - 1
-        make = nonsimple_matrices
-        member = is_nonsimple_butterfly
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    angles, _, all_words = _family(family, n)
     g = _gen(rng)
-    N = 1 << n
-    chunk = max(1, _CHUNK_ENTRIES // (N * N))
-    done = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        words = batch_gepp_words(make(n, g.uniform(0, 2 * np.pi, size=(b, n_angles))))
-        for row in words:
-            w = tuple(int(x) for x in row)
-            if w not in classes:
-                raise AssertionError(f"GEPP produced non-member word {w} ({member.__name__} fails)")
-            classes[w] += 1
-        done += b
+    chunk = max(1, _CHUNK_ENTRIES >> (2 * n))
+    counts = np.zeros(1 << angles, dtype=np.int64)
+    for done in range(0, trials, chunk):
+        words = batch_gepp_words(random_butterfly_matrices(family, n, min(chunk, trials - done), g))
+        idx = class_indices(words, family)
+        if (idx < 0).any():
+            w = tuple(words[np.argmax(idx < 0)].tolist())
+            raise AssertionError(f"GEPP produced non-member word {w} (is_{family}_butterfly fails)")
+        counts += np.bincount(idx, minlength=len(counts))
     from scipy import stats  # imported where used: it dominates the package's import time
 
-    res = stats.chisquare(list(classes.values()))
+    res = stats.chisquare(counts)
     return UniformityReport(
         family=family,
         n=n,
         trials=trials,
-        classes=len(classes),
+        classes=len(counts),
         statistic=float(res.statistic),
         pvalue=float(res.pvalue),
-        counts=classes,
+        counts=dict(zip(map(tuple, all_words(n).tolist()), counts.tolist())),
     )

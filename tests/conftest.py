@@ -2,8 +2,9 @@
 
 These deliberately re-derive quantities with implementations unrelated to
 the package internals: plain pointer-chasing BST insertion, exhaustive
-subsequence enumeration for LIS/LDS, depth recomputation by traversal, and
-the exact laws by pairwise dict convolution over their supports.
+subsequence enumeration for LIS/LDS, depth recomputation by traversal,
+the exact laws by pairwise dict convolution over their supports, and the
+butterfly words, membership tests and matrices by their block recursions.
 """
 
 from __future__ import annotations
@@ -152,3 +153,80 @@ def dict_law_levels(n: int, law: str) -> list[dict[int, int]]:
                     new[v] = new.get(v, 0) + wa * wb
         levels.append(new)
     return levels
+
+
+def tuple_nonsimple_word(bits, depth: int) -> tuple[int, ...]:
+    """Nonsimple butterfly word by the wreath recursion on tuples: node ``idx``
+    joins its children's words, shifting the first up by M for bit 1 and
+    the second up by M for bit 0."""
+
+    def rec(idx: int, level: int) -> tuple[int, ...]:
+        if level == 0:
+            return (1,)
+        w1 = rec(2 * idx + 1, level - 1)
+        w2 = rec(2 * idx + 2, level - 1)
+        M = 1 << (level - 1)
+        if bits[idx]:
+            return tuple(x + M for x in w1) + w2
+        return w1 + tuple(x + M for x in w2)
+
+    return rec(0, depth)
+
+
+def sliced_is_nonsimple(w) -> bool:
+    """Whether the word splits recursively into contiguous value half-blocks."""
+    n = len(w)
+    if n & (n - 1):
+        return False
+    if n == 1:
+        return True
+    M = n // 2
+    first, second = tuple(w[:M]), tuple(w[M:])
+    if max(first) == M:
+        return sliced_is_nonsimple(first) and sliced_is_nonsimple(tuple(x - M for x in second))
+    if min(first) == M + 1:
+        return sliced_is_nonsimple(tuple(x - M for x in first)) and sliced_is_nonsimple(second)
+    return False
+
+
+def sliced_is_simple(w) -> bool:
+    """Nonsimple structure with identical shifted halves at every level."""
+    n = len(w)
+    if n & (n - 1):
+        return False
+    if n == 1:
+        return True
+    M = n // 2
+    first, second = tuple(w[:M]), tuple(w[M:])
+    if max(first) == M:
+        lo, hi = first, tuple(x - M for x in second)
+    elif min(first) == M + 1:
+        lo, hi = second, tuple(x - M for x in first)
+    else:
+        return False
+    return lo == hi and sliced_is_simple(lo)
+
+
+def block_nonsimple_matrices(n: int, thetas: np.ndarray) -> np.ndarray:
+    """(B, 2^n, 2^n) butterfly matrices from level-ordered angles, one node
+    block (R_theta (x) I)(A1 (+) A2) at a time from the leaves up."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    B = thetas.shape[0]
+    A = np.ones((B, 1 << n, 1, 1))
+    for k in range(1, n + 1):
+        M = 1 << (k - 1)
+        lev = n - k
+        first = (1 << lev) - 1
+        P = 1 << lev
+        out = np.empty((B, P, 2 * M, 2 * M))
+        for t in range(P):
+            th = thetas[:, first + t][:, None, None]
+            c, s = np.cos(th), np.sin(th)
+            A1 = A[:, 2 * t]
+            A2 = A[:, 2 * t + 1]
+            out[:, t, :M, :M] = c * A1
+            out[:, t, :M, M:] = s * A2
+            out[:, t, M:, :M] = -s * A1
+            out[:, t, M:, M:] = c * A2
+        A = out
+    return A[:, 0]

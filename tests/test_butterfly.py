@@ -11,6 +11,7 @@ from butterfly_trees.butterfly import (
     all_simple_words,
     build_nonsimple,
     build_simple,
+    class_indices,
     enumerate_nonsimple,
     enumerate_simple,
     is_nonsimple_butterfly,
@@ -22,6 +23,7 @@ from butterfly_trees.butterfly import (
 )
 from butterfly_trees.perms import compose, cycle_count, identity, lds, lis
 from butterfly_trees.sampling import RngState, uniform_words
+from conftest import all_words, sliced_is_nonsimple, sliced_is_simple, tuple_nonsimple_word
 
 FIG6C_WORD = (9, 10, 11, 12, 13, 14, 15, 16, 6, 5, 8, 7, 2, 1, 4, 3)
 
@@ -221,16 +223,75 @@ def test_words_from_shape_bits_single_rows():
             assert tuple(int(x) for x in W[t]) == build_nonsimple(shape)
 
 
-def test_module_doctests():
-    import doctest
-
-    import butterfly_trees.butterfly as butterfly_mod
-
-    assert doctest.testmod(butterfly_mod).failed == 0
-
-
 def test_uniform_words_rarely_butterfly():
     # |B_3| / 8! = 128/40320, so uniform S_8 words almost never pass
     W = uniform_words(8, 4000, RngState(2024))
     passes = sum(is_nonsimple_butterfly(tuple(int(x) for x in row)) for row in W)
     assert passes <= 30
+
+
+def test_words_match_tuple_recursion():
+    # every shape up to n = 4, through each builder, then random shapes up to n = 10
+    for n in range(1, 5):
+        T = (1 << n) - 1
+        oracle = [tuple_nonsimple_word(ButterflyShape.from_index(n, i).bits, n) for i in range(1 << T)]
+        assert [tuple(row) for row in all_nonsimple_words(n).tolist()] == oracle
+        assert list(enumerate_nonsimple(n)) == oracle
+        some = range(0, 1 << T, 97 if n == 4 else 1)
+        assert [build_nonsimple(ButterflyShape.from_index(n, i)) for i in some] == [oracle[i] for i in some]
+    g = np.random.default_rng(5)
+    for n in range(5, 11):
+        bits = g.integers(0, 2, size=(25, (1 << n) - 1))
+        W = words_from_shape_bits(n, bits)
+        assert [tuple(row) for row in W.tolist()] == [tuple_nonsimple_word(row, n) for row in bits.tolist()]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8])
+def test_membership_matches_sliced_oracle(N):
+    # all of S_N; lengths that are not powers of two hold no butterfly
+    words = list(all_words(N))
+    simple, nonsimple = (class_indices(np.array(words), f) for f in ("simple", "nonsimple"))
+    for t, (w, si, ns) in enumerate(zip(words, simple.tolist(), nonsimple.tolist())):
+        assert (si >= 0) == sliced_is_simple(w) and (ns >= 0) == sliced_is_nonsimple(w)
+        if ns >= 0 or t % 61 == 0:  # the scalar tests on every member and a spread of the rest
+            assert is_simple_butterfly(w) == (si >= 0) and is_nonsimple_butterfly(w) == (ns >= 0)
+    n = N.bit_length() - 1
+    if N == 1 << n and n >= 1:
+        members = {w: i for i, w in enumerate(enumerate_nonsimple(n))}
+        assert nonsimple.tolist() == [members.get(w, -1) for w in words]
+        members = {w: i for i, w in enumerate(enumerate_simple(n))}
+        assert simple.tolist() == [members.get(w, -1) for w in words]
+
+
+def test_class_indices_invert_builders():
+    for n in range(1, 5):
+        assert class_indices(all_nonsimple_words(n), "nonsimple").tolist() == list(range(1 << ((1 << n) - 1)))
+    for n in range(1, 11):
+        assert class_indices(all_simple_words(n), "simple").tolist() == list(range(1 << n))
+    # past 2^n - 1 = 63 shape bits the indices are Python ints
+    g = np.random.default_rng(8)
+    for n in range(5, 11):
+        bits = g.integers(0, 2, size=(10, (1 << n) - 1))
+        expected = [int("".join(map(str, row)), 2) for row in bits.tolist()]
+        assert class_indices(words_from_shape_bits(n, bits), "nonsimple").tolist() == expected
+    # every row of {1..4}^4, repeated values included: only the members get an index
+    rows = [tuple(r) for r in itertools.product(range(1, 5), repeat=4)]
+    for family, members in (("simple", list(enumerate_simple(2))), ("nonsimple", list(enumerate_nonsimple(2)))):
+        expected = [members.index(w) if w in members else -1 for w in rows]
+        assert class_indices(np.array(rows), family).tolist() == expected
+    assert class_indices(np.array([[1, 2, 3, 5]]), "nonsimple").tolist() == [-1]
+    assert class_indices(np.array([[0, 1, 2, 3]]), "simple").tolist() == [-1]
+    with pytest.raises(ValueError):
+        class_indices(np.array([[1, 2]]), "other")
+
+
+@pytest.mark.parametrize(
+    "n,bits",
+    [(2, [[2, 0, 0]]), (2, [[-1, 0, 0]]), (2, [[0, 0, 0.5]]), (2, [0, 0, 0]), (2, [[[0, 0, 0]]]), (2, [[0, 0]]), (0, np.zeros((1, 0)))],
+    ids=["two", "minus-one", "half", "1-d", "3-d", "width", "n-0"],
+)
+def test_shape_bits_reject_bad_input(n, bits):
+    with pytest.raises(ValueError):
+        words_from_shape_bits(n, np.array(bits))
+    with pytest.raises(ValueError):
+        stats_from_shape_bits(n, np.array(bits))

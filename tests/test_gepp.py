@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from butterfly_trees.butterfly import is_nonsimple_butterfly, is_simple_butterfly
+from butterfly_trees import gepp
+from butterfly_trees.butterfly import enumerate_nonsimple, enumerate_simple, is_nonsimple_butterfly, is_simple_butterfly
 from butterfly_trees.gepp import (
     batch_gepp_words,
     gepp_factorization,
@@ -16,6 +18,7 @@ from butterfly_trees.gepp import (
     uniformity_check,
 )
 from butterfly_trees.sampling import RngState
+from conftest import block_nonsimple_matrices
 
 
 def plu_error(M, word, L, U):
@@ -134,3 +137,49 @@ def test_uniformity_check_caps():
         uniformity_check(11, 10, RngState(0), family="simple")
     with pytest.raises(ValueError):
         uniformity_check(2, 10, RngState(0), family="other")
+
+
+def test_matrices_match_block_recursion():
+    # equal to the last bit: the entry products run leaf level first, as the block recursion does
+    g = RngState(9).generator()
+    for n in range(1, 6):
+        thetas = g.uniform(0, 2 * np.pi, size=(40, (1 << n) - 1))
+        assert np.array_equal(nonsimple_matrices(n, thetas), block_nonsimple_matrices(n, thetas))
+        levels = g.uniform(0, 2 * np.pi, size=(40, n))
+        per_node = np.concatenate([np.repeat(levels[:, [k - 1]], 1 << (n - k), axis=1) for k in range(n, 0, -1)], axis=1)
+        assert np.array_equal(simple_matrices(n, levels), block_nonsimple_matrices(n, per_node))
+
+
+@pytest.mark.parametrize("family,n", [("simple", 3), ("nonsimple", 2), ("nonsimple", 3)])
+def test_uniformity_counts_match_dict_count(family, n):
+    trials = 3000
+    rep = uniformity_check(n, trials, RngState(606), family=family)
+    g = RngState(606).generator()
+    angles = n if family == "simple" else (1 << n) - 1
+    make = simple_matrices if family == "simple" else nonsimple_matrices
+    words = batch_gepp_words(make(n, g.uniform(0, 2 * np.pi, size=(trials, angles))))
+    counted = Counter(tuple(row) for row in words.tolist())
+    classes = list(enumerate_simple(n) if family == "simple" else enumerate_nonsimple(n))
+    assert list(rep.counts) == classes
+    assert rep.counts == {w: counted.get(w, 0) for w in classes}
+    assert rep.classes == len(classes) and sum(rep.counts.values()) == trials
+
+
+def test_uniformity_check_names_first_non_member(monkeypatch):
+    def words_with_strays(mats, check_singular=False):
+        words = np.tile(np.arange(1, 5), (len(mats), 1))
+        words[3] = (1, 3, 2, 4)
+        words[5] = (1, 4, 3, 2)
+        return words
+
+    monkeypatch.setattr(gepp, "batch_gepp_words", words_with_strays)
+    with pytest.raises(AssertionError, match=r"non-member word \(1, 3, 2, 4\) \(is_nonsimple_butterfly fails\)"):
+        uniformity_check(2, 10, RngState(0), family="nonsimple")
+    with pytest.raises(AssertionError, match=r"non-member word \(1, 3, 2, 4\) \(is_simple_butterfly fails\)"):
+        uniformity_check(2, 10, RngState(0), family="simple")
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_uniformity_check_needs_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        uniformity_check(2, trials, RngState(0), family="nonsimple")

@@ -185,14 +185,6 @@ def test_inverse_and_stat_properties(w):
     assert ltr_maxima_len(w) >= 1 and ltr_minima_len(w) >= 1
 
 
-def test_module_doctests():
-    import doctest
-
-    import butterfly_trees.perms as perms_mod
-
-    assert doctest.testmod(perms_mod).failed == 0
-
-
 def test_serialization_roundtrip():
     assert parse_word("2,1,6,5,3,4") == (2, 1, 6, 5, 3, 4)
     assert format_word((2, 1, 6, 5, 3, 4)) == "2,1,6,5,3,4"
