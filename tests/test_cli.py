@@ -78,13 +78,14 @@ GEPP_LATTICE_CLT_GOLDEN = [
     (["gepp-check"], "5ecef52f44b94d99dfe234a5747921ee7b86332d04af7fd4eb3ce6391e7f13ad"),
     (["gepp-check", "--family", "nonsimple", "--n", "3", "--trials", "20000"], "88d85f5fcdf96a8dafc69ada231b76988cdc525739d094d730930f89900fb33f"),
     (["gepp-check", "--family", "simple", "--n", "4", "--trials", "20000"], "de81f637790ac891f4bd2ed42b0ba256deb10e2dc45b5ac485a208f07f91120a"),
+    (["gepp-check", "--family", "simple", "--n", "6", "--trials", "20000"], "6daf4167e1d5a22d12a3e5b41cb0e9fb4cd54ab1fcc3a9bf87e1e04a4f905957"),
     (["lattice-degrees"], "bcb88a71c3ed24f272ff6751c0e23969335e3c5c200f91659e28611b7888486b"),
     (["clt-simple", "--n", "400", "--samples", "20000"], "b540af079c80921dc576ec18a23fddceab1ea252bdc0ce2b0dd31816768acf15"),
 ]
 
 
 @pytest.mark.parametrize(
-    "args,digest", GEPP_LATTICE_CLT_GOLDEN, ids=["gepp-default", "gepp-nonsimple-n3", "gepp-simple-n4", "lattice-degrees", "clt-simple-n400"]
+    "args,digest", GEPP_LATTICE_CLT_GOLDEN, ids=["gepp-default", "gepp-nonsimple-n3", "gepp-simple-n4", "gepp-simple-n6", "lattice-degrees", "clt-simple-n400"]
 )
 def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
     # recorded from the block-recursive matrices and the tuple-dict class count; the XOR masks must reproduce it
