@@ -12,9 +12,22 @@ column j, at bits k-1 of i and j. GEPP's row-swap history defines a
 permutation word w with P B = L U, where P has its 1 of column j in row
 w[j]; :func:`~butterfly_trees.butterfly.class_indices` maps w to its class.
 
+The class also follows from the angles alone (Peca-Medlin & Trogdon,
+"Growth factors of random butterfly matrices and the stability of
+avoiding pivoting", SIAM J. Matrix Anal. Appl. 2023): with the pivot bit
+b = [|sin theta| > |cos theta|] of each angle, :func:`pivot_classes`
+gives a simple matrix the class sum_k b_k 2^k, and reads a nonsimple
+matrix's shape from the root down, its children swapped wherever the
+parent's bit is 1. :func:`uniformity_check` counts classes by this rule
+and runs GEPP on a bounded sample of its draws, raising on any
+disagreement. A float near-tie |sin| ~ |cos|, where the rounded products
+GEPP compares can order differently from the angle's own sin and cos, is
+the only way the two can differ; a draw outside the sample is then
+counted by the rule.
+
 Pivot ties (equal magnitudes) resolve to the smallest row index, which is
-what ``argmax`` returns; exact ties have probability zero for the random
-angles used here.
+what ``argmax`` returns, and the rule's strict ``>`` agrees; exact ties
+have probability zero for the random angles used here.
 """
 
 from __future__ import annotations
@@ -72,13 +85,62 @@ def simple_matrices(n: int, thetas: np.ndarray) -> np.ndarray:
     return nonsimple_matrices(n, np.repeat(thetas[:, ::-1], 1 << np.arange(n), axis=1))
 
 
+def _pivot_bits(thetas: np.ndarray) -> np.ndarray:
+    """GEPP swaps the rows of an angle's rotation iff |sin| > |cos| (first row on ties)."""
+    return np.abs(np.sin(thetas)) > np.abs(np.cos(thetas))
+
+
+def _simple_classes(n: int, thetas: np.ndarray) -> np.ndarray:
+    """Class index sum_k b_k 2^k, ``thetas[:, 0]`` innermost (bit 0)."""
+    return _pivot_bits(thetas) @ (1 << np.arange(n))
+
+
+def _nonsimple_classes(n: int, thetas: np.ndarray) -> np.ndarray:
+    """Level-ordered shape bits, root first, read as the class index of :func:`class_indices`.
+
+    GEPP on a node swaps its two halves when the node's bit is 1, so the
+    shape node at step s below a parent at matrix node p is matrix node
+    2p + 1 + (s ^ b_p); ``node`` tracks that map one level at a time.
+    """
+    b = _pivot_bits(thetas)
+    node = np.zeros((len(b), 1), dtype=np.int64)
+    levels = [b[:, :1]]
+    for _ in range(n - 1):
+        parent = np.take_along_axis(b, node, axis=1)
+        node = (2 * node + 1)[:, :, None] + (np.arange(2) ^ parent[:, :, None])
+        node = node.reshape(len(b), -1)
+        levels.append(np.take_along_axis(b, node, axis=1))
+    N = 1 << n
+    weights = np.array([1 << q for q in range(N - 2, -1, -1)], dtype=np.int64 if N <= 64 else object)
+    return np.concatenate(levels, axis=1).astype(weights.dtype) @ weights
+
+
 def _family(family: str, n: int):
-    """(angles per matrix, matrix builder, all GEPP classes by class index) of a butterfly family."""
+    """(angles per matrix, matrix builder, pivot rule, all GEPP classes by class index) of a butterfly family."""
     if family == "simple":
-        return n, simple_matrices, all_simple_words
+        return n, simple_matrices, _simple_classes, all_simple_words
     if family == "nonsimple":
-        return (1 << n) - 1, nonsimple_matrices, all_nonsimple_words
+        return (1 << n) - 1, nonsimple_matrices, _nonsimple_classes, all_nonsimple_words
     raise ValueError(f"unknown family {family!r}")
+
+
+def pivot_classes(family: str, n: int, thetas: np.ndarray) -> np.ndarray:
+    """GEPP class index of each row of a (B, angles) array, without building a matrix.
+
+    Equal to ``class_indices(batch_gepp_words(matrices(n, thetas)), family)``
+    except at float near-ties |sin| ~ |cos| (see the module docstring):
+
+    >>> t = np.array([[2.0, 0.1, 2.0]])  # bits 1, 0, 1: the root's bit swaps its children
+    >>> pivot_classes("nonsimple", 2, t).tolist()
+    [6]
+    >>> class_indices(batch_gepp_words(nonsimple_matrices(2, t)), "nonsimple").tolist()
+    [6]
+    """
+    angles, _, rule, _ = _family(family, n)
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if thetas.shape[1] != angles:
+        raise ValueError("wrong number of angles")
+    return rule(n, thetas)
 
 
 def random_butterfly_matrices(family: str, n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
@@ -86,7 +148,7 @@ def random_butterfly_matrices(family: str, n: int, count: int, rng: RngState | n
     per level (simple) or per internal node (nonsimple)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    angles, make, _ = _family(family, n)
+    angles, make, _, _ = _family(family, n)
     return make(n, _gen(rng).uniform(0, 2 * np.pi, size=(count, angles)))
 
 
@@ -100,7 +162,7 @@ def random_nonsimple_butterfly_matrix(n: int, rng: RngState | np.random.Generato
     return random_butterfly_matrices("nonsimple", n, 1, rng)[0]
 
 
-def batch_gepp_words(mats: np.ndarray, check_singular: bool = False) -> np.ndarray:
+def batch_gepp_words(mats: np.ndarray) -> np.ndarray:
     """GEPP row-permutation words for a (B, N, N) batch; word[j-1] = final row of row j."""
     A = np.array(mats, dtype=float, copy=True)
     if A.ndim == 2:
@@ -109,10 +171,7 @@ def batch_gepp_words(mats: np.ndarray, check_singular: bool = False) -> np.ndarr
     rows = np.arange(B)
     piv = np.tile(np.arange(N), (B, 1))
     for k in range(N - 1):
-        col = np.abs(A[:, k:, k])
-        if check_singular and (col.max(axis=1) < SINGULAR_TOL).any():
-            raise ValueError(f"numerically singular column {k + 1} (max |entry| < {SINGULAR_TOL})")
-        j = col.argmax(axis=1) + k
+        j = np.abs(A[:, k:, k]).argmax(axis=1) + k
         tmp = A[rows, k].copy()
         A[rows, k] = A[rows, j]
         A[rows, j] = tmp
@@ -174,7 +233,8 @@ class UniformityReport:
     counts: dict[Word, int]
 
 
-_CHUNK_ENTRIES = 1 << 22  # soft memory limit for batched matrices
+_CHUNK_ENTRIES = 1 << 22  # soft memory limit for batched matrices and angle draws
+GEPP_SAMPLE = 1024  # draws per run checked by GEPP against the pivot rule
 UNIFORMITY_CAP = {"simple": 10, "nonsimple": 3}  # largest n per family; nonsimple n = 3 has 128 classes
 
 
@@ -186,24 +246,29 @@ def uniformity_check(
 ) -> UniformityReport:
     """Chi-square test of GEPP permutations against uniform on the butterfly group.
 
-    Every GEPP word is mapped to its class index by
-    :func:`~butterfly_trees.butterfly.class_indices`; a non-member raises
-    ``AssertionError``.
+    Classes are counted by :func:`pivot_classes` from the angles, drawn in
+    chunks of at most ``_CHUNK_ENTRIES`` (the same stream as one draw). The
+    first ``min(trials, GEPP_SAMPLE)`` draws (fewer if that many matrices
+    exceed ``_CHUNK_ENTRIES``) are also built and eliminated: their GEPP
+    words are mapped by :func:`~butterfly_trees.butterfly.class_indices`,
+    and a non-member or a class that disagrees with the rule raises
+    ``AssertionError``. Only a float near-tie |sin| ~ |cos| can make the
+    two differ, and outside the sample such a draw is counted by the rule.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n > UNIFORMITY_CAP.get(family, n):
         raise ValueError(f"{family} uniformity check capped at n = {UNIFORMITY_CAP[family]}")
-    angles, _, all_words = _family(family, n)
+    angles, make, rule, all_words = _family(family, n)
     g = _gen(rng)
-    chunk = max(1, _CHUNK_ENTRIES >> (2 * n))
+    draws = max(1, _CHUNK_ENTRIES // angles)
+    sample = min(GEPP_SAMPLE, max(1, _CHUNK_ENTRIES >> (2 * n)))  # one batch of matrices, within the first draw
     counts = np.zeros(1 << angles, dtype=np.int64)
-    for done in range(0, trials, chunk):
-        words = batch_gepp_words(random_butterfly_matrices(family, n, min(chunk, trials - done), g))
-        idx = class_indices(words, family)
-        if (idx < 0).any():
-            w = tuple(words[np.argmax(idx < 0)].tolist())
-            raise AssertionError(f"GEPP produced non-member word {w} (is_{family}_butterfly fails)")
+    for done in range(0, trials, draws):
+        thetas = g.uniform(0, 2 * np.pi, size=(min(draws, trials - done), angles))
+        idx = rule(n, thetas)
+        if done == 0:
+            _check_sample(family, n, make, thetas[:sample], idx[:sample])
         counts += np.bincount(idx, minlength=len(counts))
     from scipy import stats  # imported where used: it dominates the package's import time
 
@@ -217,3 +282,18 @@ def uniformity_check(
         pvalue=float(res.pvalue),
         counts=dict(zip(map(tuple, all_words(n).tolist()), counts.tolist())),
     )
+
+
+def _check_sample(family: str, n: int, make, thetas: np.ndarray, rule_idx: np.ndarray) -> None:
+    """Run GEPP on ``thetas`` and raise unless every word is a member whose class is ``rule_idx``."""
+    words = batch_gepp_words(make(n, thetas))
+    idx = class_indices(words, family)
+    if (idx < 0).any():
+        w = tuple(words[np.argmax(idx < 0)].tolist())
+        raise AssertionError(f"GEPP produced non-member word {w} (is_{family}_butterfly fails)")
+    off = idx != rule_idx
+    if off.any():
+        t = int(np.argmax(off))
+        raise AssertionError(
+            f"GEPP word {tuple(words[t].tolist())} of draw {t} is class {idx[t]}, the pivot rule gives {rule_idx[t]}"
+        )

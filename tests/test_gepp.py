@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 
 from butterfly_trees import gepp
-from butterfly_trees.butterfly import enumerate_nonsimple, enumerate_simple, is_nonsimple_butterfly, is_simple_butterfly
+from butterfly_trees.butterfly import (
+    all_nonsimple_words,
+    all_simple_words,
+    class_indices,
+    enumerate_nonsimple,
+    enumerate_simple,
+    is_nonsimple_butterfly,
+    is_simple_butterfly,
+)
 from butterfly_trees.gepp import (
     batch_gepp_words,
     gepp_factorization,
     gepp_permutation,
     nonsimple_matrices,
+    pivot_classes,
     random_nonsimple_butterfly_matrix,
     random_simple_butterfly_matrix,
     rotation,
@@ -166,7 +175,7 @@ def test_uniformity_counts_match_dict_count(family, n):
 
 
 def test_uniformity_check_names_first_non_member(monkeypatch):
-    def words_with_strays(mats, check_singular=False):
+    def words_with_strays(mats):
         words = np.tile(np.arange(1, 5), (len(mats), 1))
         words[3] = (1, 3, 2, 4)
         words[5] = (1, 4, 3, 2)
@@ -183,3 +192,75 @@ def test_uniformity_check_names_first_non_member(monkeypatch):
 def test_uniformity_check_needs_trials(trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         uniformity_check(2, trials, RngState(0), family="nonsimple")
+
+
+MATRICES = {"simple": (lambda n: n, simple_matrices), "nonsimple": (lambda n: (1 << n) - 1, nonsimple_matrices)}
+
+
+@pytest.mark.parametrize(
+    "family,n,draws",
+    [("simple", n, 2000) for n in range(1, 6)] + [("simple", 6, 500)] + [("nonsimple", n, 2000) for n in range(1, 5)] + [("nonsimple", 5, 500)],
+)
+def test_pivot_classes_match_gepp(family, n, draws):
+    angles, make = MATRICES[family]
+    thetas = RngState(2718, n).generator().uniform(0, 2 * np.pi, size=(draws, angles(n)))
+    expected = class_indices(batch_gepp_words(make(n, thetas)), family)
+    np.testing.assert_array_equal(pivot_classes(family, n, thetas), expected)
+
+
+TIE = float.fromhex("0x1.6c6cbc45dc8dep+4")  # 29 pi / 4, where sin and cos round to the same double
+
+
+@pytest.mark.parametrize("family,n", [("simple", 1), ("simple", 2), ("nonsimple", 1), ("nonsimple", 2)])
+def test_pivot_classes_keep_first_row_on_exact_ties(family, n):
+    assert np.sin(TIE) == np.cos(TIE)
+    angles, make = MATRICES[family]
+    thetas = np.full((1, angles(n)), TIE)
+    assert class_indices(batch_gepp_words(make(n, thetas)), family).tolist() == [0]
+    assert pivot_classes(family, n, thetas).tolist() == [0]
+
+
+def test_pivot_classes_checks_angle_count():
+    with pytest.raises(ValueError, match="wrong number of angles"):
+        pivot_classes("nonsimple", 2, np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="unknown family"):
+        pivot_classes("other", 2, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("family", ["simple", "nonsimple"])
+def test_uniformity_check_raises_when_gepp_disagrees_with_rule(monkeypatch, family):
+    real = gepp.batch_gepp_words
+    members = (all_simple_words if family == "simple" else all_nonsimple_words)(2)
+
+    def one_member_off(mats):
+        words = real(mats)
+        words[2] = members[(class_indices(words[2:3], family)[0] + 1) % len(members)]
+        return words
+
+    monkeypatch.setattr(gepp, "batch_gepp_words", one_member_off)
+    with pytest.raises(AssertionError, match=r"GEPP word \(.*\) of draw 2 is class \d+, the pivot rule gives \d+"):
+        uniformity_check(2, 100, RngState(0), family=family)
+
+
+@pytest.mark.parametrize(
+    "n,trials,entries,sample",
+    [(2, 10, gepp._CHUNK_ENTRIES, 10), (3, 3000, gepp._CHUNK_ENTRIES, gepp.GEPP_SAMPLE), (3, 300, 1 << 10, 16)],
+)
+def test_uniformity_check_runs_gepp_on_a_bounded_sample(monkeypatch, n, trials, entries, sample):
+    # at most GEPP_SAMPLE draws, and no more than one batch of matrices: 2^10 entries hold 16 of order 8
+    real, sizes = gepp.batch_gepp_words, []
+    monkeypatch.setattr(gepp, "_CHUNK_ENTRIES", entries)
+
+    def recording(mats):
+        sizes.append(len(mats))
+        return real(mats)
+
+    monkeypatch.setattr(gepp, "batch_gepp_words", recording)
+    assert sum(uniformity_check(n, trials, RngState(5)).counts.values()) == trials
+    assert sizes == [sample]
+
+
+def test_uniformity_check_chunked_draws_keep_the_stream(monkeypatch):
+    whole = uniformity_check(2, 1000, RngState(77), family="nonsimple")
+    monkeypatch.setattr(gepp, "_CHUNK_ENTRIES", 70)  # 23 draws of 3 angles per chunk, GEPP on 4
+    assert uniformity_check(2, 1000, RngState(77), family="nonsimple") == whole
