@@ -7,6 +7,11 @@ meta header (``# key=value`` lines in CSV, a "meta" object in JSON), and
 statistical subcommands carry their acceptance band beside the observed
 value. Re-running a subcommand with identical configuration reproduces
 byte-identical output.
+
+``fig8``, ``theorem2-diff`` and ``law-hist`` sample in chunks of at most
+``_CHUNK`` rows and ``_CHUNK_ENTRIES`` entries, chunk c from the one stream
+``RngState(seed, c)`` (``theorem2-diff``: wreath words, then uniform words).
+An argument whose single row exceeds ``_CHUNK_ENTRIES`` is an argparse error.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from . import bst, butterfly, exact, lattice, sampling
 from .gepp import UNIFORMITY_CAP, gepp_factorization, random_butterfly_matrices, uniformity_check
 
 DEFAULT_SEED = 1024
-_CHUNK = 250
+_CHUNK = 250  # rows per sampled chunk
+_CHUNK_ENTRIES = 1 << 23  # entries per sampled chunk, and the largest row allowed
+# fig8 and law-hist: the largest n whose 2^n-entry row fits one chunk
+_LEVEL_CAP = _CHUNK_ENTRIES.bit_length() - 1
 # bounds: the exact law takes ~1.4 s at n = 7 and ~25 s with 0.7 GB at n = 8 (2-vCPU Xeon)
 EXACT_MAX_CAP = 7
-# law-hist: a sample holds 2^n values; 2^17 is the largest within one chunk's _CHUNK * 1024
-LAW_HIST_CAP = 17
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +87,14 @@ def _emit(meta: dict, columns: dict[str, list], out: str | None, fmt: str) -> st
 # ---------------------------------------------------------------------------
 
 
+def _chunked(trials: int, row_len: int, seed: int, draw) -> np.ndarray:
+    """Concatenated ``draw(rows, RngState(seed, c))`` over chunks c of ``row_len``-entry trials."""
+    rows = min(_CHUNK, _CHUNK_ENTRIES // row_len)
+    if rows < 1:
+        raise ValueError(f"a row of {row_len} entries exceeds the chunk budget of {_CHUNK_ENTRIES}")
+    return np.concatenate([draw(min(rows, trials - s), sampling.RngState(seed, c)) for c, s in enumerate(range(0, trials, rows))])
+
+
 def table1_data() -> tuple[dict, dict]:
     """Height counts of the 1024 depth-10 simple butterfly trees, law vs enumeration."""
     n = 10
@@ -102,16 +116,7 @@ def table1_data() -> tuple[dict, dict]:
 
 def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
     """Height histogram of seeded uniform nonsimple butterfly trees."""
-    heights = []
-    done = 0
-    chunk_id = 0
-    while done < trials:
-        b = min(_CHUNK, trials - done)
-        h, _, _ = sampling.nonsimple_butterfly_stats(n, b, sampling.RngState(seed, chunk_id))
-        heights.append(h)
-        done += b
-        chunk_id += 1
-    h = np.concatenate(heights)
+    h = _chunked(trials, (1 << n) - 1, seed, lambda b, rng: sampling.nonsimple_butterfly_stats(n, b, rng)[0])
     lower, upper = exact.nonsimple_mean_bounds(n)
     meta = {
         "subcommand": "fig8",
@@ -133,19 +138,14 @@ def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
 def theorem2_diff_data(n: int, m: int, trials: int, seed: int) -> tuple[dict, dict]:
     """Paired scaled mean-height difference: S_n wr S_m sample vs uniform S_{nm}."""
     scale = math.log(n * m)
-    diffs = []
-    done = 0
-    chunk_id = 0
-    while done < trials:
-        b = min(_CHUNK, trials - done)
-        ww = sampling.wreath_words(n, m, b, sampling.RngState(seed, chunk_id))
-        uw = sampling.uniform_words(n * m, b, sampling.RngState(seed, 100_000 + chunk_id))
-        hw, _, _ = bst.batch_summaries(ww)
-        hu, _, _ = bst.batch_summaries(uw)
-        diffs.append((hw - hu) / scale)
-        done += b
-        chunk_id += 1
-    d = np.concatenate(diffs)
+
+    def draw(b, rng):
+        g = rng.generator()
+        hw, _, _ = bst.batch_summaries(sampling.wreath_words(n, m, b, g))
+        hu, _, _ = bst.batch_summaries(sampling.uniform_words(n * m, b, g))
+        return (hw - hu) / scale
+
+    d = _chunked(trials, n * m, seed, draw)
     band = (0.6, 1.4) if m == 2 else (float("nan"), float("nan"))
     meta = {
         "subcommand": "theorem2-diff",
@@ -319,16 +319,7 @@ def law_hist_data(law: str, n: int, trials: int, seed: int) -> tuple[dict, dict]
         sampler, law_counts = sampling.cycle_law_samples, exact.cycle_law_counts
     else:
         raise ValueError(f"unknown law {law!r}")
-    chunk = max(1, _CHUNK * 1024 // (1 << n))
-    parts = []
-    done = 0
-    chunk_id = 0
-    while done < trials:
-        b = min(chunk, trials - done)
-        parts.append(sampler(n, b, sampling.RngState(seed, chunk_id)))
-        done += b
-        chunk_id += 1
-    x = np.concatenate(parts)
+    x = _chunked(trials, 1 << n, seed, lambda b, rng: sampler(n, b, rng))
     values, freqs = np.unique(x, return_counts=True)
     observed = {int(v): int(c) for v, c in zip(values, freqs)}
     meta = {"subcommand": "law-hist", "law": law, "n": n, "trials": trials, "seed": seed}
@@ -383,9 +374,15 @@ def _bounded_int(low: int | None, high: int | None = None):
 
 
 def _joint_range_error(args: argparse.Namespace) -> str | None:
-    """The message for a bound that depends on two arguments, or None."""
+    """The message for a bound that the per-argument types do not check, or None."""
+    if args.cmd == "fig8" and args.n > _LEVEL_CAP:
+        return f"argument --n: must be <= {_LEVEL_CAP}, got {args.n}"
     if args.cmd == "theorem2-diff" and args.n * args.m < 2:
         return f"need n*m >= 2 (differences are scaled by log(n*m)), got n={args.n}, m={args.m}"
+    if args.cmd == "theorem2-diff" and args.n * args.m > _CHUNK_ENTRIES:
+        return f"need n*m <= {_CHUNK_ENTRIES} (one row must fit a chunk), got n={args.n}, m={args.m}"
+    if args.cmd == "theorem2-diff" and args.trials is not None and args.trials < 2:
+        return f"argument --trials: must be >= 2 for theorem2-diff (the SEM needs two trials), got {args.trials}"
     if args.cmd == "pmf" and args.which != "cycle-moments" and args.n < 1:
         return f"argument --n: must be >= 1 for --which {args.which}, got {args.n}"
     if args.cmd == "gepp-check" and args.n > UNIFORMITY_CAP[args.family]:
@@ -426,7 +423,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--n", type=_bounded_int(0), default=10)
     p = sub.add_parser("law-hist", parents=[common])
     p.add_argument("--law", choices=("lis", "cycle"), default="cycle")
-    p.add_argument("--n", type=_bounded_int(0, LAW_HIST_CAP), default=4)
+    p.add_argument("--n", type=_bounded_int(0, _LEVEL_CAP), default=4)
 
     args = parser.parse_args(argv)
     problem = _joint_range_error(args)

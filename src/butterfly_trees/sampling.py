@@ -39,10 +39,6 @@ class RngState:
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.stream,)))
 
-    def substream(self, i: int) -> "RngState":
-        """Stream i derived from the same base seed."""
-        return RngState(self.seed, i)
-
 
 def _gen(rng: RngState | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngState):

@@ -11,6 +11,15 @@ import numpy as np
 import pytest
 
 from butterfly_trees import cli, exact
+from butterfly_trees.bst import batch_summaries
+from butterfly_trees.sampling import (
+    RngState,
+    cycle_law_samples,
+    lis_law_samples,
+    nonsimple_butterfly_stats,
+    uniform_words,
+    wreath_words,
+)
 
 
 def run_cli(capsys, args):
@@ -42,8 +51,8 @@ def test_fig8_golden_digest(capsys, args, digest):
 
 TREE_GOLDEN = [
     (["table1"], "07138414ce3b46fae8089f342c858aca3f69548e87fe84904205073f2c5b964b"),
-    (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "60a42e6ea12a915e08e9c093186cf23f9625a8b9a3a880409e2ad9233abe113f"),
-    (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "d2f14b11b8eee8e3eef8f530bedbf91ddf0dd56eabe0b4604a33c157346f4e55"),
+    (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "3f3642660e99f9ee3800cefbf73d5f1ed56445697fc41d65ef30c852f0d81744"),
+    (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "30e02b1f624ced28c11c66bf11b4845e33f60cf923fcb70bc936e476536251e2"),
     (
         ["explore-conjecture", "--grid", "20x5,1x3,30x1", "--trials", "300", "--seed", "3", "--format", "json"],
         "436ad4127695e2d88d357226e8b6a899d3cb6bbc5cf79ffcf23e70cd4886a539",
@@ -53,9 +62,61 @@ TREE_GOLDEN = [
 
 @pytest.mark.parametrize("args,digest", TREE_GOLDEN, ids=["table1", "theorem2-csv", "theorem2-json", "explore-json"])
 def test_tree_golden_digest(capsys, args, digest):
-    # recorded from the two-pass depth-array batch_summaries; every output here goes through it
+    # recorded from the two-pass depth-array batch_summaries; every output here goes through it.
+    # The theorem2 digests were re-recorded when each chunk's uniform words moved onto the
+    # chunk's own stream, after its wreath words.
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CHUNK_GOLDEN = [
+    (["law-hist"], "b563eef688b6cf744b0711c18076d7198a827dba74a60f1744ab375fe6b0e54b"),
+    (["fig8", "--n", "16", "--trials", "130"], "969037a0149752315692ed31d72042578c6d2d5fd8e490f0e450df5f6cb5cb34"),
+]
+
+
+@pytest.mark.parametrize("args,digest", CHUNK_GOLDEN, ids=["law-hist-default", "fig8-n16"])
+def test_chunk_golden_digest(capsys, args, digest):
+    # recorded from the one chunk driver, whose row budget moved these outputs:
+    # law-hist n = 4 now samples 250-row chunks (16000 before), fig8 n = 16 128-row ones (250 before)
+    out = run_cli(capsys, args)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_theorem2_chunks_draw_both_families_from_one_stream(monkeypatch):
+    n, m, trials, seed = 7, 3, 7, 21
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    _, cols = cli.theorem2_diff_data(n, m, trials, seed)
+    diffs = []
+    for c, b in enumerate([3, 3, 1]):
+        g = RngState(seed, c).generator()
+        hw, _, _ = batch_summaries(wreath_words(n, m, b, g))
+        hu, _, _ = batch_summaries(uniform_words(n * m, b, g))
+        diffs.append((hw - hu) / math.log(n * m))
+    d = np.concatenate(diffs)
+    assert cols["scaled_diff_mean"] == [float(d.mean())]
+    assert cols["scaled_diff_sem"] == [float(d.std(ddof=1) / math.sqrt(trials))]
+
+
+def test_fig8_and_law_hist_chunks_are_per_chunk_streams(monkeypatch):
+    n, trials, seed = 3, 5, 8
+    monkeypatch.setattr(cli, "_CHUNK_ENTRIES", (1 << n) - 1)  # one shape-bit row per chunk
+    meta, cols = cli.fig8_data(n, trials, seed)
+    h = np.concatenate([nonsimple_butterfly_stats(n, 1, RngState(seed, c))[0] for c in range(trials)])
+    values, counts = np.unique(h, return_counts=True)
+    assert (cols["height"], cols["count"]) == (values.tolist(), counts.tolist())
+    assert meta["mean"] == float(h.mean())
+
+    monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 1 << n)  # one law row per chunk
+    for law, sampler in (("cycle", cycle_law_samples), ("lis", lis_law_samples)):
+        _, cols = cli.law_hist_data(law, n, trials, seed)
+        x = np.concatenate([sampler(n, 1, RngState(seed, c)) for c in range(trials)])
+        values, counts = np.unique(x, return_counts=True)
+        assert [o for o in cols["observed"] if o] == counts.tolist()
+        assert [v for v, o in zip(cols["value"], cols["observed"]) if o] == values.tolist()
+
+    with pytest.raises(ValueError, match="exceeds the chunk budget"):
+        cli.fig8_data(n + 1, trials, seed)
 
 
 EXACT_GOLDEN = [
@@ -103,7 +164,7 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["fig8", "--n", "0"], "argument --n: must be >= 1"),
         (["fig8", "--n", "-3"], "argument --n: must be >= 1"),
         (["fig8", "--trials", "ten"], "argument --trials: invalid int value"),
-        (["law-hist", "--n", "-1"], "argument --n: must be in 0..17"),
+        (["law-hist", "--n", "-1"], "argument --n: must be in 0..23"),
         (["theorem2-diff", "--n", "-4"], "argument --n: must be >= 1"),
         (["theorem2-diff", "--m", "0"], "argument --m: must be >= 1"),
         (["theorem2-diff", "--n", "1", "--m", "1"], "need n*m >= 2"),
@@ -120,9 +181,13 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["explore-conjecture", "--grid", "0x5"], "argument --grid: grid entries must be >= 1"),
         (["explore-conjecture", "--grid", "4x6,5x0"], "argument --grid: grid entries must be >= 1"),
         (["bounds", "--exact-max", "8"], "argument --exact-max: must be <= 7, got 8"),
-        (["law-hist", "--n", "18"], "argument --n: must be in 0..17, got 18"),
+        (["law-hist", "--n", "24"], "argument --n: must be in 0..23, got 24"),
         (["explore-conjecture", "--grid", "5"], "argument --grid: expected NxM pairs like 50x50,100x20, got '5'"),
         (["explore-conjecture", "--grid", "4x6,ax5"], "argument --grid: expected NxM pairs like 50x50,100x20, got 'ax5'"),
+        (["theorem2-diff", "--trials", "1"], "argument --trials: must be >= 2 for theorem2-diff"),
+        (["fig8", "--n", "24"], "argument --n: must be <= 23, got 24"),
+        (["theorem2-diff", "--n", "5000000", "--m", "2"], "need n*m <= 8388608"),
+        (["theorem2-diff", "--n", "8388609", "--m", "1"], "need n*m <= 8388608"),
     ],
 )
 def test_bad_arguments_are_argparse_errors(capsys, args, message):
@@ -154,8 +219,11 @@ def test_upper_bounds_accept_their_edge(capsys):
     assert out.endswith("1,1.00,1.0,1.00\n2,2.50,2.5,3.38\n")
     out = run_cli(capsys, ["bounds", "--n-max", "2", "--exact-max", "-3"])
     assert out.endswith("1,1.00,,1.00\n2,2.50,,3.38\n")
-    doc = json.loads(run_cli(capsys, ["law-hist", "--n", "17", "--trials", "3", "--format", "json"]))
+    # one row of 2^23 entries fills a chunk: ~0.7 s and ~250 MB each on a 2-vCPU Xeon
+    doc = json.loads(run_cli(capsys, ["law-hist", "--n", "23", "--trials", "3", "--format", "json"]))
     assert sum(doc["columns"]["observed"]) == 3
+    doc = json.loads(run_cli(capsys, ["fig8", "--n", "23", "--trials", "1", "--format", "json"]))
+    assert sum(doc["columns"]["count"]) == 1
 
 
 def test_trials_default_only_when_omitted(capsys):

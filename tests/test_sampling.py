@@ -46,9 +46,7 @@ def test_determinism():
 
 
 def test_substreams_differ():
-    base = RngState(987)
-    assert base.substream(1) == RngState(987, 1)
-    assert uniform_permutation(20, base.substream(1)) != uniform_permutation(20, base.substream(2))
+    assert uniform_permutation(20, RngState(987, 1)) != uniform_permutation(20, RngState(987, 2))
 
 
 def test_uniform_permutation_basics():
