@@ -114,17 +114,21 @@ def uniform_words(n: int, count: int, rng: RngState | np.random.Generator) -> np
     """(count, n) matrix of iid uniform S_n words (row-wise shuffles)."""
     g = _gen(rng)
     base = np.tile(np.arange(1, n + 1, dtype=np.int64), (count, 1))
-    return g.permuted(base, axis=1)
+    return g.permuted(base, axis=1, out=base)
 
 
 def wreath_words(n: int, m: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
     """(count, n*m) matrix of iid uniform S_n wr S_m words."""
     g = _gen(rng)
     rho = g.permuted(np.tile(np.arange(m, dtype=np.int64), (count, 1)), axis=1)
-    blocks = np.stack([uniform_words(n, count, g) for _ in range(m)], axis=1)  # (count, m, n)
-    picked = blocks[np.arange(count)[:, None], rho]  # block rho(i) at position-block i
-    shifted = picked + (rho * n)[:, :, None]
-    return shifted.reshape(count, n * m)
+    at = np.argsort(rho, axis=1)  # block k (values k*n+1..k*n+n) sits at position-block at[:, k]
+    rows = np.arange(count)
+    out = np.empty((count, m, n), dtype=np.int64)
+    for k in range(m):
+        block = uniform_words(n, count, g)
+        block += k * n
+        out[rows, at[:, k]] = block
+    return out.reshape(count, n * m)
 
 
 def _law_samples(n: int, count: int, g: np.random.Generator, combine) -> np.ndarray:

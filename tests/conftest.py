@@ -3,8 +3,9 @@
 These deliberately re-derive quantities with implementations unrelated to
 the package internals: plain pointer-chasing BST insertion, exhaustive
 subsequence enumeration for LIS/LDS, depth recomputation by traversal,
-the exact laws by pairwise dict convolution over their supports, and the
-butterfly words, membership tests and matrices by their block recursions.
+the exact laws by pairwise dict convolution over their supports, the
+butterfly words, membership tests and matrices by their block recursions,
+and the uniform and wreath word samplers by shuffling and stacking copies.
 """
 
 from __future__ import annotations
@@ -230,3 +231,17 @@ def block_nonsimple_matrices(n: int, thetas: np.ndarray) -> np.ndarray:
             out[:, t, M:, M:] = c * A2
         A = out
     return A[:, 0]
+
+
+def uniform_words_copying(n: int, count: int, g: np.random.Generator) -> np.ndarray:
+    """(count, n) uniform words by shuffling a copy of the tiled identity."""
+    return g.permuted(np.tile(np.arange(1, n + 1, dtype=np.int64), (count, 1)), axis=1)
+
+
+def wreath_words_stacked(n: int, m: int, count: int, g: np.random.Generator) -> np.ndarray:
+    """(count, n*m) wreath words by stacking all m blocks, picking block rho(i) for
+    position-block i and shifting it up by rho(i)*n."""
+    rho = g.permuted(np.tile(np.arange(m, dtype=np.int64), (count, 1)), axis=1)
+    blocks = np.stack([uniform_words_copying(n, count, g) for _ in range(m)], axis=1)
+    picked = blocks[np.arange(count)[:, None], rho]
+    return (picked + (rho * n)[:, :, None]).reshape(count, n * m)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -163,7 +164,34 @@ def test_batch_summaries_leaves_input_and_accepts_any_int_dtype():
     assert (h.tolist(), l.tolist(), r.tolist()) == ([2, 1], [1, 1], [0, 1])
     assert h.dtype == l.dtype == r.dtype == np.int64
     assert W.tolist() == [[3, 1, 2], [2, 3, 1]]
+    for dtype in (np.uint64, np.int32):
+        W = np.array([[3, 1, 2], [2, 3, 1], [1, 2, 3]], dtype=dtype)
+        h, l, r = batch_summaries(W)
+        assert (h.tolist(), l.tolist(), r.tolist()) == ([2, 1, 2], [1, 1, 0], [0, 1, 2])
+        assert h.dtype == l.dtype == r.dtype == np.int64
     assert all(a.shape == (0,) for a in batch_summaries(np.empty((0, 4), dtype=np.int64)))
+
+
+def test_batch_summaries_refuses_more_slots_than_a_link_addresses():
+    # a zero-stride view: the guard must fire before any pass over, or allocation for, the rows
+    n = 1
+    B = -(-(1 << 32) // (n + 2))  # the first row count with B*(n+2) >= 2^32
+    with pytest.raises(ValueError, match="2\\^32"):
+        batch_summaries(np.broadcast_to(np.int64(1), (B, n)))
+    h, _, _ = batch_summaries(np.broadcast_to(np.int64(1), (1000, n)))
+    assert h.tolist() == [0] * 1000
+
+
+def test_batch_summaries_peak_memory_is_two_link_arrays():
+    B, n = 250, 4000
+    W = np.random.default_rng(8).permuted(np.tile(np.arange(1, n + 1, dtype=np.int64), (B, 1)), axis=1)
+    tracemalloc.start()
+    try:
+        batch_summaries(W)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * B * (n + 2)
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,8 @@ from butterfly_trees.sampling import (
     wreath_words,
 )
 
+from conftest import uniform_words_copying, wreath_words_stacked
+
 P_FLOOR = 0.001
 
 
@@ -76,6 +78,17 @@ def test_sample_wreath_uniform_over_group():
     # scalar sampler agrees in support
     singles = {sample_wreath(2, 2, RngState(303, i)) for i in range(200)}
     assert singles <= set(classes)
+
+
+@pytest.mark.parametrize("n,m,count", [(10000, 2, 250), (7, 13, 50), (3, 5, 1), (50, 50, 20)])
+def test_in_place_samplers_match_copying_forms(n, m, count):
+    # the in-place shuffle and the per-block writes must draw the same words as the copying forms
+    for state in (RngState(0), RngState(55, 1)):
+        assert np.array_equal(uniform_words(n * m, count, state), uniform_words_copying(n * m, count, state.generator()))
+        assert np.array_equal(wreath_words(n, m, count, state), wreath_words_stacked(n, m, count, state.generator()))
+    g, oracle_g = np.random.default_rng(9), np.random.default_rng(9)
+    assert np.array_equal(wreath_words(n, m, count, g), wreath_words_stacked(n, m, count, oracle_g))
+    assert np.array_equal(uniform_words(n, count, g), uniform_words_copying(n, count, oracle_g))
 
 
 def test_sample_wreath_trivial_blocks_is_uniform():
