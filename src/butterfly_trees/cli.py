@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bst, butterfly, exact, lattice, sampling
-from .gepp import UNIFORMITY_CAP, gepp_factorization, random_butterfly_matrices, uniformity_check
+from .gepp import UNIFORMITY_CAP, max_plu_error, random_butterfly_matrices, uniformity_check
 
 DEFAULT_SEED = 1024
 _CHUNK = 250  # rows per sampled chunk
@@ -35,6 +35,10 @@ _CHUNK_ENTRIES = 1 << 23  # entries per sampled chunk, and the largest row allow
 _LEVEL_CAP = _CHUNK_ENTRIES.bit_length() - 1
 # bounds: the exact law takes ~1.4 s at n = 7 and ~25 s with 0.7 GB at n = 8 (2-vCPU Xeon)
 EXACT_MAX_CAP = 7
+# pmf --n per --which: every number must print within Python's 4300-digit int-to-str
+# limit (n! passes it near n = 1555, 2^n near n = 14284), in seconds: ~0.9 s for
+# stirling 1000, ~3.7 s for simple-height 10000, ~1.3 s for cycle-moments 100 (200: ~40 s)
+PMF_CAP = {"stirling": 1000, "simple-height": 10_000, "cycle-moments": 100}
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +250,7 @@ def gepp_check_data(n: int, trials: int, seed: int, family: str) -> tuple[dict, 
     """GEPP membership + uniformity + reconstruction check for one butterfly family."""
     rng = sampling.RngState(seed)
     report = uniformity_check(n, trials, rng, family=family)
-    mats = random_butterfly_matrices(family, n, 50, sampling.RngState(seed, 777))
-    max_err = 0.0
-    for M in mats:
-        word, L, U = gepp_factorization(M)
-        P = np.zeros_like(M)
-        for j, wj in enumerate(word):
-            P[wj - 1, j] = 1.0
-        max_err = max(max_err, float(np.abs(P @ M - L @ U).max()))
+    max_err = max_plu_error(random_butterfly_matrices(family, n, 50, sampling.RngState(seed, 777)))
     meta = {
         "subcommand": "gepp-check",
         "family": family,
@@ -385,6 +382,8 @@ def _joint_range_error(args: argparse.Namespace) -> str | None:
         return f"argument --trials: must be >= 2 for theorem2-diff (the SEM needs two trials), got {args.trials}"
     if args.cmd == "pmf" and args.which != "cycle-moments" and args.n < 1:
         return f"argument --n: must be >= 1 for --which {args.which}, got {args.n}"
+    if args.cmd == "pmf" and args.n > PMF_CAP[args.which]:
+        return f"argument --n: must be <= {PMF_CAP[args.which]} for --which {args.which}, got {args.n}"
     if args.cmd == "gepp-check" and args.n > UNIFORMITY_CAP[args.family]:
         return f"argument --n: must be <= {UNIFORMITY_CAP[args.family]} for --family {args.family}, got {args.n}"
     return None

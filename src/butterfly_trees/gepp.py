@@ -12,6 +12,13 @@ column j, at bits k-1 of i and j. GEPP's row-swap history defines a
 permutation word w with P B = L U, where P has its 1 of column j in row
 w[j]; :func:`~butterfly_trees.butterfly.class_indices` maps w to its class.
 
+:func:`batch_gepp` is the one elimination: a single loop over the pivot
+steps of a whole (B, N, N) stack, returning the words and ``lu``, which
+holds L's multipliers below the diagonal (L's unit diagonal is implied)
+and U on and above it. :func:`gepp_factorization` and
+:func:`gepp_permutation` are its one-matrix forms, and
+:func:`max_plu_error` checks P B = L U over a stack in bounded slices.
+
 The class also follows from the angles alone (Peca-Medlin & Trogdon,
 "Growth factors of random butterfly matrices and the stability of
 avoiding pivoting", SIAM J. Matrix Anal. Appl. 2023): with the pivot bit
@@ -127,13 +134,13 @@ def _family(family: str, n: int):
 def pivot_classes(family: str, n: int, thetas: np.ndarray) -> np.ndarray:
     """GEPP class index of each row of a (B, angles) array, without building a matrix.
 
-    Equal to ``class_indices(batch_gepp_words(matrices(n, thetas)), family)``
+    Equal to ``class_indices(batch_gepp(matrices(n, thetas))[0], family)``
     except at float near-ties |sin| ~ |cos| (see the module docstring):
 
     >>> t = np.array([[2.0, 0.1, 2.0]])  # bits 1, 0, 1: the root's bit swaps its children
     >>> pivot_classes("nonsimple", 2, t).tolist()
     [6]
-    >>> class_indices(batch_gepp_words(nonsimple_matrices(2, t)), "nonsimple").tolist()
+    >>> class_indices(batch_gepp(nonsimple_matrices(2, t))[0], "nonsimple").tolist()
     [6]
     """
     angles, _, rule, _ = _family(family, n)
@@ -162,64 +169,77 @@ def random_nonsimple_butterfly_matrix(n: int, rng: RngState | np.random.Generato
     return random_butterfly_matrices("nonsimple", n, 1, rng)[0]
 
 
-def batch_gepp_words(mats: np.ndarray) -> np.ndarray:
-    """GEPP row-permutation words for a (B, N, N) batch; word[j-1] = final row of row j."""
+def batch_gepp(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GEPP of a (B, N, N) stack: ``(words, lu)`` with P_b M_b = L_b U_b.
+
+    ``words[b, j-1]`` is the final row of row j, so P_b has the 1 of column
+    j-1 in row ``words[b, j-1]``; ``lu[b]`` holds L_b's multipliers below
+    the diagonal (L_b has a unit diagonal) and U_b on and above it. Step k
+    swaps whole row k with the row of the largest |entry| of column k among
+    rows k..N (the first on ties), divides the column below the pivot by
+    the pivot and subtracts the outer product of that column and the pivot
+    row. Raises on the first column whose pivot is below ``SINGULAR_TOL``
+    in any matrix of the stack.
+    """
     A = np.array(mats, dtype=float, copy=True)
-    if A.ndim == 2:
-        A = A[None]
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError("expected a (B, N, N) stack of square matrices")
     B, N, _ = A.shape
     rows = np.arange(B)
     piv = np.tile(np.arange(N), (B, 1))
-    for k in range(N - 1):
-        j = np.abs(A[:, k:, k]).argmax(axis=1) + k
-        tmp = A[rows, k].copy()
-        A[rows, k] = A[rows, j]
-        A[rows, j] = tmp
-        tp = piv[rows, k].copy()
-        piv[rows, k] = piv[rows, j]
-        piv[rows, j] = tp
-        mult = A[:, k + 1 :, k] / A[:, k, k][:, None]
-        A[:, k + 1 :, k + 1 :] -= mult[:, :, None] * A[:, k, k + 1 :][:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot's NaNs stay in its matrix; it raises below
+        for k in range(N - 1):
+            j = np.abs(A[:, k:, k]).argmax(axis=1) + k
+            A[rows, k], A[rows, j] = A[rows, j], A[rows, k]
+            piv[rows, k], piv[rows, j] = piv[rows, j], piv[rows, k]
+            A[:, k + 1 :, k] /= A[:, k, k, None]
+            A[:, k + 1 :, k + 1 :] -= A[:, k + 1 :, k, None] * A[:, k, None, k + 1 :]
+    # pivots are final once chosen, and the first tiny one precedes any NaN it caused
+    singular = (np.abs(np.diagonal(A, axis1=1, axis2=2)) < SINGULAR_TOL).any(axis=0)
+    if singular.any():
+        raise ValueError(f"numerically singular column {int(singular.argmax()) + 1} (max |entry| < {SINGULAR_TOL})")
     words = np.empty((B, N), dtype=np.int64)
-    words[rows[:, None], piv] = np.arange(1, N + 1)[None, :]
-    return words
+    words[rows[:, None], piv] = np.arange(1, N + 1)
+    return words, A
 
 
 def gepp_factorization(M: np.ndarray) -> tuple[Word, np.ndarray, np.ndarray]:
-    """(word, L, U) with P B = L U for P built from the word (column j hits row word[j]).
-
-    Pivoting swaps row k with the largest-magnitude entry of column k among
-    rows k..N (first such row on ties); raises on a numerically zero column.
-    """
-    A = np.array(M, dtype=float, copy=True)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    """(word, L, U) with P M = L U: :func:`batch_gepp` on a stack of one, ``lu`` split into L and U."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
-    N = A.shape[0]
-    piv = list(range(N))
-    for k in range(N - 1):
-        col = np.abs(A[k:, k])
-        if col.max() < SINGULAR_TOL:
-            raise ValueError(f"numerically singular column {k + 1} (max |entry| < {SINGULAR_TOL})")
-        j = int(col.argmax()) + k
-        if j != k:
-            A[[k, j]] = A[[j, k]]
-            piv[k], piv[j] = piv[j], piv[k]
-        A[k + 1 :, k] /= A[k, k]
-        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
-    if N >= 1 and abs(A[N - 1, N - 1]) < SINGULAR_TOL:
-        raise ValueError(f"numerically singular column {N} (max |entry| < {SINGULAR_TOL})")
-    word = [0] * N
-    for pos, orig in enumerate(piv):
-        word[orig] = pos + 1
-    L = np.tril(A, -1) + np.eye(N)
-    U = np.triu(A)
-    return tuple(word), L, U
+    words, lu = batch_gepp(M[None])
+    return tuple(words[0].tolist()), np.tril(lu[0], -1) + np.eye(len(M)), np.triu(lu[0])
 
 
 def gepp_permutation(M: np.ndarray) -> Word:
     """GEPP row-swap permutation of a nonsingular square matrix."""
     word, _, _ = gepp_factorization(M)
     return word
+
+
+_PLU_ENTRIES = 1 << 20  # matrix entries per max_plu_error slice: 64 of order 128, one of order 1024
+
+
+def max_plu_error(mats: np.ndarray) -> float:
+    """Largest |P M - L U| entry over a (B, N, N) stack factored by :func:`batch_gepp`.
+
+    Factors slices of at most ``_PLU_ENTRIES`` entries (one matrix if a
+    single one exceeds it): at order 1024 the trailing updates are bound by
+    memory traffic, and a batch of several is slower than one at a time.
+    """
+    mats = np.asarray(mats, dtype=float)
+    B, N, _ = mats.shape
+    step = max(1, _PLU_ENTRIES // (N * N))
+    err = 0.0
+    for s in range(0, B, step):
+        M = mats[s : s + step]
+        words, lu = batch_gepp(M)
+        P = np.zeros_like(M)
+        P[np.arange(len(M))[:, None], words - 1, np.arange(N)] = 1.0
+        L = np.tril(lu, -1) + np.eye(N)
+        err = max(err, float(np.abs(P @ M - L @ np.triu(lu)).max()))
+    return err
 
 
 @dataclass(frozen=True)
@@ -286,7 +306,7 @@ def uniformity_check(
 
 def _check_sample(family: str, n: int, make, thetas: np.ndarray, rule_idx: np.ndarray) -> None:
     """Run GEPP on ``thetas`` and raise unless every word is a member whose class is ``rule_idx``."""
-    words = batch_gepp_words(make(n, thetas))
+    words = batch_gepp(make(n, thetas))[0]
     idx = class_indices(words, family)
     if (idx < 0).any():
         w = tuple(words[np.argmax(idx < 0)].tolist())

@@ -5,7 +5,8 @@ the package internals: plain pointer-chasing BST insertion, exhaustive
 subsequence enumeration for LIS/LDS, depth recomputation by traversal,
 the exact laws by pairwise dict convolution over their supports, the
 butterfly words, membership tests and matrices by their block recursions,
-and the uniform and wreath word samplers by shuffling and stacking copies.
+GEPP by a one-matrix row loop, and the uniform and wreath word samplers by
+shuffling and stacking copies.
 """
 
 from __future__ import annotations
@@ -231,6 +232,30 @@ def block_nonsimple_matrices(n: int, thetas: np.ndarray) -> np.ndarray:
             out[:, t, M:, M:] = c * A2
         A = out
     return A[:, 0]
+
+
+def scalar_gepp(M: np.ndarray, tol: float = 1e-12) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(word, L, U) of one square matrix, GEPP one pivot step at a time; raises
+    on the first column whose largest |entry| from the diagonal down is below tol."""
+    A = np.array(M, dtype=float, copy=True)
+    N = A.shape[0]
+    piv = list(range(N))
+    for k in range(N - 1):
+        col = np.abs(A[k:, k])
+        if col.max() < tol:
+            raise ValueError(f"numerically singular column {k + 1} (max |entry| < {tol})")
+        j = int(col.argmax()) + k
+        if j != k:
+            A[[k, j]] = A[[j, k]]
+            piv[k], piv[j] = piv[j], piv[k]
+        A[k + 1 :, k] /= A[k, k]
+        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
+    if N >= 1 and abs(A[N - 1, N - 1]) < tol:
+        raise ValueError(f"numerically singular column {N} (max |entry| < {tol})")
+    word = [0] * N
+    for pos, orig in enumerate(piv):
+        word[orig] = pos + 1
+    return tuple(word), np.tril(A, -1) + np.eye(N), np.triu(A)
 
 
 def uniform_words_copying(n: int, count: int, g: np.random.Generator) -> np.ndarray:

@@ -125,10 +125,13 @@ EXACT_GOLDEN = [
     (["law-hist", "--law", "cycle", "--n", "10", "--trials", "2000"], "580f770f4025d9e19c85dcd13883e6f306196dff5efa84c3525f5139338024be"),
     (["law-hist", "--law", "lis", "--n", "10", "--trials", "2000"], "4615bdcac38bd814e3d30fd8aa54240f5dfb52ffd1c05b0778d389172810142e"),
     (["pmf", "--which", "stirling"], "0af9cfa422609bbe8fa1909a1ef5a859e56e203e60cd21b644c1aee8d61b729e"),
+    (["pmf", "--which", "stirling", "--n", "300"], "e0b5afc6da5d77a2cc94b73506e3307f0f535685585a8f445cf81dd62a5872b7"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", EXACT_GOLDEN, ids=["bounds", "bounds-exact5", "law-cycle-n10", "law-lis-n10", "pmf-stirling"])
+@pytest.mark.parametrize(
+    "args,digest", EXACT_GOLDEN, ids=["bounds", "bounds-exact5", "law-cycle-n10", "law-lis-n10", "pmf-stirling", "pmf-stirling-n300"]
+)
 def test_exact_golden_digest(capsys, args, digest):
     # recorded from the dict convolutions; the dense and Kronecker laws must reproduce it
     out = run_cli(capsys, args)
@@ -188,6 +191,9 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["fig8", "--n", "24"], "argument --n: must be <= 23, got 24"),
         (["theorem2-diff", "--n", "5000000", "--m", "2"], "need n*m <= 8388608"),
         (["theorem2-diff", "--n", "8388609", "--m", "1"], "need n*m <= 8388608"),
+        (["pmf", "--which", "stirling", "--n", "1001"], "argument --n: must be <= 1000 for --which stirling, got 1001"),
+        (["pmf", "--which", "cycle-moments", "--n", "101"], "argument --n: must be <= 100 for --which cycle-moments, got 101"),
+        (["pmf", "--which", "simple-height", "--n", "10001"], "argument --n: must be <= 10000 for --which simple-height, got 10001"),
     ],
 )
 def test_bad_arguments_are_argparse_errors(capsys, args, message):
@@ -352,6 +358,13 @@ def test_pmf_export(capsys):
     assert "2,4,5,0.8" in out
     out = run_cli(capsys, ["pmf", "--which", "simple-height", "--n", "2"])
     assert "2,1,2,0.5" in out
+
+
+def test_pmf_stirling_row_deeper_than_the_recursion_limit(capsys):
+    # the row recursion used to recurse once per row and raised RecursionError here
+    rows = run_cli(capsys, ["pmf", "--which", "stirling", "--n", "500"]).strip().split("\n")
+    assert rows[5:7] == ["value,numerator,denominator,probability", f"1,1,500,{1 / 500!r}"]
+    assert len(rows) == 6 + 500 and rows[-1] == f"500,1,{math.factorial(500)},0.0"
 
 
 def test_law_hist(capsys):

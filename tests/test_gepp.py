@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,9 +16,10 @@ from butterfly_trees.butterfly import (
     is_simple_butterfly,
 )
 from butterfly_trees.gepp import (
-    batch_gepp_words,
+    batch_gepp,
     gepp_factorization,
     gepp_permutation,
+    max_plu_error,
     nonsimple_matrices,
     pivot_classes,
     random_nonsimple_butterfly_matrix,
@@ -27,7 +29,7 @@ from butterfly_trees.gepp import (
     uniformity_check,
 )
 from butterfly_trees.sampling import RngState
-from conftest import block_nonsimple_matrices
+from conftest import block_nonsimple_matrices, scalar_gepp
 
 
 def plu_error(M, word, L, U):
@@ -121,7 +123,7 @@ def test_membership_of_gepp_permutations():
 def test_batch_gepp_matches_scalar():
     g = RngState(11).generator()
     mats = nonsimple_matrices(3, g.uniform(0, 2 * np.pi, size=(25, 7)))
-    words = batch_gepp_words(mats)
+    words, _ = batch_gepp(mats)
     for t in range(25):
         assert tuple(int(x) for x in words[t]) == gepp_permutation(mats[t])
 
@@ -166,7 +168,7 @@ def test_uniformity_counts_match_dict_count(family, n):
     g = RngState(606).generator()
     angles = n if family == "simple" else (1 << n) - 1
     make = simple_matrices if family == "simple" else nonsimple_matrices
-    words = batch_gepp_words(make(n, g.uniform(0, 2 * np.pi, size=(trials, angles))))
+    words, _ = batch_gepp(make(n, g.uniform(0, 2 * np.pi, size=(trials, angles))))
     counted = Counter(tuple(row) for row in words.tolist())
     classes = list(enumerate_simple(n) if family == "simple" else enumerate_nonsimple(n))
     assert list(rep.counts) == classes
@@ -179,9 +181,9 @@ def test_uniformity_check_names_first_non_member(monkeypatch):
         words = np.tile(np.arange(1, 5), (len(mats), 1))
         words[3] = (1, 3, 2, 4)
         words[5] = (1, 4, 3, 2)
-        return words
+        return words, None
 
-    monkeypatch.setattr(gepp, "batch_gepp_words", words_with_strays)
+    monkeypatch.setattr(gepp, "batch_gepp", words_with_strays)
     with pytest.raises(AssertionError, match=r"non-member word \(1, 3, 2, 4\) \(is_nonsimple_butterfly fails\)"):
         uniformity_check(2, 10, RngState(0), family="nonsimple")
     with pytest.raises(AssertionError, match=r"non-member word \(1, 3, 2, 4\) \(is_simple_butterfly fails\)"):
@@ -197,6 +199,56 @@ def test_uniformity_check_needs_trials(trials):
 MATRICES = {"simple": (lambda n: n, simple_matrices), "nonsimple": (lambda n: (1 << n) - 1, nonsimple_matrices)}
 
 
+STACKS = [("simple", n) for n in range(1, 7)] + [("nonsimple", n) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("family,n", STACKS)
+def test_batch_gepp_equals_scalar_oracle_bit_for_bit(family, n):
+    angles, make = MATRICES[family]
+    mats = make(n, RngState(31, n).generator().uniform(0, 2 * np.pi, size=(40, angles(n))))
+    words, lu = batch_gepp(mats)
+    errors = []
+    for M, w, f in zip(mats, words, lu):
+        word, L, U = scalar_gepp(M)
+        assert tuple(w.tolist()) == word
+        assert np.array_equal(np.tril(f, -1) + np.eye(len(M)), L) and np.array_equal(np.triu(f), U)
+        one = gepp_factorization(M)
+        assert one[0] == word and np.array_equal(one[1], L) and np.array_equal(one[2], U)
+        errors.append(float(plu_error(M, word, L, U)))
+    assert max_plu_error(mats) == max(errors)
+
+
+def test_batch_gepp_raises_on_the_first_singular_column():
+    mats = RngState(3).generator().normal(size=(5, 4, 4))
+    mats[2, :, 1] = 2 * mats[2, :, 0]  # column 2 is a multiple of column 1: its pivot is ~0
+    with pytest.raises(ValueError) as oracle:
+        scalar_gepp(mats[2])
+    assert "numerically singular column 2" in str(oracle.value)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(oracle.value))}$"):
+        batch_gepp(mats)
+    with pytest.raises(ValueError, match="numerically singular column 2"):
+        max_plu_error(mats)
+    with pytest.raises(ValueError, match="expected a"):
+        batch_gepp(mats[0])
+
+
+def test_max_plu_error_factors_bounded_slices(monkeypatch):
+    mats = nonsimple_matrices(3, RngState(12).generator().uniform(0, 2 * np.pi, size=(50, 7)))
+    whole = max_plu_error(mats)
+    real, sizes = gepp.batch_gepp, []
+
+    def recording(stack):
+        sizes.append(len(stack))
+        return real(stack)
+
+    monkeypatch.setattr(gepp, "batch_gepp", recording)
+    assert max_plu_error(mats) == whole and sizes == [50]
+    sizes.clear()
+    monkeypatch.setattr(gepp, "_PLU_ENTRIES", 1 << 10)  # 2^10 entries hold 16 matrices of order 8
+    assert max_plu_error(mats) == whole
+    assert sizes == [16, 16, 16, 2]
+
+
 @pytest.mark.parametrize(
     "family,n,draws",
     [("simple", n, 2000) for n in range(1, 6)] + [("simple", 6, 500)] + [("nonsimple", n, 2000) for n in range(1, 5)] + [("nonsimple", 5, 500)],
@@ -204,7 +256,7 @@ MATRICES = {"simple": (lambda n: n, simple_matrices), "nonsimple": (lambda n: (1
 def test_pivot_classes_match_gepp(family, n, draws):
     angles, make = MATRICES[family]
     thetas = RngState(2718, n).generator().uniform(0, 2 * np.pi, size=(draws, angles(n)))
-    expected = class_indices(batch_gepp_words(make(n, thetas)), family)
+    expected = class_indices(batch_gepp(make(n, thetas))[0], family)
     np.testing.assert_array_equal(pivot_classes(family, n, thetas), expected)
 
 
@@ -216,7 +268,7 @@ def test_pivot_classes_keep_first_row_on_exact_ties(family, n):
     assert np.sin(TIE) == np.cos(TIE)
     angles, make = MATRICES[family]
     thetas = np.full((1, angles(n)), TIE)
-    assert class_indices(batch_gepp_words(make(n, thetas)), family).tolist() == [0]
+    assert class_indices(batch_gepp(make(n, thetas))[0], family).tolist() == [0]
     assert pivot_classes(family, n, thetas).tolist() == [0]
 
 
@@ -229,15 +281,15 @@ def test_pivot_classes_checks_angle_count():
 
 @pytest.mark.parametrize("family", ["simple", "nonsimple"])
 def test_uniformity_check_raises_when_gepp_disagrees_with_rule(monkeypatch, family):
-    real = gepp.batch_gepp_words
+    real = gepp.batch_gepp
     members = (all_simple_words if family == "simple" else all_nonsimple_words)(2)
 
     def one_member_off(mats):
-        words = real(mats)
+        words, lu = real(mats)
         words[2] = members[(class_indices(words[2:3], family)[0] + 1) % len(members)]
-        return words
+        return words, lu
 
-    monkeypatch.setattr(gepp, "batch_gepp_words", one_member_off)
+    monkeypatch.setattr(gepp, "batch_gepp", one_member_off)
     with pytest.raises(AssertionError, match=r"GEPP word \(.*\) of draw 2 is class \d+, the pivot rule gives \d+"):
         uniformity_check(2, 100, RngState(0), family=family)
 
@@ -248,14 +300,14 @@ def test_uniformity_check_raises_when_gepp_disagrees_with_rule(monkeypatch, fami
 )
 def test_uniformity_check_runs_gepp_on_a_bounded_sample(monkeypatch, n, trials, entries, sample):
     # at most GEPP_SAMPLE draws, and no more than one batch of matrices: 2^10 entries hold 16 of order 8
-    real, sizes = gepp.batch_gepp_words, []
+    real, sizes = gepp.batch_gepp, []
     monkeypatch.setattr(gepp, "_CHUNK_ENTRIES", entries)
 
     def recording(mats):
         sizes.append(len(mats))
         return real(mats)
 
-    monkeypatch.setattr(gepp, "batch_gepp_words", recording)
+    monkeypatch.setattr(gepp, "batch_gepp", recording)
     assert sum(uniformity_check(n, trials, RngState(5)).counts.values()) == trials
     assert sizes == [sample]
 
