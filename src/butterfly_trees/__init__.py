@@ -1,19 +1,7 @@
 """Butterfly and block permutation constructions, BST edge/height laws,
 and seeded Monte Carlo experiments."""
 
-from .bst import Bst, BstSummary, batch_summaries, build_bst, summary
-from .butterfly import (
-    ButterflyShape,
-    build_nonsimple,
-    build_simple,
-    enumerate_nonsimple,
-    enumerate_simple,
-    is_nonsimple_butterfly,
-    is_simple_butterfly,
-    stats_recursion_nonsimple,
-    stats_recursion_simple,
-)
-from .blocks import BlockDecomposition, block_decomposition, block_height, block_node_depth, g_select
+from .bst import BstSummary, batch_summaries, summary
 from .exact import (
     BoundSequences,
     Constants,
@@ -30,43 +18,10 @@ from .exact import (
     simple_height_mean,
     simple_height_pmf,
     stirling1_pmf,
-    stirling1_unsigned,
     triple_dist_nonsimple,
 )
-from .gepp import (
-    gepp_factorization,
-    gepp_permutation,
-    random_nonsimple_butterfly_matrix,
-    random_simple_butterfly_matrix,
-    rotation,
-    uniformity_check,
-)
-from .lattice import adjacency_pattern, degree_multiset
-from .perms import (
-    assemble_wreath,
-    compose,
-    cycle_count,
-    direct_sum,
-    format_word,
-    identity,
-    inverse,
-    kron,
-    lds,
-    lis,
-    ltr_maxima_len,
-    ltr_minima_len,
-    parse_word,
-    skew_sum,
-)
-from .sampling import (
-    RngState,
-    sample_cycle_law,
-    sample_kron,
-    sample_lis_law,
-    sample_nonsimple_butterfly,
-    sample_simple_butterfly,
-    sample_wreath,
-    uniform_permutation,
-)
+from .gepp import gepp_factorization, uniformity_check
+from .lattice import degree_multiset
+from .sampling import RngState
 
 __version__ = "0.1.0"

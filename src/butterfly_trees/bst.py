@@ -1,12 +1,11 @@
 """
 Binary search trees built by sequential insertion of a permutation word.
 
-Keys are the word values 1..n; no balancing, no deletion. Depths are
-cached at insertion time. Three equivalent ways to get (height, top-left
-edge, top-right edge) are provided:
+Keys are the word values 1..n; no balancing, no deletion. Two equivalent
+ways to get (height, top-left edge, top-right edge) are provided, neither
+of which builds the tree:
 
-- ``build_bst`` -> explicit node-array tree (parents, children, depths),
-- ``summary`` -> O(n) scan without building the tree,
+- ``summary`` -> O(n) scan of one word,
 - ``batch_summaries`` -> one vectorized pass per column across many words.
 
 Both scans delete keys from a doubly linked list over 0..n+1 in reverse
@@ -38,8 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .perms import check_word
-
 _LOW = (1 << 32) - 1  # low half of a packed link: the next slot
 
 
@@ -53,66 +50,24 @@ class BstSummary:
     size: int
 
 
-class Bst:
-    """BST over keys 1..n stored in arrays indexed by key (index 0 unused)."""
+def check_word(word: Sequence[int]) -> tuple[int, ...]:
+    """Validate that ``word`` is a permutation of {1..n}, n >= 1; return it as a tuple.
 
-    def __init__(self, word: Sequence[int]):
-        w = check_word(word)
-        n = len(w)
-        self.size = n
-        self.root = w[0]
-        self.left = [0] * (n + 1)
-        self.right = [0] * (n + 1)
-        self.parent = [0] * (n + 1)
-        self._depth = [0] * (n + 1)
-        for v in w[1:]:
-            cur = self.root
-            d = 0
-            while True:
-                d += 1
-                if v < cur:
-                    if self.left[cur]:
-                        cur = self.left[cur]
-                    else:
-                        self.left[cur] = v
-                        break
-                else:
-                    if self.right[cur]:
-                        cur = self.right[cur]
-                    else:
-                        self.right[cur] = v
-                        break
-            self.parent[v] = cur
-            self._depth[v] = d
-
-    def depth(self, key: int) -> int:
-        """Edge count from the root to ``key``."""
-        if not 1 <= key <= self.size:
-            raise ValueError(f"key {key} outside 1..{self.size}")
-        return self._depth[key]
-
-    def height(self) -> int:
-        return max(self._depth[1:])
-
-    def summary(self) -> BstSummary:
-        return BstSummary(self.height(), self._depth[1], self._depth[self.size], self.size)
-
-    def dump(self) -> str:
-        """One line per key: "key,parent,side" with side in {L,R,root}, ordered by key."""
-        lines = []
-        for k in range(1, self.size + 1):
-            p = self.parent[k]
-            if p == 0:
-                lines.append(f"{k},,root")
-            else:
-                side = "L" if self.left[p] == k else "R"
-                lines.append(f"{k},{p},{side}")
-        return "\n".join(lines)
-
-
-def build_bst(word: Sequence[int]) -> Bst:
-    """Insert the word values in order into an initially empty tree."""
-    return Bst(word)
+    >>> check_word([2, 1, 3])
+    (2, 1, 3)
+    """
+    w = tuple(word)
+    n = len(w)
+    if n == 0:
+        raise ValueError("empty word: permutations here have length >= 1")
+    mask = 0
+    for x in w:
+        if not 1 <= x <= n:
+            raise ValueError(f"word entry {x} outside 1..{n}")
+        mask |= 1 << x
+    if mask != ((1 << (n + 1)) - 2):
+        raise ValueError("word is not a bijection of {1..%d}" % n)
+    return w
 
 
 def summary(word: Sequence[int]) -> BstSummary:

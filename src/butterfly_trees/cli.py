@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bst, butterfly, exact, lattice, sampling
-from .gepp import UNIFORMITY_CAP, max_plu_error, random_butterfly_matrices, uniformity_check
+from .gepp import UNIFORMITY_CAP, max_plu_error, random_angles, uniformity_check
 
 DEFAULT_SEED = 1024
 _CHUNK = 250  # rows per sampled chunk
@@ -199,7 +200,7 @@ def clt_simple_data(n: int, samples: int, seed: int) -> tuple[dict, dict]:
     return meta, cols
 
 
-def bounds_data(n_max: int, exact_max: int = 4, support_cap: int = 5_000_000) -> tuple[dict, dict]:
+def bounds_data(n_max: int, exact_max: int = 4) -> tuple[dict, dict]:
     """Mean-height bounds table with exact means where the joint law is computed."""
     rows_n = list(range(1, n_max + 1))
     lowers, exacts, uppers = [], [], []
@@ -207,13 +208,7 @@ def bounds_data(n_max: int, exact_max: int = 4, support_cap: int = 5_000_000) ->
         lo, up = exact.nonsimple_mean_bounds(n)
         lowers.append(f"{lo:.2f}")
         uppers.append(f"{up:.2f}")
-        if n <= exact_max:
-            try:
-                exacts.append(repr(float(exact.exact_mean_height(n, support_cap))))
-            except exact.SupportCapExceeded:
-                exacts.append("")
-        else:
-            exacts.append("")
+        exacts.append(repr(float(exact.exact_mean_height(n))) if n <= exact_max else "")
     meta = {"subcommand": "bounds", "n_max": n_max, "exact_max": exact_max}
     cols = {"n": rows_n, "lower": lowers, "exact_mean": exacts, "upper": uppers}
     return meta, cols
@@ -250,7 +245,7 @@ def gepp_check_data(n: int, trials: int, seed: int, family: str) -> tuple[dict, 
     """GEPP membership + uniformity + reconstruction check for one butterfly family."""
     rng = sampling.RngState(seed)
     report = uniformity_check(n, trials, rng, family=family)
-    max_err = max_plu_error(random_butterfly_matrices(family, n, 50, sampling.RngState(seed, 777)))
+    max_err = max_plu_error(family, n, random_angles(family, n, 50, sampling.RngState(seed, 777)))
     meta = {
         "subcommand": "gepp-check",
         "family": family,
@@ -370,6 +365,16 @@ def _bounded_int(low: int | None, high: int | None = None):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """An ``--out`` path that can be written once the run ends, checked before it starts."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: {parent!r} is not a writable directory")
+    return text
+
+
 def _joint_range_error(args: argparse.Namespace) -> str | None:
     """The message for a bound that the per-argument types do not check, or None."""
     if args.cmd == "fig8" and args.n > _LEVEL_CAP:
@@ -394,7 +399,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_bounded_int(0), default=DEFAULT_SEED, help="64-bit experiment seed")
     common.add_argument("--trials", type=_bounded_int(1), default=None, help="Monte Carlo trial count")
-    common.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
+    common.add_argument("--out", type=_out_path, default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="cmd", required=True)
 

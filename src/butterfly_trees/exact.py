@@ -49,13 +49,6 @@ def stirling1_row(n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def stirling1_unsigned(n: int, k: int) -> int:
-    """|s(n, k)| via the recursion |s(n+1,k)| = n|s(n,k)| + |s(n,k-1)|."""
-    if k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return stirling1_row(n)[k]
-
-
 def stirling1_pmf(n: int) -> tuple[Fraction, ...]:
     """pmf (|s(n,k)| / n! for k = 1..n) of the cycle/prefix-record law on S_n."""
     if n < 1:
@@ -355,9 +348,9 @@ def triple_dist_nonsimple(n: int, support_cap: int = 5_000_000) -> TripleDistrib
     return TripleDistribution(n, weights, exp)
 
 
-def exact_mean_height(n: int, support_cap: int = 5_000_000) -> Fraction:
+def exact_mean_height(n: int) -> Fraction:
     """Exact mean height of a uniform nonsimple butterfly tree with 2^n nodes."""
-    return triple_dist_nonsimple(n, support_cap).mean_height()
+    return triple_dist_nonsimple(n).mean_height()
 
 
 def _square_poly(c: list[int], bits: int) -> list[int]:

@@ -15,9 +15,9 @@ w[j]; :func:`~butterfly_trees.butterfly.class_indices` maps w to its class.
 :func:`batch_gepp` is the one elimination: a single loop over the pivot
 steps of a whole (B, N, N) stack, returning the words and ``lu``, which
 holds L's multipliers below the diagonal (L's unit diagonal is implied)
-and U on and above it. :func:`gepp_factorization` and
-:func:`gepp_permutation` are its one-matrix forms, and
-:func:`max_plu_error` checks P B = L U over a stack in bounded slices.
+and U on and above it. :func:`gepp_factorization` is its one-matrix
+form, and :func:`max_plu_error` builds and checks P B = L U for a stack
+of angles in bounded slices.
 
 The class also follows from the angles alone (Peca-Medlin & Trogdon,
 "Growth factors of random butterfly matrices and the stability of
@@ -43,17 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .butterfly import all_nonsimple_words, all_simple_words, class_indices
-from .perms import Word
+from .butterfly import class_indices
 from .sampling import RngState, _gen
 
 SINGULAR_TOL = 1e-12
-
-
-def rotation(theta: float) -> np.ndarray:
-    """Order-2 clockwise rotation [[cos, sin], [-sin, cos]]."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
 
 
 def nonsimple_matrices(n: int, thetas: np.ndarray) -> np.ndarray:
@@ -123,11 +116,11 @@ def _nonsimple_classes(n: int, thetas: np.ndarray) -> np.ndarray:
 
 
 def _family(family: str, n: int):
-    """(angles per matrix, matrix builder, pivot rule, all GEPP classes by class index) of a butterfly family."""
+    """(angles per matrix, matrix builder, pivot rule) of a butterfly family."""
     if family == "simple":
-        return n, simple_matrices, _simple_classes, all_simple_words
+        return n, simple_matrices, _simple_classes
     if family == "nonsimple":
-        return (1 << n) - 1, nonsimple_matrices, _nonsimple_classes, all_nonsimple_words
+        return (1 << n) - 1, nonsimple_matrices, _nonsimple_classes
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -143,30 +136,17 @@ def pivot_classes(family: str, n: int, thetas: np.ndarray) -> np.ndarray:
     >>> class_indices(batch_gepp(nonsimple_matrices(2, t))[0], "nonsimple").tolist()
     [6]
     """
-    angles, _, rule, _ = _family(family, n)
+    angles, _, rule = _family(family, n)
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != angles:
         raise ValueError("wrong number of angles")
     return rule(n, thetas)
 
 
-def random_butterfly_matrices(family: str, n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
-    """(count, 2^n, 2^n) random matrices of ``family``: one angle uniform on [0, 2pi)
+def random_angles(family: str, n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
+    """(count, angles) angles uniform on [0, 2pi) for ``family``'s matrices: one
     per level (simple) or per internal node (nonsimple)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    angles, make, _, _ = _family(family, n)
-    return make(n, _gen(rng).uniform(0, 2 * np.pi, size=(count, angles)))
-
-
-def random_simple_butterfly_matrix(n: int, rng: RngState | np.random.Generator) -> np.ndarray:
-    """Kronecker product of n independent rotations, angles uniform on [0, 2pi)."""
-    return random_butterfly_matrices("simple", n, 1, rng)[0]
-
-
-def random_nonsimple_butterfly_matrix(n: int, rng: RngState | np.random.Generator) -> np.ndarray:
-    """Recursive butterfly matrix with one fresh uniform angle per internal node."""
-    return random_butterfly_matrices("nonsimple", n, 1, rng)[0]
+    return _gen(rng).uniform(0, 2 * np.pi, size=(count, _family(family, n)[0]))
 
 
 def batch_gepp(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +183,7 @@ def batch_gepp(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, A
 
 
-def gepp_factorization(M: np.ndarray) -> tuple[Word, np.ndarray, np.ndarray]:
+def gepp_factorization(M: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """(word, L, U) with P M = L U: :func:`batch_gepp` on a stack of one, ``lu`` split into L and U."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -212,28 +192,26 @@ def gepp_factorization(M: np.ndarray) -> tuple[Word, np.ndarray, np.ndarray]:
     return tuple(words[0].tolist()), np.tril(lu[0], -1) + np.eye(len(M)), np.triu(lu[0])
 
 
-def gepp_permutation(M: np.ndarray) -> Word:
-    """GEPP row-swap permutation of a nonsingular square matrix."""
-    word, _, _ = gepp_factorization(M)
-    return word
-
-
 _PLU_ENTRIES = 1 << 20  # matrix entries per max_plu_error slice: 64 of order 128, one of order 1024
 
 
-def max_plu_error(mats: np.ndarray) -> float:
-    """Largest |P M - L U| entry over a (B, N, N) stack factored by :func:`batch_gepp`.
+def max_plu_error(family: str, n: int, thetas: np.ndarray) -> float:
+    """Largest |P M - L U| entry over the ``family`` matrices of a (B, angles)
+    array, each factored by :func:`batch_gepp`.
 
-    Factors slices of at most ``_PLU_ENTRIES`` entries (one matrix if a
-    single one exceeds it): at order 1024 the trailing updates are bound by
+    Builds and factors slices of at most ``_PLU_ENTRIES`` entries (one
+    matrix if a single one exceeds it), so no more than one slice of
+    matrices is ever held: at order 1024 the trailing updates are bound by
     memory traffic, and a batch of several is slower than one at a time.
+    Each matrix depends on its own row of angles only, so the slices give
+    the floats of the whole stack.
     """
-    mats = np.asarray(mats, dtype=float)
-    B, N, _ = mats.shape
+    _, make, _ = _family(family, n)
+    N = 1 << n
     step = max(1, _PLU_ENTRIES // (N * N))
     err = 0.0
-    for s in range(0, B, step):
-        M = mats[s : s + step]
+    for s in range(0, len(thetas), step):
+        M = make(n, thetas[s : s + step])
         words, lu = batch_gepp(M)
         P = np.zeros_like(M)
         P[np.arange(len(M))[:, None], words - 1, np.arange(N)] = 1.0
@@ -250,7 +228,7 @@ class UniformityReport:
     classes: int
     statistic: float
     pvalue: float
-    counts: dict[Word, int]
+    counts: tuple[int, ...]  # draws of each class index (the row of butterfly.all_*_words)
 
 
 _CHUNK_ENTRIES = 1 << 22  # soft memory limit for batched matrices and angle draws
@@ -279,13 +257,13 @@ def uniformity_check(
         raise ValueError("trials must be >= 1")
     if n > UNIFORMITY_CAP.get(family, n):
         raise ValueError(f"{family} uniformity check capped at n = {UNIFORMITY_CAP[family]}")
-    angles, make, rule, all_words = _family(family, n)
+    angles, make, rule = _family(family, n)
     g = _gen(rng)
     draws = max(1, _CHUNK_ENTRIES // angles)
     sample = min(GEPP_SAMPLE, max(1, _CHUNK_ENTRIES >> (2 * n)))  # one batch of matrices, within the first draw
     counts = np.zeros(1 << angles, dtype=np.int64)
     for done in range(0, trials, draws):
-        thetas = g.uniform(0, 2 * np.pi, size=(min(draws, trials - done), angles))
+        thetas = random_angles(family, n, min(draws, trials - done), g)
         idx = rule(n, thetas)
         if done == 0:
             _check_sample(family, n, make, thetas[:sample], idx[:sample])
@@ -300,7 +278,7 @@ def uniformity_check(
         classes=len(counts),
         statistic=float(res.statistic),
         pvalue=float(res.pvalue),
-        counts=dict(zip(map(tuple, all_words(n).tolist()), counts.tolist())),
+        counts=tuple(counts.tolist()),
     )
 
 
@@ -310,7 +288,7 @@ def _check_sample(family: str, n: int, make, thetas: np.ndarray, rule_idx: np.nd
     idx = class_indices(words, family)
     if (idx < 0).any():
         w = tuple(words[np.argmax(idx < 0)].tolist())
-        raise AssertionError(f"GEPP produced non-member word {w} (is_{family}_butterfly fails)")
+        raise AssertionError(f"GEPP produced non-member word {w} (not a {family} butterfly)")
     off = idx != rule_idx
     if off.any():
         t = int(np.argmax(off))

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 ANALYTIC_CAP = 20
-EXPLICIT_CAP = 12
 
 
 def degree_multiset(n: int) -> dict[int, int]:
@@ -27,34 +24,3 @@ def degree_multiset(n: int) -> dict[int, int]:
         deg = (1 << k) + (1 << (n - k)) - 2
         counts[deg] = counts.get(deg, 0) + math.comb(n, k)
     return counts
-
-
-def _strict_containment(n: int) -> np.ndarray:
-    masks = np.arange(1 << n, dtype=np.int64)
-    sub = (masks[:, None] & masks[None, :]) == masks[:, None]
-    np.fill_diagonal(sub, False)
-    return sub
-
-
-def explicit_degree_multiset(n: int) -> dict[int, int]:
-    """Degree multiset from the materialized adjacency; cross-check for small n."""
-    if not 1 <= n <= EXPLICIT_CAP:
-        raise ValueError(f"n must be in 1..{EXPLICIT_CAP}")
-    sub = _strict_containment(n)
-    deg = sub.sum(axis=0) + sub.sum(axis=1)
-    values, freqs = np.unique(deg, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, freqs)}
-
-
-def adjacency_pattern(n: int) -> list[tuple[int, int]]:
-    """1-based (row, col) positions of the comparability adjacency nonzeros.
-
-    Vertex order is ascending bitmask; the pattern is symmetric and the
-    list is sorted row-major.
-    """
-    if not 1 <= n <= EXPLICIT_CAP:
-        raise ValueError(f"n must be in 1..{EXPLICIT_CAP}")
-    sub = _strict_containment(n)
-    adj = sub | sub.T
-    rows, cols = np.nonzero(adj)
-    return [(int(r) + 1, int(c) + 1) for r, c in zip(rows, cols)]

@@ -1,6 +1,7 @@
 """
-Seeded samplers for the permutation families and the two recursive
+Seeded batch samplers for the permutation families and the two recursive
 distributional laws (LIS-law and cycle-law of nonsimple butterflies).
+Each returns ``count`` iid draws, one per row or entry.
 
 All samplers take either an :class:`RngState` (a value; the same state
 always reproduces the same draw) or a live ``numpy.random.Generator``
@@ -16,12 +17,10 @@ which is what enumeration of the length-2 and length-4 groups pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .butterfly import build_simple, stats_from_shape_bits, words_from_shape_bits
-from .perms import Word, assemble_wreath, kron
+from .butterfly import stats_from_shape_bits, words_from_shape_bits
 
 
 @dataclass(frozen=True)
@@ -46,52 +45,9 @@ def _gen(rng: RngState | np.random.Generator) -> np.random.Generator:
     return rng
 
 
-def uniform_permutation(n: int, rng: RngState | np.random.Generator) -> Word:
-    """Uniform word from S_n (Fisher-Yates shuffle)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = _gen(rng)
-    return tuple(int(x) + 1 for x in g.permutation(n))
-
-
-def sample_wreath(n: int, m: int, rng: RngState | np.random.Generator) -> Word:
-    """Uniform word from S_n wr S_m: outer word and m iid inner blocks.
-
-    Independent uniform draws of the outer word and every block give a
-    uniform element of the product group (subgroup-algorithm sampling).
-    """
-    g = _gen(rng)
-    rho = uniform_permutation(m, g)
-    blocks = [uniform_permutation(n, g) for _ in range(m)]
-    return assemble_wreath(rho, blocks)
-
-
-def sample_kron(m: int, n: int, rng: RngState | np.random.Generator) -> Word:
-    """Uniform word from S_m (x) S_n: outer word and one shared inner block."""
-    g = _gen(rng)
-    rho = uniform_permutation(m, g)
-    pi = uniform_permutation(n, g)
-    return kron(rho, pi)
-
-
-def sample_simple_butterfly(n: int, rng: RngState | np.random.Generator) -> Word:
-    """Uniform simple butterfly word of length 2^n (n fair factor bits)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = _gen(rng)
-    return build_simple(tuple(int(b) for b in g.integers(0, 2, size=n)))
-
-
 def _nonsimple_shape_bits(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
     """(count, 2^n - 1) fair shape bits: the one draw behind every nonsimple sampler."""
     return _gen(rng).integers(0, 2, size=(count, (1 << n) - 1))
-
-
-def sample_nonsimple_butterfly(n: int, rng: RngState | np.random.Generator) -> Word:
-    """Uniform nonsimple butterfly word of length 2^n (2^n - 1 fair node bits)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return tuple(int(x) for x in nonsimple_butterfly_words(n, 1, rng)[0])
 
 
 def nonsimple_butterfly_words(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
@@ -118,7 +74,11 @@ def uniform_words(n: int, count: int, rng: RngState | np.random.Generator) -> np
 
 
 def wreath_words(n: int, m: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
-    """(count, n*m) matrix of iid uniform S_n wr S_m words."""
+    """(count, n*m) matrix of iid uniform S_n wr S_m words.
+
+    Independent uniform draws of the outer word and of every block give a
+    uniform element of the product group (subgroup-algorithm sampling).
+    """
     g = _gen(rng)
     rho = g.permuted(np.tile(np.arange(m, dtype=np.int64), (count, 1)), axis=1)
     at = np.argsort(rho, axis=1)  # block k (values k*n+1..k*n+n) sits at position-block at[:, k]
@@ -151,13 +111,3 @@ def lis_law_samples(n: int, count: int, rng: RngState | np.random.Generator) -> 
 def cycle_law_samples(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
     """iid samples of the level-n cycle law: Y' = Y1 + eta Y2."""
     return _law_samples(n, count, _gen(rng), lambda a, b, e: a + e * b)
-
-
-def sample_lis_law(n: int, rng: RngState | np.random.Generator) -> int:
-    """One sample of the level-n LIS law (one fair bit per internal node)."""
-    return int(lis_law_samples(n, 1, rng)[0])
-
-
-def sample_cycle_law(n: int, rng: RngState | np.random.Generator) -> int:
-    """One sample of the level-n cycle law."""
-    return int(cycle_law_samples(n, 1, rng)[0])

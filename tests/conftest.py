@@ -1,17 +1,22 @@
 """Shared independent oracles for the test suite.
 
 These deliberately re-derive quantities with implementations unrelated to
-the package internals: plain pointer-chasing BST insertion, exhaustive
-subsequence enumeration for LIS/LDS, depth recomputation by traversal,
-the exact laws by pairwise dict convolution over their supports, the
-butterfly words, membership tests and matrices by their block recursions,
-GEPP by a one-matrix row loop, and the uniform and wreath word samplers by
+the package internals: plain pointer-chasing BST insertion, the word
+statistics (LIS/LDS by patience piles and by exhaustive subsequence
+enumeration, cycles, prefix records), the Kronecker and wreath products of
+words, the block decomposition of a wreath BST (Theorem 2's depth
+identity), the exact laws by pairwise dict convolution over their
+supports, the butterfly words, membership tests and matrices by their
+block recursions, the Boolean lattice's degrees from its adjacency, GEPP
+by a one-matrix row loop, and the uniform and wreath word samplers by
 shuffling and stacking copies.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,74 +26,175 @@ def all_words(n: int):
     return itertools.permutations(range(1, n + 1))
 
 
+def naive_insert(word) -> tuple[list[int], list[int]]:
+    """(parent, depth) of every key by literal sequential insertion with child
+    arrays; index 0 unused, and the root's parent is 0."""
+    n = len(word)
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    parent = [0] * (n + 1)
+    depth = [0] * (n + 1)
+    root = word[0]
+    for v in word[1:]:
+        cur = root
+        d = 0
+        while True:
+            d += 1
+            if v < cur:
+                if left[cur]:
+                    cur = left[cur]
+                else:
+                    left[cur] = v
+                    break
+            else:
+                if right[cur]:
+                    cur = right[cur]
+                else:
+                    right[cur] = v
+                    break
+        parent[v] = cur
+        depth[v] = d
+    return parent, depth
+
+
 def naive_summary(word) -> tuple[int, int, int]:
-    """(h, l, r) by literal sequential insertion with child arrays."""
-    n = len(word)
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    depth = [0] * (n + 1)
-    root = word[0]
-    for v in word[1:]:
-        cur = root
-        d = 0
-        while True:
-            d += 1
-            if v < cur:
-                if left[cur]:
-                    cur = left[cur]
-                else:
-                    left[cur] = v
-                    break
-            else:
-                if right[cur]:
-                    cur = right[cur]
-                else:
-                    right[cur] = v
-                    break
-        depth[v] = d
-    return max(depth[1:]), depth[1], depth[n]
+    """(h, l, r) of the tree built by :func:`naive_insert`."""
+    depth = naive_insert(word)[1]
+    return max(depth[1:]), depth[1], depth[-1]
 
 
-def naive_depths(word) -> list[int]:
-    """Depth of every key by literal insertion; index 0 unused."""
-    n = len(word)
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    depth = [0] * (n + 1)
-    root = word[0]
-    for v in word[1:]:
-        cur = root
-        d = 0
-        while True:
-            d += 1
-            if v < cur:
-                if left[cur]:
-                    cur = left[cur]
-                else:
-                    left[cur] = v
-                    break
-            else:
-                if right[cur]:
-                    cur = right[cur]
-                else:
-                    right[cur] = v
-                    break
-        depth[v] = d
-    return depth
+def lis(word) -> int:
+    """Length of the longest strictly increasing subsequence (patience piles)."""
+    tails: list[int] = []
+    for x in word:
+        i = bisect_left(tails, x)
+        if i == len(tails):
+            tails.append(x)
+        else:
+            tails[i] = x
+    return len(tails)
 
 
-def traversal_depths(tree) -> list[int]:
-    """Recompute per-key depths of a built Bst by walking the child links."""
-    depth = [0] * (tree.size + 1)
-    stack = [(tree.root, 0)]
-    while stack:
-        key, d = stack.pop()
-        depth[key] = d
-        if tree.left[key]:
-            stack.append((tree.left[key], d + 1))
-        if tree.right[key]:
-            stack.append((tree.right[key], d + 1))
-    return depth
+def lds(word) -> int:
+    """Length of the longest strictly decreasing subsequence: the LIS of the value-reversed word."""
+    return lis([len(word) + 1 - x for x in word])
+
+
+def cycle_count(word) -> int:
+    """Number of orbits of the map j -> word[j-1]."""
+    seen = [False] * (len(word) + 1)
+    count = 0
+    for start in range(1, len(word) + 1):
+        if seen[start]:
+            continue
+        count += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = word[j - 1]
+    return count
+
+
+def ltr_maxima_len(word) -> int:
+    """Number of prefix maxima (left-to-right maxima) of the word."""
+    best = count = 0
+    for x in word:
+        if x > best:
+            best, count = x, count + 1
+    return count
+
+
+def ltr_minima_len(word) -> int:
+    """Number of prefix minima (left-to-right minima) of the word."""
+    best, count = len(word) + 1, 0
+    for x in word:
+        if x < best:
+            best, count = x, count + 1
+    return count
+
+
+def kron(pi, sigma) -> tuple[int, ...]:
+    """Kronecker product of permutations, matrix convention P_p (x) P_q:
+    result((i-1)*m + j) = (pi(i)-1)*m + sigma(j)."""
+    m = len(sigma)
+    return tuple((x - 1) * m + y for x in pi for y in sigma)
+
+
+def assemble_wreath(rho, blocks) -> tuple[int, ...]:
+    """Block permutation from an outer word and inner blocks: ``blocks[j-1]``
+    owns the values (j-1)*n+1 .. j*n, and position-block i holds
+    ``blocks[rho(i)-1]`` shifted up by (rho(i)-1)*n."""
+    n = len(blocks[0])
+    return tuple(x + (i - 1) * n for i in rho for x in blocks[i - 1])
+
+
+def g_select(x: int, y: int, u, v):
+    """u if x > y, v if x < y; undefined (raises) when x == y."""
+    if x == y:
+        raise ValueError("selector undefined for x == y")
+    return u if x > y else v
+
+
+@dataclass(frozen=True)
+class BlockDecomposition:
+    """External word, per-external-key internal (h, l, r), external tree parents."""
+
+    rho: tuple[int, ...]
+    internal: tuple[tuple[int, int, int], ...]
+    parent: list[int]
+
+
+def block_decomposition(rho, blocks) -> BlockDecomposition:
+    """The depth decomposition of the block BST of ``assemble_wreath(rho, blocks)``.
+
+    The tree is the external tree over the m block keys with an internal
+    tree substituted at every node; only the (h, l, r) of the blocks matter.
+    Summaries are indexed by external key j (block j owns values (j-1)n+1..jn).
+    """
+    if len(blocks) != len(rho):
+        raise ValueError(f"need {len(rho)} blocks, got {len(blocks)}")
+    if any(len(b) != len(blocks[0]) for b in blocks):
+        raise ValueError("all blocks must have equal size")
+    return BlockDecomposition(tuple(rho), tuple(naive_summary(b) for b in blocks), naive_insert(rho)[0])
+
+
+def external_path(d: BlockDecomposition, j: int) -> list[int]:
+    """External keys on the path from the external root to key j, inclusive."""
+    if not 1 <= j <= len(d.rho):
+        raise ValueError(f"external key {j} outside 1..{len(d.rho)}")
+    path = [j]
+    while d.parent[path[-1]] != 0:
+        path.append(d.parent[path[-1]])
+    return path[::-1]
+
+
+def block_node_depth(d: BlockDecomposition, j: int, internal_depth: int) -> int:
+    """Depth in the full block tree of a node at ``internal_depth`` inside block j:
+    l(parent)+1 for every left external step and r(parent)+1 for every right one
+    on the root-to-j external path, plus the depth inside the block."""
+    path = external_path(d, j)
+    if not 0 <= internal_depth <= d.internal[j - 1][0]:
+        raise ValueError("internal depth outside the block's tree")
+    total = internal_depth
+    for a, b in zip(path, path[1:]):
+        _, l, r = d.internal[a - 1]
+        total += g_select(a, b, l + 1, r + 1)
+    return total
+
+
+def block_height(d: BlockDecomposition) -> int:
+    """Height of the block tree: max over blocks of the deepest node's depth."""
+    return max(block_node_depth(d, j, d.internal[j - 1][0]) for j in range(1, len(d.rho) + 1))
+
+
+def explicit_degree_multiset(n: int) -> dict[int, int]:
+    """Degree multiset of the Boolean lattice's comparability graph from its
+    materialized (2^n, 2^n) strict-containment matrix."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    sub = (masks[:, None] & masks[None, :]) == masks[:, None]
+    np.fill_diagonal(sub, False)
+    values, freqs = np.unique(sub.sum(axis=0) + sub.sum(axis=1), return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, freqs)}
 
 
 def lis_brute(word) -> int:
@@ -155,6 +261,20 @@ def dict_law_levels(n: int, law: str) -> list[dict[int, int]]:
                     new[v] = new.get(v, 0) + wa * wb
         levels.append(new)
     return levels
+
+
+def stats_recursion_simple(bits) -> tuple[int, int, int]:
+    """(h, l, r) of the simple butterfly tree with factor bits ``bits`` (innermost
+    first), by the one-step edge recursion: base bit 0 -> (1, 0, 1), bit 1 ->
+    (1, 1, 0); each further factor adds (r+1)*(1,0,1) for bit 0 and
+    (l+1)*(1,1,0) for bit 1."""
+    h, l, r = (1, 1, 0) if bits[0] else (1, 0, 1)
+    for b in bits[1:]:
+        if b:
+            h, l, r = h + l + 1, 2 * l + 1, r
+        else:
+            h, l, r = h + r + 1, l, 2 * r + 1
+    return h, l, r
 
 
 def tuple_nonsimple_word(bits, depth: int) -> tuple[int, ...]:

@@ -16,16 +16,8 @@ import pytest
 from scipy import stats
 
 from butterfly_trees import cli
-from butterfly_trees.blocks import block_decomposition, block_height
 from butterfly_trees.bst import batch_summaries, summary
-from butterfly_trees.butterfly import (
-    ButterflyShape,
-    all_nonsimple_words,
-    all_simple_words,
-    enumerate_simple,
-    is_nonsimple_butterfly,
-    stats_recursion_nonsimple,
-)
+from butterfly_trees.butterfly import all_nonsimple_words, all_simple_words, class_indices, stats_from_shape_bits
 from butterfly_trees.exact import (
     LAMBDA,
     constants,
@@ -38,10 +30,19 @@ from butterfly_trees.exact import (
     triple_dist_nonsimple,
 )
 from butterfly_trees.gepp import gepp_factorization, nonsimple_matrices, uniformity_check
-from butterfly_trees.perms import assemble_wreath, cycle_count, lds, lis, ltr_maxima_len
-from butterfly_trees.sampling import RngState, uniform_permutation
+from butterfly_trees.sampling import RngState
 
-from conftest import all_words, naive_summary
+from conftest import (
+    all_words,
+    assemble_wreath,
+    block_decomposition,
+    block_height,
+    cycle_count,
+    lds,
+    lis,
+    ltr_maxima_len,
+    naive_summary,
+)
 
 TABLE1 = {1023: 2, 512: 20, 258: 90, 134: 240, 78: 420, 62: 252}
 
@@ -72,7 +73,7 @@ def test_criterion_02_simple_mean_height_exact():
 def test_criterion_03_simple_edge_and_subsequence_laws():
     t0 = time.perf_counter()
     for n in range(1, 9):
-        for w in enumerate_simple(n):
+        for w in all_simple_words(n).tolist():
             s = summary(w)
             li, ld = lis(w), lds(w)
             assert s.h == s.l + s.r
@@ -92,11 +93,12 @@ def test_criterion_04_nonsimple_exhaustive_oracle():
 
     direct = []
     cycles = []
-    for i in range(total):
-        w = tuple(int(x) for x in words[i])
+    for w in words.tolist():
         direct.append(naive_summary(w))
         cycles.append(cycle_count(w))
-        assert stats_recursion_nonsimple(ButterflyShape.from_index(n, i)) == direct[-1]
+    T = (1 << n) - 1
+    shapes = (np.arange(total)[:, None] >> np.arange(T - 1, -1, -1)) & 1  # row i: the bits of shape i
+    assert list(zip(*(a.tolist() for a in stats_from_shape_bits(n, shapes)))) == direct
 
     hist = Counter(direct)
     dist = triple_dist_nonsimple(n)
@@ -193,8 +195,8 @@ def test_criterion_08_block_decomposition_oracle():
         g = RngState(31415, i).generator()
         m = int(g.integers(1, 9))
         n = int(g.integers(1, 9))
-        rho = uniform_permutation(m, g)
-        blocks = [uniform_permutation(n, g) for _ in range(m)]
+        rho = (g.permutation(m) + 1).tolist()
+        blocks = [(g.permutation(n) + 1).tolist() for _ in range(m)]
         d = block_decomposition(rho, blocks)
         assert block_height(d) == summary(assemble_wreath(rho, blocks)).h
     report(f"criterion 08 (block height = direct height, {checked} exhaustive + 1000 random, exact): PASS")
@@ -254,7 +256,7 @@ def test_criterion_11_gepp_provenance():
     max_err = 0.0
     for M in mats:
         word, L, U = gepp_factorization(M)
-        assert is_nonsimple_butterfly(word)
+        assert class_indices(np.array([word]), "nonsimple")[0] >= 0
         P = np.zeros_like(M)
         for j, wj in enumerate(word):
             P[wj - 1, j] = 1.0

@@ -1,13 +1,23 @@
+"""The block decomposition oracle of conftest (Theorem 2's depth identity)
+against the heights and depths of the assembled block trees."""
+
 import itertools
 
 import pytest
 
-from butterfly_trees.blocks import block_decomposition, block_height, block_node_depth, external_path, g_select
-from butterfly_trees.bst import build_bst, summary
-from butterfly_trees.perms import assemble_wreath
-from butterfly_trees.sampling import RngState, uniform_permutation
+from butterfly_trees.bst import summary
+from butterfly_trees.sampling import RngState
 
-from conftest import all_words
+from conftest import (
+    all_words,
+    assemble_wreath,
+    block_decomposition,
+    block_height,
+    block_node_depth,
+    external_path,
+    g_select,
+    naive_insert,
+)
 
 
 def test_g_select():
@@ -22,7 +32,7 @@ def test_block_example():
     # deepest node lives in external key 2: right edge of block 1, then
     # left edge of block 3, then the full height of block 2
     assert external_path(d, 2) == [1, 3, 2]
-    assert block_node_depth(d, 2, d.internal[1].h) == 4
+    assert block_node_depth(d, 2, d.internal[1][0]) == 4
     assert block_height(d) == 4
     assert summary(assemble_wreath((1, 3, 2), [(2, 1), (1, 2), (2, 1)])).h == 4
 
@@ -30,7 +40,7 @@ def test_block_example():
 def test_single_block_is_identity_map():
     for w in all_words(3):
         d = block_decomposition((1,), [w])
-        for depth in range(d.internal[0].h + 1):
+        for depth in range(d.internal[0][0] + 1):
             assert block_node_depth(d, 1, depth) == depth
         assert block_height(d) == summary(w).h
 
@@ -65,12 +75,11 @@ def test_block_node_depths_equal_direct_depths_exhaustive():
     for m, n in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         for rho, blocks in exhaustive_cases(m, n):
             d = block_decomposition(rho, blocks)
-            tree = build_bst(assemble_wreath(rho, blocks))
+            depth = naive_insert(assemble_wreath(rho, blocks))[1]
             for j in range(1, m + 1):
-                block_tree = build_bst(blocks[j - 1])
+                block_depth = naive_insert(blocks[j - 1])[1]
                 for x in range(1, n + 1):
-                    got = block_node_depth(d, j, block_tree.depth(x))
-                    assert got == tree.depth((j - 1) * n + x)
+                    assert block_node_depth(d, j, block_depth[x]) == depth[(j - 1) * n + x]
 
 
 def test_block_height_random_large():
@@ -78,8 +87,8 @@ def test_block_height_random_large():
         r = RngState(31337, i).generator()
         m = int(r.integers(1, 9))
         n = int(r.integers(1, 9))
-        rho = uniform_permutation(m, r)
-        blocks = [uniform_permutation(n, r) for _ in range(m)]
+        rho = (r.permutation(m) + 1).tolist()
+        blocks = [(r.permutation(n) + 1).tolist() for _ in range(m)]
         d = block_decomposition(rho, blocks)
         assert block_height(d) == summary(assemble_wreath(rho, blocks)).h
 
@@ -89,7 +98,7 @@ def test_block_height_dominates_internal_heights():
         r = RngState(999, i).generator()
         m = int(r.integers(1, 7))
         n = int(r.integers(1, 7))
-        rho = uniform_permutation(m, r)
-        blocks = [uniform_permutation(n, r) for _ in range(m)]
+        rho = (r.permutation(m) + 1).tolist()
+        blocks = [(r.permutation(n) + 1).tolist() for _ in range(m)]
         d = block_decomposition(rho, blocks)
-        assert block_height(d) >= max(s.h for s in d.internal)
+        assert block_height(d) >= max(h for h, _, _ in d.internal)

@@ -7,40 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butterfly_trees.blocks import block_decomposition, block_height
-from butterfly_trees.bst import batch_summaries, build_bst, summary
+from butterfly_trees.bst import batch_summaries, summary
 from butterfly_trees.butterfly import all_simple_words
 from butterfly_trees.exact import simple_height_counts, stirling1_row
 from butterfly_trees.sampling import RngState, wreath_words
-from butterfly_trees.perms import ltr_maxima_len, ltr_minima_len
 
-from conftest import all_words, naive_depths, naive_summary, traversal_depths
+from conftest import (
+    all_words,
+    block_decomposition,
+    block_height,
+    ltr_maxima_len,
+    ltr_minima_len,
+    naive_insert,
+    naive_summary,
+)
 
 
 def test_build_examples():
-    t = build_bst((3, 5, 2, 4, 1, 6))
-    assert t.root == 3
-    assert {t.left[3], t.right[3]} == {2, 5}
-    assert t.left[2] == 1 and t.left[5] == 4 and t.right[5] == 6
-    assert t.depth(3) == 0 and t.depth(6) == 2
-
-    chain = build_bst((1, 2, 3, 4))
-    assert [chain.right[k] for k in (1, 2, 3)] == [2, 3, 4]
-    assert build_bst((1, 2, 3, 4, 5)).depth(5) == 4
-
-    t216534 = build_bst((2, 1, 6, 5, 3, 4))
-    assert t216534.root == 2 and t216534.left[2] == 1 and t216534.right[2] == 6
-    assert t216534.left[6] == 5 and t216534.left[5] == 3 and t216534.right[3] == 4
-
-
-def test_depth_errors_and_empty():
-    t = build_bst((2, 1, 3))
-    with pytest.raises(ValueError):
-        t.depth(0)
-    with pytest.raises(ValueError):
-        t.depth(4)
-    with pytest.raises(ValueError):
-        build_bst(())
+    # the insertion oracle's trees: parent[k] (0 at the root) and depth[k]
+    parent, depth = naive_insert((3, 5, 2, 4, 1, 6))
+    assert parent[1:] == [2, 3, 0, 5, 3, 5]
+    assert depth[1:] == [2, 1, 0, 2, 1, 2]
+    parent, depth = naive_insert((1, 2, 3, 4, 5))
+    assert parent[1:] == [0, 1, 2, 3, 4] and depth[5] == 4
+    parent, _ = naive_insert((2, 1, 6, 5, 3, 4))
+    assert parent[1:] == [2, 0, 5, 3, 6, 2]
 
 
 def test_summary_examples():
@@ -58,19 +49,7 @@ def test_summary_matches_tree_and_naive_exhaustive():
     for n in range(1, 8):
         for w in all_words(n):
             s = summary(w)
-            t = build_bst(w)
-            assert (s.h, s.l, s.r) == naive_summary(w)
-            assert (t.height(), t.depth(1), t.depth(n)) == (s.h, s.l, s.r)
-
-
-def test_cached_depths_match_traversal():
-    # recomputation by traversal is the oracle for the insertion-time cache
-    for n in range(1, 8):
-        for w in all_words(n):
-            t = build_bst(w)
-            td = traversal_depths(t)
-            assert all(t.depth(k) == td[k] for k in range(1, n + 1))
-            assert t.height() == max(td[1:])
+            assert (s.h, s.l, s.r, s.size) == (*naive_summary(w), n)
 
 
 def test_edges_are_prefix_records_exhaustive():
@@ -86,20 +65,6 @@ def test_record_count_distribution_is_stirling():
         hist = Counter(ltr_maxima_len(w) for w in all_words(n))
         row = stirling1_row(n)
         assert hist == {k: row[k] for k in range(1, n + 1) if row[k]}
-
-
-def test_shape_is_shift_invariant():
-    # whole-tree relabeling by a constant shift preserves child structure
-    for w in all_words(5):
-        t = build_bst(w)
-        shifted = [x + 7 for x in w]
-        order = {v: i + 1 for i, v in enumerate(sorted(shifted))}
-        t2 = build_bst(tuple(order[v] for v in shifted))
-        assert t.dump() == t2.dump()
-
-
-def test_dump_format():
-    assert build_bst((2, 1, 3)).dump() == "1,2,L\n2,,root\n3,2,R"
 
 
 @settings(max_examples=150, deadline=None)
@@ -231,10 +196,3 @@ def test_batch_summaries_rejects_every_non_permutation_row():
         else:
             with pytest.raises(ValueError, match="permutation"):
                 batch_summaries(rows)
-
-
-def test_naive_depth_oracle_agrees_with_tree():
-    for w in all_words(6):
-        t = build_bst(w)
-        nd = naive_depths(w)
-        assert all(t.depth(k) == nd[k] for k in range(1, 7))

@@ -6,105 +6,94 @@ import pytest
 
 from butterfly_trees.bst import batch_summaries, summary
 from butterfly_trees.butterfly import (
-    ButterflyShape,
     all_nonsimple_words,
     all_simple_words,
-    build_nonsimple,
-    build_simple,
     class_indices,
-    enumerate_nonsimple,
-    enumerate_simple,
-    is_nonsimple_butterfly,
-    is_simple_butterfly,
     stats_from_shape_bits,
-    stats_recursion_nonsimple,
-    stats_recursion_simple,
     words_from_shape_bits,
 )
-from butterfly_trees.perms import compose, cycle_count, identity, lds, lis
 from butterfly_trees.sampling import RngState, uniform_words
-from conftest import all_words, sliced_is_nonsimple, sliced_is_simple, tuple_nonsimple_word
+from conftest import (
+    all_words,
+    cycle_count,
+    kron,
+    lds,
+    lis,
+    sliced_is_nonsimple,
+    sliced_is_simple,
+    stats_recursion_simple,
+    tuple_nonsimple_word,
+)
 
 FIG6C_WORD = (9, 10, 11, 12, 13, 14, 15, 16, 6, 5, 8, 7, 2, 1, 4, 3)
 
 
+def rows(words):
+    return [tuple(row) for row in words.tolist()]
+
+
+def shape_bits(n, index):
+    """Level-ordered shape bits of shape number ``index``, root most significant."""
+    T = (1 << n) - 1
+    return [[(index >> (T - 1 - q)) & 1 for q in range(T)]]
+
+
 def test_build_simple_examples():
-    assert build_simple((1, 0, 0)) == (2, 1, 4, 3, 6, 5, 8, 7)
-    assert build_simple((1, 0, 1)) == (6, 5, 8, 7, 2, 1, 4, 3)
+    assert rows(all_simple_words(3))[0b001] == (2, 1, 4, 3, 6, 5, 8, 7)
+    assert rows(all_simple_words(3))[0b101] == (6, 5, 8, 7, 2, 1, 4, 3)
     for n in (1, 3, 5):
-        assert build_simple((0,) * n) == identity(1 << n)
+        assert rows(all_simple_words(n))[0] == tuple(range(1, (1 << n) + 1))
     with pytest.raises(ValueError):
-        build_simple(())
+        all_simple_words(0)
 
 
 def test_build_nonsimple_examples():
-    assert build_nonsimple(ButterflyShape.from_string("101")) == (3, 4, 2, 1)
+    assert rows(words_from_shape_bits(2, [[1, 0, 1]])) == [(3, 4, 2, 1)]
     assert summary((3, 4, 2, 1)).h == 2
     assert (summary((3, 4, 2, 1)).l, summary((3, 4, 2, 1)).r) == (2, 1)
-    assert build_nonsimple(ButterflyShape.from_string("100")) == (3, 4, 1, 2)
+    assert rows(words_from_shape_bits(2, [[1, 0, 0]])) == [(3, 4, 1, 2)]
     for n in (1, 2, 3):
-        assert build_nonsimple(ButterflyShape(n, (0,) * ((1 << n) - 1))) == identity(1 << n)
-
-
-def test_shape_validation_and_serialization():
-    s = ButterflyShape.from_string("101")
-    assert s.depth == 2 and s.bits == (1, 0, 1)
-    assert s.to_string() == "101"
-    assert ButterflyShape.from_index(2, int("101", 2)) == s
-    with pytest.raises(ValueError):
-        ButterflyShape.from_string("10")
-    with pytest.raises(ValueError):
-        ButterflyShape.from_string("1x1")
-    with pytest.raises(ValueError):
-        ButterflyShape(2, (1, 0))
+        assert rows(words_from_shape_bits(n, np.zeros((1, (1 << n) - 1), dtype=np.int64))) == [tuple(range(1, (1 << n) + 1))]
 
 
 def test_membership_examples():
-    assert is_simple_butterfly((2, 1, 4, 3, 6, 5, 8, 7))
-    assert is_nonsimple_butterfly((2, 1, 4, 3, 6, 5, 8, 7))
-    assert is_nonsimple_butterfly(FIG6C_WORD)
-    assert not is_simple_butterfly(FIG6C_WORD)
-    assert not is_simple_butterfly((3, 5, 2, 4, 1, 6))
-    assert not is_nonsimple_butterfly((3, 5, 2, 4, 1, 6))
-    assert not is_simple_butterfly((1, 3, 2, 4))
-    assert not is_nonsimple_butterfly((1, 3, 2, 4))
+    words = np.array([(2, 1, 4, 3, 6, 5, 8, 7)])
+    assert class_indices(words, "simple") >= 0 and class_indices(words, "nonsimple") >= 0
+    assert class_indices(np.array([FIG6C_WORD]), "nonsimple") >= 0
+    assert class_indices(np.array([FIG6C_WORD]), "simple") < 0
+    for w in ((3, 5, 2, 4, 1, 6), (1, 3, 2, 4)):
+        assert class_indices(np.array([w]), "simple") < 0 and class_indices(np.array([w]), "nonsimple") < 0
 
 
 def test_enumerate_simple():
-    words = list(enumerate_simple(2))
-    assert sorted(words) == [(1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
+    assert sorted(rows(all_simple_words(2))) == [(1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
     for n in range(1, 7):
-        words = list(enumerate_simple(n))
-        assert len(words) == len(set(words)) == 1 << n
-        assert all(is_simple_butterfly(w) for w in words)
+        words = all_simple_words(n)
+        assert len(set(rows(words))) == 1 << n
+        assert (class_indices(words, "simple") >= 0).all()
 
 
 def test_enumerate_nonsimple():
-    words = list(enumerate_nonsimple(2))
-    assert len(words) == 8
-    assert set(words) == {
+    assert set(rows(all_nonsimple_words(2))) == {
         (1, 2, 3, 4), (1, 2, 4, 3), (2, 1, 3, 4), (2, 1, 4, 3),
         (3, 4, 1, 2), (3, 4, 2, 1), (4, 3, 1, 2), (4, 3, 2, 1),
     }
     for n in range(1, 4):
-        words = list(enumerate_nonsimple(n))
-        assert len(words) == len(set(words)) == 1 << ((1 << n) - 1)
-        assert all(is_nonsimple_butterfly(w) for w in words)
+        words = all_nonsimple_words(n)
+        assert len(set(rows(words))) == 1 << ((1 << n) - 1)
+        assert (class_indices(words, "nonsimple") >= 0).all()
 
 
 def test_enumerate_nonsimple_cap():
-    with pytest.raises(ValueError):
-        enumerate_nonsimple(5)
-    first = next(iter(enumerate_nonsimple(5, cap=5)))
-    assert first == identity(32)
+    for n in (0, 5):
+        with pytest.raises(ValueError):
+            all_nonsimple_words(n)
 
 
 def test_simple_group_is_kron_closure():
     # the enumeration equals all iterated two-block Kronecker products
-    folds = set()
-    for bits in itertools.product((0, 1), repeat=3):
-        folds.add(build_simple(bits))
-    assert folds == set(enumerate_simple(3))
+    folds = {kron(a, kron(b, c)) for a, b, c in itertools.product([(1, 2), (2, 1)], repeat=3)}
+    assert folds == set(rows(all_simple_words(3)))
 
 
 def test_stats_recursion_simple_examples():
@@ -133,7 +122,7 @@ def test_height_splits_into_edges_simple():
 def test_lis_lds_orientation_simple():
     # increasing runs follow the right edge, decreasing runs the left edge
     for n in range(1, 9):
-        for i, w in enumerate(enumerate_simple(n)):
+        for w in rows(all_simple_words(n)):
             s = summary(w)
             li, ld = lis(w), lds(w)
             assert li == s.r + 1
@@ -143,20 +132,19 @@ def test_lis_lds_orientation_simple():
 
 
 def test_stats_recursion_nonsimple_examples():
-    assert stats_recursion_nonsimple(ButterflyShape.from_string("101")) == (2, 2, 1)
+    assert [a.tolist() for a in stats_from_shape_bits(2, np.array([[1, 0, 1]]))] == [[2], [2], [1]]
     for n in (1, 2, 3):
-        shape = ButterflyShape(n, (0,) * ((1 << n) - 1))
-        assert stats_recursion_nonsimple(shape) == ((1 << n) - 1, 0, (1 << n) - 1)
+        hlr = stats_from_shape_bits(n, np.zeros((1, (1 << n) - 1), dtype=np.int64))
+        assert [a.tolist() for a in hlr] == [[(1 << n) - 1], [0], [(1 << n) - 1]]
 
 
 def test_stats_recursion_nonsimple_matches_summaries():
     for n in range(1, 4):
         T = (1 << n) - 1
         for i in range(1 << T):
-            shape = ButterflyShape.from_index(n, i)
-            w = build_nonsimple(shape)
-            s = summary(w)
-            assert stats_recursion_nonsimple(shape) == (s.h, s.l, s.r)
+            h, l, r = stats_from_shape_bits(n, np.array(shape_bits(n, i)))
+            s = summary(rows(all_nonsimple_words(n))[i])
+            assert (h[0], l[0], r[0]) == (s.h, s.l, s.r)
 
 
 def test_stats_from_shape_bits_matches_built_trees():
@@ -166,8 +154,8 @@ def test_stats_from_shape_bits_matches_built_trees():
         T = (1 << n) - 1
         bits = np.vstack([np.zeros((1, T), dtype=np.int64), np.ones((1, T), dtype=np.int64), g.integers(0, 2, size=(20, T))])
         h, l, r = stats_from_shape_bits(n, bits)
-        for t, row in enumerate(bits):
-            s = summary(build_nonsimple(ButterflyShape(n, tuple(int(b) for b in row))))
+        for t, row in enumerate(bits.tolist()):
+            s = summary(tuple_nonsimple_word(row, n))
             assert (h[t], l[t], r[t]) == (s.h, s.l, s.r)
     with pytest.raises(ValueError):
         stats_from_shape_bits(3, np.zeros((2, 6), dtype=np.int64))
@@ -192,35 +180,36 @@ def test_cycles_pointwise_composition_rule():
     for n in range(2, 5):
         M = 1 << (n - 1)
         Tc = (1 << (n - 1)) - 1
-        halves = [build_nonsimple(ButterflyShape.from_index(n - 1, i)) for i in range(1 << Tc)]
+        halves = rows(all_nonsimple_words(n - 1))
+        assert len(halves) == 1 << Tc
         for w1 in halves:
             c1 = cycle_count(w1)
             for w2 in halves:
                 low_first = w1 + tuple(x + M for x in w2)
                 high_first = tuple(x + M for x in w1) + w2
                 assert cycle_count(low_first) == c1 + cycle_count(w2)
-                assert cycle_count(high_first) == cycle_count(compose(w2, w1))
+                assert cycle_count(high_first) == cycle_count(tuple(w2[x - 1] for x in w1))  # w2 after w1
 
 
 def test_batch_builders_match_scalar():
-    for n in range(1, 4):
-        Ws = all_simple_words(n)
-        for i in range(1 << n):
-            assert tuple(int(x) for x in Ws[i]) == build_simple(tuple((i >> j) & 1 for j in range(n)))
-        Wn = all_nonsimple_words(n)
-        T = (1 << n) - 1
-        for i in range(1 << T):
-            assert tuple(int(x) for x in Wn[i]) == build_nonsimple(ButterflyShape.from_index(n, i))
+    # row m of the simple words is the Kronecker product of its factors, bit 0 innermost
+    factor = [(1, 2), (2, 1)]
+    for n in range(1, 7):
+        for m, row in enumerate(rows(all_simple_words(n))):
+            word = (1,)
+            for j in range(n):
+                word = kron(factor[(m >> j) & 1], word)
+            assert row == word
 
 
 def test_words_from_shape_bits_single_rows():
+    # each row is built from its own bits only: a one-row call gives the same word
     g = np.random.default_rng(11)
     for n in (2, 3, 4):
         bits = g.integers(0, 2, size=(20, (1 << n) - 1))
         W = words_from_shape_bits(n, bits)
         for t in range(20):
-            shape = ButterflyShape(n, tuple(int(b) for b in bits[t]))
-            assert tuple(int(x) for x in W[t]) == build_nonsimple(shape)
+            assert np.array_equal(words_from_shape_bits(n, bits[t : t + 1])[0], W[t])
 
 
 def test_uniform_words_rarely_butterfly():
@@ -234,11 +223,8 @@ def test_words_match_tuple_recursion():
     # every shape up to n = 4, through each builder, then random shapes up to n = 10
     for n in range(1, 5):
         T = (1 << n) - 1
-        oracle = [tuple_nonsimple_word(ButterflyShape.from_index(n, i).bits, n) for i in range(1 << T)]
-        assert [tuple(row) for row in all_nonsimple_words(n).tolist()] == oracle
-        assert list(enumerate_nonsimple(n)) == oracle
-        some = range(0, 1 << T, 97 if n == 4 else 1)
-        assert [build_nonsimple(ButterflyShape.from_index(n, i)) for i in some] == [oracle[i] for i in some]
+        oracle = [tuple_nonsimple_word(shape_bits(n, i)[0], n) for i in range(1 << T)]
+        assert rows(all_nonsimple_words(n)) == oracle
     g = np.random.default_rng(5)
     for n in range(5, 11):
         bits = g.integers(0, 2, size=(25, (1 << n) - 1))
@@ -251,15 +237,13 @@ def test_membership_matches_sliced_oracle(N):
     # all of S_N; lengths that are not powers of two hold no butterfly
     words = list(all_words(N))
     simple, nonsimple = (class_indices(np.array(words), f) for f in ("simple", "nonsimple"))
-    for t, (w, si, ns) in enumerate(zip(words, simple.tolist(), nonsimple.tolist())):
+    for w, si, ns in zip(words, simple.tolist(), nonsimple.tolist()):
         assert (si >= 0) == sliced_is_simple(w) and (ns >= 0) == sliced_is_nonsimple(w)
-        if ns >= 0 or t % 61 == 0:  # the scalar tests on every member and a spread of the rest
-            assert is_simple_butterfly(w) == (si >= 0) and is_nonsimple_butterfly(w) == (ns >= 0)
     n = N.bit_length() - 1
     if N == 1 << n and n >= 1:
-        members = {w: i for i, w in enumerate(enumerate_nonsimple(n))}
+        members = {w: i for i, w in enumerate(rows(all_nonsimple_words(n)))}
         assert nonsimple.tolist() == [members.get(w, -1) for w in words]
-        members = {w: i for i, w in enumerate(enumerate_simple(n))}
+        members = {w: i for i, w in enumerate(rows(all_simple_words(n)))}
         assert simple.tolist() == [members.get(w, -1) for w in words]
 
 
@@ -275,10 +259,10 @@ def test_class_indices_invert_builders():
         expected = [int("".join(map(str, row)), 2) for row in bits.tolist()]
         assert class_indices(words_from_shape_bits(n, bits), "nonsimple").tolist() == expected
     # every row of {1..4}^4, repeated values included: only the members get an index
-    rows = [tuple(r) for r in itertools.product(range(1, 5), repeat=4)]
-    for family, members in (("simple", list(enumerate_simple(2))), ("nonsimple", list(enumerate_nonsimple(2)))):
-        expected = [members.index(w) if w in members else -1 for w in rows]
-        assert class_indices(np.array(rows), family).tolist() == expected
+    grid = [tuple(r) for r in itertools.product(range(1, 5), repeat=4)]
+    for family, members in (("simple", rows(all_simple_words(2))), ("nonsimple", rows(all_nonsimple_words(2)))):
+        expected = [members.index(w) if w in members else -1 for w in grid]
+        assert class_indices(np.array(grid), family).tolist() == expected
     assert class_indices(np.array([[1, 2, 3, 5]]), "nonsimple").tolist() == [-1]
     assert class_indices(np.array([[0, 1, 2, 3]]), "simple").tolist() == [-1]
     with pytest.raises(ValueError):

@@ -194,6 +194,8 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["pmf", "--which", "stirling", "--n", "1001"], "argument --n: must be <= 1000 for --which stirling, got 1001"),
         (["pmf", "--which", "cycle-moments", "--n", "101"], "argument --n: must be <= 100 for --which cycle-moments, got 101"),
         (["pmf", "--which", "simple-height", "--n", "10001"], "argument --n: must be <= 10000 for --which simple-height, got 10001"),
+        (["pmf", "--out", "no-such-dir/x.csv"], "argument --out: cannot write 'no-such-dir/x.csv': 'no-such-dir' is not a writable directory"),
+        (["gepp-check", "--out", "."], "argument --out: '.' is a directory"),
     ],
 )
 def test_bad_arguments_are_argparse_errors(capsys, args, message):

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from butterfly_trees.bst import summary
-from butterfly_trees.butterfly import all_simple_words, enumerate_nonsimple
 from butterfly_trees.bst import batch_summaries
+from butterfly_trees.butterfly import all_nonsimple_words, all_simple_words
 from butterfly_trees.exact import (
     LAMBDA,
     SupportCapExceeded,
@@ -26,24 +25,20 @@ from butterfly_trees.exact import (
     simple_height_pmf,
     stirling1_pmf,
     stirling1_row,
-    stirling1_unsigned,
     triple_dist_nonsimple,
 )
-from butterfly_trees.perms import ltr_maxima_len
 from butterfly_trees.sampling import RngState, nonsimple_butterfly_stats
 
-from conftest import all_words, dict_law_levels, dict_triple_levels
+from conftest import all_words, cycle_count, dict_law_levels, dict_triple_levels, lis, ltr_maxima_len
 
 
 def test_stirling_values():
-    assert stirling1_unsigned(3, 2) == 3
+    assert stirling1_row(3) == (0, 2, 3, 1)
     for n in range(0, 12):
-        assert stirling1_unsigned(n, n) == 1
+        assert stirling1_row(n)[n] == 1 and len(stirling1_row(n)) == n + 1
     assert sum(stirling1_row(4)) == 24
     with pytest.raises(ValueError):
-        stirling1_unsigned(3, 4)
-    with pytest.raises(ValueError):
-        stirling1_unsigned(3, -1)
+        stirling1_row(-1)
 
 
 def test_stirling_row_sums_are_factorials():
@@ -190,10 +185,7 @@ def test_triple_dist_base_and_mass():
 
 def test_triple_dist_matches_enumeration():
     for n in range(1, 4):
-        hist = Counter()
-        for w in enumerate_nonsimple(n):
-            s = summary(w)
-            hist[(s.h, s.l, s.r)] += 1
+        hist = Counter(zip(*(a.tolist() for a in batch_summaries(all_nonsimple_words(n)))))
         assert dict(hist) == triple_dist_nonsimple(n).weights
 
 
@@ -251,11 +243,8 @@ def test_law_counts_match_dict_convolution(law, law_counts):
 
 
 def test_law_counts_match_butterfly_statistics():
-    import numpy as np
-    from butterfly_trees.perms import cycle_count, lis
-
     for n in range(1, 4):
-        words = list(enumerate_nonsimple(n))
+        words = all_nonsimple_words(n).tolist()
         lc, le = lis_law_counts(n)
         cc, ce = cycle_law_counts(n)
         assert Counter(lis(w) for w in words) == lc

@@ -6,25 +6,14 @@ import numpy as np
 import pytest
 
 from butterfly_trees import gepp
-from butterfly_trees.butterfly import (
-    all_nonsimple_words,
-    all_simple_words,
-    class_indices,
-    enumerate_nonsimple,
-    enumerate_simple,
-    is_nonsimple_butterfly,
-    is_simple_butterfly,
-)
+from butterfly_trees.butterfly import all_nonsimple_words, all_simple_words, class_indices
 from butterfly_trees.gepp import (
     batch_gepp,
     gepp_factorization,
-    gepp_permutation,
     max_plu_error,
     nonsimple_matrices,
     pivot_classes,
-    random_nonsimple_butterfly_matrix,
-    random_simple_butterfly_matrix,
-    rotation,
+    random_angles,
     simple_matrices,
     uniformity_check,
 )
@@ -39,32 +28,47 @@ def plu_error(M, word, L, U):
     return np.abs(P @ M - L @ U).max()
 
 
+MATRICES = {"simple": (lambda n: n, simple_matrices), "nonsimple": (lambda n: (1 << n) - 1, nonsimple_matrices)}
+
+
+def rotation(theta):
+    """Order-2 clockwise rotation [[cos, sin], [-sin, cos]]."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
+
+def random_matrices(family, n, count, rng):
+    return MATRICES[family][1](n, random_angles(family, n, count, rng))
+
+
 def test_rotation():
-    assert np.allclose(rotation(0.0), np.eye(2))
-    t = 0.7
-    R = rotation(t)
-    assert np.allclose(R.T @ R, np.eye(2), atol=1e-15)
-    assert R[0, 1] == math.sin(t) and R[1, 0] == -math.sin(t)
+    # a matrix of order 2 is one clockwise rotation in both families
+    for make in (simple_matrices, nonsimple_matrices):
+        assert np.array_equal(make(1, [[0.0]])[0], np.eye(2))
+        t = 0.7
+        R = make(1, [[t]])[0]
+        assert np.allclose(R.T @ R, np.eye(2), atol=1e-15)
+        assert R[0, 1] == math.sin(t) and R[1, 0] == -math.sin(t) and R[0, 0] == R[1, 1] == math.cos(t)
 
 
 def test_gepp_examples():
-    assert gepp_permutation(np.eye(4)) == (1, 2, 3, 4)
-    assert gepp_permutation(rotation(2 * math.pi / 3)) == (2, 1)
+    assert gepp_factorization(np.eye(4))[0] == (1, 2, 3, 4)
+    assert gepp_factorization(rotation(2 * math.pi / 3))[0] == (2, 1)
     # |cos| = 0.5 < |sin| forces the swap at theta = 2*pi/3
     assert abs(math.cos(2 * math.pi / 3)) < abs(math.sin(2 * math.pi / 3))
 
 
 def test_gepp_tie_keeps_first_row():
     M = np.array([[1.0, 0.0], [-1.0, 1.0]])
-    assert gepp_permutation(M) == (1, 2)
+    assert gepp_factorization(M)[0] == (1, 2)
 
 
 def test_gepp_singular_raises():
     with pytest.raises(ValueError):
-        gepp_permutation(np.zeros((3, 3)))
+        gepp_factorization(np.zeros((3, 3)))
     M = np.array([[1.0, 2.0], [1.0, 2.0]])
     with pytest.raises(ValueError):
-        gepp_permutation(M)
+        gepp_factorization(M)
     with pytest.raises(ValueError):
         gepp_factorization(np.ones((2, 3)))
 
@@ -79,8 +83,11 @@ def test_identity_angles_give_identity_matrix():
 
 def test_order_two_sampler_is_one_rotation():
     theta = RngState(0).generator().uniform(0, 2 * np.pi)
-    assert np.allclose(random_simple_butterfly_matrix(1, RngState(0)), rotation(theta))
-    assert np.allclose(random_nonsimple_butterfly_matrix(1, RngState(0)), rotation(theta))
+    for family in ("simple", "nonsimple"):
+        assert random_angles(family, 1, 1, RngState(0)).tolist() == [[theta]]
+        assert np.allclose(random_matrices(family, 1, 1, RngState(0))[0], rotation(theta))
+    assert random_angles("simple", 3, 2, RngState(0)).shape == (2, 3)
+    assert random_angles("nonsimple", 3, 2, RngState(0)).shape == (2, 7)
 
 
 def test_simple_matrix_is_kron_of_rotations():
@@ -95,16 +102,16 @@ def test_simple_matrix_is_kron_of_rotations():
 
 def test_orthogonality():
     for n in range(1, 7):
-        M = random_simple_butterfly_matrix(n, RngState(42, n))
+        M = random_matrices("simple", n, 1, RngState(42, n))[0]
         assert np.abs(M.T @ M - np.eye(1 << n)).max() <= 1e-12
-        B = random_nonsimple_butterfly_matrix(n, RngState(43, n))
+        B = random_matrices("nonsimple", n, 1, RngState(43, n))[0]
         assert np.abs(B.T @ B - np.eye(1 << n)).max() <= 1e-12
 
 
 def test_plu_reconstruction():
     for n in range(1, 7):
         for i in range(10):
-            M = random_nonsimple_butterfly_matrix(n, RngState(77, 10 * n + i))
+            M = random_matrices("nonsimple", n, 1, RngState(77, 10 * n + i))[0]
             word, L, U = gepp_factorization(M)
             assert plu_error(M, word, L, U) <= 1e-9
             assert np.allclose(np.triu(L, 1), 0) and np.allclose(np.tril(U, -1), 0)
@@ -113,11 +120,9 @@ def test_plu_reconstruction():
 
 def test_membership_of_gepp_permutations():
     for n in range(1, 6):
-        for i in range(60):
-            w = gepp_permutation(random_simple_butterfly_matrix(n, RngState(7, 100 * n + i)))
-            assert is_simple_butterfly(w)
-            w = gepp_permutation(random_nonsimple_butterfly_matrix(n, RngState(8, 100 * n + i)))
-            assert is_nonsimple_butterfly(w)
+        for family, seed in (("simple", 7), ("nonsimple", 8)):
+            words, _ = batch_gepp(random_matrices(family, n, 60, RngState(seed, n)))
+            assert (class_indices(words, family) >= 0).all()
 
 
 def test_batch_gepp_matches_scalar():
@@ -125,14 +130,14 @@ def test_batch_gepp_matches_scalar():
     mats = nonsimple_matrices(3, g.uniform(0, 2 * np.pi, size=(25, 7)))
     words, _ = batch_gepp(mats)
     for t in range(25):
-        assert tuple(int(x) for x in words[t]) == gepp_permutation(mats[t])
+        assert tuple(int(x) for x in words[t]) == gepp_factorization(mats[t])[0]
 
 
 def test_uniformity_check_simple():
     rep = uniformity_check(2, 40_000, RngState(1234), family="simple")
     assert rep.classes == 4
     assert rep.pvalue > 0.001
-    assert sum(rep.counts.values()) == 40_000
+    assert sum(rep.counts) == 40_000
 
 
 def test_uniformity_check_nonsimple():
@@ -169,11 +174,11 @@ def test_uniformity_counts_match_dict_count(family, n):
     angles = n if family == "simple" else (1 << n) - 1
     make = simple_matrices if family == "simple" else nonsimple_matrices
     words, _ = batch_gepp(make(n, g.uniform(0, 2 * np.pi, size=(trials, angles))))
-    counted = Counter(tuple(row) for row in words.tolist())
-    classes = list(enumerate_simple(n) if family == "simple" else enumerate_nonsimple(n))
-    assert list(rep.counts) == classes
-    assert rep.counts == {w: counted.get(w, 0) for w in classes}
-    assert rep.classes == len(classes) and sum(rep.counts.values()) == trials
+    classes = (all_simple_words if family == "simple" else all_nonsimple_words)(n)
+    members = {w: i for i, w in enumerate(map(tuple, classes.tolist()))}
+    counted = Counter(members[w] for w in map(tuple, words.tolist()))
+    assert rep.counts == tuple(counted.get(i, 0) for i in range(len(classes)))
+    assert rep.classes == len(classes) and sum(rep.counts) == trials
 
 
 def test_uniformity_check_names_first_non_member(monkeypatch):
@@ -184,9 +189,9 @@ def test_uniformity_check_names_first_non_member(monkeypatch):
         return words, None
 
     monkeypatch.setattr(gepp, "batch_gepp", words_with_strays)
-    with pytest.raises(AssertionError, match=r"non-member word \(1, 3, 2, 4\) \(is_nonsimple_butterfly fails\)"):
+    with pytest.raises(AssertionError, match=r"non-member word \(1, 3, 2, 4\) \(not a nonsimple butterfly\)"):
         uniformity_check(2, 10, RngState(0), family="nonsimple")
-    with pytest.raises(AssertionError, match=r"non-member word \(1, 3, 2, 4\) \(is_simple_butterfly fails\)"):
+    with pytest.raises(AssertionError, match=r"non-member word \(1, 3, 2, 4\) \(not a simple butterfly\)"):
         uniformity_check(2, 10, RngState(0), family="simple")
 
 
@@ -196,16 +201,14 @@ def test_uniformity_check_needs_trials(trials):
         uniformity_check(2, trials, RngState(0), family="nonsimple")
 
 
-MATRICES = {"simple": (lambda n: n, simple_matrices), "nonsimple": (lambda n: (1 << n) - 1, nonsimple_matrices)}
-
-
 STACKS = [("simple", n) for n in range(1, 7)] + [("nonsimple", n) for n in range(1, 5)]
 
 
 @pytest.mark.parametrize("family,n", STACKS)
 def test_batch_gepp_equals_scalar_oracle_bit_for_bit(family, n):
     angles, make = MATRICES[family]
-    mats = make(n, RngState(31, n).generator().uniform(0, 2 * np.pi, size=(40, angles(n))))
+    thetas = RngState(31, n).generator().uniform(0, 2 * np.pi, size=(40, angles(n)))
+    mats = make(n, thetas)
     words, lu = batch_gepp(mats)
     errors = []
     for M, w, f in zip(mats, words, lu):
@@ -215,7 +218,7 @@ def test_batch_gepp_equals_scalar_oracle_bit_for_bit(family, n):
         one = gepp_factorization(M)
         assert one[0] == word and np.array_equal(one[1], L) and np.array_equal(one[2], U)
         errors.append(float(plu_error(M, word, L, U)))
-    assert max_plu_error(mats) == max(errors)
+    assert max_plu_error(family, n, thetas) == max(errors)
 
 
 def test_batch_gepp_raises_on_the_first_singular_column():
@@ -226,27 +229,33 @@ def test_batch_gepp_raises_on_the_first_singular_column():
     assert "numerically singular column 2" in str(oracle.value)
     with pytest.raises(ValueError, match=f"^{re.escape(str(oracle.value))}$"):
         batch_gepp(mats)
-    with pytest.raises(ValueError, match="numerically singular column 2"):
-        max_plu_error(mats)
     with pytest.raises(ValueError, match="expected a"):
         batch_gepp(mats[0])
 
 
 def test_max_plu_error_factors_bounded_slices(monkeypatch):
-    mats = nonsimple_matrices(3, RngState(12).generator().uniform(0, 2 * np.pi, size=(50, 7)))
-    whole = max_plu_error(mats)
-    real, sizes = gepp.batch_gepp, []
+    # the matrices are built a slice at a time too, and the slices give the floats of the whole stack
+    thetas, whole = {}, {}
+    for family, (_, make) in MATRICES.items():
+        thetas[family] = random_angles(family, 3, 50, RngState(12))
+        mats = make(3, thetas[family])
+        words, lu = batch_gepp(mats)
+        whole[family] = max(float(plu_error(M, w, np.tril(f, -1) + np.eye(8), np.triu(f))) for M, w, f in zip(mats, words, lu))
+    sizes = {"batch_gepp": [], "nonsimple_matrices": []}
+    for name in sizes:
 
-    def recording(stack):
-        sizes.append(len(stack))
-        return real(stack)
+        def recording(*args, name=name, real=getattr(gepp, name)):
+            sizes[name].append(len(args[-1]))  # the stack, or its angles
+            return real(*args)
 
-    monkeypatch.setattr(gepp, "batch_gepp", recording)
-    assert max_plu_error(mats) == whole and sizes == [50]
-    sizes.clear()
-    monkeypatch.setattr(gepp, "_PLU_ENTRIES", 1 << 10)  # 2^10 entries hold 16 matrices of order 8
-    assert max_plu_error(mats) == whole
-    assert sizes == [16, 16, 16, 2]
+        monkeypatch.setattr(gepp, name, recording)
+    for entries, slices in ((gepp._PLU_ENTRIES, [50]), (1 << 10, [16, 16, 16, 2])):  # 2^10 entries hold 16 of order 8
+        monkeypatch.setattr(gepp, "_PLU_ENTRIES", entries)
+        for family in MATRICES:
+            for calls in sizes.values():
+                calls.clear()
+            assert max_plu_error(family, 3, thetas[family]) == whole[family]
+            assert sizes == {"batch_gepp": slices, "nonsimple_matrices": slices}
 
 
 @pytest.mark.parametrize(
@@ -308,7 +317,7 @@ def test_uniformity_check_runs_gepp_on_a_bounded_sample(monkeypatch, n, trials, 
         return real(mats)
 
     monkeypatch.setattr(gepp, "batch_gepp", recording)
-    assert sum(uniformity_check(n, trials, RngState(5)).counts.values()) == trials
+    assert sum(uniformity_check(n, trials, RngState(5)).counts) == trials
     assert sizes == [sample]
 
 

@@ -1,7 +1,9 @@
 import pytest
 
 from butterfly_trees.exact import simple_height_counts
-from butterfly_trees.lattice import adjacency_pattern, degree_multiset, explicit_degree_multiset
+from butterfly_trees.lattice import degree_multiset
+
+from conftest import explicit_degree_multiset
 
 
 def test_degree_multiset_examples():
@@ -21,29 +23,3 @@ def test_degree_multiset_equals_height_counts():
 def test_analytic_matches_explicit_adjacency():
     for n in range(1, 13):
         assert degree_multiset(n) == explicit_degree_multiset(n)
-    with pytest.raises(ValueError):
-        explicit_degree_multiset(13)
-
-
-def test_adjacency_pattern_small():
-    assert adjacency_pattern(1) == [(1, 2), (2, 1)]
-    # 4 subsets: {} and {1,2} are comparable to all 3 others, the two
-    # singletons only to those two, so 3+2+2+3 = 10 ordered pairs
-    pat = adjacency_pattern(2)
-    assert len(pat) == 10
-    assert (2, 3) not in pat and (3, 2) not in pat  # {1} vs {2} incomparable
-    assert all((c, r) in set(pat) for r, c in pat)
-
-
-def test_adjacency_handshake():
-    for n in range(1, 9):
-        total_degree = sum(d * c for d, c in degree_multiset(n).items())
-        assert len(adjacency_pattern(n)) == total_degree
-    with pytest.raises(ValueError):
-        adjacency_pattern(13)
-
-
-def test_adjacency_pattern_n12_count():
-    # full-size pattern: handshake identity sum_k C(n,k) (2^k + 2^(n-k) - 2)
-    pat = adjacency_pattern(12)
-    assert len(pat) == 2 * (3**12 - 2**12)
