@@ -5,7 +5,6 @@ from .bst import BstSummary, batch_summaries, summary
 from .exact import (
     BoundSequences,
     Constants,
-    TripleDistribution,
     bound_sequences,
     constants,
     cycle_moment,
@@ -18,7 +17,7 @@ from .exact import (
     simple_height_mean,
     simple_height_pmf,
     stirling1_pmf,
-    triple_dist_nonsimple,
+    triple_counts,
 )
 from .gepp import gepp_factorization, uniformity_check
 from .lattice import degree_multiset

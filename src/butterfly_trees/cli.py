@@ -34,8 +34,9 @@ _CHUNK = 250  # rows per sampled chunk
 _CHUNK_ENTRIES = 1 << 23  # entries per sampled chunk, and the largest row allowed
 # fig8 and law-hist: the largest n whose 2^n-entry row fits one chunk
 _LEVEL_CAP = _CHUNK_ENTRIES.bit_length() - 1
-# bounds: the exact law takes ~1.4 s at n = 7 and ~25 s with 0.7 GB at n = 8 (2-vCPU Xeon)
-EXACT_MAX_CAP = 7
+# bounds: the exact mean reads the level-(n-1) law, ~0.08 s at n = 7 and ~1.6 s at n = 8;
+# n = 9 would need the level-8 law, ~25 s with 0.7 GB (2-vCPU Xeon)
+EXACT_MAX_CAP = 8
 # pmf --n per --which: every number must print within Python's 4300-digit int-to-str
 # limit (n! passes it near n = 1555, 2^n near n = 14284), in seconds: ~0.9 s for
 # stirling 1000, ~3.7 s for simple-height 10000, ~1.3 s for cycle-moments 100 (200: ~40 s)

@@ -13,7 +13,9 @@ The level recursions avoid pairwise loops over supports:
   level. A step conditions on the first copy's edge and takes the height
   maximum from products of CDFs along h, then first differences; counts are
   int64 up to level 5 and Python ints in object arrays from level 6 on,
-  where the total 2^63 no longer fits int64.
+  where the total 2^63 no longer fits int64. The exact mean height at
+  level n sums the same CDF products over level n-1 and never builds
+  level n.
 - The LIS and cycle laws square their count polynomial by Kronecker
   substitution: the counts are packed into one Python integer, which is
   squared and cut back into counts.
@@ -148,11 +150,11 @@ class Constants:
     d: float
 
 
-def constants(tol: float = 1e-12) -> Constants:
+def constants() -> Constants:
     Cstar = 1 + math.sqrt(8 * math.sqrt(2) - 11)
     xi = (1 + math.sqrt(2) + math.sqrt(2 * math.sqrt(2) - 1)) / 2
     return Constants(
-        cstar=devroye_constant(tol),
+        cstar=devroye_constant(1e-12),
         alpha=math.log2(1.5),
         beta=math.log2(xi),
         xi=xi,
@@ -252,50 +254,9 @@ def nonsimple_mean_bounds(n: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-class SupportCapExceeded(RuntimeError):
-    def __init__(self, level: int, attained: int, cap: int):
-        super().__init__(f"joint-law support {attained} at level {level} exceeds cap {cap}")
-        self.level = level
-        self.attained = attained
-        self.cap = cap
-
-
-@dataclass(frozen=True)
-class TripleDistribution:
-    """Exact law of (height, left edge, right edge) with dyadic weights.
-
-    ``weights[(h, l, r)]`` is an integer count and the total mass is
-    sum(weights) / 2^denom_exp == 1 exactly.
-    """
-
-    level: int
-    weights: dict[tuple[int, int, int], int]
-    denom_exp: int
-
-    def __post_init__(self):
-        total = sum(self.weights.values())
-        if total != 1 << self.denom_exp:
-            raise ValueError(f"weights sum to {total}, expected 2^{self.denom_exp}")
-
-    def prob(self, triple: tuple[int, int, int]) -> Fraction:
-        return Fraction(self.weights.get(triple, 0), 1 << self.denom_exp)
-
-    def support(self) -> int:
-        return len(self.weights)
-
-    def marginal_counts(self, coord: int) -> dict[int, int]:
-        """Weight counts of one coordinate (0 = H, 1 = L, 2 = R)."""
-        out: dict[int, int] = {}
-        for t, w in self.weights.items():
-            out[t[coord]] = out.get(t[coord], 0) + w
-        return out
-
-    def moment(self, coord: int, power: int = 1) -> Fraction:
-        num = sum(t[coord] ** power * w for t, w in self.weights.items())
-        return Fraction(num, 1 << self.denom_exp)
-
-    def mean_height(self) -> Fraction:
-        return self.moment(0)
+def _height_edge_cdf(W: np.ndarray) -> np.ndarray:
+    """F[h, c] = #{H <= h, R = c} from the counts ``W[h, l, r]`` of one level."""
+    return np.cumsum(W.sum(axis=1), axis=0)
 
 
 def _wreath_step(W: np.ndarray) -> np.ndarray:
@@ -310,7 +271,7 @@ def _wreath_step(W: np.ndarray) -> np.ndarray:
     """
     D = W.shape[0]
     F1 = np.cumsum(W, axis=0)  # F1[h, l, c] = #{H1 <= h, L1 = l, R1 = c}
-    F2 = np.cumsum(W.sum(axis=1), axis=0)  # F2[h, r] = #{H2 <= h, R2 = r}
+    F2 = _height_edge_cdf(W)  # F2[h, r] = #{H2 <= h, R2 = r}
     new = np.zeros((2 * D, 2 * D, 2 * D), dtype=W.dtype)
     for c in range(D):
         m = D - c  # L1 < D - c: the two top edges share only the root
@@ -320,37 +281,48 @@ def _wreath_step(W: np.ndarray) -> np.ndarray:
     return new + new.transpose(0, 2, 1)
 
 
-def triple_dist_nonsimple(n: int, support_cap: int = 5_000_000) -> TripleDistribution:
-    """Exact joint (H, L, R) law at level n by convolving two iid level-(n-1)
-    copies through the deterministic edge recursion with a fair outer bit.
+def triple_counts(n: int) -> tuple[np.ndarray, int]:
+    """Exact joint (H, L, R) law at level n as (counts ``W[h, l, r]``,
+    denominator exponent), from two iid level-(n-1) copies through the
+    deterministic edge recursion with a fair outer bit.
 
-    Each level is a dense count array ``W[h, l, r]`` of side 2^level; see
-    :func:`_wreath_step` for one step. The counts sum to 2^(2^level - 1),
-    so they are int64 up to level 5 and Python ints in an object array from
-    level 6 on, where int64 would wrap. ``SupportCapExceeded`` is raised as
-    soon as a level has more than ``support_cap`` nonzero cells.
+    ``W`` is dense of side 2^n; level 0 is the one-node tree (0, 0, 0). See
+    :func:`_wreath_step` for one step. The counts sum to 2^(2^n - 1), so they
+    are int64 up to level 5 and Python ints in an object array from level 6
+    on, where int64 would wrap.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    W = np.zeros((2, 2, 2), dtype=np.int64)
-    W[1, 0, 1] = W[1, 1, 0] = 1
-    exp = 1
-    for level in range(2, n + 1):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    W = np.ones((1, 1, 1), dtype=np.int64)
+    exp = 0
+    for _ in range(n):
         exp = 2 * exp + 1
         if 1 << exp > np.iinfo(np.int64).max:
             W = W.astype(object)
         W = _wreath_step(W)
-        support = np.count_nonzero(W)
-        if support > support_cap:
-            raise SupportCapExceeded(level, support, support_cap)
-    h, l, r = np.nonzero(W)
-    weights = dict(zip(zip(h.tolist(), l.tolist(), r.tolist()), W[h, l, r].tolist()))
-    return TripleDistribution(n, weights, exp)
+    return W, exp
 
 
 def exact_mean_height(n: int) -> Fraction:
-    """Exact mean height of a uniform nonsimple butterfly tree with 2^n nodes."""
-    return triple_dist_nonsimple(n).mean_height()
+    """Exact mean height of a uniform nonsimple butterfly tree with 2^n nodes.
+
+    E h_n = sum_h P(h_n > h) needs only level n-1: bit 1 mirrors bit 0 and
+    gives the same height law, so h_n = max(H1, R1+1+H2) in law. With
+    F[h, c] = #{H1 <= h, R1 = c} and F2(h) = #{H2 <= h}, the pairs with
+    h_n <= h number sum_c F[h, c]·F2(h-c-1), for h = 0 .. 2^n - 2 (the
+    largest height is 2^n - 1). Each such count fits int64 at n = 6; their
+    sum over h does not, so it is taken in Python ints.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    W, exp = triple_counts(n - 1)
+    D = W.shape[0]
+    F = _height_edge_cdf(W)
+    F2 = np.concatenate([np.zeros(1, dtype=W.dtype), F.sum(axis=1)])  # F2[x + 1] = #{H2 <= x}
+    h = np.arange(2 * D - 1)
+    below = (F[np.minimum(h, D - 1)] * F2[np.clip(h[:, None] - np.arange(D), 0, D)]).sum(axis=1)
+    pairs = 1 << (2 * exp)
+    return Fraction(pairs * len(below) - sum(below.tolist()), pairs)
 
 
 def _square_poly(c: list[int], bits: int) -> list[int]:

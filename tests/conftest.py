@@ -218,6 +218,8 @@ def lis_brute_all(n: int) -> tuple[np.ndarray, np.ndarray]:
     Rows of ``words`` follow itertools.permutations order.
     """
     words = np.array(list(all_words(n)), dtype=np.int64)
+    if n < 2:  # no subsequence has a pair to compare
+        return words, np.ones(len(words), dtype=np.int64)
     flat_i, flat_j, seg_start, seg_len = [], [], [], []
     for mask in range(1, 1 << n):
         idxs = [i for i in range(n) if (mask >> i) & 1]
@@ -232,6 +234,12 @@ def lis_brute_all(n: int) -> tuple[np.ndarray, np.ndarray]:
     ok_all = np.logical_and.reduceat(ok, np.array(seg_start), axis=1)
     lens = np.where(ok_all, np.array(seg_len)[None, :], 0)
     return words, np.maximum(1, lens.max(axis=1))
+
+
+def nonzero_counts(W: np.ndarray) -> dict[tuple[int, ...], int]:
+    """The nonzero cells of a count array as {index tuple: count}."""
+    idx = np.nonzero(W)
+    return dict(zip(zip(*(i.tolist() for i in idx)), W[idx].tolist()))
 
 
 def dict_triple_levels(n: int) -> list[dict[tuple[int, int, int], int]]:

@@ -27,7 +27,7 @@ from butterfly_trees.exact import (
     simple_height_counts,
     simple_height_mean,
     stirling1_row,
-    triple_dist_nonsimple,
+    triple_counts,
 )
 from butterfly_trees.gepp import gepp_factorization, nonsimple_matrices, uniformity_check
 from butterfly_trees.sampling import RngState
@@ -42,6 +42,7 @@ from conftest import (
     lis,
     ltr_maxima_len,
     naive_summary,
+    nonzero_counts,
 )
 
 TABLE1 = {1023: 2, 512: 20, 258: 90, 134: 240, 78: 420, 62: 252}
@@ -101,9 +102,9 @@ def test_criterion_04_nonsimple_exhaustive_oracle():
     assert list(zip(*(a.tolist() for a in stats_from_shape_bits(n, shapes)))) == direct
 
     hist = Counter(direct)
-    dist = triple_dist_nonsimple(n)
-    assert dict(hist) == dist.weights
-    assert sum(dist.weights.values()) == 1 << dist.denom_exp
+    W, exp = triple_counts(n)
+    assert dict(hist) == nonzero_counts(W)
+    assert W.sum() == 1 << exp
 
     # cycles vs right edge: the laws over the full group coincide exactly
     assert Counter(cycles) == Counter(s[2] + 1 for s in direct)

@@ -183,7 +183,7 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["bounds", "--n-max", "-1"], "argument --n-max: must be >= 1"),
         (["explore-conjecture", "--grid", "0x5"], "argument --grid: grid entries must be >= 1"),
         (["explore-conjecture", "--grid", "4x6,5x0"], "argument --grid: grid entries must be >= 1"),
-        (["bounds", "--exact-max", "8"], "argument --exact-max: must be <= 7, got 8"),
+        (["bounds", "--exact-max", "9"], "argument --exact-max: must be <= 8, got 9"),
         (["law-hist", "--n", "24"], "argument --n: must be in 0..23, got 24"),
         (["explore-conjecture", "--grid", "5"], "argument --grid: expected NxM pairs like 50x50,100x20, got '5'"),
         (["explore-conjecture", "--grid", "4x6,ax5"], "argument --grid: expected NxM pairs like 50x50,100x20, got 'ax5'"),
@@ -223,7 +223,7 @@ def test_edge_arguments_are_accepted(capsys, args):
 
 
 def test_upper_bounds_accept_their_edge(capsys):
-    out = run_cli(capsys, ["bounds", "--n-max", "2", "--exact-max", "7"])
+    out = run_cli(capsys, ["bounds", "--n-max", "2", "--exact-max", "8"])
     assert out.endswith("1,1.00,1.0,1.00\n2,2.50,2.5,3.38\n")
     out = run_cli(capsys, ["bounds", "--n-max", "2", "--exact-max", "-3"])
     assert out.endswith("1,1.00,,1.00\n2,2.50,,3.38\n")

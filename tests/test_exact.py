@@ -8,8 +8,6 @@ from butterfly_trees.bst import batch_summaries
 from butterfly_trees.butterfly import all_nonsimple_words, all_simple_words
 from butterfly_trees.exact import (
     LAMBDA,
-    SupportCapExceeded,
-    TripleDistribution,
     bound_sequences,
     constants,
     cycle_law_counts,
@@ -25,11 +23,17 @@ from butterfly_trees.exact import (
     simple_height_pmf,
     stirling1_pmf,
     stirling1_row,
-    triple_dist_nonsimple,
+    triple_counts,
 )
 from butterfly_trees.sampling import RngState, nonsimple_butterfly_stats
 
-from conftest import all_words, cycle_count, dict_law_levels, dict_triple_levels, lis, ltr_maxima_len
+from conftest import all_words, cycle_count, dict_law_levels, dict_triple_levels, lis, ltr_maxima_len, nonzero_counts
+
+
+def moment(W, exp: int, coord: int, power: int = 1) -> Fraction:
+    """E X^power of one coordinate (0 = H, 1 = L, 2 = R) under the counts W / 2^exp."""
+    marginal = W.sum(axis=tuple(a for a in range(3) if a != coord))
+    return Fraction(sum(v**power * w for v, w in enumerate(marginal.tolist())), 1 << exp)
 
 
 def test_stirling_values():
@@ -111,10 +115,10 @@ def test_edge_moments():
     assert edge_moments(1) == (Fraction(1, 2), Fraction(1, 2))
     assert edge_moments(2) == (Fraction(5, 4), Fraction(5, 2))
     for n in range(1, 5):
-        dist = triple_dist_nonsimple(n)
+        W, exp = triple_counts(n)
         m1, m2 = edge_moments(n)
-        assert dist.moment(1, 1) == m1 and dist.moment(2, 1) == m1
-        assert dist.moment(1, 2) == m2 and dist.moment(2, 2) == m2
+        assert moment(W, exp, 1, 1) == m1 and moment(W, exp, 2, 1) == m1
+        assert moment(W, exp, 1, 2) == m2 and moment(W, exp, 2, 2) == m2
 
 
 def test_cycle_moments():
@@ -170,48 +174,46 @@ def test_nonsimple_mean_bounds():
 
 
 def test_triple_dist_base_and_mass():
-    d1 = triple_dist_nonsimple(1)
-    assert d1.weights == {(1, 0, 1): 1, (1, 1, 0): 1} and d1.denom_exp == 1
+    W0, exp0 = triple_counts(0)
+    assert nonzero_counts(W0) == {(0, 0, 0): 1} and exp0 == 0
+    W1, exp1 = triple_counts(1)
+    assert nonzero_counts(W1) == {(1, 0, 1): 1, (1, 1, 0): 1} and exp1 == 1
     for n in range(1, 5):
-        d = triple_dist_nonsimple(n)
-        assert sum(d.weights.values()) == 1 << d.denom_exp
-        assert d.denom_exp == (1 << n) - 1
-        for (h, l, r) in d.weights:
+        W, exp = triple_counts(n)
+        assert W.shape == (1 << n,) * 3
+        assert W.sum() == 1 << exp
+        assert exp == (1 << n) - 1
+        for (h, l, r) in nonzero_counts(W):
             assert h >= max(l, r)
-            assert h <= (1 << n) - 1
     with pytest.raises(ValueError):
-        TripleDistribution(1, {(1, 0, 1): 1}, 1)
+        triple_counts(-1)
 
 
 def test_triple_dist_matches_enumeration():
     for n in range(1, 4):
         hist = Counter(zip(*(a.tolist() for a in batch_summaries(all_nonsimple_words(n)))))
-        assert dict(hist) == triple_dist_nonsimple(n).weights
+        assert dict(hist) == nonzero_counts(triple_counts(n)[0])
 
 
 def test_triple_dist_matches_dict_convolution():
     for n, oracle in enumerate(dict_triple_levels(5), start=1):
-        weights = triple_dist_nonsimple(n).weights
-        assert weights == oracle
-        assert all(w > 0 for w in weights.values())
+        W, _ = triple_counts(n)
+        assert nonzero_counts(W) == oracle
+        assert (W >= 0).all()
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_triple_dist_past_int64(n):
     # level 6 is the first whose total 2^63 wraps int64; its counts are Python ints
-    d = triple_dist_nonsimple(n)
-    assert d.denom_exp == (1 << n) - 1
-    assert sum(d.weights.values()) == 1 << d.denom_exp
-    assert all(w > 0 for w in d.weights.values())
+    W, exp = triple_counts(n)
+    assert exp == (1 << n) - 1
+    assert W.sum() == 1 << exp
+    assert (W >= 0).all()
     m1, m2 = edge_moments(n)
-    assert d.moment(1, 1) == m1 and d.moment(1, 2) == m2
-    assert d.marginal_counts(1) == d.marginal_counts(2)
-    # independent of the convolution: heights from sampled shape bits
-    h, _, _ = nonsimple_butterfly_stats(n, 4000, RngState(2024, n))
-    sem = h.std(ddof=1) / math.sqrt(len(h))
-    assert abs(h.mean() - float(d.mean_height())) <= 5 * sem
-    lo, up = nonsimple_mean_bounds(n)
-    assert lo <= float(d.mean_height()) <= up
+    assert moment(W, exp, 1, 1) == m1 and moment(W, exp, 1, 2) == m2
+    assert (W.sum(axis=(0, 2)) == W.sum(axis=(0, 1))).all()
+    # the mean from level n - 1 against the full level-n law
+    assert exact_mean_height(n) == moment(W, exp, 0)
 
 
 def test_exact_mean_heights():
@@ -219,18 +221,29 @@ def test_exact_mean_heights():
     assert exact_mean_height(2) == Fraction(5, 2)
     assert exact_mean_height(3) == Fraction(19, 4)
     assert exact_mean_height(4) == Fraction(4203, 512)
-    for n in range(1, 5):
-        lo, up = nonsimple_mean_bounds(n)
+    for n in range(1, 6):
         m = exact_mean_height(n)
+        W, exp = triple_counts(n)
+        assert m == moment(W, exp, 0)
+        lo, up = nonsimple_mean_bounds(n)
         assert m >= 2 * LAMBDA**n - 2
         assert float(m) <= up + 1e-9
+    with pytest.raises(ValueError):
+        exact_mean_height(0)
 
 
-def test_support_cap():
-    with pytest.raises(SupportCapExceeded) as exc:
-        triple_dist_nonsimple(4, support_cap=100)
-    assert exc.value.attained > 100
-    assert exc.value.cap == 100
+@pytest.mark.parametrize(
+    "n,mean_repr", [(6, "21.35535695519614"), (7, "33.26661748143206"), (8, "51.18265204225739")]
+)
+def test_exact_mean_height_against_sampled_heights(n, mean_repr):
+    m = exact_mean_height(n)
+    assert repr(float(m)) == mean_repr
+    # independent of the convolution: heights from sampled shape bits
+    h, _, _ = nonsimple_butterfly_stats(n, 4000, RngState(2024, n))
+    sem = h.std(ddof=1) / math.sqrt(len(h))
+    assert abs(h.mean() - float(m)) <= 5 * sem
+    lo, up = nonsimple_mean_bounds(n)
+    assert lo <= float(m) <= up
 
 
 @pytest.mark.parametrize("law,law_counts", [("lis", lis_law_counts), ("cycle", cycle_law_counts)])
