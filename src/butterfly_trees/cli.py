@@ -11,7 +11,8 @@ byte-identical output.
 ``fig8``, ``theorem2-diff`` and ``law-hist`` sample in chunks of at most
 ``_CHUNK`` rows and ``_CHUNK_ENTRIES`` entries, chunk c from the one stream
 ``RngState(seed, c)`` (``theorem2-diff``: wreath words, then uniform words).
-An argument whose single row exceeds ``_CHUNK_ENTRIES`` is an argparse error.
+An argument whose single row exceeds ``_CHUNK_ENTRIES`` is an argparse error,
+and so is a ``clt-simple --samples`` above it: that sample is drawn in one piece.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .gepp import UNIFORMITY_CAP, max_plu_error, random_angles, uniformity_check
 
 DEFAULT_SEED = 1024
 _CHUNK = 250  # rows per sampled chunk
-_CHUNK_ENTRIES = 1 << 23  # entries per sampled chunk, and the largest row allowed
+_CHUNK_ENTRIES = 1 << 23  # entries per sampled chunk, the largest row allowed and the largest clt-simple sample
 # fig8 and law-hist: the largest n whose 2^n-entry row fits one chunk
 _LEVEL_CAP = _CHUNK_ENTRIES.bit_length() - 1
 # bounds: the exact mean reads the level-(n-1) law, ~0.08 s at n = 7 and ~1.6 s at n = 8;
@@ -384,8 +385,8 @@ def _joint_range_error(args: argparse.Namespace) -> str | None:
         return f"need n*m >= 2 (differences are scaled by log(n*m)), got n={args.n}, m={args.m}"
     if args.cmd == "theorem2-diff" and args.n * args.m > _CHUNK_ENTRIES:
         return f"need n*m <= {_CHUNK_ENTRIES} (one row must fit a chunk), got n={args.n}, m={args.m}"
-    if args.cmd == "theorem2-diff" and args.trials is not None and args.trials < 2:
-        return f"argument --trials: must be >= 2 for theorem2-diff (the SEM needs two trials), got {args.trials}"
+    if args.cmd == "clt-simple" and args.samples > _CHUNK_ENTRIES:
+        return f"argument --samples: must be <= {_CHUNK_ENTRIES}, got {args.samples}"
     if args.cmd == "pmf" and args.which != "cycle-moments" and args.n < 1:
         return f"argument --n: must be >= 1 for --which {args.which}, got {args.n}"
     if args.cmd == "pmf" and args.n > PMF_CAP[args.which]:
@@ -399,7 +400,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="butterfly-trees", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_bounded_int(0), default=DEFAULT_SEED, help="64-bit experiment seed")
-    common.add_argument("--trials", type=_bounded_int(1), default=None, help="Monte Carlo trial count")
     common.add_argument("--out", type=_out_path, default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -407,9 +407,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     sub.add_parser("table1", parents=[common])
     p = sub.add_parser("fig8", parents=[common])
     p.add_argument("--n", type=_bounded_int(1), default=10)
+    p.add_argument("--trials", type=_bounded_int(1), default=10_000)
     p = sub.add_parser("theorem2-diff", parents=[common])
     p.add_argument("--n", type=_bounded_int(1), default=10_000)
     p.add_argument("--m", type=_bounded_int(1), default=2)
+    p.add_argument("--trials", type=_bounded_int(2), default=2000, help="at least 2: the SEM needs two trials")
     p = sub.add_parser("clt-simple", parents=[common])
     p.add_argument("--n", type=_bounded_int(1), default=400)
     p.add_argument("--samples", type=_bounded_int(1), default=100_000)
@@ -418,9 +420,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--exact-max", type=_bounded_int(None, EXACT_MAX_CAP), default=4, help="negative: no exact column")
     p = sub.add_parser("explore-conjecture", parents=[common])
     p.add_argument("--grid", type=_parse_grid, default=[(50, 50)], help="pairs like 50x50,100x20")
+    p.add_argument("--trials", type=_bounded_int(1), default=500, help="trials per grid cell")
     p = sub.add_parser("gepp-check", parents=[common])
     p.add_argument("--n", type=_bounded_int(1), default=2)
     p.add_argument("--family", choices=("simple", "nonsimple"), default="nonsimple")
+    p.add_argument("--trials", type=_bounded_int(1), default=80_000)
     p = sub.add_parser("lattice-degrees", parents=[common])
     p.add_argument("--n", type=_bounded_int(1, lattice.ANALYTIC_CAP), default=10)
     p = sub.add_parser("pmf", parents=[common])
@@ -429,35 +433,33 @@ def main(argv: Sequence[str] | None = None) -> int:
     p = sub.add_parser("law-hist", parents=[common])
     p.add_argument("--law", choices=("lis", "cycle"), default="cycle")
     p.add_argument("--n", type=_bounded_int(0, _LEVEL_CAP), default=4)
+    p.add_argument("--trials", type=_bounded_int(1), default=100_000)
 
     args = parser.parse_args(argv)
     problem = _joint_range_error(args)
     if problem:
         sub.choices[args.cmd].error(problem)
 
-    def trials(default: int) -> int:
-        return default if args.trials is None else args.trials
-
     if args.cmd == "table1":
         meta, cols = table1_data()
     elif args.cmd == "fig8":
-        meta, cols = fig8_data(args.n, trials(10_000), args.seed)
+        meta, cols = fig8_data(args.n, args.trials, args.seed)
     elif args.cmd == "theorem2-diff":
-        meta, cols = theorem2_diff_data(args.n, args.m, trials(2000), args.seed)
+        meta, cols = theorem2_diff_data(args.n, args.m, args.trials, args.seed)
     elif args.cmd == "clt-simple":
         meta, cols = clt_simple_data(args.n, args.samples, args.seed)
     elif args.cmd == "bounds":
         meta, cols = bounds_data(args.n_max, args.exact_max)
     elif args.cmd == "explore-conjecture":
-        meta, cols = explore_conjecture_data(args.grid, trials(500), args.seed)
+        meta, cols = explore_conjecture_data(args.grid, args.trials, args.seed)
     elif args.cmd == "gepp-check":
-        meta, cols = gepp_check_data(args.n, trials(80_000), args.seed, args.family)
+        meta, cols = gepp_check_data(args.n, args.trials, args.seed, args.family)
     elif args.cmd == "lattice-degrees":
         meta, cols = lattice_degrees_data(args.n)
     elif args.cmd == "pmf":
         meta, cols = pmf_data(args.which, args.n)
     elif args.cmd == "law-hist":
-        meta, cols = law_hist_data(args.law, args.n, trials(100_000), args.seed)
+        meta, cols = law_hist_data(args.law, args.n, args.trials, args.seed)
     else:  # pragma: no cover
         parser.error(f"unhandled subcommand {args.cmd}")
     meta.setdefault("seed", args.seed)

@@ -22,7 +22,8 @@ of angles in bounded slices.
 The class also follows from the angles alone (Peca-Medlin & Trogdon,
 "Growth factors of random butterfly matrices and the stability of
 avoiding pivoting", SIAM J. Matrix Anal. Appl. 2023): with the pivot bit
-b = [|sin theta| > |cos theta|] of each angle, :func:`pivot_classes`
+b = [|sin theta| > |cos theta|] of each angle, computed as
+[|tan theta| > 1] with one transcendental per angle, :func:`pivot_classes`
 gives a simple matrix the class sum_k b_k 2^k, and reads a nonsimple
 matrix's shape from the root down, its children swapped wherever the
 parent's bit is 1. :func:`uniformity_check` counts classes by this rule
@@ -86,8 +87,16 @@ def simple_matrices(n: int, thetas: np.ndarray) -> np.ndarray:
 
 
 def _pivot_bits(thetas: np.ndarray) -> np.ndarray:
-    """GEPP swaps the rows of an angle's rotation iff |sin| > |cos| (first row on ties)."""
-    return np.abs(np.sin(thetas)) > np.abs(np.cos(thetas))
+    """GEPP swaps the rows of an angle's rotation iff |sin| > |cos| (first row on ties).
+
+    Computed as |tan| > 1, one transcendental instead of two. Only angles
+    next to a tie (2k+1) pi / 4 could read differently, and there the forms
+    agree: order-2 GEPP compares the rounded |cos| and |sin| themselves, and
+    a test checks this rule against it at every double within 1000 ulps of
+    each tie in [0, 2 pi). At the double nearest 29 pi / 4, sin and cos round
+    equal and tan rounds to exactly 1, so both forms keep the first row.
+    """
+    return np.abs(np.tan(thetas)) > 1
 
 
 def _simple_classes(n: int, thetas: np.ndarray) -> np.ndarray:
@@ -222,9 +231,6 @@ def max_plu_error(family: str, n: int, thetas: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class UniformityReport:
-    family: str
-    n: int
-    trials: int
     classes: int
     statistic: float
     pvalue: float
@@ -272,9 +278,6 @@ def uniformity_check(
 
     res = stats.chisquare(counts)
     return UniformityReport(
-        family=family,
-        n=n,
-        trials=trials,
         classes=len(counts),
         statistic=float(res.statistic),
         pvalue=float(res.pvalue),

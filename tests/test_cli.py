@@ -187,7 +187,7 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["law-hist", "--n", "24"], "argument --n: must be in 0..23, got 24"),
         (["explore-conjecture", "--grid", "5"], "argument --grid: expected NxM pairs like 50x50,100x20, got '5'"),
         (["explore-conjecture", "--grid", "4x6,ax5"], "argument --grid: expected NxM pairs like 50x50,100x20, got 'ax5'"),
-        (["theorem2-diff", "--trials", "1"], "argument --trials: must be >= 2 for theorem2-diff"),
+        (["theorem2-diff", "--trials", "1"], "theorem2-diff: error: argument --trials: must be >= 2, got 1"),
         (["fig8", "--n", "24"], "argument --n: must be <= 23, got 24"),
         (["theorem2-diff", "--n", "5000000", "--m", "2"], "need n*m <= 8388608"),
         (["theorem2-diff", "--n", "8388609", "--m", "1"], "need n*m <= 8388608"),
@@ -196,6 +196,12 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["pmf", "--which", "simple-height", "--n", "10001"], "argument --n: must be <= 10000 for --which simple-height, got 10001"),
         (["pmf", "--out", "no-such-dir/x.csv"], "argument --out: cannot write 'no-such-dir/x.csv': 'no-such-dir' is not a writable directory"),
         (["gepp-check", "--out", "."], "argument --out: '.' is a directory"),
+        (["table1", "--trials", "5"], "unrecognized arguments: --trials 5"),
+        (["clt-simple", "--trials", "5"], "unrecognized arguments: --trials 5"),
+        (["bounds", "--trials", "5"], "unrecognized arguments: --trials 5"),
+        (["lattice-degrees", "--trials", "5"], "unrecognized arguments: --trials 5"),
+        (["pmf", "--trials", "5"], "unrecognized arguments: --trials 5"),
+        (["clt-simple", "--samples", "8388609"], "argument --samples: must be <= 8388608, got 8388609"),
     ],
 )
 def test_bad_arguments_are_argparse_errors(capsys, args, message):

@@ -281,6 +281,15 @@ def test_pivot_classes_keep_first_row_on_exact_ties(family, n):
     assert pivot_classes(family, n, thetas).tolist() == [0]
 
 
+def test_pivot_classes_match_gepp_near_ties():
+    # order-2 GEPP compares the rounded |cos| and |sin| themselves, so this pins the rule's float
+    # behaviour at every double within 1000 ulps of each tie (2k+1) pi / 4 in [0, 2 pi)
+    ties = np.array([(2 * k + 1) * np.pi / 4 for k in range(8)])
+    thetas = (ties.view(np.int64)[:, None] + np.arange(-1000, 1001)).view(np.float64).reshape(-1, 1)
+    expected = class_indices(batch_gepp(simple_matrices(1, thetas))[0], "simple")
+    np.testing.assert_array_equal(pivot_classes("simple", 1, thetas), expected)
+
+
 def test_pivot_classes_checks_angle_count():
     with pytest.raises(ValueError, match="wrong number of angles"):
         pivot_classes("nonsimple", 2, np.zeros((4, 2)))
