@@ -8,9 +8,15 @@ statistical subcommands carry their acceptance band beside the observed
 value. Re-running a subcommand with identical configuration reproduces
 byte-identical output.
 
-``fig8``, ``theorem2-diff`` and ``law-hist`` sample in chunks of at most
-``_CHUNK`` rows and ``_CHUNK_ENTRIES`` entries, chunk c from the one stream
-``RngState(seed, c)`` (``theorem2-diff``: wreath words, then uniform words).
+``fig8``, ``theorem2-diff``, ``explore-conjecture`` and ``law-hist`` sample
+in chunks of at most ``_CHUNK`` rows and ``_CHUNK_ENTRIES`` entries (a row
+being the keys of one tree, or the 2^n entries of one law sample), chunk c
+from the one stream ``RngState(seed, c)``. ``theorem2-diff`` draws a chunk's
+wreath heights, then its uniform heights, from that stream. Cell i of an
+``explore-conjecture`` grid of G cells draws chunk c from
+``RngState(seed, c * G + i)``, so no two (cell, chunk) pairs share a stream.
+No sampled tree is built from a word: the samplers split key intervals
+(``sampling.uniform_bst_stats``, ``sampling.wreath_heights``).
 An argument whose single row exceeds ``_CHUNK_ENTRIES`` is an argparse error,
 and so is a ``clt-simple --samples`` above it: that sample is drawn in one piece.
 """
@@ -94,12 +100,15 @@ def _emit(meta: dict, columns: dict[str, list], out: str | None, fmt: str) -> st
 # ---------------------------------------------------------------------------
 
 
-def _chunked(trials: int, row_len: int, seed: int, draw) -> np.ndarray:
-    """Concatenated ``draw(rows, RngState(seed, c))`` over chunks c of ``row_len``-entry trials."""
+def _chunked(trials: int, row_len: int, seed: int, draw, cell: int = 0, cells: int = 1) -> np.ndarray:
+    """Concatenated ``draw(rows, RngState(seed, c * cells + cell))`` over chunks c
+    of ``row_len``-entry trials: cell ``cell`` of ``cells`` gets its own streams."""
     rows = min(_CHUNK, _CHUNK_ENTRIES // row_len)
     if rows < 1:
         raise ValueError(f"a row of {row_len} entries exceeds the chunk budget of {_CHUNK_ENTRIES}")
-    return np.concatenate([draw(min(rows, trials - s), sampling.RngState(seed, c)) for c, s in enumerate(range(0, trials, rows))])
+    return np.concatenate(
+        [draw(min(rows, trials - s), sampling.RngState(seed, c * cells + cell)) for c, s in enumerate(range(0, trials, rows))]
+    )
 
 
 def table1_data() -> tuple[dict, dict]:
@@ -148,8 +157,8 @@ def theorem2_diff_data(n: int, m: int, trials: int, seed: int) -> tuple[dict, di
 
     def draw(b, rng):
         g = rng.generator()
-        hw, _, _ = bst.batch_summaries(sampling.wreath_words(n, m, b, g))
-        hu, _, _ = bst.batch_summaries(sampling.uniform_words(n * m, b, g))
+        hw = sampling.wreath_heights(n, m, b, g)
+        hu, _, _ = sampling.uniform_bst_stats(n * m, b, g)
         return (hw - hu) / scale
 
     d = _chunked(trials, n * m, seed, draw)
@@ -225,8 +234,7 @@ def explore_conjecture_data(grid: Sequence[tuple[int, int]], trials: int, seed: 
     cstar = exact.constants().cstar
     out = {k: [] for k in ("n", "m", "trials", "ratio_mean", "degenerate", "threshold", "exceed_freq")}
     for idx, (n, m) in enumerate(grid):
-        words = sampling.wreath_words(n, m, trials, sampling.RngState(seed, idx))
-        h, _, _ = bst.batch_summaries(words)
+        h = _chunked(trials, n * m, seed, lambda b, rng: sampling.wreath_heights(n, m, b, rng), idx, len(grid))
         thresh = cstar * float(exact.harmonic(n)) * math.log(m) if m > 1 else float("nan")
         out["n"].append(n)
         out["m"].append(m)
@@ -348,6 +356,8 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
             raise argparse.ArgumentTypeError(f"expected NxM pairs like 50x50,100x20, got {part!r}") from None
         if n < 1 or m < 1:
             raise argparse.ArgumentTypeError(f"grid entries must be >= 1, got {part!r}")
+        if n * m > _CHUNK_ENTRIES:
+            raise argparse.ArgumentTypeError(f"need n*m <= {_CHUNK_ENTRIES} (one row must fit a chunk), got {part!r}")
         grid.append((n, m))
     return grid
 

@@ -8,8 +8,10 @@ words, the block decomposition of a wreath BST (Theorem 2's depth
 identity), the exact laws by pairwise dict convolution over their
 supports, the butterfly words, membership tests and matrices by their
 block recursions, the Boolean lattice's degrees from its adjacency, GEPP
-by a one-matrix row loop, and the uniform and wreath word samplers by
-shuffling and stacking copies.
+by a one-matrix row loop, the uniform and wreath words by shuffling and
+stacking copies (the package samples their trees without words), the
+wreath height law by enumerating the group, and the uniform BST height law
+by its size recursion.
 """
 
 from __future__ import annotations
@@ -386,15 +388,44 @@ def scalar_gepp(M: np.ndarray, tol: float = 1e-12) -> tuple[tuple[int, ...], np.
     return tuple(word), np.tril(A, -1) + np.eye(N), np.triu(A)
 
 
-def uniform_words_copying(n: int, count: int, g: np.random.Generator) -> np.ndarray:
+def uniform_words(n: int, count: int, g: np.random.Generator) -> np.ndarray:
     """(count, n) uniform words by shuffling a copy of the tiled identity."""
     return g.permuted(np.tile(np.arange(1, n + 1, dtype=np.int64), (count, 1)), axis=1)
 
 
-def wreath_words_stacked(n: int, m: int, count: int, g: np.random.Generator) -> np.ndarray:
-    """(count, n*m) wreath words by stacking all m blocks, picking block rho(i) for
-    position-block i and shifting it up by rho(i)*n."""
+def wreath_words(n: int, m: int, count: int, g: np.random.Generator) -> np.ndarray:
+    """(count, n*m) uniform S_n wr S_m words by stacking all m blocks, picking block
+    rho(i) for position-block i and shifting it up by rho(i)*n. Independent uniform
+    draws of the outer word and of every block give a uniform group element."""
     rho = g.permuted(np.tile(np.arange(m, dtype=np.int64), (count, 1)), axis=1)
-    blocks = np.stack([uniform_words_copying(n, count, g) for _ in range(m)], axis=1)
+    blocks = np.stack([uniform_words(n, count, g) for _ in range(m)], axis=1)
     picked = blocks[np.arange(count)[:, None], rho]
     return (picked + (rho * n)[:, :, None]).reshape(count, n * m)
+
+
+def wreath_height_counts(n: int, m: int) -> dict[int, int]:
+    """{height: count} over every word of S_n wr S_m, by insertion."""
+    counts: dict[int, int] = {}
+    for rho in all_words(m):
+        for blocks in itertools.product(list(all_words(n)), repeat=m):
+            h = naive_summary(assemble_wreath(rho, blocks))[0]
+            counts[h] = counts.get(h, 0) + 1
+    return counts
+
+
+def uniform_height_cdf(N: int, K: int) -> np.ndarray:
+    """P(h_N <= k) for k = 0..K, h_N the height of a uniform BST on N keys, from
+    F_k(M) = (1/M) sum_{i+j=M-1} F_{k-1}(i) F_{k-1}(j), F_k(0) = 1, F_{-1}(M) = [M = 0]:
+    one FFT self-convolution per level. The FFT length is at least 2N + 1, so that
+    no index of the convolution aliases onto another."""
+    L = 1 << (2 * N).bit_length()  # > 2N
+    F = np.zeros(N + 1)
+    F[0] = 1.0
+    sizes = np.arange(1, N + 1)
+    out = []
+    for _ in range(K + 1):
+        f = np.fft.rfft(F, L)
+        conv = np.fft.irfft(f * f, L)
+        F = np.concatenate(([1.0], conv[:N] / sizes))
+        out.append(F[N])
+    return np.array(out)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from butterfly_trees.bst import batch_summaries, summary
 from butterfly_trees.butterfly import all_simple_words
 from butterfly_trees.exact import simple_height_counts, stirling1_row
-from butterfly_trees.sampling import RngState, wreath_words
+from butterfly_trees.sampling import RngState
 
 from conftest import (
     all_words,
@@ -20,6 +20,7 @@ from conftest import (
     ltr_minima_len,
     naive_insert,
     naive_summary,
+    wreath_words,
 )
 
 
@@ -110,7 +111,7 @@ def test_batch_summaries_simple_butterflies_follow_exact_law():
 
 @pytest.mark.parametrize("n,m", [(1, 5), (2, 2), (3, 4), (5, 3), (7, 6)])
 def test_batch_summaries_wreath_heights_match_block_decomposition(n, m):
-    words = wreath_words(n, m, 60, RngState(17, n * 100 + m))
+    words = wreath_words(n, m, 60, RngState(17, n * 100 + m).generator())
     h, _, _ = batch_summaries(words)
     for row, height in zip(words.tolist(), h.tolist()):
         rho = [(row[i * n] - 1) // n + 1 for i in range(m)]

@@ -12,7 +12,7 @@ from butterfly_trees.butterfly import (
     stats_from_shape_bits,
     words_from_shape_bits,
 )
-from butterfly_trees.sampling import RngState, uniform_words
+from butterfly_trees.sampling import RngState
 from conftest import (
     all_words,
     cycle_count,
@@ -23,6 +23,7 @@ from conftest import (
     sliced_is_simple,
     stats_recursion_simple,
     tuple_nonsimple_word,
+    uniform_words,
 )
 
 FIG6C_WORD = (9, 10, 11, 12, 13, 14, 15, 16, 6, 5, 8, 7, 2, 1, 4, 3)
@@ -214,7 +215,7 @@ def test_words_from_shape_bits_single_rows():
 
 def test_uniform_words_rarely_butterfly():
     # |B_3| / 8! = 128/40320, so uniform S_8 words almost never pass
-    W = uniform_words(8, 4000, RngState(2024))
+    W = uniform_words(8, 4000, RngState(2024).generator())
     passes = int((class_indices(W, "nonsimple") >= 0).sum())
     assert passes <= 30
 

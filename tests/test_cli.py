@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from butterfly_trees import cli, exact
-from butterfly_trees.bst import batch_summaries
 from butterfly_trees.sampling import (
     RngState,
     cycle_law_samples,
     lis_law_samples,
     nonsimple_butterfly_stats,
-    uniform_words,
-    wreath_words,
+    uniform_bst_stats,
+    wreath_heights,
 )
 
 
@@ -51,20 +50,21 @@ def test_fig8_golden_digest(capsys, args, digest):
 
 TREE_GOLDEN = [
     (["table1"], "07138414ce3b46fae8089f342c858aca3f69548e87fe84904205073f2c5b964b"),
-    (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "3f3642660e99f9ee3800cefbf73d5f1ed56445697fc41d65ef30c852f0d81744"),
-    (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "30e02b1f624ced28c11c66bf11b4845e33f60cf923fcb70bc936e476536251e2"),
+    (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "889422df6f3cc751bffdddfc72f938a71a27198b8a1d6ccd14dd050d1e02486b"),
+    (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "2f1a48c8a14ffeb6233ff77bdd72c993ad47b59bfae9c5be06132a055053234f"),
     (
         ["explore-conjecture", "--grid", "20x5,1x3,30x1", "--trials", "300", "--seed", "3", "--format", "json"],
-        "436ad4127695e2d88d357226e8b6a899d3cb6bbc5cf79ffcf23e70cd4886a539",
+        "3fc1a5d80377082f7e500f33de299831717691e29226c50027703e18d008cc68",
     ),
 ]
 
 
 @pytest.mark.parametrize("args,digest", TREE_GOLDEN, ids=["table1", "theorem2-csv", "theorem2-json", "explore-json"])
 def test_tree_golden_digest(capsys, args, digest):
-    # recorded from the two-pass depth-array batch_summaries; every output here goes through it.
-    # The theorem2 digests were re-recorded when each chunk's uniform words moved onto the
-    # chunk's own stream, after its wreath words.
+    # table1 was recorded from the two-pass depth-array batch_summaries. The theorem2 and
+    # explore digests were re-recorded when their trees came from root splits instead of
+    # words, which consume each chunk's stream differently (explore-conjecture also moved
+    # to one stream per cell and chunk).
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -90,12 +90,35 @@ def test_theorem2_chunks_draw_both_families_from_one_stream(monkeypatch):
     diffs = []
     for c, b in enumerate([3, 3, 1]):
         g = RngState(seed, c).generator()
-        hw, _, _ = batch_summaries(wreath_words(n, m, b, g))
-        hu, _, _ = batch_summaries(uniform_words(n * m, b, g))
+        hw = wreath_heights(n, m, b, g)
+        hu, _, _ = uniform_bst_stats(n * m, b, g)
         diffs.append((hw - hu) / math.log(n * m))
     d = np.concatenate(diffs)
     assert cols["scaled_diff_mean"] == [float(d.mean())]
     assert cols["scaled_diff_sem"] == [float(d.std(ddof=1) / math.sqrt(trials))]
+
+
+def test_explore_conjecture_chunks_are_per_cell_streams(monkeypatch):
+    # cell i of G draws chunk c from RngState(seed, c * G + i)
+    grid, trials, seed = [(3, 4), (5, 2), (3, 4)], 5, 9
+    monkeypatch.setattr(cli, "_CHUNK", 2)
+    _, cols = cli.explore_conjecture_data(grid, trials, seed)
+    for i, (n, m) in enumerate(grid):
+        h = np.concatenate([wreath_heights(n, m, b, RngState(seed, c * 3 + i)) for c, b in enumerate([2, 2, 1])])
+        assert cols["ratio_mean"][i] == float(h.mean()) / (math.log(n) * math.log(m))
+        assert cols["exceed_freq"][i] == float((h >= cols["threshold"][i]).mean())
+
+
+def test_explore_conjecture_equal_cells_draw_apart(monkeypatch):
+    drawn = []
+
+    def recording(*args):
+        drawn.append(wreath_heights(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(cli.sampling, "wreath_heights", recording)
+    cli.explore_conjecture_data([(4, 50), (4, 50)], 200, seed=5)
+    assert len(drawn) == 2 and not np.array_equal(drawn[0], drawn[1])
 
 
 def test_fig8_and_law_hist_chunks_are_per_chunk_streams(monkeypatch):
@@ -202,6 +225,7 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["lattice-degrees", "--trials", "5"], "unrecognized arguments: --trials 5"),
         (["pmf", "--trials", "5"], "unrecognized arguments: --trials 5"),
         (["clt-simple", "--samples", "8388609"], "argument --samples: must be <= 8388608, got 8388609"),
+        (["explore-conjecture", "--grid", "4x6,3000x3000"], "argument --grid: need n*m <= 8388608 (one row must fit a chunk), got '3000x3000'"),
     ],
 )
 def test_bad_arguments_are_argparse_errors(capsys, args, message):
