@@ -109,9 +109,6 @@ def uniform_bst_stats(n: int, count: int, rng: RngState | np.random.Generator) -
         raise ValueError(f"n must be in 1..{_SIZE}, got {n}")
     g = _gen(rng)
     table = _small_trees()
-    if n <= _SMALL:  # the root interval is small: the level loop's first draw, without its bookkeeping
-        code = table[n * _ORDERS + g.integers(0, _ORDERS, size=count, dtype=np.int32)].astype(np.int64)
-        return code & 0xFF, code >> 8 & 0xFF, code >> 16
     h = np.zeros(count, dtype=np.int64)
     l = np.zeros(count, dtype=np.int64)
     r = np.zeros(count, dtype=np.int64)
