@@ -235,7 +235,7 @@ def explore_conjecture_data(grid: Sequence[tuple[int, int]], trials: int, seed: 
     out = {k: [] for k in ("n", "m", "trials", "ratio_mean", "degenerate", "threshold", "exceed_freq")}
     for idx, (n, m) in enumerate(grid):
         h = _chunked(trials, n * m, seed, lambda b, rng: sampling.wreath_heights(n, m, b, rng), idx, len(grid))
-        thresh = cstar * float(exact.harmonic(n)) * math.log(m) if m > 1 else float("nan")
+        thresh = cstar * math.fsum(1 / j for j in range(1, n + 1)) * math.log(m) if m > 1 else float("nan")
         out["n"].append(n)
         out["m"].append(m)
         out["trials"].append(trials)

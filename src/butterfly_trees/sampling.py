@@ -1,7 +1,8 @@
 """
 Seeded batch samplers: nonsimple butterfly words and trees, the trees of
 uniform S_n and S_n wr S_m words (Theorem 2's block model) by root splits
-with no word built, and the two recursive distributional laws (LIS-law and
+with no word built, a subtree of at most 20 keys drawn whole from an exact
+alias table, and the two recursive distributional laws (LIS-law and
 cycle-law of nonsimple butterflies). Each returns ``count`` iid draws, one
 per row or entry.
 
@@ -9,7 +10,8 @@ All samplers take either an :class:`RngState` (a value; the same state
 always reproduces the same draw) or a live ``numpy.random.Generator``
 (whose state advances between calls). Bounded-integer draws come from
 numpy's Generator, which uses rejection-based bounded sampling, so every
-rank and insertion order below is exactly uniform.
+rank below is exactly uniform, and the alias table, all in integers, draws
+every small tree exactly as often as its insertion orders.
 
 The recursion-law levels are normalized so that level n corresponds to
 permutations of length 2^n: the base value at n = 0 is the constant 1,
@@ -19,17 +21,17 @@ which is what enumeration of the length-2 and length-4 groups pins down.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bst import batch_summaries
 from .butterfly import stats_from_shape_bits, words_from_shape_bits
 
-_SMALL = 8  # an interval of at most this many keys reads its whole tree from a table
-_ORDERS = math.factorial(_SMALL)  # table entries per size
+_SMALL = 20  # an interval of at most this many keys draws its whole tree from an alias table
+_ORDERS = math.factorial(_SMALL)  # < 2^63: one int64 draw per small interval
+_COL_BITS = 11  # 2^11 alias columns per size: divides _ORDERS, exceeds the 1483 triples of 20 keys
+_COLS = 1 << _COL_BITS
 _SIZE = (1 << 30) - 1  # size field of a live interval
 _LEFT, _RIGHT = 1, 2  # edge bits of a live interval
 
@@ -77,19 +79,73 @@ def nonsimple_butterfly_stats(
     return stats_from_shape_bits(n, _nonsimple_shape_bits(n, count, rng))
 
 
+def _law_counts() -> np.ndarray:
+    """int64 counts T[s, h+1, l+1, r+1] of the insertion orders of s <= _SMALL
+    keys whose BST has height h, top-left edge l and top-right edge r; the
+    empty tree sits at T[0, 0, 0, 0].
+
+    Root-rank recursion: the first key has k keys below it, a uniform order
+    of them on its left and one of the other s - 1 - k on its right,
+    interleaved in C(s-1, k) ways. In shifted indices the tree's h, l and r
+    are one more than the subtrees' max(hA, hB), lA and rB. The pairs with
+    max(hA, hB) <= h are the product of the cumulative (h, l) marginal on
+    the left and the cumulative (h, r) marginal on the right, so first
+    differences along h give the joint law. No entry or partial sum exceeds
+    20!, which int64 holds exactly.
+    """
+    d = _SMALL + 1
+    T = np.zeros((d, d, d, d), dtype=np.int64)
+    T[0, 0, 0, 0] = 1
+    FA, FB = [], []  # FA[k][h, l]: orders of k keys with h' <= h and l' = l; FB likewise with r
+    for s in range(1, d):
+        FA.append(T[s - 1].sum(axis=2).cumsum(axis=0))
+        FB.append(T[s - 1].sum(axis=1).cumsum(axis=0))
+        below = sum(math.comb(s - 1, k) * FA[k][:, :, None] * FB[s - 1 - k][:, None, :] for k in range(s))
+        T[s, 1:, 1:, 1:] = np.diff(below, axis=0, prepend=0)[:-1, :-1, :-1]
+        assert T[s].sum() == math.factorial(s)
+    return T
+
+
 @functools.cache
-def _small_trees() -> np.ndarray:
-    """Read-only int32 table: entry s * _ORDERS + j holds h | l << 8 | r << 16
-    of the BST of the (j mod s!)-th insertion order of s <= _SMALL keys, in
-    ``itertools.permutations`` order. A uniform j in 0.._ORDERS-1 gives a
-    uniform order, because s! divides _ORDERS. Built on first use, not at import."""
-    table = np.zeros((_SMALL + 1, _ORDERS), dtype=np.int32)
+def _alias_table() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Walker alias columns (thr, codes) of every size s <= _SMALL:
+    column c of size s is entry i = s * _COLS + c of thr, and codes[2i] and
+    codes[2i + 1] are its primary and alias, each h | l << 8 | r << 16.
+
+    A triple of size s weighs its count times _ORDERS / s!, so each size
+    weighs _ORDERS in all, _COLS columns of capacity _ORDERS / _COLS. Vose's
+    pairing, in Python ints, leaves each column thr of its primary and the
+    rest of its capacity to its alias. A uniform u in 0.._ORDERS-1 is a
+    uniform column u mod _COLS and an independent uniform u // _COLS below
+    the capacity, which picks the primary if it is below thr. So every tree
+    of s keys comes exactly as often as its insertion orders. Built on first
+    use, not at import.
+    """
+    T = _law_counts()
+    cap = _ORDERS // _COLS
+    thr = np.zeros((_SMALL + 1, _COLS), dtype=np.int64)
+    codes = np.zeros((_SMALL + 1, _COLS, 2), dtype=np.int64)
     for s in range(1, _SMALL + 1):
-        h, l, r = batch_summaries(np.array(list(itertools.permutations(range(1, s + 1)))))
-        table[s] = np.tile(h | l << 8 | r << 16, _ORDERS // len(h))
-    table = table.ravel()
-    table.flags.writeable = False
-    return table
+        at = np.nonzero(T[s])
+        h, l, r = (i - 1 for i in at)
+        pad = [0] * (_COLS - h.size)  # empty columns: weight 0, always their alias
+        code = (h | l << 8 | r << 16).tolist() + pad
+        weight = [int(c) * (_ORDERS // math.factorial(s)) for c in T[s][at]] + pad
+        alias = list(range(_COLS))
+        small = [c for c in alias if weight[c] < cap]
+        large = [c for c in alias if weight[c] >= cap]
+        while small:
+            c, big = small.pop(), large.pop()
+            alias[c] = big
+            weight[big] -= cap - weight[c]
+            (small if weight[big] < cap else large).append(big)
+        assert all(weight[c] == cap for c in large)
+        thr[s] = weight
+        codes[s, :, 0] = code
+        codes[s, :, 1] = [code[c] for c in alias]
+    thr, codes = thr.ravel(), codes.ravel()
+    thr.flags.writeable = codes.flags.writeable = False
+    return thr, codes
 
 
 def uniform_bst_stats(n: int, count: int, rng: RngState | np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -99,44 +155,62 @@ def uniform_bst_stats(n: int, count: int, rng: RngState | np.random.Generator) -
     rank, and its two subtrees are independent uniform BSTs on the keys
     either side. Every live interval of a level draws its root rank in one
     ``integers`` call. An interval of at most ``_SMALL`` keys instead draws
-    a uniform insertion order of its keys and reads its (h, l, r) from the
-    table of all of them. A live interval is one int64,
+    its whole (h, l, r) with one exact integer alias draw from the law of
+    all its insertion orders. A live interval is one int64,
     tree << 32 | size << 2 | edge, whose edge bits _LEFT and _RIGHT say
     that every split above it went left or right, so that its root lies on
-    the top-left or top-right edge.
+    the top-left or top-right edge. Each of a tree's l and r comes from the
+    one interval where its edge ends, so every interval adds its share to
+    l | r << 32, zero off the edges.
     """
     if not 1 <= n <= _SIZE:
         raise ValueError(f"n must be in 1..{_SIZE}, got {n}")
     g = _gen(rng)
-    table = _small_trees()
+    thr, codes = _alias_table()
     h = np.zeros(count, dtype=np.int64)
-    l = np.zeros(count, dtype=np.int64)
-    r = np.zeros(count, dtype=np.int64)
+    lr = np.zeros(count, dtype=np.int64)  # l | r << 32
     live = np.arange(count, dtype=np.int64) << 32 | n << 2 | _LEFT | _RIGHT
     depth = 0
     while live.size:
         small = (live >> 2 & _SIZE) <= _SMALL
         iv = live[small]
         tree = iv >> 32
-        code = table[(iv >> 2 & _SIZE) * _ORDERS + g.integers(0, _ORDERS, size=iv.size, dtype=np.int32)]
-        np.maximum.at(h, tree, np.add(code & 0xFF, depth, dtype=np.int64))
-        on = (iv & _LEFT) != 0
-        l[tree[on]] = depth + (code[on] >> 8 & 0xFF)
-        on = (iv & _RIGHT) != 0
-        r[tree[on]] = depth + (code[on] >> 16)
+        # column u mod _COLS of the interval's size, then the column's alias if
+        # u // _COLS >= thr; in place, since a large level's temporaries cost
+        # as much as its arithmetic
+        u = g.integers(0, _ORDERS, size=iv.size, dtype=np.int64)
+        at = iv & _SIZE << 2
+        at <<= _COL_BITS - 2
+        at |= u & _COLS - 1
+        u >>= _COL_BITS
+        alias = u >= thr.take(at)
+        at <<= 1
+        at |= alias
+        code = codes.take(at)
+        np.maximum.at(h, tree, (code & 0xFF) + depth)
+        # times the edge bits: _LEFT is 1, and _RIGHT << 31 is 1 << 32
+        l = code >> 8
+        l &= 0xFF
+        l += depth
+        l *= iv & _LEFT
+        code >>= 16
+        code += depth
+        code *= (iv & _RIGHT) << 31
+        code |= l
+        np.add.at(lr, tree, code)
 
         iv = live[~small]
         tree = iv >> 32
         size = iv >> 2 & _SIZE
         k = g.integers(0, size)
-        l[tree[((iv & _LEFT) != 0) & (k == 0)]] = depth
-        r[tree[((iv & _RIGHT) != 0) & (k == size - 1)]] = depth
+        lr[tree[((iv & _LEFT) != 0) & (k == 0)]] += depth
+        lr[tree[((iv & _RIGHT) != 0) & (k == size - 1)]] += depth << 32
         # each interval's nonempty children; a child keeps its parent's edge bit on its side
         tree <<= 32
         kids = np.stack((tree | k << 2 | (iv & _LEFT), tree | (size - 1 - k) << 2 | (iv & _RIGHT)), axis=1)
         live = kids.ravel()[np.stack((k > 0, k < size - 1), axis=1).ravel()]
         depth += 1
-    return h, l, r
+    return h, lr & 0xFFFFFFFF, lr >> 32
 
 
 def wreath_heights(n: int, m: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,12 @@ from butterfly_trees.bst import batch_summaries
 from butterfly_trees.butterfly import all_nonsimple_words, class_indices
 from butterfly_trees.exact import cycle_law_counts, lis_law_counts
 from butterfly_trees.sampling import (
+    _COLS,
+    _ORDERS,
+    _SMALL,
     RngState,
+    _alias_table,
+    _law_counts,
     cycle_law_samples,
     lis_law_samples,
     nonsimple_butterfly_stats,
@@ -93,15 +99,58 @@ def test_split_samplers_edges():
             bad()
 
 
+def enumerated_triples(n: int) -> Counter:
+    """(h, l, r) counts over all n! insertion orders: the literal insertion for
+    n <= 7, one batch_summaries call over all of them beyond."""
+    if n <= 7:
+        return Counter(naive_summary(w) for w in all_words(n))
+    return triples(*batch_summaries(np.array(list(all_words(n)))))
+
+
+def law_triples(s: int) -> Counter:
+    """The nonzero entries of the tabulated law of s keys, keyed (h, l, r)."""
+    T = _law_counts()[s]
+    return Counter({(h - 1, l - 1, r - 1): int(T[h, l, r]) for h, l, r in zip(*np.nonzero(T))})
+
+
+@pytest.mark.parametrize("s", range(1, 10))
+def test_law_counts_match_every_insertion_order(s):
+    assert law_triples(s) == enumerated_triples(s)
+
+
+def test_law_counts_height_marginal_matches_size_recursion():
+    # s! in all, and the height law of the FFT size recursion, which shares no step with the table's
+    T = _law_counts()
+    assert T.shape == (_SMALL + 1,) * 4 and T[0].sum() == 1
+    for s in range(1, _SMALL + 1):
+        assert int(T[s].sum()) == math.factorial(s)
+        cdf = np.cumsum(T[s].sum(axis=(1, 2))[1 : s + 1]) / math.factorial(s)
+        np.testing.assert_allclose(cdf, uniform_height_cdf(s, s - 1), rtol=0, atol=1e-12)
+
+
+def test_alias_columns_rebuild_the_law_exactly():
+    # column c of size s gives thr to its primary and the rest of its capacity
+    # to its alias; summed in Python ints, that is count * 20!/s! for every triple
+    thr, codes = _alias_table()
+    cap = _ORDERS // _COLS
+    assert _ORDERS % _COLS == 0 and _ORDERS < 2**63
+    assert not thr.flags.writeable and not codes.flags.writeable
+    for s in range(1, _SMALL + 1):
+        got = Counter()
+        for c in range(_COLS):
+            i = s * _COLS + c
+            assert 0 <= thr[i] <= cap
+            got[int(codes[2 * i])] += int(thr[i])
+            got[int(codes[2 * i + 1])] += cap - int(thr[i])
+        want = {h | l << 8 | r << 16: c * (_ORDERS // math.factorial(s)) for (h, l, r), c in law_triples(s).items()}
+        assert +got == want
+
+
 @pytest.mark.parametrize("n", [*range(1, 8), 9])
 def test_uniform_bst_stats_match_all_of_s_n(n):
     # the joint (h, l, r) law over every insertion order, against the split
-    # draws; N <= 7 read the table at the root, N = 9 splits once above it,
-    # its 9! orders summarized in one batch
-    if n <= 7:
-        exact = Counter(naive_summary(w) for w in all_words(n))
-    else:
-        exact = triples(*batch_summaries(np.array(list(all_words(n)))))
+    # draws, which take every N <= 20 whole from the alias table at the root
+    exact = enumerated_triples(n)
     trials = 40_000
     obs = triples(*uniform_bst_stats(n, trials, RngState(11, n)))
     assert set(obs) <= set(exact)
@@ -110,19 +159,20 @@ def test_uniform_bst_stats_match_all_of_s_n(n):
         assert pooled_chisquare_pvalue(obs, {t: trials * c / total for t, c in exact.items()}) > P_FLOOR
 
 
-@pytest.mark.parametrize("n", [8, 9, 30])
+@pytest.mark.parametrize("n", [20, 21, 30])
 def test_uniform_bst_stats_match_word_trees(n):
-    # two samples of the joint (h, l, r) law, either side of the table cutoff
+    # two samples of the joint (h, l, r) law, either side of the alias-table cutoff
     trials = 40_000
     split = triples(*uniform_bst_stats(n, trials, RngState(12, n)))
     words = triples(*batch_summaries(uniform_words(n, trials, RngState(13, n).generator())))
     assert two_sample_pvalue(split, words) > P_FLOOR
 
 
-def test_uniform_bst_height_law_at_2000():
-    # the size recursion of the height law, one FFT per level, at a size with
-    # many levels of root splits above the table
-    n, trials, K = 2000, 10_000, 80
+@pytest.mark.parametrize("n", [21, 40, 2000])
+def test_uniform_bst_height_law(n):
+    # the size recursion of the height law, one FFT per level, at sizes that
+    # split at the root above the alias table: once, a few times, many levels
+    trials, K = 10_000, min(n - 1, 80)
     cdf = uniform_height_cdf(n, K)
     pmf = np.diff(cdf, prepend=0.0)
     h = uniform_bst_stats(n, trials, RngState(14))[0]
