@@ -18,7 +18,8 @@ On 0-based positions i both families are XOR masks: a simple word is
 1 + (i ^ m), bit j of m being factor bit j, and a nonsimple word is
 1 + (i ^ f(i)), bit k-1 of f(i) being the bit of the level-k node that
 owns i. Every builder computes one of these two forms, and
-:func:`class_indices` inverts both.
+:func:`class_indices` inverts both; a nonsimple word's index is its
+level-ordered shape bits read as one binary number (:func:`shape_indices`).
 
 Tree statistics come straight from the shape: :func:`stats_from_shape_bits`
 evaluates the (h, l, r) recursion over the level-ordered bits, one numpy
@@ -97,14 +98,26 @@ def class_indices(words: np.ndarray, family: str) -> np.ndarray:
     ok = ((f >> n) == 0).all(axis=1)
     if family == "simple":
         return np.where(ok & (f == f[:, :1]).all(axis=1), f[:, 0], -1)
-    weights = np.array([1 << q for q in range(N - 2, -1, -1)], dtype=np.int64 if N <= 64 else object)
-    index, drift = 0, np.zeros_like(f)
+    drift = np.zeros_like(f)
     # bit k-1 of f must equal its value at the start of the level-k block, which is that node's bit
     for k in range(1, n + 1):
         drift |= (f ^ f[:, (i >> k) << k]) & (1 << (k - 1))
-        first = (1 << (n - k)) - 1
-        index = index + ((f[:, :: 1 << k] >> (k - 1)) & 1) @ weights[first : 2 * first + 1]
-    return np.where(ok & (drift == 0).all(axis=1), index, -1)
+    # level-ordered shape bits, root first; f[:, :0] leaves N = 1 a (B, 0) matrix with index 0
+    bits = np.concatenate([f[:, :0]] + [(f[:, :: 1 << k] >> (k - 1)) & 1 for k in range(n, 0, -1)], axis=1)
+    return np.where(ok & (drift == 0).all(axis=1), shape_indices(bits), -1)
+
+
+def shape_indices(bits: np.ndarray) -> np.ndarray:
+    """Class index of each row of a (B, 2^n - 1) matrix of level-ordered shape
+    bits: the bits read as one binary number, root first, most significant
+    first. Past 63 bits (N > 64) the indices are Python ints in an object array.
+
+    >>> shape_indices(np.array([[1, 0, 1], [1, 0, 0]])).tolist()
+    [5, 4]
+    """
+    T = bits.shape[1]
+    weights = np.array([1 << q for q in range(T - 1, -1, -1)], dtype=np.int64 if T < 64 else object)
+    return bits.astype(weights.dtype, copy=False) @ weights
 
 
 def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

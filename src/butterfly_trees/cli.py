@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bst, butterfly, exact, lattice, sampling
-from .gepp import UNIFORMITY_CAP, max_plu_error, random_angles, uniformity_check
+from .gepp import UNIFORMITY_CAP, uniformity_check
 
 DEFAULT_SEED = 1024
 _CHUNK = 250  # rows per sampled chunk
@@ -253,9 +253,7 @@ def explore_conjecture_data(grid: Sequence[tuple[int, int]], trials: int, seed: 
 
 def gepp_check_data(n: int, trials: int, seed: int, family: str) -> tuple[dict, dict]:
     """GEPP membership + uniformity + reconstruction check for one butterfly family."""
-    rng = sampling.RngState(seed)
-    report = uniformity_check(n, trials, rng, family=family)
-    max_err = max_plu_error(family, n, random_angles(family, n, 50, sampling.RngState(seed, 777)))
+    report = uniformity_check(n, trials, sampling.RngState(seed), family=family)
     meta = {
         "subcommand": "gepp-check",
         "family": family,
@@ -271,7 +269,7 @@ def gepp_check_data(n: int, trials: int, seed: int, family: str) -> tuple[dict, 
         "classes": [report.classes],
         "chi2": [report.statistic],
         "pvalue": [report.pvalue],
-        "max_plu_error": [max_err],
+        "max_plu_error": [report.max_plu_error],
     }
     return meta, cols
 
@@ -414,33 +412,42 @@ def main(argv: Sequence[str] | None = None) -> int:
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    sub.add_parser("table1", parents=[common])
+    sub.add_parser("table1", parents=[common]).set_defaults(build=lambda a: table1_data())
     p = sub.add_parser("fig8", parents=[common])
+    p.set_defaults(build=lambda a: fig8_data(a.n, a.trials, a.seed))
     p.add_argument("--n", type=_bounded_int(1), default=10)
     p.add_argument("--trials", type=_bounded_int(1), default=10_000)
     p = sub.add_parser("theorem2-diff", parents=[common])
+    p.set_defaults(build=lambda a: theorem2_diff_data(a.n, a.m, a.trials, a.seed))
     p.add_argument("--n", type=_bounded_int(1), default=10_000)
     p.add_argument("--m", type=_bounded_int(1), default=2)
     p.add_argument("--trials", type=_bounded_int(2), default=2000, help="at least 2: the SEM needs two trials")
     p = sub.add_parser("clt-simple", parents=[common])
+    p.set_defaults(build=lambda a: clt_simple_data(a.n, a.samples, a.seed))
     p.add_argument("--n", type=_bounded_int(1), default=400)
     p.add_argument("--samples", type=_bounded_int(1), default=100_000)
     p = sub.add_parser("bounds", parents=[common])
+    p.set_defaults(build=lambda a: bounds_data(a.n_max, a.exact_max))
     p.add_argument("--n-max", type=_bounded_int(1), default=10)
     p.add_argument("--exact-max", type=_bounded_int(None, EXACT_MAX_CAP), default=4, help="negative: no exact column")
     p = sub.add_parser("explore-conjecture", parents=[common])
+    p.set_defaults(build=lambda a: explore_conjecture_data(a.grid, a.trials, a.seed))
     p.add_argument("--grid", type=_parse_grid, default=[(50, 50)], help="pairs like 50x50,100x20")
     p.add_argument("--trials", type=_bounded_int(1), default=500, help="trials per grid cell")
     p = sub.add_parser("gepp-check", parents=[common])
+    p.set_defaults(build=lambda a: gepp_check_data(a.n, a.trials, a.seed, a.family))
     p.add_argument("--n", type=_bounded_int(1), default=2)
     p.add_argument("--family", choices=("simple", "nonsimple"), default="nonsimple")
     p.add_argument("--trials", type=_bounded_int(1), default=80_000)
     p = sub.add_parser("lattice-degrees", parents=[common])
+    p.set_defaults(build=lambda a: lattice_degrees_data(a.n))
     p.add_argument("--n", type=_bounded_int(1, lattice.ANALYTIC_CAP), default=10)
     p = sub.add_parser("pmf", parents=[common])
+    p.set_defaults(build=lambda a: pmf_data(a.which, a.n))
     p.add_argument("--which", choices=("stirling", "simple-height", "cycle-moments"), default="stirling")
     p.add_argument("--n", type=_bounded_int(0), default=10)
     p = sub.add_parser("law-hist", parents=[common])
+    p.set_defaults(build=lambda a: law_hist_data(a.law, a.n, a.trials, a.seed))
     p.add_argument("--law", choices=("lis", "cycle"), default="cycle")
     p.add_argument("--n", type=_bounded_int(0, _LEVEL_CAP), default=4)
     p.add_argument("--trials", type=_bounded_int(1), default=100_000)
@@ -450,28 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if problem:
         sub.choices[args.cmd].error(problem)
 
-    if args.cmd == "table1":
-        meta, cols = table1_data()
-    elif args.cmd == "fig8":
-        meta, cols = fig8_data(args.n, args.trials, args.seed)
-    elif args.cmd == "theorem2-diff":
-        meta, cols = theorem2_diff_data(args.n, args.m, args.trials, args.seed)
-    elif args.cmd == "clt-simple":
-        meta, cols = clt_simple_data(args.n, args.samples, args.seed)
-    elif args.cmd == "bounds":
-        meta, cols = bounds_data(args.n_max, args.exact_max)
-    elif args.cmd == "explore-conjecture":
-        meta, cols = explore_conjecture_data(args.grid, args.trials, args.seed)
-    elif args.cmd == "gepp-check":
-        meta, cols = gepp_check_data(args.n, args.trials, args.seed, args.family)
-    elif args.cmd == "lattice-degrees":
-        meta, cols = lattice_degrees_data(args.n)
-    elif args.cmd == "pmf":
-        meta, cols = pmf_data(args.which, args.n)
-    elif args.cmd == "law-hist":
-        meta, cols = law_hist_data(args.law, args.n, args.trials, args.seed)
-    else:  # pragma: no cover
-        parser.error(f"unhandled subcommand {args.cmd}")
+    meta, cols = args.build(args)
     meta.setdefault("seed", args.seed)
     meta["format"] = args.format
     _emit(meta, cols, args.out, args.format)

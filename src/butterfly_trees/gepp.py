@@ -16,8 +16,7 @@ w[j]; :func:`~butterfly_trees.butterfly.class_indices` maps w to its class.
 steps of a whole (B, N, N) stack, returning the words and ``lu``, which
 holds L's multipliers below the diagonal (L's unit diagonal is implied)
 and U on and above it. :func:`gepp_factorization` is its one-matrix
-form, and :func:`max_plu_error` builds and checks P B = L U for a stack
-of angles in bounded slices.
+form.
 
 The class also follows from the angles alone (Peca-Medlin & Trogdon,
 "Growth factors of random butterfly matrices and the stability of
@@ -28,7 +27,8 @@ gives a simple matrix the class sum_k b_k 2^k, and reads a nonsimple
 matrix's shape from the root down, its children swapped wherever the
 parent's bit is 1. :func:`uniformity_check` counts classes by this rule
 and runs GEPP on a bounded sample of its draws, raising on any
-disagreement. A float near-tie |sin| ~ |cos|, where the rounded products
+disagreement, and reports the largest |P B - L U| entry of that sample's
+factorizations. A float near-tie |sin| ~ |cos|, where the rounded products
 GEPP compares can order differently from the angle's own sin and cos, is
 the only way the two can differ; a draw outside the sample is then
 counted by the rule.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .butterfly import class_indices
+from .butterfly import class_indices, shape_indices
 from .sampling import RngState, _gen
 
 SINGULAR_TOL = 1e-12
@@ -105,7 +105,7 @@ def _simple_classes(n: int, thetas: np.ndarray) -> np.ndarray:
 
 
 def _nonsimple_classes(n: int, thetas: np.ndarray) -> np.ndarray:
-    """Level-ordered shape bits, root first, read as the class index of :func:`class_indices`.
+    """Level-ordered shape bits, root first, read by :func:`~butterfly_trees.butterfly.shape_indices`.
 
     GEPP on a node swaps its two halves when the node's bit is 1, so the
     shape node at step s below a parent at matrix node p is matrix node
@@ -119,9 +119,7 @@ def _nonsimple_classes(n: int, thetas: np.ndarray) -> np.ndarray:
         node = (2 * node + 1)[:, :, None] + (np.arange(2) ^ parent[:, :, None])
         node = node.reshape(len(b), -1)
         levels.append(np.take_along_axis(b, node, axis=1))
-    N = 1 << n
-    weights = np.array([1 << q for q in range(N - 2, -1, -1)], dtype=np.int64 if N <= 64 else object)
-    return np.concatenate(levels, axis=1).astype(weights.dtype) @ weights
+    return shape_indices(np.concatenate(levels, axis=1))
 
 
 def _family(family: str, n: int):
@@ -201,40 +199,13 @@ def gepp_factorization(M: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.n
     return tuple(words[0].tolist()), np.tril(lu[0], -1) + np.eye(len(M)), np.triu(lu[0])
 
 
-_PLU_ENTRIES = 1 << 20  # matrix entries per max_plu_error slice: 64 of order 128, one of order 1024
-
-
-def max_plu_error(family: str, n: int, thetas: np.ndarray) -> float:
-    """Largest |P M - L U| entry over the ``family`` matrices of a (B, angles)
-    array, each factored by :func:`batch_gepp`.
-
-    Builds and factors slices of at most ``_PLU_ENTRIES`` entries (one
-    matrix if a single one exceeds it), so no more than one slice of
-    matrices is ever held: at order 1024 the trailing updates are bound by
-    memory traffic, and a batch of several is slower than one at a time.
-    Each matrix depends on its own row of angles only, so the slices give
-    the floats of the whole stack.
-    """
-    _, make, _ = _family(family, n)
-    N = 1 << n
-    step = max(1, _PLU_ENTRIES // (N * N))
-    err = 0.0
-    for s in range(0, len(thetas), step):
-        M = make(n, thetas[s : s + step])
-        words, lu = batch_gepp(M)
-        P = np.zeros_like(M)
-        P[np.arange(len(M))[:, None], words - 1, np.arange(N)] = 1.0
-        L = np.tril(lu, -1) + np.eye(N)
-        err = max(err, float(np.abs(P @ M - L @ np.triu(lu)).max()))
-    return err
-
-
 @dataclass(frozen=True)
 class UniformityReport:
     classes: int
     statistic: float
     pvalue: float
     counts: tuple[int, ...]  # draws of each class index (the row of butterfly.all_*_words)
+    max_plu_error: float  # largest |P B - L U| entry over the GEPP sample
 
 
 _CHUNK_ENTRIES = 1 << 22  # soft memory limit for batched matrices and angle draws
@@ -256,8 +227,9 @@ def uniformity_check(
     exceed ``_CHUNK_ENTRIES``) are also built and eliminated: their GEPP
     words are mapped by :func:`~butterfly_trees.butterfly.class_indices`,
     and a non-member or a class that disagrees with the rule raises
-    ``AssertionError``. Only a float near-tie |sin| ~ |cos| can make the
-    two differ, and outside the sample such a draw is counted by the rule.
+    ``AssertionError``; their largest |P M - L U| entry is ``max_plu_error``.
+    Only a float near-tie |sin| ~ |cos| can make the two classes differ, and
+    outside the sample such a draw is counted by the rule.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -272,7 +244,7 @@ def uniformity_check(
         thetas = random_angles(family, n, min(draws, trials - done), g)
         idx = rule(n, thetas)
         if done == 0:
-            _check_sample(family, n, make, thetas[:sample], idx[:sample])
+            plu_error = _check_sample(family, make(n, thetas[:sample]), idx[:sample])
         counts += np.bincount(idx, minlength=len(counts))
     from scipy import stats  # imported where used: it dominates the package's import time
 
@@ -282,12 +254,14 @@ def uniformity_check(
         statistic=float(res.statistic),
         pvalue=float(res.pvalue),
         counts=tuple(counts.tolist()),
+        max_plu_error=plu_error,
     )
 
 
-def _check_sample(family: str, n: int, make, thetas: np.ndarray, rule_idx: np.ndarray) -> None:
-    """Run GEPP on ``thetas`` and raise unless every word is a member whose class is ``rule_idx``."""
-    words = batch_gepp(make(n, thetas))[0]
+def _check_sample(family: str, mats: np.ndarray, rule_idx: np.ndarray) -> float:
+    """Run GEPP on a (B, N, N) stack and raise unless every word is a member
+    whose class is ``rule_idx``; return the largest |P M - L U| entry."""
+    words, lu = batch_gepp(mats)
     idx = class_indices(words, family)
     if (idx < 0).any():
         w = tuple(words[np.argmax(idx < 0)].tolist())
@@ -298,3 +272,12 @@ def _check_sample(family: str, n: int, make, thetas: np.ndarray, rule_idx: np.nd
         raise AssertionError(
             f"GEPP word {tuple(words[t].tolist())} of draw {t} is class {idx[t]}, the pivot rule gives {rule_idx[t]}"
         )
+    B, N, _ = mats.shape
+    U = np.triu(lu)
+    lu -= U  # L's multipliers below the diagonal, exact zeros on and above it
+    lu[:, np.arange(N), np.arange(N)] = 1.0
+    residual = lu @ U
+    # U's buffer now takes P M, whose row w[j] - 1 is row j of M: four stacks held, not six, at order 1024
+    U[np.arange(B)[:, None], words - 1] = mats
+    residual -= U
+    return float(np.abs(residual, out=residual).max())

@@ -1,10 +1,10 @@
 """
-Seeded batch samplers: nonsimple butterfly words and trees, the trees of
-uniform S_n and S_n wr S_m words (Theorem 2's block model) by root splits
-with no word built, a subtree of at most 20 keys drawn whole from an exact
-alias table, and the two recursive distributional laws (LIS-law and
-cycle-law of nonsimple butterflies). Each returns ``count`` iid draws, one
-per row or entry.
+Seeded batch samplers: the trees of nonsimple butterfly words from their
+shape bits, and those of uniform S_n and S_n wr S_m words (Theorem 2's
+block model) by root splits, with no word built, a subtree of at most 20
+keys drawn whole from an exact alias table; and the two recursive
+distributional laws (LIS-law and cycle-law of nonsimple butterflies).
+Each returns ``count`` iid draws, one per row or entry.
 
 All samplers take either an :class:`RngState` (a value; the same state
 always reproduces the same draw) or a live ``numpy.random.Generator``
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .butterfly import stats_from_shape_bits, words_from_shape_bits
+from .butterfly import stats_from_shape_bits
 
 _SMALL = 20  # an interval of at most this many keys draws its whole tree from an alias table
 _ORDERS = math.factorial(_SMALL)  # < 2^63: one int64 draw per small interval
@@ -58,25 +58,16 @@ def _gen(rng: RngState | np.random.Generator) -> np.random.Generator:
     return rng
 
 
-def _nonsimple_shape_bits(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
-    """(count, 2^n - 1) fair shape bits: the one draw behind every nonsimple sampler."""
-    return _gen(rng).integers(0, 2, size=(count, (1 << n) - 1))
-
-
-def nonsimple_butterfly_words(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
-    """(count, 2^n) matrix of iid uniform nonsimple butterfly words."""
-    return words_from_shape_bits(n, _nonsimple_shape_bits(n, count, rng))
-
-
 def nonsimple_butterfly_stats(
     n: int, count: int, rng: RngState | np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, l, r) arrays of ``count`` iid uniform nonsimple butterfly trees.
 
-    Draws the same bits as :func:`nonsimple_butterfly_words`, so an equal
-    state gives the trees of exactly those words, but builds neither.
+    One (count, 2^n - 1) draw of fair shape bits, a bit per internal node in
+    level order, read by :func:`~butterfly_trees.butterfly.stats_from_shape_bits`:
+    the trees of the words those bits build, with neither words nor trees built.
     """
-    return stats_from_shape_bits(n, _nonsimple_shape_bits(n, count, rng))
+    return stats_from_shape_bits(n, _gen(rng).integers(0, 2, size=(count, (1 << n) - 1)))
 
 
 def _law_counts() -> np.ndarray:

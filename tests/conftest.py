@@ -9,9 +9,10 @@ identity), the exact laws by pairwise dict convolution over their
 supports, the butterfly words, membership tests and matrices by their
 block recursions, the Boolean lattice's degrees from its adjacency, GEPP
 by a one-matrix row loop, the uniform and wreath words by shuffling and
-stacking copies (the package samples their trees without words), the
-wreath height law by enumerating the group, and the uniform BST height law
-by its size recursion.
+stacking copies and the nonsimple words by the tuple wreath recursion (the
+package samples their trees without words), the wreath height law by
+enumerating the group, and the uniform BST height law by its size
+recursion.
 """
 
 from __future__ import annotations
@@ -401,6 +402,14 @@ def wreath_words(n: int, m: int, count: int, g: np.random.Generator) -> np.ndarr
     blocks = np.stack([uniform_words(n, count, g) for _ in range(m)], axis=1)
     picked = blocks[np.arange(count)[:, None], rho]
     return (picked + (rho * n)[:, :, None]).reshape(count, n * m)
+
+
+def nonsimple_butterfly_words(n: int, count: int, g: np.random.Generator) -> np.ndarray:
+    """(count, 2^n) uniform nonsimple words, each built by :func:`tuple_nonsimple_word`
+    from a row of fair shape bits. The bits are one (count, 2^n - 1) integer draw,
+    as in ``sampling.nonsimple_butterfly_stats``, so an equal stream gives its trees."""
+    bits = g.integers(0, 2, size=(count, (1 << n) - 1))
+    return np.array([tuple_nonsimple_word(b, n) for b in bits.tolist()], dtype=np.int64).reshape(count, 1 << n)
 
 
 def wreath_height_counts(n: int, m: int) -> dict[int, int]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from butterfly_trees import cli, exact
+from butterfly_trees import cli, exact, gepp
 from butterfly_trees.sampling import (
     RngState,
     cycle_law_samples,
@@ -163,10 +163,10 @@ def test_exact_golden_digest(capsys, args, digest):
 
 
 GEPP_LATTICE_CLT_GOLDEN = [
-    (["gepp-check"], "5ecef52f44b94d99dfe234a5747921ee7b86332d04af7fd4eb3ce6391e7f13ad"),
-    (["gepp-check", "--family", "nonsimple", "--n", "3", "--trials", "20000"], "88d85f5fcdf96a8dafc69ada231b76988cdc525739d094d730930f89900fb33f"),
-    (["gepp-check", "--family", "simple", "--n", "4", "--trials", "20000"], "de81f637790ac891f4bd2ed42b0ba256deb10e2dc45b5ac485a208f07f91120a"),
-    (["gepp-check", "--family", "simple", "--n", "6", "--trials", "20000"], "6daf4167e1d5a22d12a3e5b41cb0e9fb4cd54ab1fcc3a9bf87e1e04a4f905957"),
+    (["gepp-check"], "3eff086bdb6800ef9d1ebc5a0908d24a8598f6847d766db7d82e4afad9c9ed84"),
+    (["gepp-check", "--family", "nonsimple", "--n", "3", "--trials", "20000"], "d48e747c1e39f61498b3ec94e55ba3f4658a20b4053471e7619094cb0c2ea727"),
+    (["gepp-check", "--family", "simple", "--n", "4", "--trials", "20000"], "7957035943311972c2c2e09bf4e51e0abacfc9ba75f5072ece321954f600ab0c"),
+    (["gepp-check", "--family", "simple", "--n", "6", "--trials", "20000"], "96b8e205d7db3ac0ea943c986c921b049b1af2c48553007b52235a9e6ee0445b"),
     (["lattice-degrees"], "bcb88a71c3ed24f272ff6751c0e23969335e3c5c200f91659e28611b7888486b"),
     (["clt-simple", "--n", "400", "--samples", "20000"], "b540af079c80921dc576ec18a23fddceab1ea252bdc0ce2b0dd31816768acf15"),
 ]
@@ -176,7 +176,9 @@ GEPP_LATTICE_CLT_GOLDEN = [
     "args,digest", GEPP_LATTICE_CLT_GOLDEN, ids=["gepp-default", "gepp-nonsimple-n3", "gepp-simple-n4", "gepp-simple-n6", "lattice-degrees", "clt-simple-n400"]
 )
 def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
-    # recorded from the block-recursive matrices and the tuple-dict class count; the XOR masks must reproduce it
+    # recorded from the block-recursive matrices and the tuple-dict class count; the XOR masks must reproduce it.
+    # The gepp-check digests were re-recorded when max_plu_error became the residual of the class check's own
+    # GEPP sample instead of 50 matrices from a second stream; classes, chi2 and pvalue did not change.
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -393,6 +395,27 @@ def test_gepp_check(capsys):
     assert vals[0] == "simple" and int(vals[3]) == 4
     assert float(vals[5]) > 0.001
     assert float(vals[6]) <= 1e-9
+
+
+@pytest.mark.parametrize("family,n", [("simple", 4), ("nonsimple", 3)])
+def test_gepp_check_residual_is_the_reports(monkeypatch, family, n):
+    # one stream, RngState(seed), and one angle draw from it: the residual is that of the sample the class check factors
+    streams, draws = [], []
+    real_generator, real_angles = RngState.generator, gepp.random_angles
+
+    def generator(state):
+        streams.append(state)
+        return real_generator(state)
+
+    def random_angles(family, n, count, rng):
+        draws.append(count)
+        return real_angles(family, n, count, rng)
+
+    monkeypatch.setattr(RngState, "generator", generator)
+    monkeypatch.setattr(gepp, "random_angles", random_angles)
+    _, cols = cli.gepp_check_data(n, 3000, 99, family)
+    assert streams == [RngState(99)] and draws == [3000]
+    assert cols["max_plu_error"] == [gepp.uniformity_check(n, 3000, RngState(99), family=family).max_plu_error]
 
 
 def test_pmf_export(capsys):

@@ -1,6 +1,7 @@
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from butterfly_trees.butterfly import all_nonsimple_words, all_simple_words, cla
 from butterfly_trees.gepp import (
     batch_gepp,
     gepp_factorization,
-    max_plu_error,
     nonsimple_matrices,
     pivot_classes,
     random_angles,
@@ -210,15 +210,12 @@ def test_batch_gepp_equals_scalar_oracle_bit_for_bit(family, n):
     thetas = RngState(31, n).generator().uniform(0, 2 * np.pi, size=(40, angles(n)))
     mats = make(n, thetas)
     words, lu = batch_gepp(mats)
-    errors = []
     for M, w, f in zip(mats, words, lu):
         word, L, U = scalar_gepp(M)
         assert tuple(w.tolist()) == word
         assert np.array_equal(np.tril(f, -1) + np.eye(len(M)), L) and np.array_equal(np.triu(f), U)
         one = gepp_factorization(M)
         assert one[0] == word and np.array_equal(one[1], L) and np.array_equal(one[2], U)
-        errors.append(float(plu_error(M, word, L, U)))
-    assert max_plu_error(family, n, thetas) == max(errors)
 
 
 def test_batch_gepp_raises_on_the_first_singular_column():
@@ -233,29 +230,23 @@ def test_batch_gepp_raises_on_the_first_singular_column():
         batch_gepp(mats[0])
 
 
-def test_max_plu_error_factors_bounded_slices(monkeypatch):
-    # the matrices are built a slice at a time too, and the slices give the floats of the whole stack
-    thetas, whole = {}, {}
-    for family, (_, make) in MATRICES.items():
-        thetas[family] = random_angles(family, 3, 50, RngState(12))
-        mats = make(3, thetas[family])
-        words, lu = batch_gepp(mats)
-        whole[family] = max(float(plu_error(M, w, np.tril(f, -1) + np.eye(8), np.triu(f))) for M, w, f in zip(mats, words, lu))
-    sizes = {"batch_gepp": [], "nonsimple_matrices": []}
-    for name in sizes:
-
-        def recording(*args, name=name, real=getattr(gepp, name)):
-            sizes[name].append(len(args[-1]))  # the stack, or its angles
-            return real(*args)
-
-        monkeypatch.setattr(gepp, name, recording)
-    for entries, slices in ((gepp._PLU_ENTRIES, [50]), (1 << 10, [16, 16, 16, 2])):  # 2^10 entries hold 16 of order 8
-        monkeypatch.setattr(gepp, "_PLU_ENTRIES", entries)
-        for family in MATRICES:
-            for calls in sizes.values():
-                calls.clear()
-            assert max_plu_error(family, 3, thetas[family]) == whole[family]
-            assert sizes == {"batch_gepp": slices, "nonsimple_matrices": slices}
+@pytest.mark.parametrize(
+    "family,n,trials,entries,sample",
+    [
+        ("simple", 3, 2000, gepp._CHUNK_ENTRIES, gepp.GEPP_SAMPLE),
+        ("nonsimple", 3, 2000, gepp._CHUNK_ENTRIES, gepp.GEPP_SAMPLE),
+        ("simple", 2, 300, gepp._CHUNK_ENTRIES, 300),
+        ("nonsimple", 3, 2000, 1 << 10, 16),  # 2^10 entries hold 16 of order 8
+    ],
+)
+def test_uniformity_report_residual_is_that_of_the_gepp_sample(monkeypatch, family, n, trials, entries, sample):
+    # the residual comes from the factorizations whose words were checked: the first draws of the one stream
+    monkeypatch.setattr(gepp, "_CHUNK_ENTRIES", entries)
+    rep = uniformity_check(n, trials, RngState(12), family=family)
+    angles, make = MATRICES[family]
+    thetas = RngState(12).generator().uniform(0, 2 * np.pi, size=(sample, angles(n)))
+    errors = [float(plu_error(M, *gepp_factorization(M))) for M in make(n, thetas)]
+    assert rep.max_plu_error == max(errors) and 0 < rep.max_plu_error <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -333,4 +324,5 @@ def test_uniformity_check_runs_gepp_on_a_bounded_sample(monkeypatch, n, trials, 
 def test_uniformity_check_chunked_draws_keep_the_stream(monkeypatch):
     whole = uniformity_check(2, 1000, RngState(77), family="nonsimple")
     monkeypatch.setattr(gepp, "_CHUNK_ENTRIES", 70)  # 23 draws of 3 angles per chunk, GEPP on 4
-    assert uniformity_check(2, 1000, RngState(77), family="nonsimple") == whole
+    chunked = uniformity_check(2, 1000, RngState(77), family="nonsimple")
+    assert replace(chunked, max_plu_error=whole.max_plu_error) == whole  # the residual is of the smaller sample

@@ -19,7 +19,6 @@ from butterfly_trees.sampling import (
     cycle_law_samples,
     lis_law_samples,
     nonsimple_butterfly_stats,
-    nonsimple_butterfly_words,
     uniform_bst_stats,
     wreath_heights,
 )
@@ -29,6 +28,7 @@ from conftest import (
     cycle_count,
     lis,
     naive_summary,
+    nonsimple_butterfly_words,
     uniform_height_cdf,
     uniform_words,
     wreath_height_counts,
@@ -73,7 +73,6 @@ def test_determinism():
         lambda: uniform_bst_stats(5, 5, r),
         lambda: wreath_heights(3, 2, 5, r),
         lambda: wreath_heights(40, 30, 5, r),
-        lambda: nonsimple_butterfly_words(3, 5, r),
         lambda: nonsimple_butterfly_stats(3, 5, r),
         lambda: lis_law_samples(5, 5, r),
         lambda: cycle_law_samples(5, 5, r),
@@ -234,13 +233,13 @@ def test_sample_wreath_trivial_blocks_is_uniform():
 
 def test_butterfly_samplers():
     trials = 80_000
-    words = nonsimple_butterfly_words(2, trials, RngState(707))
+    words = nonsimple_butterfly_words(2, trials, RngState(707).generator())
     counts = Counter(map(tuple, words.tolist()))
     classes = list(map(tuple, all_nonsimple_words(2).tolist()))
     assert pooled_chisquare_pvalue(counts, dict.fromkeys(classes, trials / len(classes))) > P_FLOOR
 
-    assert (class_indices(nonsimple_butterfly_words(4, 50, RngState(2)), "nonsimple") >= 0).all()
-    n1 = Counter(map(tuple, nonsimple_butterfly_words(1, 2000, RngState(3)).tolist()))
+    assert (class_indices(nonsimple_butterfly_words(4, 50, RngState(2).generator()), "nonsimple") >= 0).all()
+    n1 = Counter(map(tuple, nonsimple_butterfly_words(1, 2000, RngState(3).generator()).tolist()))
     assert set(n1) == {(1, 2), (2, 1)}
 
 
@@ -248,7 +247,7 @@ def test_nonsimple_butterfly_stats_are_the_trees_of_the_sampled_words():
     for n in range(1, 11):
         state = RngState(31, n)
         stats_hlr = nonsimple_butterfly_stats(n, 40, state)
-        trees_hlr = batch_summaries(nonsimple_butterfly_words(n, 40, state))
+        trees_hlr = batch_summaries(nonsimple_butterfly_words(n, 40, state.generator()))
         for a, b in zip(stats_hlr, trees_hlr):
             np.testing.assert_array_equal(a, b)
 
