@@ -44,6 +44,8 @@ _LEVEL_CAP = _CHUNK_ENTRIES.bit_length() - 1
 # bounds: the exact mean reads the level-(n-1) law, ~0.08 s at n = 7 and ~1.6 s at n = 8;
 # n = 9 would need the level-8 law, ~25 s with 0.7 GB (2-vCPU Xeon)
 EXACT_MAX_CAP = 8
+# bounds --n-max: the last n whose upper mean bound is a finite double (1120 gives inf)
+N_MAX_CAP = 1119
 # pmf --n per --which: every number must print within Python's 4300-digit int-to-str
 # limit (n! passes it near n = 1555, 2^n near n = 14284), in seconds: ~0.9 s for
 # stirling 1000, ~3.7 s for simple-height 10000, ~1.3 s for cycle-moments 100 (200: ~40 s)
@@ -389,6 +391,8 @@ def _joint_range_error(args: argparse.Namespace) -> str | None:
     """The message for a bound that the per-argument types do not check, or None."""
     if args.cmd == "fig8" and args.n > _LEVEL_CAP:
         return f"argument --n: must be <= {_LEVEL_CAP}, got {args.n}"
+    if args.cmd == "bounds" and args.n_max > N_MAX_CAP:
+        return f"argument --n-max: must be <= {N_MAX_CAP}, got {args.n_max}"
     if args.cmd == "theorem2-diff" and args.n * args.m < 2:
         return f"need n*m >= 2 (differences are scaled by log(n*m)), got n={args.n}, m={args.m}"
     if args.cmd == "theorem2-diff" and args.n * args.m > _CHUNK_ENTRIES:
@@ -407,7 +411,7 @@ def _joint_range_error(args: argparse.Namespace) -> str | None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="butterfly-trees", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_bounded_int(0), default=DEFAULT_SEED, help="64-bit experiment seed")
+    common.add_argument("--seed", type=_bounded_int(0, 2**64 - 1), default=DEFAULT_SEED, help="64-bit experiment seed")
     common.add_argument("--out", type=_out_path, default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -17,12 +17,13 @@ The level recursions avoid pairwise loops over supports:
   level n sums the same CDF products over level n-1 and never builds
   level n.
 - The LIS and cycle laws square their count polynomial by Kronecker
-  substitution: the counts are packed into one Python integer, which is
-  squared and cut back into counts.
+  substitution in decimal slots: the counts are packed into one Decimal,
+  squared exactly by libmpdec's number-theoretic transform, and cut back.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
@@ -327,13 +328,14 @@ def exact_mean_height(n: int) -> Fraction:
 
 def _square_poly(c: list[int], bits: int) -> list[int]:
     """Coefficients of (sum_v c[v] x^v)^2, each below 2^bits, by Kronecker
-    substitution: pack c into one integer in fixed byte-wide slots, square
-    it, and cut the product back into slots."""
-    width = bits // 8 + 1
-    packed = int.from_bytes(b"".join(x.to_bytes(width, "little") for x in c), "little")
-    size = 2 * len(c) - 1
-    data = (packed * packed).to_bytes(width * size, "little")
-    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(size)]
+    substitution in decimal slots: pack c into one Decimal in d-digit slots,
+    10^d > 2^bits, square it in a context where rounding raises, and cut the
+    product back into slots. Decimal, unlike int, has no str digit limit."""
+    d = bits * 30103 // 100000 + 1  # 30103 / 10^5 >= log10(2)
+    packed = decimal.Decimal("".join(str(decimal.Decimal(x)).zfill(d) for x in reversed(c)))
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded])
+    digits = str(exact.multiply(packed, packed)).zfill((2 * len(c) - 1) * d)
+    return [int(decimal.Decimal(digits[i - d : i or None])) for i in range(0, -len(digits), -d)]
 
 
 def _law_counts(n: int, extra) -> tuple[dict[int, int], int]:

@@ -240,20 +240,18 @@ def wreath_heights(n: int, m: int, count: int, rng: RngState | np.random.Generat
 def _law_samples(n: int, count: int, g: np.random.Generator, combine) -> np.ndarray:
     if n < 0:
         raise ValueError("n must be >= 0")
-    arr = np.ones((count, 1 << n), dtype=np.int64)
-    for _ in range(n):
-        a = arr[:, 0::2]
-        b = arr[:, 1::2]
-        eta = g.integers(0, 2, size=a.shape)
-        arr = combine(a, b, eta)
+    # level 1 of both laws is 1 + eta, drawn as such: no all-ones level is built
+    arr = g.integers(1, 3, size=(count, 1 << (n - 1))) if n else np.ones((count, 1), dtype=np.int64)
+    for _ in range(n - 1):
+        arr = combine(arr[:, 0::2], arr[:, 1::2], g.integers(0, 2, size=(count, arr.shape[1] // 2)))
     return arr[:, 0]
 
 
 def lis_law_samples(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
-    """iid samples of the level-n LIS law: X' = (X1 + X2) eta + max(X1, X2)(1 - eta)."""
-    return _law_samples(n, count, _gen(rng), lambda a, b, e: np.where(e == 1, a + b, np.maximum(a, b)))
+    """iid samples of the level-n LIS law: X' = (X1 + X2) eta + max(X1, X2)(1 - eta) = eta min + max."""
+    return _law_samples(n, count, _gen(rng), lambda a, b, e: np.add(np.multiply(e, np.minimum(a, b), out=e), np.maximum(a, b), out=e))
 
 
 def cycle_law_samples(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
-    """iid samples of the level-n cycle law: Y' = Y1 + eta Y2."""
-    return _law_samples(n, count, _gen(rng), lambda a, b, e: a + e * b)
+    """iid samples of the level-n cycle law: Y' = Y1 + eta Y2, computed in place in eta."""
+    return _law_samples(n, count, _gen(rng), lambda a, b, e: np.add(np.multiply(e, b, out=e), a, out=e))

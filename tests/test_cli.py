@@ -188,8 +188,8 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
     [
         (["fig8", "--trials", "0"], "argument --trials: must be >= 1"),
         (["law-hist", "--trials", "-5"], "argument --trials: must be >= 1"),
-        (["fig8", "--seed", "-1"], "argument --seed: must be >= 0"),
-        (["bounds", "--seed", "-7"], "argument --seed: must be >= 0"),
+        (["fig8", "--seed", "-1"], "argument --seed: must be in 0..18446744073709551615, got -1"),
+        (["bounds", "--seed", "-7"], "argument --seed: must be in 0..18446744073709551615, got -7"),
         (["fig8", "--n", "0"], "argument --n: must be >= 1"),
         (["fig8", "--n", "-3"], "argument --n: must be >= 1"),
         (["fig8", "--trials", "ten"], "argument --trials: invalid int value"),
@@ -229,6 +229,8 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["pmf", "--trials", "5"], "unrecognized arguments: --trials 5"),
         (["clt-simple", "--samples", "8388609"], "argument --samples: must be <= 8388608, got 8388609"),
         (["explore-conjecture", "--grid", "4x6,3000x3000"], "argument --grid: need n*m <= 8388608 (one row must fit a chunk), got '3000x3000'"),
+        (["bounds", "--n-max", "1120"], "argument --n-max: must be <= 1119, got 1120"),
+        (["fig8", "--seed", str(10**26)], f"argument --seed: must be in 0..18446744073709551615, got {10**26}"),
     ],
 )
 def test_bad_arguments_are_argparse_errors(capsys, args, message):
@@ -260,6 +262,12 @@ def test_upper_bounds_accept_their_edge(capsys):
     assert out.endswith("1,1.00,1.0,1.00\n2,2.50,2.5,3.38\n")
     out = run_cli(capsys, ["bounds", "--n-max", "2", "--exact-max", "-3"])
     assert out.endswith("1,1.00,,1.00\n2,2.50,,3.38\n")
+    # the last finite upper bound; one row further it is inf
+    out = run_cli(capsys, ["bounds", "--n-max", str(cli.N_MAX_CAP), "--exact-max", "-1"])
+    assert math.isfinite(float(out.splitlines()[-1].split(",")[-1]))
+    assert exact.nonsimple_mean_bounds(cli.N_MAX_CAP + 1)[1] == math.inf
+    out = run_cli(capsys, ["pmf", "--seed", str(2**64 - 1)])
+    assert f"# seed={2**64 - 1}\n" in out
     # one row of 2^23 entries fills a chunk: ~0.7 s and ~250 MB each on a 2-vCPU Xeon
     doc = json.loads(run_cli(capsys, ["law-hist", "--n", "23", "--trials", "3", "--format", "json"]))
     assert sum(doc["columns"]["observed"]) == 3

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from butterfly_trees.bst import batch_summaries
 from butterfly_trees.butterfly import all_nonsimple_words, all_simple_words
 from butterfly_trees.exact import (
     LAMBDA,
+    _square_poly,
     bound_sequences,
     constants,
     cycle_law_counts,
@@ -244,6 +246,45 @@ def test_exact_mean_height_against_sampled_heights(n, mean_repr):
     assert abs(h.mean() - float(m)) <= 5 * sem
     lo, up = nonsimple_mean_bounds(n)
     assert lo <= float(m) <= up
+
+
+def schoolbook_square(c: list[int]) -> list[int]:
+    out = [0] * (2 * len(c) - 1)
+    for i, a in enumerate(c):
+        for j, b in enumerate(c):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize(
+    "c,bits",
+    [
+        ([0], 1),
+        ([1], 1),
+        ([math.isqrt(2**40 - 1)], 40),  # the square fills its slot
+        ([0, 0], 3),
+        ([3, 0], 5),
+        ([0, 2**20 - 1], 40),
+        ([1, 2, 3], 5),
+        ([0, 7, 0], 6),
+        ([2**19, 2**19, 2**19], 41),
+    ],
+)
+def test_square_poly_short(c, bits):
+    assert _square_poly(c, bits) == schoolbook_square(c)
+
+
+def test_square_poly_matches_schoolbook():
+    rng = random.Random(5)
+    for _ in range(200):
+        length, bits = rng.randint(1, 64), rng.randint(8, 400)
+        # coefficients below 2^k with length * 4^k <= 2^bits, so each square coefficient fits its slot
+        k = (bits - length.bit_length()) // 2
+        c = [rng.getrandbits(k) for _ in range(length)]
+        assert _square_poly(c, bits) == schoolbook_square(c)
+    # slots of 4516 digits, past the 4300-digit limit of int <-> str
+    c = [rng.getrandbits(7490) for _ in range(3)]
+    assert _square_poly(c, 15000) == schoolbook_square(c)
 
 
 @pytest.mark.parametrize("law,law_counts", [("lis", lis_law_counts), ("cycle", cycle_law_counts)])

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from butterfly_trees.bst import batch_summaries
-from butterfly_trees.butterfly import all_nonsimple_words, class_indices
+from butterfly_trees.butterfly import all_nonsimple_words, class_indices, shape_indices, stats_from_shape_bits
 from butterfly_trees.exact import cycle_law_counts, lis_law_counts
 from butterfly_trees.sampling import (
     _COLS,
@@ -232,11 +232,14 @@ def test_sample_wreath_trivial_blocks_is_uniform():
 
 
 def test_butterfly_samplers():
+    # the shape bits nonsimple_butterfly_stats draws, read as classes, are uniform over the 8 of n = 2
     trials = 80_000
-    words = nonsimple_butterfly_words(2, trials, RngState(707).generator())
-    counts = Counter(map(tuple, words.tolist()))
-    classes = list(map(tuple, all_nonsimple_words(2).tolist()))
-    assert pooled_chisquare_pvalue(counts, dict.fromkeys(classes, trials / len(classes))) > P_FLOOR
+    state = RngState(707)
+    bits = state.generator().integers(0, 2, size=(trials, 3))
+    for a, b in zip(nonsimple_butterfly_stats(2, trials, state), stats_from_shape_bits(2, bits)):
+        np.testing.assert_array_equal(a, b)
+    counts = Counter(shape_indices(bits).tolist())
+    assert pooled_chisquare_pvalue(counts, dict.fromkeys(range(8), trials / 8)) > P_FLOOR
 
     assert (class_indices(nonsimple_butterfly_words(4, 50, RngState(2).generator()), "nonsimple") >= 0).all()
     n1 = Counter(map(tuple, nonsimple_butterfly_words(1, 2000, RngState(3).generator()).tolist()))
@@ -260,6 +263,31 @@ def test_law_sampler_base_cases():
     assert set(x1) == {1, 2} and set(y1) == {1, 2}
     with pytest.raises(ValueError):
         lis_law_samples(-1, 1, RngState(0))
+
+
+def law_samples_oracle(law: str, n: int, count: int, g: np.random.Generator) -> list[int]:
+    """Level-n samples entry by entry from the all-ones level 0, each level's
+    bits drawn as one (count, 2^(n-k-1)) array, as the samplers draw them."""
+    rows = [[1] * (1 << n) for _ in range(count)]
+    for k in range(n):
+        eta = g.integers(0, 2, size=(count, 1 << (n - k - 1))).tolist()
+        for i, (row, bits) in enumerate(zip(rows, eta)):
+            pairs = zip(row[0::2], row[1::2], bits)
+            if law == "lis":
+                rows[i] = [a + b if e else max(a, b) for a, b, e in pairs]
+            else:
+                rows[i] = [a + e * b for a, b, e in pairs]
+    return [row[0] for row in rows]
+
+
+@pytest.mark.parametrize("law,sampler", [("lis", lis_law_samples), ("cycle", cycle_law_samples)])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_law_samplers_match_the_recursion_on_the_same_draws(law, sampler, n):
+    # same values from the same stream, and the stream left at the same place
+    state = RngState(41, n)
+    g, oracle = state.generator(), state.generator()
+    assert sampler(n, 25, g).tolist() == law_samples_oracle(law, n, 25, oracle)
+    assert g.integers(0, 2**62) == oracle.integers(0, 2**62)
 
 
 def test_lis_law_matches_enumeration():
