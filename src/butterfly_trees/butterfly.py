@@ -17,19 +17,31 @@ so the first child always owns the block containing the root of the tree.
 On 0-based positions i both families are XOR masks: a simple word is
 1 + (i ^ m), bit j of m being factor bit j, and a nonsimple word is
 1 + (i ^ f(i)), bit k-1 of f(i) being the bit of the level-k node that
-owns i. Every builder computes one of these two forms, and
-:func:`class_indices` inverts both; a nonsimple word's index is its
-level-ordered shape bits read as one binary number (:func:`shape_indices`).
+owns i, so a simple word is the nonsimple word whose bits are constant on
+each level (:func:`simple_shape_bits`). Every builder computes one of these
+two forms, and :func:`class_indices` inverts both; a nonsimple word's index
+is its level-ordered shape bits read as one binary number (:func:`shape_indices`).
 
 Tree statistics come straight from the shape: :func:`stats_from_shape_bits`
-evaluates the (h, l, r) recursion over the level-ordered bits, one numpy
-step per level, and is what ``fig8`` samples. The words and the trees
-built from them by insertion remain the oracle the tests check it against.
+evaluates the (h, l, r) recursion over the level-ordered bits; ``fig8``
+samples it and ``table1`` runs it over every simple word. Every bottom
+subtree of k = min(n, 4) levels is read whole from a table of the (h, l, r)
+of all 2^(2^k - 1) k-level shapes, indexed by root bit, left subtree's
+index, right subtree's index (most significant first), so that the k-level
+table is one broadcast :func:`_combine` of the (k-1)-level one. The tables
+are built on first use, not at import, and are read-only. Only the top
+n - k levels run the combine, one numpy step per level. The words and the
+trees built from them by insertion remain the oracle the tests check it
+against.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+_TABLE_LEVELS = 4  # 2^15 shapes: 3 x 256 KB of int64 (h, l, r), the largest table built
 
 
 def all_simple_words(n: int) -> np.ndarray:
@@ -39,6 +51,20 @@ def all_simple_words(n: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     i = np.arange(1 << n, dtype=np.int64)
     return 1 + (i[None, :] ^ i[:, None])
+
+
+def simple_shape_bits(n: int) -> np.ndarray:
+    """(2^n, 2^n - 1) matrix of level-ordered shape bits, row m those of simple
+    word m: a simple word is the nonsimple word whose bits are constant on
+    each level, bit n - d - 1 of m at every depth-d node.
+
+    >>> simple_shape_bits(2).tolist()
+    [[0, 0, 0], [0, 1, 1], [1, 0, 0], [1, 1, 1]]
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    levels = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return np.repeat(levels, 1 << np.arange(n), axis=1)
 
 
 def words_from_shape_bits(n: int, bits: np.ndarray) -> np.ndarray:
@@ -120,33 +146,75 @@ def shape_indices(bits: np.ndarray) -> np.ndarray:
     return bits.astype(weights.dtype, copy=False) @ weights
 
 
-def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, l, r) arrays of the nonsimple butterfly trees of a (B, 2^n - 1)
-    matrix of level-ordered shape bits, evaluated from the leaves up.
-
-    A bottom node (one bit, two keys) is (1, 1, 0) for bit 1 and (1, 0, 1)
-    for bit 0. With (H1, L1, R1) and (H2, L2, R2) the child triples, a node
-    combines as
+def _combine(bit, h, l, r):
+    """(h, l, r) of nodes with shape bits ``bit`` over their two children, given
+    as pairs h = (H1, H2), l = (L1, L2), r = (R1, R2), first child first:
 
         bit 0:  (max(H1, R1 + 1 + H2), L1, R1 + 1 + R2)
         bit 1:  (max(H1, L1 + 1 + H2), L1 + 1 + L2, R1)
 
-    matching the word convention of :func:`words_from_shape_bits` (the first
-    child owns the root block, and the second child's tree hangs below the
-    first child's edge on the side of its block). One numpy step per level,
-    on (B, 2^d) arrays; no word or tree is built.
+    The first child owns the root block; the second child's tree hangs below
+    the first child's edge on the side of its block. Arrays broadcast.
+    """
+    (H1, H2), (L1, L2), (R1, R2) = h, l, r
+    edge = np.where(bit, L1, R1) + 1
+    return np.maximum(H1, edge + H2), np.where(bit, edge + L2, L1), np.where(bit, R1, edge + R2)
+
+
+@functools.cache
+def _subtree_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (h, l, r) arrays of all 2^(2^k - 1) shapes of k levels.
+
+    Shape i = b << 2T | i1 << T | i2, T = 2^(k-1) - 1, has root bit b, first
+    subtree i1 and second subtree i2; the 0-level shape is one key, (0, 0, 0).
+    """
+    if k == 0:
+        table = (np.zeros(1, dtype=np.int64),) * 3
+    else:
+        pairs = [(a[:, None], a[None, :]) for a in _subtree_table(k - 1)]
+        table = tuple(a.reshape(-1) for a in _combine(np.arange(2)[:, None, None], *pairs))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _subtree_weights(k: int) -> tuple[np.ndarray, ...]:
+    """Index weights of a k-level shape's bits: entry t holds the weights of
+    its 2^t level-t nodes, left to right, in :func:`_subtree_table`'s order."""
+    if k == 0:
+        return ()
+    T = (1 << (k - 1)) - 1
+    weights = (np.array([1 << (2 * T)]),) + tuple(np.concatenate([w << T, w]) for w in _subtree_weights(k - 1))
+    for w in weights:
+        w.flags.writeable = False
+    return weights
+
+
+def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, l, r) arrays of the nonsimple butterfly trees of a (B, 2^n - 1)
+    matrix of level-ordered shape bits, evaluated from the leaves up.
+
+    The 2^(n-k) bottom subtrees of k = min(n, 4) levels are read from
+    :func:`_subtree_table`, each by its index: level t of the subtrees is
+    the (B, 2^(n-k), 2^t) block of level n - k + t, times that level's
+    weights. The top n - k levels then apply :func:`_combine`, one numpy step
+    per level on (B, 2^d) arrays, matching the word convention of
+    :func:`words_from_shape_bits`. No word or tree is built.
     """
     bits = _checked_bits(n, bits)
-    b = bits[:, (1 << (n - 1)) - 1 :] == 1
-    h = np.ones(b.shape, dtype=np.int64)
-    l = b.astype(np.int64)
-    r = 1 - l
-    for d in range(n - 2, -1, -1):
+    B = bits.shape[0]
+    k = min(n, _TABLE_LEVELS)
+    top = n - k
+    # dtype=int64: uint64 bits times int64 weights would promote to float64
+    index = sum(
+        np.matmul(bits[:, (1 << (top + t)) - 1 : (1 << (top + t + 1)) - 1].reshape(B, 1 << top, 1 << t), w, dtype=np.int64)
+        for t, w in enumerate(_subtree_weights(k))
+    )
+    h, l, r = (a[index] for a in _subtree_table(k))
+    for d in range(top - 1, -1, -1):
         b = bits[:, (1 << d) - 1 : (1 << (d + 1)) - 1] == 1
-        L1, R1 = l[:, 0::2], r[:, 0::2]
-        edge = np.where(b, L1, R1) + 1
-        h = np.maximum(h[:, 0::2], edge + h[:, 1::2])
-        l, r = np.where(b, edge + l[:, 1::2], L1), np.where(b, R1, edge + r[:, 1::2])
+        h, l, r = _combine(b, (h[:, 0::2], h[:, 1::2]), (l[:, 0::2], l[:, 1::2]), (r[:, 0::2], r[:, 1::2]))
     return h[:, 0], l[:, 0], r[:, 0]
 
 

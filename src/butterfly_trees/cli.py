@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bst, butterfly, exact, lattice, sampling
+from . import butterfly, exact, lattice, sampling
 from .gepp import UNIFORMITY_CAP, uniformity_check
 
 DEFAULT_SEED = 1024
@@ -114,10 +114,11 @@ def _chunked(trials: int, row_len: int, seed: int, draw, cell: int = 0, cells: i
 
 
 def table1_data() -> tuple[dict, dict]:
-    """Height counts of the 1024 depth-10 simple butterfly trees, law vs enumeration."""
+    """Height counts of the 1024 depth-10 simple butterfly trees, law vs
+    enumeration by the shape recursion over their level-constant shape bits."""
     n = 10
     law = exact.simple_height_counts(n)
-    h, _, _ = bst.batch_summaries(butterfly.all_simple_words(n))
+    h, _, _ = butterfly.stats_from_shape_bits(n, butterfly.simple_shape_bits(n))
     values, freqs = np.unique(h, return_counts=True)
     enum = {int(v): int(c) for v, c in zip(values, freqs)}
     heights = sorted(law, reverse=True)
@@ -164,14 +165,19 @@ def theorem2_diff_data(n: int, m: int, trials: int, seed: int) -> tuple[dict, di
         return (hw - hu) / scale
 
     d = _chunked(trials, n * m, seed, draw)
-    band = (0.6, 1.4) if m == 2 else (float("nan"), float("nan"))
+    band, note = (float("nan"), float("nan")), "exploratory"
+    if n == 1:
+        note = "degenerate: S_1 wr S_m is S_m, so the difference has mean 0 in law"
+    elif m == 2:
+        band = (0.6, 1.4)
+        note = f"m=2: scaled difference in [{band[0]}, {band[1]}]"
     meta = {
         "subcommand": "theorem2-diff",
         "n": n,
         "m": m,
         "trials": trials,
         "seed": seed,
-        "band": f"m=2: scaled difference in [{band[0]}, {band[1]}]" if m == 2 else "exploratory",
+        "band": note,
     }
     cols = {
         "n": [n],
@@ -256,13 +262,17 @@ def explore_conjecture_data(grid: Sequence[tuple[int, int]], trials: int, seed: 
 def gepp_check_data(n: int, trials: int, seed: int, family: str) -> tuple[dict, dict]:
     """GEPP membership + uniformity + reconstruction check for one butterfly family."""
     report = uniformity_check(n, trials, sampling.RngState(seed), family=family)
+    # the chi-square law of the statistic needs an expected count of at least 5 per class
+    test = "pvalue > 0.001"
+    if trials < 5 * report.classes:
+        test = f"pvalue does not apply (expected count {trials}/{report.classes} < 5)"
     meta = {
         "subcommand": "gepp-check",
         "family": family,
         "n": n,
         "trials": trials,
         "seed": seed,
-        "band": "pvalue > 0.001, plu_error <= 1e-9, all members",
+        "band": f"{test}, plu_error <= 1e-9, all members",
     }
     cols = {
         "family": [family],

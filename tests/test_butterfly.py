@@ -4,11 +4,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from butterfly_trees import butterfly
 from butterfly_trees.bst import batch_summaries, summary
 from butterfly_trees.butterfly import (
     all_nonsimple_words,
     all_simple_words,
     class_indices,
+    simple_shape_bits,
     stats_from_shape_bits,
     words_from_shape_bits,
 )
@@ -149,9 +151,10 @@ def test_stats_recursion_nonsimple_matches_summaries():
 
 
 def test_stats_from_shape_bits_matches_built_trees():
-    # the trees built by insertion stay the oracle of the shape recursion
+    # the trees built by insertion stay the oracle of the shape recursion: n <= 4 is
+    # read whole from the 4-level table, n = 5 combines one level above it
     g = np.random.default_rng(2024)
-    for n in range(1, 11):
+    for n in range(1, 13):
         T = (1 << n) - 1
         bits = np.vstack([np.zeros((1, T), dtype=np.int64), np.ones((1, T), dtype=np.int64), g.integers(0, 2, size=(20, T))])
         h, l, r = stats_from_shape_bits(n, bits)
@@ -162,6 +165,36 @@ def test_stats_from_shape_bits_matches_built_trees():
         stats_from_shape_bits(3, np.zeros((2, 6), dtype=np.int64))
     with pytest.raises(ValueError):
         stats_from_shape_bits(0, np.zeros((2, 0), dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 10])
+def test_stats_from_shape_bits_every_bit_dtype(n):
+    g = np.random.default_rng(n)
+    bits = g.integers(0, 2, size=(40, (1 << n) - 1))
+    expected = stats_from_shape_bits(n, bits)
+    for dtype in (bool, np.uint8, np.int8, np.int32, np.uint64):
+        got = stats_from_shape_bits(n, bits.astype(dtype))
+        assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(got, expected)), dtype
+
+
+def test_subtree_tables_are_read_only():
+    # every caller shares the cached tables
+    stats_from_shape_bits(4, np.zeros((1, 15), dtype=np.int64))
+    for k in range(5):
+        for a in butterfly._subtree_table(k):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+
+def test_simple_words_are_level_constant_shapes():
+    # table1 counts the simple heights by the shape recursion over these bits
+    for n in range(1, 11):
+        bits = simple_shape_bits(n)
+        assert np.array_equal(words_from_shape_bits(n, bits), all_simple_words(n))
+        h, l, r = batch_summaries(all_simple_words(n))
+        assert all(np.array_equal(a, b) for a, b in zip(stats_from_shape_bits(n, bits), (h, l, r)))
+    with pytest.raises(ValueError):
+        simple_shape_bits(0)
 
 
 def test_cycles_match_right_edge_in_distribution():

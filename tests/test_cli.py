@@ -38,12 +38,15 @@ def test_table1(capsys):
 FIG8_GOLDEN = [
     ([], "418688ec7aa41b08fe684703d402671510744bb20e32332c3101cbb8e8d07948"),
     (["--n", "6", "--trials", "777", "--seed", "5", "--format", "json"], "469fd178b3ad7e109097aa709ee6af1890e4c5bf1aa6421f06addf4a79b9d915"),
+    (["--n", "4", "--trials", "3000", "--seed", "9"], "0ca406e165a9f51e0b12694f155e0b3002e792afc23653c0f176c99617666a24"),
+    (["--n", "5", "--trials", "1001", "--seed", "13", "--format", "json"], "4a2fa5510ade80f580d53d668354162486a8fafd0776522f35a025df2986a97a"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", FIG8_GOLDEN, ids=["default-csv", "n6-json"])
+@pytest.mark.parametrize("args,digest", FIG8_GOLDEN, ids=["default-csv", "n6-json", "n4-csv", "n5-json"])
 def test_fig8_golden_digest(capsys, args, digest):
-    # recorded from the tree-building implementation; the shape recursion must reproduce it
+    # the first two were recorded from the tree-building implementation, the n = 4 and n = 5
+    # ones (all table, one level above it) from the level-by-level shape recursion
     out = run_cli(capsys, ["fig8"] + args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -292,16 +295,16 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_import_builds_no_alias_table():
-    # the alias table is built on the first small draw, never at import, and
-    # sampling does not pull in the tree builder
+    # the alias table and the subtree tables are built on first use, never at import,
+    # and no subcommand pulls in the tree builder
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
-        "import sys, butterfly_trees.sampling as s; print('butterfly_trees.bst' in sys.modules); "
-        "import butterfly_trees.cli; print(s._alias_table.cache_info().currsize)"
+        "import sys, butterfly_trees.cli as c; print('butterfly_trees.bst' in sys.modules); "
+        "print(c.sampling._alias_table.cache_info().currsize, c.butterfly._subtree_table.cache_info().currsize)"
     )
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout == "False\n0\n"
+    assert run.stdout == "False\n0 0\n"
 
 
 def test_fmt_numpy_scalars():
@@ -377,6 +380,28 @@ def test_theorem2_small(capsys):
     data = rows[-1].split(",")
     assert data[0] == "200" and data[1] == "1"
     assert abs(float(data[3])) <= 0.2  # identical laws at m=1
+
+
+def test_theorem2_n1_band_is_degenerate(capsys):
+    # S_1 wr S_m is S_m: the difference has mean 0 in law, and the m = 2 band (asymptotic in n) does not apply
+    for m in (2, 3):
+        doc = json.loads(run_cli(capsys, ["theorem2-diff", "--n", "1", "--m", str(m), "--trials", "40", "--format", "json"]))
+        assert doc["meta"]["band"].startswith("degenerate")
+        assert math.isnan(doc["columns"]["band_lo"][0]) and math.isnan(doc["columns"]["band_hi"][0])
+    doc = json.loads(run_cli(capsys, ["theorem2-diff", "--n", "2", "--m", "2", "--trials", "40", "--format", "json"]))
+    assert doc["meta"]["band"] == "m=2: scaled difference in [0.6, 1.4]" and doc["columns"]["band_lo"] == [0.6]
+
+
+@pytest.mark.parametrize("trials,applies", [(1, False), (39, False), (40, True)])
+def test_gepp_check_band_needs_five_per_class(capsys, trials, applies):
+    # nonsimple n = 2 has 8 classes: the chi-square p-value needs an expected count of 5 per class
+    doc = json.loads(run_cli(capsys, ["gepp-check", "--trials", str(trials), "--format", "json"]))
+    assert doc["columns"]["classes"] == [8]
+    band = doc["meta"]["band"]
+    if applies:
+        assert band == "pvalue > 0.001, plu_error <= 1e-9, all members"
+    else:
+        assert band == f"pvalue does not apply (expected count {trials}/8 < 5), plu_error <= 1e-9, all members"
 
 
 def test_clt_simple_reports_band(capsys):
