@@ -22,17 +22,19 @@ each level (:func:`simple_shape_bits`). Every builder computes one of these
 two forms, and :func:`class_indices` inverts both; a nonsimple word's index
 is its level-ordered shape bits read as one binary number (:func:`shape_indices`).
 
-Tree statistics come straight from the shape: :func:`stats_from_shape_bits`
-evaluates the (h, l, r) recursion over the level-ordered bits; ``fig8``
-samples it and ``table1`` runs it over every simple word. Every bottom
-subtree of k = min(n, 4) levels is read whole from a table of the (h, l, r)
-of all 2^(2^k - 1) k-level shapes, indexed by root bit, left subtree's
-index, right subtree's index (most significant first), so that the k-level
-table is one broadcast :func:`_combine` of the (k-1)-level one. The tables
-are built on first use, not at import, and are read-only. Only the top
-n - k levels run the combine, one numpy step per level. The words and the
-trees built from them by insertion remain the oracle the tests check it
-against.
+Tree statistics come straight from the shape. Every bottom subtree of
+k = min(n, 4) levels is read whole from a table of the (h, l, r) of all
+2^(2^k - 1) k-level shapes, indexed by root bit, left subtree's index,
+right subtree's index (most significant first), so that the k-level table
+is one broadcast :func:`_combine` of the (k-1)-level one. The tables are
+built on first use, not at import, and are read-only. Only the top n - k
+levels run the combine, one numpy step per level. :func:`stats_from_subtrees`
+is that kernel, over the top levels' bits and the subtrees' indices; ``fig8``
+samples those two directly (``sampling.nonsimple_butterfly_stats``: per
+chunk, the top bits, then the subtree indices). :func:`stats_from_shape_bits`
+first reduces 2^n - 1 level-ordered bits to them; ``table1`` runs it over
+every simple word. The words and the trees built from them by insertion
+remain the oracle the tests check it against.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import functools
 
 import numpy as np
 
-_TABLE_LEVELS = 4  # 2^15 shapes: 3 x 256 KB of int64 (h, l, r), the largest table built
+TABLE_LEVELS = 4  # 2^15 shapes: 3 x 256 KB of int64 (h, l, r), the largest table built
 
 
 def all_simple_words(n: int) -> np.ndarray:
@@ -193,27 +195,42 @@ def _subtree_weights(k: int) -> tuple[np.ndarray, ...]:
 
 def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, l, r) arrays of the nonsimple butterfly trees of a (B, 2^n - 1)
-    matrix of level-ordered shape bits, evaluated from the leaves up.
+    matrix of level-ordered shape bits, matching the word convention of
+    :func:`words_from_shape_bits`.
 
-    The 2^(n-k) bottom subtrees of k = min(n, 4) levels are read from
-    :func:`_subtree_table`, each by its index: level t of the subtrees is
-    the (B, 2^(n-k), 2^t) block of level n - k + t, times that level's
-    weights. The top n - k levels then apply :func:`_combine`, one numpy step
-    per level on (B, 2^d) arrays, matching the word convention of
-    :func:`words_from_shape_bits`. No word or tree is built.
+    The bits split into the top n - k levels, k = min(n, 4), and the
+    :func:`_subtree_table` index of each of the 2^(n-k) bottom subtrees:
+    level t of the subtrees is the (B, 2^(n-k), 2^t) block of level
+    n - k + t, times that level's weights. :func:`stats_from_subtrees` does
+    the rest.
     """
     bits = _checked_bits(n, bits)
     B = bits.shape[0]
-    k = min(n, _TABLE_LEVELS)
-    top = n - k
+    k = min(n, TABLE_LEVELS)
+    d = n - k  # depth of the subtree roots
     # dtype=int64: uint64 bits times int64 weights would promote to float64
     index = sum(
-        np.matmul(bits[:, (1 << (top + t)) - 1 : (1 << (top + t + 1)) - 1].reshape(B, 1 << top, 1 << t), w, dtype=np.int64)
+        np.matmul(bits[:, (1 << (d + t)) - 1 : (1 << (d + t + 1)) - 1].reshape(B, 1 << d, 1 << t), w, dtype=np.int64)
         for t, w in enumerate(_subtree_weights(k))
     )
+    return stats_from_subtrees(n, bits[:, : (1 << d) - 1], index)
+
+
+def stats_from_subtrees(n: int, top: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, l, r) arrays of the nonsimple butterfly trees given by a (B, 2^(n-k) - 1)
+    matrix of level-ordered 0/1 bits of the top n - k levels, k = min(n, 4),
+    and a (B, 2^(n-k)) matrix of the :func:`_subtree_table` indices of the
+    bottom k-level subtrees, left to right; n >= 1. Neither is checked: the
+    callers draw or derive them in these shapes and ranges.
+
+    The subtrees' (h, l, r) are gathered from the table; the top levels then
+    apply :func:`_combine`, one numpy step per level on (B, 2^d) arrays, from
+    the leaves up. No word or tree is built.
+    """
+    k = min(n, TABLE_LEVELS)
     h, l, r = (a[index] for a in _subtree_table(k))
-    for d in range(top - 1, -1, -1):
-        b = bits[:, (1 << d) - 1 : (1 << (d + 1)) - 1] == 1
+    for d in range(n - k - 1, -1, -1):
+        b = top[:, (1 << d) - 1 : (1 << (d + 1)) - 1] == 1
         h, l, r = _combine(b, (h[:, 0::2], h[:, 1::2]), (l[:, 0::2], l[:, 1::2]), (r[:, 0::2], r[:, 1::2]))
     return h[:, 0], l[:, 0], r[:, 0]
 

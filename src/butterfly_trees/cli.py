@@ -15,8 +15,11 @@ from the one stream ``RngState(seed, c)``. ``theorem2-diff`` draws a chunk's
 wreath heights, then its uniform heights, from that stream. Cell i of an
 ``explore-conjecture`` grid of G cells draws chunk c from
 ``RngState(seed, c * G + i)``, so no two (cell, chunk) pairs share a stream.
+A ``fig8`` chunk draws its trees' top-level shape bits, then one index per
+bottom subtree of min(n, 4) levels, from its stream
+(``sampling.nonsimple_butterfly_stats``).
 No sampled tree is built from a word: the samplers split key intervals
-(``sampling.uniform_bst_stats``, ``sampling.wreath_heights``).
+(``sampling.uniform_bst_stats``, ``sampling.wreath_heights``) or read shapes.
 An argument whose single row exceeds ``_CHUNK_ENTRIES`` is an argparse error,
 and so is a ``clt-simple --samples`` above it: that sample is drawn in one piece.
 """
@@ -147,7 +150,7 @@ def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
         "max": int(h.max()),
         "mean_lower_bound": lower,
         "mean_upper_bound": upper,
-        "band": "n=10: mean in [113,126], min >= 62" if n == 10 else "mean in [lower, upper]",
+        "band": "n=10: mean in [113,126]" if n == 10 else "mean in [lower, upper]",
     }
     values, freqs = np.unique(h, return_counts=True)
     cols = {"height": [int(v) for v in values], "count": [int(c) for c in freqs]}

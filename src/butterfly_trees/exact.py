@@ -1,8 +1,8 @@
 """
 Exact combinatorics backing the height/edge/cycle laws.
 
-Everything distributional here is exact: Stirling numbers and harmonic
-numbers are arbitrary-precision integers/rationals, butterfly-tree pmfs
+Everything distributional here is exact: Stirling numbers are
+arbitrary-precision integers, butterfly-tree pmfs
 carry dyadic weights (integer numerators over a power-of-two denominator),
 and the bound sequences/constants are double precision with documented
 defining formulas.
@@ -61,13 +61,6 @@ def stirling1_pmf(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(row[k], fact) for k in range(1, n + 1))
 
 
-def harmonic(n: int, power: int = 1) -> Fraction:
-    """Generalized harmonic number sum_{j<=n} 1/j^power as an exact rational."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return sum((Fraction(1, j**power) for j in range(1, n + 1)), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # Simple butterfly height law
 # ---------------------------------------------------------------------------
@@ -94,13 +87,6 @@ def simple_height_pmf(n: int) -> dict[int, Fraction]:
     """Exact height pmf of a uniform simple butterfly tree with 2^n nodes."""
     denom = 1 << n
     return {h: Fraction(c, denom) for h, c in simple_height_counts(n).items()}
-
-
-def simple_height_mean(n: int) -> Fraction:
-    """Mean height 2*(3/2)^n - 2 of a uniform simple butterfly tree."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 2 * LAMBDA**n - 2
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +153,6 @@ def constants() -> Constants:
 # ---------------------------------------------------------------------------
 # Edge and cycle moments, bound sequences
 # ---------------------------------------------------------------------------
-
-
-def edge_moments(n: int) -> tuple[Fraction, Fraction]:
-    """(E L_n, E L_n^2) for the top-edge length of a nonsimple butterfly tree.
-
-    E L_n = (3/2)^n - 1 and E L_n^2 = (4/3)(3/2)^(2n) - (7/3)(3/2)^n + 1;
-    by symmetry the same moments hold for R_n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    first = LAMBDA**n - 1
-    second = Fraction(4, 3) * LAMBDA ** (2 * n) - Fraction(7, 3) * LAMBDA**n + 1
-    return first, second
 
 
 @lru_cache(maxsize=None)

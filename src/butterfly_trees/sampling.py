@@ -1,9 +1,11 @@
 """
 Seeded batch samplers: the trees of nonsimple butterfly words from their
-shape bits, and those of uniform S_n and S_n wr S_m words (Theorem 2's
-block model) by root splits, with no word built, a subtree of at most 20
-keys drawn whole from an exact alias table; and the two recursive
-distributional laws (LIS-law and cycle-law of nonsimple butterflies).
+shapes (a draw of the top levels' bits, then one uniform table index per
+bottom subtree of up to four levels), and those of uniform S_n and
+S_n wr S_m words (Theorem 2's block model) by root splits, with no word
+built, a subtree of at most 20 keys drawn whole from an exact alias table;
+and the two recursive distributional laws (LIS-law and cycle-law of
+nonsimple butterflies).
 Each returns ``count`` iid draws, one per row or entry.
 
 All samplers take either an :class:`RngState` (a value; the same state
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .butterfly import stats_from_shape_bits
+from .butterfly import TABLE_LEVELS, stats_from_subtrees
 
 _SMALL = 20  # an interval of at most this many keys draws its whole tree from an alias table
 _ORDERS = math.factorial(_SMALL)  # < 2^63: one int64 draw per small interval
@@ -61,13 +63,23 @@ def _gen(rng: RngState | np.random.Generator) -> np.random.Generator:
 def nonsimple_butterfly_stats(
     n: int, count: int, rng: RngState | np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, l, r) arrays of ``count`` iid uniform nonsimple butterfly trees.
+    """(h, l, r) arrays of ``count`` iid uniform nonsimple butterfly trees, n >= 1.
 
-    One (count, 2^n - 1) draw of fair shape bits, a bit per internal node in
-    level order, read by :func:`~butterfly_trees.butterfly.stats_from_shape_bits`:
-    the trees of the words those bits build, with neither words nor trees built.
+    With k = min(n, 4), one (count, 2^(n-k) - 1) draw of fair bits for the
+    internal nodes of the top n - k levels, in level order, then one
+    (count, 2^(n-k)) draw of uniform indices below 2^(2^k - 1), one per
+    bottom k-level subtree, left to right, read by
+    :func:`~butterfly_trees.butterfly.stats_from_subtrees`. A uniform index
+    is 2^k - 1 fair shape bits, so these are the trees of fair bits on
+    every internal node, with neither the bits, words nor trees built.
     """
-    return stats_from_shape_bits(n, _gen(rng).integers(0, 2, size=(count, (1 << n) - 1)))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    g = _gen(rng)
+    k = min(n, TABLE_LEVELS)
+    top = g.integers(0, 2, size=(count, (1 << (n - k)) - 1))
+    index = g.integers(0, 1 << ((1 << k) - 1), size=(count, 1 << (n - k)))
+    return stats_from_subtrees(n, top, index)
 
 
 def _law_counts() -> np.ndarray:

@@ -9,10 +9,12 @@ identity), the exact laws by pairwise dict convolution over their
 supports, the butterfly words, membership tests and matrices by their
 block recursions, the Boolean lattice's degrees from its adjacency, GEPP
 by a one-matrix row loop, the uniform and wreath words by shuffling and
-stacking copies and the nonsimple words by the tuple wreath recursion (the
-package samples their trees without words), the wreath height law by
-enumerating the group, and the uniform BST height law by its size
-recursion.
+stacking copies and the nonsimple words by the tuple wreath recursion from
+the sampler's draw spelled out as shape bits (the package samples their
+trees without words or bits), the wreath height law by enumerating the
+group, the uniform BST height law by its size recursion, the least
+nonsimple heights by a Pareto DP over (h, l, r), and the harmonic numbers,
+simple mean height and edge moments in closed form.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -114,6 +117,24 @@ def ltr_minima_len(word) -> int:
         if x < best:
             best, count = x, count + 1
     return count
+
+
+def harmonic(n: int, power: int = 1) -> Fraction:
+    """Generalized harmonic number sum_{j<=n} 1/j^power as an exact rational."""
+    return sum((Fraction(1, j**power) for j in range(1, n + 1)), Fraction(0))
+
+
+def simple_height_mean(n: int) -> Fraction:
+    """Mean height 2 (3/2)^n - 2 of a uniform simple butterfly tree."""
+    return 2 * Fraction(3, 2) ** n - 2
+
+
+def edge_moments(n: int) -> tuple[Fraction, Fraction]:
+    """(E L_n, E L_n^2) for the top-edge length of a nonsimple butterfly tree:
+    E L_n = (3/2)^n - 1 and E L_n^2 = (4/3)(3/2)^(2n) - (7/3)(3/2)^n + 1. By
+    symmetry the same moments hold for R_n."""
+    lam = Fraction(3, 2) ** n
+    return lam - 1, Fraction(4, 3) * lam**2 - Fraction(7, 3) * lam + 1
 
 
 def kron(pi, sigma) -> tuple[int, ...]:
@@ -404,12 +425,66 @@ def wreath_words(n: int, m: int, count: int, g: np.random.Generator) -> np.ndarr
     return (picked + (rho * n)[:, :, None]).reshape(count, n * m)
 
 
+def subtree_levels(index: np.ndarray, k: int) -> list[np.ndarray]:
+    """Levels 0..k-1 of the k-level shapes numbered ``index``, level t an
+    ``index.shape + (2^t,)`` array of bits, left to right. Shape
+    b << 2T | i1 << T | i2, T = 2^(k-1) - 1, has root bit b, first subtree
+    i1 and second subtree i2, each numbered the same way one level down."""
+    if k == 0:
+        return []
+    T = (1 << (k - 1)) - 1
+    first = subtree_levels(index >> T & ((1 << T) - 1), k - 1)
+    second = subtree_levels(index & ((1 << T) - 1), k - 1)
+    return [(index >> 2 * T)[..., None]] + [np.concatenate(pair, axis=-1) for pair in zip(first, second)]
+
+
+def nonsimple_shape_bits(n: int, count: int, g: np.random.Generator) -> np.ndarray:
+    """(count, 2^n - 1) level-ordered fair shape bits, drawn as
+    ``sampling.nonsimple_butterfly_stats`` draws them: with k = min(n, 4),
+    the top n - k levels' bits, then one uniform shape number below
+    2^(2^k - 1) per bottom subtree, left to right, expanded by
+    :func:`subtree_levels`. Level n - k + t holds every subtree's level t."""
+    k = min(n, 4)
+    top = g.integers(0, 2, size=(count, (1 << (n - k)) - 1))
+    index = g.integers(0, 1 << ((1 << k) - 1), size=(count, 1 << (n - k)))
+    return np.concatenate([top] + [level.reshape(count, -1) for level in subtree_levels(index, k)], axis=1)
+
+
 def nonsimple_butterfly_words(n: int, count: int, g: np.random.Generator) -> np.ndarray:
     """(count, 2^n) uniform nonsimple words, each built by :func:`tuple_nonsimple_word`
-    from a row of fair shape bits. The bits are one (count, 2^n - 1) integer draw,
-    as in ``sampling.nonsimple_butterfly_stats``, so an equal stream gives its trees."""
-    bits = g.integers(0, 2, size=(count, (1 << n) - 1))
+    from a row of :func:`nonsimple_shape_bits`, so an equal stream gives the trees
+    of ``sampling.nonsimple_butterfly_stats``."""
+    bits = nonsimple_shape_bits(n, count, g)
     return np.array([tuple_nonsimple_word(b, n) for b in bits.tolist()], dtype=np.int64).reshape(count, 1 << n)
+
+
+def nonsimple_pareto_fronts(n_max: int) -> list[set]:
+    """The Pareto-minimal (h, l, r) triples of the nonsimple butterfly trees at
+    each level 1..n_max: those that no other tree of the level is <= in every
+    coordinate. Each level combines every pair of the level below's front under
+    both bits; the combine is nondecreasing in every coordinate, so a dominated
+    triple only ever leads to dominated ones. The least height of level n is
+    the least h on its front."""
+    fronts = [{(1, 0, 1), (1, 1, 0)}]
+    for _ in range(2, n_max + 1):
+        reached = set()
+        for H1, L1, R1 in fronts[-1]:
+            for H2, L2, R2 in fronts[-1]:
+                reached.add((max(H1, R1 + 1 + H2), L1, R1 + 1 + R2))
+                reached.add((max(H1, L1 + 1 + H2), L1 + 1 + L2, R1))
+        fronts.append(pareto_minimal(reached))
+    return fronts
+
+
+def pareto_minimal(triples) -> set:
+    """The triples that no other triple is <= in every coordinate. In sorted
+    order a triple's dominators come before it, so each is checked only
+    against the minimal ones kept so far."""
+    front: list = []
+    for t in sorted(set(triples)):
+        if not any(all(a <= b for a, b in zip(u, t)) for u in front):
+            front.append(t)
+    return set(front)
 
 
 def wreath_height_counts(n: int, m: int) -> dict[int, int]:

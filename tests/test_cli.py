@@ -36,17 +36,18 @@ def test_table1(capsys):
 
 
 FIG8_GOLDEN = [
-    ([], "418688ec7aa41b08fe684703d402671510744bb20e32332c3101cbb8e8d07948"),
-    (["--n", "6", "--trials", "777", "--seed", "5", "--format", "json"], "469fd178b3ad7e109097aa709ee6af1890e4c5bf1aa6421f06addf4a79b9d915"),
-    (["--n", "4", "--trials", "3000", "--seed", "9"], "0ca406e165a9f51e0b12694f155e0b3002e792afc23653c0f176c99617666a24"),
-    (["--n", "5", "--trials", "1001", "--seed", "13", "--format", "json"], "4a2fa5510ade80f580d53d668354162486a8fafd0776522f35a025df2986a97a"),
+    ([], "ddb24ed2ffbf3d0743a4aaeff8f4d3072d7f8202443dc9ff3744cbeb25dc9279"),
+    (["--n", "6", "--trials", "777", "--seed", "5", "--format", "json"], "945ca5a71ed432f61f347e049d06e4580b383e303c9e6d617477751dd2d2c387"),
+    (["--n", "4", "--trials", "3000", "--seed", "9"], "ea406550d4790e537119df0b8addc66d2f0cfdfa0d63a8427938a8aaee20b8c0"),
+    (["--n", "5", "--trials", "1001", "--seed", "13", "--format", "json"], "7d3e27b16e76905133f3ca02443ee116ed05b2ca64f601eacebf30a0be47cae9"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", FIG8_GOLDEN, ids=["default-csv", "n6-json", "n4-csv", "n5-json"])
 def test_fig8_golden_digest(capsys, args, digest):
-    # the first two were recorded from the tree-building implementation, the n = 4 and n = 5
-    # ones (all table, one level above it) from the level-by-level shape recursion
+    # re-recorded when each chunk drew its top-level bits and then one uniform index per
+    # bottom subtree instead of all 2^n - 1 shape bits: the same law, each chunk's stream
+    # consumed differently (the n = 10 band also lost its sampled-minimum clause)
     out = run_cli(capsys, ["fig8"] + args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -75,14 +76,15 @@ def test_tree_golden_digest(capsys, args, digest):
 
 CHUNK_GOLDEN = [
     (["law-hist"], "b563eef688b6cf744b0711c18076d7198a827dba74a60f1744ab375fe6b0e54b"),
-    (["fig8", "--n", "16", "--trials", "130"], "969037a0149752315692ed31d72042578c6d2d5fd8e490f0e450df5f6cb5cb34"),
+    (["fig8", "--n", "16", "--trials", "130"], "b4a5fcbaaad3692ff1077d43a2956e6ab6639680c9acf55ea49ba4b0803132d9"),
 ]
 
 
 @pytest.mark.parametrize("args,digest", CHUNK_GOLDEN, ids=["law-hist-default", "fig8-n16"])
 def test_chunk_golden_digest(capsys, args, digest):
     # recorded from the one chunk driver, whose row budget moved these outputs:
-    # law-hist n = 4 now samples 250-row chunks (16000 before), fig8 n = 16 128-row ones (250 before)
+    # law-hist n = 4 now samples 250-row chunks (16000 before), fig8 n = 16 128-row ones (250 before);
+    # fig8 n = 16 re-recorded when chunks drew subtree indices instead of shape bits
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -15,13 +15,10 @@ from butterfly_trees.exact import (
     cycle_law_counts,
     cycle_moment,
     devroye_constant,
-    edge_moments,
     exact_mean_height,
-    harmonic,
     lis_law_counts,
     nonsimple_mean_bounds,
     simple_height_counts,
-    simple_height_mean,
     simple_height_pmf,
     stirling1_pmf,
     stirling1_row,
@@ -29,7 +26,20 @@ from butterfly_trees.exact import (
 )
 from butterfly_trees.sampling import RngState, nonsimple_butterfly_stats
 
-from conftest import all_words, cycle_count, dict_law_levels, dict_triple_levels, lis, ltr_maxima_len, nonzero_counts
+from conftest import (
+    all_words,
+    cycle_count,
+    dict_law_levels,
+    dict_triple_levels,
+    edge_moments,
+    harmonic,
+    lis,
+    ltr_maxima_len,
+    nonsimple_pareto_fronts,
+    nonzero_counts,
+    pareto_minimal,
+    simple_height_mean,
+)
 
 
 def moment(W, exp: int, coord: int, power: int = 1) -> Fraction:
@@ -202,6 +212,15 @@ def test_triple_dist_matches_dict_convolution():
         W, _ = triple_counts(n)
         assert nonzero_counts(W) == oracle
         assert (W >= 0).all()
+
+
+def test_pareto_fronts_are_the_minimal_triples_of_the_exact_law():
+    fronts = nonsimple_pareto_fronts(10)
+    for n, front in enumerate(fronts[:6], start=1):
+        support = set(nonzero_counts(triple_counts(n)[0]))
+        assert front == pareto_minimal(support)
+        assert min(h for h, _, _ in front) == min(h for h, _, _ in support)
+    assert [min(h for h, _, _ in front) for front in fronts] == [1, 2, 3, 5, 7, 9, 11, 14, 17, 20]
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import (
     lis,
     naive_summary,
     nonsimple_butterfly_words,
+    nonsimple_shape_bits,
     uniform_height_cdf,
     uniform_words,
     wreath_height_counts,
@@ -232,14 +234,24 @@ def test_sample_wreath_trivial_blocks_is_uniform():
 
 
 def test_butterfly_samplers():
-    # the shape bits nonsimple_butterfly_stats draws, read as classes, are uniform over the 8 of n = 2
+    # at n = 2 the one subtree index nonsimple_butterfly_stats draws is the class, uniform over the 8
     trials = 80_000
     state = RngState(707)
-    bits = state.generator().integers(0, 2, size=(trials, 3))
+    index = state.generator().integers(0, 8, size=(trials, 1))[:, 0]
+    bits = nonsimple_shape_bits(2, trials, state.generator())
+    assert np.array_equal(shape_indices(bits), index)
     for a, b in zip(nonsimple_butterfly_stats(2, trials, state), stats_from_shape_bits(2, bits)):
         np.testing.assert_array_equal(a, b)
-    counts = Counter(shape_indices(bits).tolist())
-    assert pooled_chisquare_pvalue(counts, dict.fromkeys(range(8), trials / 8)) > P_FLOOR
+    assert pooled_chisquare_pvalue(Counter(index.tolist()), dict.fromkeys(range(8), trials / 8)) > P_FLOOR
+
+    # at n = 5 the top three levels are the top bit, both subtree roots and their children: 128 classes
+    trials = 25_600
+    state = RngState(708)
+    bits = nonsimple_shape_bits(5, trials, state.generator())
+    for a, b in zip(nonsimple_butterfly_stats(5, trials, state), stats_from_shape_bits(5, bits)):
+        np.testing.assert_array_equal(a, b)
+    counts = Counter(shape_indices(bits[:, :7]).tolist())
+    assert pooled_chisquare_pvalue(counts, dict.fromkeys(range(128), trials / 128)) > P_FLOOR
 
     assert (class_indices(nonsimple_butterfly_words(4, 50, RngState(2).generator()), "nonsimple") >= 0).all()
     n1 = Counter(map(tuple, nonsimple_butterfly_words(1, 2000, RngState(3).generator()).tolist()))
@@ -253,6 +265,31 @@ def test_nonsimple_butterfly_stats_are_the_trees_of_the_sampled_words():
         trees_hlr = batch_summaries(nonsimple_butterfly_words(n, 40, state.generator()))
         for a, b in zip(stats_hlr, trees_hlr):
             np.testing.assert_array_equal(a, b)
+
+
+def test_nonsimple_butterfly_stats_are_those_of_the_expanded_shape_bits():
+    # the top bits and subtree indices of the sampler, spelled out as 2^n - 1 level-ordered bits
+    for n in range(1, 13):
+        state = RngState(37, n)
+        bits = nonsimple_shape_bits(n, 40, state.generator())
+        assert bits.shape == (40, (1 << n) - 1) and ((bits == 0) | (bits == 1)).all()
+        for a, b in zip(nonsimple_butterfly_stats(n, 40, state), stats_from_shape_bits(n, bits)):
+            np.testing.assert_array_equal(a, b)
+    with pytest.raises(ValueError):
+        nonsimple_butterfly_stats(0, 1, RngState(0))
+
+
+def test_nonsimple_butterfly_stats_chunk_peak_memory():
+    # one fig8 chunk at n = 16 (128 rows) peaks near 30 MB: its top bits, subtree indices and their
+    # (h, l, r), 4 MB each, and one level's combine; a (128, 2^16 - 1) bit matrix alone is 64 MB
+    nonsimple_butterfly_stats(16, 1, RngState(0))  # the subtree tables are built outside the trace
+    tracemalloc.start()
+    try:
+        nonsimple_butterfly_stats(16, 128, RngState(16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
 
 
 def test_law_sampler_base_cases():
