@@ -18,23 +18,24 @@ On 0-based positions i both families are XOR masks: a simple word is
 1 + (i ^ m), bit j of m being factor bit j, and a nonsimple word is
 1 + (i ^ f(i)), bit k-1 of f(i) being the bit of the level-k node that
 owns i, so a simple word is the nonsimple word whose bits are constant on
-each level (:func:`simple_shape_bits`). Every builder computes one of these
-two forms, and :func:`class_indices` inverts both; a nonsimple word's index
-is its level-ordered shape bits read as one binary number (:func:`shape_indices`).
+each level (:func:`simple_shape_bits`). :func:`class_indices` inverts both
+forms: a simple word's index is m, and a nonsimple word's index is its
+level-ordered shape bits read as one binary number (:func:`shape_indices`),
+the one numbering of nonsimple shapes here. No word is built in this
+package; the word builders and insertion trees are the tests' oracles.
 
 Tree statistics come straight from the shape. Every bottom subtree of
 k = min(n, 4) levels is read whole from a table of the (h, l, r) of all
-2^(2^k - 1) k-level shapes, indexed by root bit, left subtree's index,
-right subtree's index (most significant first), so that the k-level table
-is one broadcast :func:`_combine` of the (k-1)-level one. The tables are
-built on first use, not at import, and are read-only. Only the top n - k
-levels run the combine, one numpy step per level. :func:`stats_from_subtrees`
-is that kernel, over the top levels' bits and the subtrees' indices; ``fig8``
-samples those two directly (``sampling.nonsimple_butterfly_stats``: per
-chunk, the top bits, then the subtree indices). :func:`stats_from_shape_bits`
+2^(2^k - 1) k-level shapes, row i the shape of index i. :func:`_level` is
+the one step from a level's children to its nodes: the table is built from
+the one-key leaves up with it, and the top n - k levels run it, one numpy
+step per level. The tables are built on first use, not at import, and are
+read-only. :func:`stats_from_subtrees` is that kernel, over the top levels'
+bits and the subtrees' indices; ``fig8`` samples those two directly
+(``sampling.nonsimple_butterfly_stats``: per chunk, the top bits, then one
+uniform class index per bottom subtree). :func:`stats_from_shape_bits`
 first reduces 2^n - 1 level-ordered bits to them; ``table1`` runs it over
-every simple word. The words and the trees built from them by insertion
-remain the oracle the tests check it against.
+every simple word.
 """
 
 from __future__ import annotations
@@ -44,15 +45,6 @@ import functools
 import numpy as np
 
 TABLE_LEVELS = 4  # 2^15 shapes: 3 x 256 KB of int64 (h, l, r), the largest table built
-
-
-def all_simple_words(n: int) -> np.ndarray:
-    """(2^n, 2^n) matrix of all simple words: row m is ``1 + (i ^ m)``, the word
-    whose factor bits are the bits of m (least significant innermost)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    i = np.arange(1 << n, dtype=np.int64)
-    return 1 + (i[None, :] ^ i[:, None])
 
 
 def simple_shape_bits(n: int) -> np.ndarray:
@@ -69,45 +61,14 @@ def simple_shape_bits(n: int) -> np.ndarray:
     return np.repeat(levels, 1 << np.arange(n), axis=1)
 
 
-def words_from_shape_bits(n: int, bits: np.ndarray) -> np.ndarray:
-    """(B, 2^n) words from a (B, 2^n - 1) matrix of level-ordered shape bits.
-
-    Row t is ``1 + (i ^ f)``, where bit k-1 of f[i] is the bit of the
-    level-k node that owns position i:
-
-    >>> bits = np.array([[1, 0, 1]])  # root 1, left leaf 0, right leaf 1
-    >>> f = np.array([0b10, 0b10, 0b11, 0b11])
-    >>> words_from_shape_bits(2, bits).tolist() == [(1 + (np.arange(4) ^ f)).tolist()]
-    True
-    """
-    bits = _checked_bits(n, bits).astype(np.int64, copy=False)
-    i = np.arange(1 << n, dtype=np.int64)
-    f = np.zeros((bits.shape[0], 1 << n), dtype=np.int64)
-    for k in range(1, n + 1):
-        f |= bits[:, (1 << (n - k)) - 1 + (i >> k)] << (k - 1)
-    return 1 + (i ^ f)
-
-
-def _checked_bits(n: int, bits: np.ndarray) -> np.ndarray:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    bits = np.asarray(bits)
-    if bits.ndim != 2 or bits.shape[1] != (1 << n) - 1:
-        raise ValueError(f"need a (B, {(1 << n) - 1}) matrix of shape bits, got shape {bits.shape}")
-    if bits.dtype.kind not in "biu" or bits.size and (bits.min() < 0 or bits.max() > 1):
-        raise ValueError("shape bits must be integers 0 or 1")
-    return bits
-
-
 def class_indices(words: np.ndarray, family: str) -> np.ndarray:
     """Class index of each row of a (B, N) word matrix in ``family``, -1 for non-members.
 
     With f = (word - 1) ^ i, a word is simple iff f is constant, with index
     f[0]; it is nonsimple iff bit k-1 of f is constant on every aligned
     block of 2^k positions, with index its level-ordered shape bits read
-    root first, most significant bit first. The index is the
-    word's row in :func:`all_simple_words` or :func:`all_nonsimple_words`;
-    past N = 64 nonsimple indices are Python ints in an object array.
+    root first, most significant bit first (:func:`shape_indices`); past
+    N = 64 nonsimple indices are Python ints in an object array.
 
     >>> class_indices(np.array([[3, 4, 2, 1], [3, 4, 1, 2]]), "nonsimple").tolist()
     [5, 4]
@@ -148,9 +109,10 @@ def shape_indices(bits: np.ndarray) -> np.ndarray:
     return bits.astype(weights.dtype, copy=False) @ weights
 
 
-def _combine(bit, h, l, r):
-    """(h, l, r) of nodes with shape bits ``bit`` over their two children, given
-    as pairs h = (H1, H2), l = (L1, L2), r = (R1, R2), first child first:
+def _level(bit, h, l, r):
+    """(h, l, r) of a level of nodes with shape bits ``bit`` over the level
+    below, given as (h, l, r) arrays whose adjacent entries 2j, 2j + 1 along
+    the last axis are node j's first and second child:
 
         bit 0:  (max(H1, R1 + 1 + H2), L1, R1 + 1 + R2)
         bit 1:  (max(H1, L1 + 1 + H2), L1 + 1 + L2, R1)
@@ -158,60 +120,59 @@ def _combine(bit, h, l, r):
     The first child owns the root block; the second child's tree hangs below
     the first child's edge on the side of its block. Arrays broadcast.
     """
-    (H1, H2), (L1, L2), (R1, R2) = h, l, r
+    (H1, H2), (L1, L2), (R1, R2) = ((a[..., 0::2], a[..., 1::2]) for a in (h, l, r))
     edge = np.where(bit, L1, R1) + 1
     return np.maximum(H1, edge + H2), np.where(bit, edge + L2, L1), np.where(bit, R1, edge + R2)
 
 
 @functools.cache
 def _subtree_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (h, l, r) arrays of all 2^(2^k - 1) shapes of k levels.
+    """Read-only (h, l, r) arrays of all 2^(2^k - 1) shapes of k levels, row i
+    the shape whose level-ordered bits read as i (its :func:`shape_indices` index).
 
-    Shape i = b << 2T | i1 << T | i2, T = 2^(k-1) - 1, has root bit b, first
-    subtree i1 and second subtree i2; the 0-level shape is one key, (0, 0, 0).
+    Built from the 2^k one-key leaves up, one :func:`_level` per level: every
+    combination of level t's 2^t bits, leftmost node most significant, goes on
+    a new leading axis, so each level is more significant than those below it.
     """
-    if k == 0:
-        table = (np.zeros(1, dtype=np.int64),) * 3
-    else:
-        pairs = [(a[:, None], a[None, :]) for a in _subtree_table(k - 1)]
-        table = tuple(a.reshape(-1) for a in _combine(np.arange(2)[:, None, None], *pairs))
+    h = l = r = np.zeros((1, 1 << k), dtype=np.int64)
+    for t in range(k - 1, -1, -1):
+        w = 1 << t
+        bit = ((np.arange(1 << w)[:, None, None] >> np.arange(w - 1, -1, -1)) & 1) == 1
+        h, l, r = (a.reshape(-1, w) for a in _level(bit, h, l, r))
+    table = tuple(a.reshape(-1) for a in (h, l, r))
     for a in table:
         a.flags.writeable = False
     return table
 
 
-@functools.cache
-def _subtree_weights(k: int) -> tuple[np.ndarray, ...]:
-    """Index weights of a k-level shape's bits: entry t holds the weights of
-    its 2^t level-t nodes, left to right, in :func:`_subtree_table`'s order."""
-    if k == 0:
-        return ()
-    T = (1 << (k - 1)) - 1
-    weights = (np.array([1 << (2 * T)]),) + tuple(np.concatenate([w << T, w]) for w in _subtree_weights(k - 1))
-    for w in weights:
-        w.flags.writeable = False
-    return weights
-
-
 def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, l, r) arrays of the nonsimple butterfly trees of a (B, 2^n - 1)
-    matrix of level-ordered shape bits, matching the word convention of
-    :func:`words_from_shape_bits`.
+    matrix of level-ordered shape bits.
 
-    The bits split into the top n - k levels, k = min(n, 4), and the
-    :func:`_subtree_table` index of each of the 2^(n-k) bottom subtrees:
-    level t of the subtrees is the (B, 2^(n-k), 2^t) block of level
-    n - k + t, times that level's weights. :func:`stats_from_subtrees` does
-    the rest.
+    The bits split into the top n - k levels, k = min(n, 4), and the class
+    index of each of the 2^(n-k) bottom subtrees: level t of the subtrees is
+    the (B, 2^(n-k), 2^t) block of level n - k + t, its node j weighted by
+    2^(2^k - 1 - 2^t - j). :func:`stats_from_subtrees` does the rest.
     """
-    bits = _checked_bits(n, bits)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or bits.shape[1] != (1 << n) - 1:
+        raise ValueError(f"need a (B, {(1 << n) - 1}) matrix of shape bits, got shape {bits.shape}")
+    if bits.dtype.kind not in "biu" or bits.size and (bits.min() < 0 or bits.max() > 1):
+        raise ValueError("shape bits must be integers 0 or 1")
     B = bits.shape[0]
     k = min(n, TABLE_LEVELS)
     d = n - k  # depth of the subtree roots
+    weights = 1 << np.arange((1 << k) - 2, -1, -1)  # a subtree's level-ordered bits, root most significant
     # dtype=int64: uint64 bits times int64 weights would promote to float64
     index = sum(
-        np.matmul(bits[:, (1 << (d + t)) - 1 : (1 << (d + t + 1)) - 1].reshape(B, 1 << d, 1 << t), w, dtype=np.int64)
-        for t, w in enumerate(_subtree_weights(k))
+        np.matmul(
+            bits[:, (1 << (d + t)) - 1 : (1 << (d + t + 1)) - 1].reshape(B, 1 << d, 1 << t),
+            weights[(1 << t) - 1 : (1 << (t + 1)) - 1],
+            dtype=np.int64,
+        )
+        for t in range(k)
     )
     return stats_from_subtrees(n, bits[:, : (1 << d) - 1], index)
 
@@ -219,28 +180,17 @@ def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndar
 def stats_from_subtrees(n: int, top: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, l, r) arrays of the nonsimple butterfly trees given by a (B, 2^(n-k) - 1)
     matrix of level-ordered 0/1 bits of the top n - k levels, k = min(n, 4),
-    and a (B, 2^(n-k)) matrix of the :func:`_subtree_table` indices of the
-    bottom k-level subtrees, left to right; n >= 1. Neither is checked: the
+    and a (B, 2^(n-k)) matrix of the class indices (:func:`shape_indices`) of
+    the bottom k-level subtrees, left to right; n >= 1. Neither is checked: the
     callers draw or derive them in these shapes and ranges.
 
-    The subtrees' (h, l, r) are gathered from the table; the top levels then
-    apply :func:`_combine`, one numpy step per level on (B, 2^d) arrays, from
-    the leaves up. No word or tree is built.
+    The subtrees' (h, l, r) are gathered from :func:`_subtree_table`; the top
+    levels then apply :func:`_level`, one numpy step per level on (B, 2^d)
+    arrays, from the leaves up. No word or tree is built.
     """
     k = min(n, TABLE_LEVELS)
     h, l, r = (a[index] for a in _subtree_table(k))
     for d in range(n - k - 1, -1, -1):
-        b = top[:, (1 << d) - 1 : (1 << (d + 1)) - 1] == 1
-        h, l, r = _combine(b, (h[:, 0::2], h[:, 1::2]), (l[:, 0::2], l[:, 1::2]), (r[:, 0::2], r[:, 1::2]))
+        h, l, r = _level(top[:, (1 << d) - 1 : (1 << (d + 1)) - 1] == 1, h, l, r)
     return h[:, 0], l[:, 0], r[:, 0]
 
-
-def all_nonsimple_words(n: int) -> np.ndarray:
-    """(2^(2^n - 1), 2^n) matrix of all nonsimple words, row i = shape index i.
-
-    Refuses n > 4 (32768 words), as the count is doubly exponential in n.
-    """
-    if not 1 <= n <= 4:
-        raise ValueError(f"n must be in 1..4 (2^(2^n - 1) words), got {n}")
-    T = (1 << n) - 1
-    return words_from_shape_bits(n, (np.arange(1 << T)[:, None] >> np.arange(T - 1, -1, -1)) & 1)

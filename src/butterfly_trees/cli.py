@@ -171,6 +171,8 @@ def theorem2_diff_data(n: int, m: int, trials: int, seed: int) -> tuple[dict, di
     band, note = (float("nan"), float("nan")), "exploratory"
     if n == 1:
         note = "degenerate: S_1 wr S_m is S_m, so the difference has mean 0 in law"
+    elif m == 1:
+        note = "degenerate: S_n wr S_1 is S_n, so the difference has mean 0 in law"
     elif m == 2:
         band = (0.6, 1.4)
         note = f"m=2: scaled difference in [{band[0]}, {band[1]}]"

@@ -15,8 +15,7 @@ w[j]; :func:`~butterfly_trees.butterfly.class_indices` maps w to its class.
 :func:`batch_gepp` is the one elimination: a single loop over the pivot
 steps of a whole (B, N, N) stack, returning the words and ``lu``, which
 holds L's multipliers below the diagonal (L's unit diagonal is implied)
-and U on and above it. :func:`gepp_factorization` is its one-matrix
-form.
+and U on and above it.
 
 The class also follows from the angles alone (Peca-Medlin & Trogdon,
 "Growth factors of random butterfly matrices and the stability of
@@ -190,21 +189,12 @@ def batch_gepp(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, A
 
 
-def gepp_factorization(M: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """(word, L, U) with P M = L U: :func:`batch_gepp` on a stack of one, ``lu`` split into L and U."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    words, lu = batch_gepp(M[None])
-    return tuple(words[0].tolist()), np.tril(lu[0], -1) + np.eye(len(M)), np.triu(lu[0])
-
-
 @dataclass(frozen=True)
 class UniformityReport:
     classes: int
     statistic: float
     pvalue: float
-    counts: tuple[int, ...]  # draws of each class index (the row of butterfly.all_*_words)
+    counts: tuple[int, ...]  # draws of each class index, numbered as butterfly.class_indices numbers GEPP words
     max_plu_error: float  # largest |P B - L U| entry over the GEPP sample
 
 
@@ -235,14 +225,14 @@ def uniformity_check(
         raise ValueError("trials must be >= 1")
     if n > UNIFORMITY_CAP.get(family, n):
         raise ValueError(f"{family} uniformity check capped at n = {UNIFORMITY_CAP[family]}")
-    angles, make, rule = _family(family, n)
+    angles, make, _ = _family(family, n)
     g = _gen(rng)
     draws = max(1, _CHUNK_ENTRIES // angles)
     sample = min(GEPP_SAMPLE, max(1, _CHUNK_ENTRIES >> (2 * n)))  # one batch of matrices, within the first draw
     counts = np.zeros(1 << angles, dtype=np.int64)
     for done in range(0, trials, draws):
         thetas = random_angles(family, n, min(draws, trials - done), g)
-        idx = rule(n, thetas)
+        idx = pivot_classes(family, n, thetas)
         if done == 0:
             plu_error = _check_sample(family, make(n, thetas[:sample]), idx[:sample])
         counts += np.bincount(idx, minlength=len(counts))

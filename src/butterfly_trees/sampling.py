@@ -1,6 +1,6 @@
 """
 Seeded batch samplers: the trees of nonsimple butterfly words from their
-shapes (a draw of the top levels' bits, then one uniform table index per
+shapes (a draw of the top levels' bits, then one uniform class index per
 bottom subtree of up to four levels), and those of uniform S_n and
 S_n wr S_m words (Theorem 2's block model) by root splits, with no word
 built, a subtree of at most 20 keys drawn whole from an exact alias table;
@@ -67,11 +67,12 @@ def nonsimple_butterfly_stats(
 
     With k = min(n, 4), one (count, 2^(n-k) - 1) draw of fair bits for the
     internal nodes of the top n - k levels, in level order, then one
-    (count, 2^(n-k)) draw of uniform indices below 2^(2^k - 1), one per
-    bottom k-level subtree, left to right, read by
-    :func:`~butterfly_trees.butterfly.stats_from_subtrees`. A uniform index
-    is 2^k - 1 fair shape bits, so these are the trees of fair bits on
-    every internal node, with neither the bits, words nor trees built.
+    (count, 2^(n-k)) draw of uniform class indices below 2^(2^k - 1), one
+    per bottom k-level subtree, left to right, read by
+    :func:`~butterfly_trees.butterfly.stats_from_subtrees`. A uniform class
+    index is 2^k - 1 fair level-ordered shape bits, its binary digits, so
+    these are the trees of fair bits on every internal node, with neither
+    the bits, words nor trees built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -1,12 +1,15 @@
 """Shared independent oracles for the test suite.
 
 These deliberately re-derive quantities with implementations unrelated to
-the package internals: plain pointer-chasing BST insertion, the word
+the package internals: plain pointer-chasing BST insertion and the batch
+(h, l, r) of many words by one linked-list deletion pass, the word
 statistics (LIS/LDS by patience piles and by exhaustive subsequence
 enumeration, cycles, prefix records), the Kronecker and wreath products of
 words, the block decomposition of a wreath BST (Theorem 2's depth
 identity), the exact laws by pairwise dict convolution over their
-supports, the butterfly words, membership tests and matrices by their
+supports, the butterfly words (every simple and nonsimple word, and the
+words of given level-ordered shape bits, whose class index is those bits
+read as one binary number), membership tests and matrices by their
 block recursions, the Boolean lattice's degrees from its adjacency, GEPP
 by a one-matrix row loop, the uniform and wreath words by shuffling and
 stacking copies and the nonsimple words by the tuple wreath recursion from
@@ -14,7 +17,8 @@ the sampler's draw spelled out as shape bits (the package samples their
 trees without words or bits), the wreath height law by enumerating the
 group, the uniform BST height law by its size recursion, the least
 nonsimple heights by a Pareto DP over (h, l, r), and the harmonic numbers,
-simple mean height and edge moments in closed form.
+simple mean height and edge moments in closed form. One helper is not an
+oracle: :func:`gepp_factorization`, the package's batched GEPP on one matrix.
 """
 
 from __future__ import annotations
@@ -67,6 +71,70 @@ def naive_summary(word) -> tuple[int, int, int]:
     """(h, l, r) of the tree built by :func:`naive_insert`."""
     depth = naive_insert(word)[1]
     return max(depth[1:]), depth[1], depth[-1]
+
+
+_LOW = (1 << 32) - 1  # low half of a packed link: the next slot
+
+
+def batch_summaries(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, l, r) int64 arrays for a (B, n) matrix of 1-based words, one tree per row,
+    by one vectorized pass per column across all rows, without building a tree.
+
+    The pass deletes keys from a doubly linked list over 0..n+1 in reverse
+    insertion order; the deleted key v is a leaf of the tree of the keys up to
+    it, and its list neighbours p < v < s are its insertion-time predecessor and
+    successor. Every live key k owns gap[k], the node count of the longest
+    root-to-leaf path in the final subtree that fills the interval between k
+    and its live successor. Deleting v joins the intervals (p, v) and (v, s)
+    under v, so gap[p] = 1 + max(gap[p], gap[v]); when every key is gone,
+    gap[0] is the node count of the tallest path and h = gap[0] - 1. The gap
+    lives in the high half of the next-link, link[k] = gap[k] << 32 | nxt[k],
+    so the pass keeps two arrays (``link`` and ``prv``) and one integer maximum
+    of two links carries the larger gap. The edges need no tree: key 1 lies
+    under every prefix minimum of the word and key n under every prefix
+    maximum, so l and r are those record counts minus one.
+
+    Raises ValueError unless ``words`` is a 2-d integer array with n >= 1
+    whose rows are permutations of 1..n, and unless B*(n+2) < 2^32, the
+    slot count that the 32-bit next-link field can address.
+    """
+    W = np.asarray(words)
+    if W.ndim != 2 or W.shape[1] == 0:
+        raise ValueError(f"expected a 2-d array of words with n >= 1, got shape {W.shape}")
+    if not np.issubdtype(W.dtype, np.integer):
+        raise ValueError(f"expected an integer array of words, got dtype {W.dtype}")
+    B, n = W.shape
+    m = n + 2
+    if B * m > _LOW:
+        raise ValueError(f"{B} rows of {n} keys need {B * m} slots; a 32-bit next-link addresses fewer than 2^32")
+    if W.size and (W.min() < 1 or W.max() > n):
+        raise ValueError(f"word values must lie in 1..{n}")
+    records = np.empty(W.shape, dtype=W.dtype)
+    l = np.count_nonzero(np.minimum.accumulate(W, axis=1, out=records) == W, axis=1) - 1
+    r = np.count_nonzero(np.maximum.accumulate(W, axis=1, out=records) == W, axis=1) - 1
+    del records  # freed before the pass allocates its two link arrays
+    # key k of row b lives in slot b*(n+2) + k: live neighbours of a key in one row tend to
+    # share its cache line; link[k] = gap[k] << 32 | nxt[k], every gap starting at 0
+    base = np.arange(0, B * m, m, dtype=np.int64)
+    link = np.arange(1, B * m + 1, dtype=np.int64)
+    prv = np.arange(-1, B * m - 1, dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        v = np.add(W[:, j], base, dtype=np.int64)  # uint64 + int64 would promote to float64
+        lv = link[v]
+        p = prv[v]
+        s = lv & _LOW
+        # the high halves decide the maximum; | LOW then + 1 clears the low half and adds one
+        t = np.maximum(link[p], lv)
+        t |= _LOW
+        t += 1
+        t += s
+        link[p] = t
+        prv[s] = p
+    heads = link[::m]
+    # a key missing from a row is never deleted, and no relink jumps over it
+    if not np.array_equal(heads & _LOW, np.arange(n + 1, B * m, m)):
+        raise ValueError("every row must be a permutation of 1..n")
+    return (heads >> 32) - 1, l, r
 
 
 def lis(word) -> int:
@@ -327,6 +395,51 @@ def tuple_nonsimple_word(bits, depth: int) -> tuple[int, ...]:
     return rec(0, depth)
 
 
+def all_simple_words(n: int) -> np.ndarray:
+    """(2^n, 2^n) matrix of all simple words: row m is ``1 + (i ^ m)``, the word
+    whose factor bits are the bits of m (least significant innermost)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    i = np.arange(1 << n, dtype=np.int64)
+    return 1 + (i[None, :] ^ i[:, None])
+
+
+def words_from_shape_bits(n: int, bits) -> np.ndarray:
+    """(B, 2^n) words from a (B, 2^n - 1) matrix of level-ordered 0/1 shape bits.
+
+    Row t is ``1 + (i ^ f)``, where bit k-1 of f[i] is the bit of the
+    level-k node that owns position i.
+    """
+    bits = np.asarray(bits)
+    if n < 1 or bits.ndim != 2 or bits.shape[1] != (1 << n) - 1:
+        raise ValueError(f"need n >= 1 and a (B, 2^n - 1) matrix of shape bits, got n = {n}, shape {bits.shape}")
+    if bits.dtype.kind not in "biu" or bits.size and (bits.min() < 0 or bits.max() > 1):
+        raise ValueError("shape bits must be integers 0 or 1")
+    bits = bits.astype(np.int64)
+    i = np.arange(1 << n, dtype=np.int64)
+    f = np.zeros((bits.shape[0], 1 << n), dtype=np.int64)
+    for k in range(1, n + 1):
+        f |= bits[:, (1 << (n - k)) - 1 + (i >> k)] << (k - 1)
+    return 1 + (i ^ f)
+
+
+def index_shape_bits(index: np.ndarray, k: int) -> np.ndarray:
+    """``index.shape + (2^k - 1,)`` level-ordered shape bits of the k-level shapes
+    with class index ``index``: its binary digits, root most significant."""
+    T = (1 << k) - 1
+    return (np.asarray(index)[..., None] >> np.arange(T - 1, -1, -1)) & 1
+
+
+def all_nonsimple_words(n: int) -> np.ndarray:
+    """(2^(2^n - 1), 2^n) matrix of all nonsimple words, row i = class index i.
+
+    Refuses n > 4 (32768 words), as the count is doubly exponential in n.
+    """
+    if not 1 <= n <= 4:
+        raise ValueError(f"n must be in 1..4 (2^(2^n - 1) words), got {n}")
+    return words_from_shape_bits(n, index_shape_bits(np.arange(1 << ((1 << n) - 1)), n))
+
+
 def sliced_is_nonsimple(w) -> bool:
     """Whether the word splits recursively into contiguous value half-blocks."""
     n = len(w)
@@ -410,6 +523,18 @@ def scalar_gepp(M: np.ndarray, tol: float = 1e-12) -> tuple[tuple[int, ...], np.
     return tuple(word), np.tril(A, -1) + np.eye(N), np.triu(A)
 
 
+def gepp_factorization(M: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(word, L, U) with P M = L U: ``gepp.batch_gepp`` on a stack of one, ``lu`` split
+    into L and U. Not an oracle: the one-matrix form of the package's elimination."""
+    from butterfly_trees.gepp import batch_gepp
+
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("expected a square matrix")
+    words, lu = batch_gepp(M[None])
+    return tuple(words[0].tolist()), np.tril(lu[0], -1) + np.eye(len(M)), np.triu(lu[0])
+
+
 def uniform_words(n: int, count: int, g: np.random.Generator) -> np.ndarray:
     """(count, n) uniform words by shuffling a copy of the tiled identity."""
     return g.permuted(np.tile(np.arange(1, n + 1, dtype=np.int64), (count, 1)), axis=1)
@@ -425,29 +550,18 @@ def wreath_words(n: int, m: int, count: int, g: np.random.Generator) -> np.ndarr
     return (picked + (rho * n)[:, :, None]).reshape(count, n * m)
 
 
-def subtree_levels(index: np.ndarray, k: int) -> list[np.ndarray]:
-    """Levels 0..k-1 of the k-level shapes numbered ``index``, level t an
-    ``index.shape + (2^t,)`` array of bits, left to right. Shape
-    b << 2T | i1 << T | i2, T = 2^(k-1) - 1, has root bit b, first subtree
-    i1 and second subtree i2, each numbered the same way one level down."""
-    if k == 0:
-        return []
-    T = (1 << (k - 1)) - 1
-    first = subtree_levels(index >> T & ((1 << T) - 1), k - 1)
-    second = subtree_levels(index & ((1 << T) - 1), k - 1)
-    return [(index >> 2 * T)[..., None]] + [np.concatenate(pair, axis=-1) for pair in zip(first, second)]
-
-
 def nonsimple_shape_bits(n: int, count: int, g: np.random.Generator) -> np.ndarray:
     """(count, 2^n - 1) level-ordered fair shape bits, drawn as
     ``sampling.nonsimple_butterfly_stats`` draws them: with k = min(n, 4),
-    the top n - k levels' bits, then one uniform shape number below
-    2^(2^k - 1) per bottom subtree, left to right, expanded by
-    :func:`subtree_levels`. Level n - k + t holds every subtree's level t."""
+    the top n - k levels' bits, then one uniform class index below
+    2^(2^k - 1) per bottom subtree, left to right, expanded to its binary
+    digits by :func:`index_shape_bits`. Level n - k + t holds every subtree's
+    level t."""
     k = min(n, 4)
     top = g.integers(0, 2, size=(count, (1 << (n - k)) - 1))
-    index = g.integers(0, 1 << ((1 << k) - 1), size=(count, 1 << (n - k)))
-    return np.concatenate([top] + [level.reshape(count, -1) for level in subtree_levels(index, k)], axis=1)
+    sub = index_shape_bits(g.integers(0, 1 << ((1 << k) - 1), size=(count, 1 << (n - k))), k)
+    levels = [sub[..., (1 << t) - 1 : (1 << (t + 1)) - 1].reshape(count, -1) for t in range(k)]
+    return np.concatenate([top] + levels, axis=1)
 
 
 def nonsimple_butterfly_words(n: int, count: int, g: np.random.Generator) -> np.ndarray:

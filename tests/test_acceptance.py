@@ -16,8 +16,8 @@ import pytest
 from scipy import stats
 
 from butterfly_trees import cli
-from butterfly_trees.bst import batch_summaries, summary
-from butterfly_trees.butterfly import all_nonsimple_words, all_simple_words, class_indices, stats_from_shape_bits
+from butterfly_trees.bst import summary
+from butterfly_trees.butterfly import class_indices, stats_from_shape_bits
 from butterfly_trees.exact import (
     LAMBDA,
     constants,
@@ -27,15 +27,19 @@ from butterfly_trees.exact import (
     stirling1_row,
     triple_counts,
 )
-from butterfly_trees.gepp import gepp_factorization, nonsimple_matrices, uniformity_check
+from butterfly_trees.gepp import nonsimple_matrices, uniformity_check
 from butterfly_trees.sampling import RngState
 
 from conftest import (
+    all_nonsimple_words,
+    all_simple_words,
     all_words,
     assemble_wreath,
+    batch_summaries,
     block_decomposition,
     block_height,
     cycle_count,
+    gepp_factorization,
     harmonic,
     lds,
     lis,

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butterfly_trees.bst import batch_summaries, summary
-from butterfly_trees.butterfly import all_simple_words
+from butterfly_trees.bst import summary
 from butterfly_trees.exact import simple_height_counts, stirling1_row
 from butterfly_trees.sampling import RngState
 
 from conftest import (
+    all_simple_words,
     all_words,
+    batch_summaries,
     block_decomposition,
     block_height,
     ltr_maxima_len,

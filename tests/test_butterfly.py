@@ -5,18 +5,14 @@ import numpy as np
 import pytest
 
 from butterfly_trees import butterfly
-from butterfly_trees.bst import batch_summaries, summary
-from butterfly_trees.butterfly import (
-    all_nonsimple_words,
-    all_simple_words,
-    class_indices,
-    simple_shape_bits,
-    stats_from_shape_bits,
-    words_from_shape_bits,
-)
+from butterfly_trees.bst import summary
+from butterfly_trees.butterfly import class_indices, simple_shape_bits, stats_from_shape_bits
 from butterfly_trees.sampling import RngState
 from conftest import (
+    all_nonsimple_words,
+    all_simple_words,
     all_words,
+    batch_summaries,
     cycle_count,
     kron,
     lds,
@@ -26,6 +22,7 @@ from conftest import (
     stats_recursion_simple,
     tuple_nonsimple_word,
     uniform_words,
+    words_from_shape_bits,
 )
 
 FIG6C_WORD = (9, 10, 11, 12, 13, 14, 15, 16, 6, 5, 8, 7, 2, 1, 4, 3)
@@ -184,6 +181,14 @@ def test_subtree_tables_are_read_only():
         for a in butterfly._subtree_table(k):
             with pytest.raises(ValueError):
                 a[0] = 1
+
+
+def test_subtree_table_rows_are_class_indices():
+    # row i of the k-level table is the tree of the word of class index i
+    assert [a.tolist() for a in butterfly._subtree_table(0)] == [[0], [0], [0]]
+    for k in range(1, 5):
+        for a, b in zip(butterfly._subtree_table(k), batch_summaries(all_nonsimple_words(k))):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_simple_words_are_level_constant_shapes():

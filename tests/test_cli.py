@@ -36,10 +36,10 @@ def test_table1(capsys):
 
 
 FIG8_GOLDEN = [
-    ([], "ddb24ed2ffbf3d0743a4aaeff8f4d3072d7f8202443dc9ff3744cbeb25dc9279"),
-    (["--n", "6", "--trials", "777", "--seed", "5", "--format", "json"], "945ca5a71ed432f61f347e049d06e4580b383e303c9e6d617477751dd2d2c387"),
-    (["--n", "4", "--trials", "3000", "--seed", "9"], "ea406550d4790e537119df0b8addc66d2f0cfdfa0d63a8427938a8aaee20b8c0"),
-    (["--n", "5", "--trials", "1001", "--seed", "13", "--format", "json"], "7d3e27b16e76905133f3ca02443ee116ed05b2ca64f601eacebf30a0be47cae9"),
+    ([], "87d62406bac85388ae2a77f735f218af48612b0df0094d266157a183af9322eb"),
+    (["--n", "6", "--trials", "777", "--seed", "5", "--format", "json"], "d50603c8da3c44864a8ba617a87e76c27350bd5c42e0c7e42a2dd4a7446bc902"),
+    (["--n", "4", "--trials", "3000", "--seed", "9"], "c637b83ae0ae46b890f7f5ddb2db61a6d302bb17f0ba27e5e876d4a44fb77ccd"),
+    (["--n", "5", "--trials", "1001", "--seed", "13", "--format", "json"], "f34e1b32a057ec30c11407baf245ff7c6ff3f0c878bd3a45265ee19879bbcf5c"),
 ]
 
 
@@ -47,7 +47,10 @@ FIG8_GOLDEN = [
 def test_fig8_golden_digest(capsys, args, digest):
     # re-recorded when each chunk drew its top-level bits and then one uniform index per
     # bottom subtree instead of all 2^n - 1 shape bits: the same law, each chunk's stream
-    # consumed differently (the n = 10 band also lost its sampled-minimum clause)
+    # consumed differently (the n = 10 band also lost its sampled-minimum clause); and again
+    # when a subtree index came to mean the shape of that class index (its level-ordered
+    # bits), not the root / first subtree / second subtree numbering: the same draws and
+    # law, each drawn index mapped to another shape
     out = run_cli(capsys, ["fig8"] + args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -76,7 +79,7 @@ def test_tree_golden_digest(capsys, args, digest):
 
 CHUNK_GOLDEN = [
     (["law-hist"], "b563eef688b6cf744b0711c18076d7198a827dba74a60f1744ab375fe6b0e54b"),
-    (["fig8", "--n", "16", "--trials", "130"], "b4a5fcbaaad3692ff1077d43a2956e6ab6639680c9acf55ea49ba4b0803132d9"),
+    (["fig8", "--n", "16", "--trials", "130"], "86bc54b46d6071b9f82532ea10db60ccfa79fb3ef6acd9f0dbdefb2d88d1bdbe"),
 ]
 
 
@@ -84,7 +87,8 @@ CHUNK_GOLDEN = [
 def test_chunk_golden_digest(capsys, args, digest):
     # recorded from the one chunk driver, whose row budget moved these outputs:
     # law-hist n = 4 now samples 250-row chunks (16000 before), fig8 n = 16 128-row ones (250 before);
-    # fig8 n = 16 re-recorded when chunks drew subtree indices instead of shape bits
+    # fig8 n = 16 re-recorded when chunks drew subtree indices instead of shape bits, and
+    # again when those indices came to be class indices (same draws, another index-to-shape map)
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -386,8 +390,9 @@ def test_theorem2_small(capsys):
 
 def test_theorem2_n1_band_is_degenerate(capsys):
     # S_1 wr S_m is S_m: the difference has mean 0 in law, and the m = 2 band (asymptotic in n) does not apply
-    for m in (2, 3):
-        doc = json.loads(run_cli(capsys, ["theorem2-diff", "--n", "1", "--m", str(m), "--trials", "40", "--format", "json"]))
+    # and S_n wr S_1 is S_n, so m = 1 is degenerate at every n
+    for n, m in ((1, 2), (1, 3), (5, 1)):
+        doc = json.loads(run_cli(capsys, ["theorem2-diff", "--n", str(n), "--m", str(m), "--trials", "40", "--format", "json"]))
         assert doc["meta"]["band"].startswith("degenerate")
         assert math.isnan(doc["columns"]["band_lo"][0]) and math.isnan(doc["columns"]["band_hi"][0])
     doc = json.loads(run_cli(capsys, ["theorem2-diff", "--n", "2", "--m", "2", "--trials", "40", "--format", "json"]))

@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from butterfly_trees.bst import batch_summaries
-from butterfly_trees.butterfly import all_nonsimple_words, all_simple_words
 from butterfly_trees.exact import (
     LAMBDA,
     _square_poly,
@@ -27,7 +25,10 @@ from butterfly_trees.exact import (
 from butterfly_trees.sampling import RngState, nonsimple_butterfly_stats
 
 from conftest import (
+    all_nonsimple_words,
+    all_simple_words,
     all_words,
+    batch_summaries,
     cycle_count,
     dict_law_levels,
     dict_triple_levels,

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from butterfly_trees import gepp
-from butterfly_trees.butterfly import all_nonsimple_words, all_simple_words, class_indices
+from butterfly_trees.butterfly import class_indices
 from butterfly_trees.gepp import (
     batch_gepp,
-    gepp_factorization,
     nonsimple_matrices,
     pivot_classes,
     random_angles,
@@ -18,7 +17,7 @@ from butterfly_trees.gepp import (
     uniformity_check,
 )
 from butterfly_trees.sampling import RngState
-from conftest import block_nonsimple_matrices, scalar_gepp
+from conftest import all_nonsimple_words, all_simple_words, block_nonsimple_matrices, gepp_factorization, scalar_gepp
 
 
 def plu_error(M, word, L, U):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from butterfly_trees.bst import batch_summaries
-from butterfly_trees.butterfly import all_nonsimple_words, class_indices, shape_indices, stats_from_shape_bits
+from butterfly_trees.butterfly import class_indices, shape_indices, stats_from_shape_bits
 from butterfly_trees.exact import cycle_law_counts, lis_law_counts
 from butterfly_trees.sampling import (
     _COLS,
@@ -25,7 +24,9 @@ from butterfly_trees.sampling import (
 )
 
 from conftest import (
+    all_nonsimple_words,
     all_words,
+    batch_summaries,
     cycle_count,
     lis,
     naive_summary,
@@ -265,6 +266,17 @@ def test_nonsimple_butterfly_stats_are_the_trees_of_the_sampled_words():
         trees_hlr = batch_summaries(nonsimple_butterfly_words(n, 40, state.generator()))
         for a, b in zip(stats_hlr, trees_hlr):
             np.testing.assert_array_equal(a, b)
+
+
+def test_sampled_subtree_index_is_the_class_index():
+    # at n = 4 the sampler draws one index per tree (no top bits): the class index of the
+    # oracle word from the same stream, and the tree of that row of the enumeration
+    trials = 3000
+    state = RngState(909)
+    index = state.generator().integers(0, 1 << 15, size=(trials, 1))[:, 0]
+    assert np.array_equal(class_indices(nonsimple_butterfly_words(4, trials, state.generator()), "nonsimple"), index)
+    for a, b in zip(nonsimple_butterfly_stats(4, trials, state), batch_summaries(all_nonsimple_words(4)[index])):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_nonsimple_butterfly_stats_are_those_of_the_expanded_shape_bits():

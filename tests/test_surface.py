@@ -1,0 +1,47 @@
+"""Every public top-level name of the package is used by the package or by
+its benchmark. A name that only the tests read belongs in ``tests/``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# read only by tests until the planned ``growth`` subcommand prints it
+ALLOWED = {("exact", "bound_sequences")}
+
+
+def public_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if not n.startswith("_")}
+
+
+def used_names(tree: ast.Module, defined: set[str]) -> set[str]:
+    """Names read, attributes taken and names imported in ``tree``; a top-level
+    definition of ``defined`` does not count as a use of itself."""
+    used = set()
+    for top in tree.body:
+        names = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        used |= names - ({top.name} & defined if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else set())
+    return used
+
+
+def test_every_public_name_in_src_is_used_by_src_or_perfbench():
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in modules + sorted((ROOT / "perfbench").glob("*.py"))}
+    defined = {p: public_names(trees[p]) for p in modules}
+    used = set().union(*(used_names(t, defined.get(p, set())) for p, t in trees.items()))
+    unused = {(p.stem, n) for p in modules for n in defined[p] - used}
+    assert unused <= ALLOWED, sorted(unused - ALLOWED)
+    assert ALLOWED <= {(p.stem, n) for p in modules for n in defined[p]}, "an allowed name no longer exists"
