@@ -97,14 +97,15 @@ def class_indices(words: np.ndarray, family: str) -> np.ndarray:
 
 
 def shape_indices(bits: np.ndarray) -> np.ndarray:
-    """Class index of each row of a (B, 2^n - 1) matrix of level-ordered shape
-    bits: the bits read as one binary number, root first, most significant
-    first. Past 63 bits (N > 64) the indices are Python ints in an object array.
+    """Class index of each row of a (..., 2^n - 1) array of level-ordered shape
+    bits, along its last axis: the bits read as one binary number, root first,
+    most significant first. Past 63 bits (N > 64) the indices are Python ints
+    in an object array.
 
     >>> shape_indices(np.array([[1, 0, 1], [1, 0, 0]])).tolist()
     [5, 4]
     """
-    T = bits.shape[1]
+    T = bits.shape[-1]
     weights = np.array([1 << q for q in range(T - 1, -1, -1)], dtype=np.int64 if T < 64 else object)
     return bits.astype(weights.dtype, copy=False) @ weights
 
@@ -150,9 +151,9 @@ def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndar
     matrix of level-ordered shape bits.
 
     The bits split into the top n - k levels, k = min(n, 4), and the class
-    index of each of the 2^(n-k) bottom subtrees: level t of the subtrees is
-    the (B, 2^(n-k), 2^t) block of level n - k + t, its node j weighted by
-    2^(2^k - 1 - 2^t - j). :func:`stats_from_subtrees` does the rest.
+    index (:func:`shape_indices`) of each of the 2^(n-k) bottom subtrees:
+    node q of level t of subtree j is column 2^(n-k+t) - 1 + j 2^t + q.
+    :func:`stats_from_subtrees` does the rest.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -161,20 +162,11 @@ def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"need a (B, {(1 << n) - 1}) matrix of shape bits, got shape {bits.shape}")
     if bits.dtype.kind not in "biu" or bits.size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("shape bits must be integers 0 or 1")
-    B = bits.shape[0]
     k = min(n, TABLE_LEVELS)
     d = n - k  # depth of the subtree roots
-    weights = 1 << np.arange((1 << k) - 2, -1, -1)  # a subtree's level-ordered bits, root most significant
-    # dtype=int64: uint64 bits times int64 weights would promote to float64
-    index = sum(
-        np.matmul(
-            bits[:, (1 << (d + t)) - 1 : (1 << (d + t + 1)) - 1].reshape(B, 1 << d, 1 << t),
-            weights[(1 << t) - 1 : (1 << (t + 1)) - 1],
-            dtype=np.int64,
-        )
-        for t in range(k)
-    )
-    return stats_from_subtrees(n, bits[:, : (1 << d) - 1], index)
+    j = np.arange(1 << d)[:, None]
+    cols = np.concatenate([(1 << (d + t)) - 1 + (j << t) + np.arange(1 << t) for t in range(k)], axis=1)
+    return stats_from_subtrees(n, bits[:, : (1 << d) - 1], shape_indices(bits[:, cols]))
 
 
 def stats_from_subtrees(n: int, top: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

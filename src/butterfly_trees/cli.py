@@ -10,14 +10,16 @@ byte-identical output.
 
 ``fig8``, ``theorem2-diff``, ``explore-conjecture`` and ``law-hist`` sample
 in chunks of at most ``_CHUNK`` rows and ``_CHUNK_ENTRIES`` entries (a row
-being the keys of one tree, or the 2^n entries of one law sample), chunk c
-from the one stream ``RngState(seed, c)``. ``theorem2-diff`` draws a chunk's
-wreath heights, then its uniform heights, from that stream. Cell i of an
-``explore-conjecture`` grid of G cells draws chunk c from
+being the keys of one tree, or the 2^n entries of one law sample). Chunk c
+draws from stream ``RngState(seed, c)``, whose ``generator()`` ``_chunked``
+makes once and hands to the chunk's samplers, each advancing it:
+``theorem2-diff`` draws a chunk's wreath heights, then its uniform heights.
+Cell i of an ``explore-conjecture`` grid of G cells draws chunk c from
 ``RngState(seed, c * G + i)``, so no two (cell, chunk) pairs share a stream.
 A ``fig8`` chunk draws its trees' top-level shape bits, then one index per
 bottom subtree of min(n, 4) levels, from its stream
-(``sampling.nonsimple_butterfly_stats``).
+(``sampling.nonsimple_butterfly_stats``). ``clt-simple`` and ``gepp-check``
+draw from ``RngState(seed).generator()``.
 No sampled tree is built from a word: the samplers split key intervals
 (``sampling.uniform_bst_stats``, ``sampling.wreath_heights``) or read shapes.
 An argument whose single row exceeds ``_CHUNK_ENTRIES`` is an argparse error,
@@ -31,7 +33,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -63,10 +64,6 @@ PMF_CAP = {"stirling": 1000, "simple-height": 10_000, "cycle-moments": 100}
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     return str(v)
 
 
@@ -82,12 +79,7 @@ def render_csv(meta: dict, columns: dict[str, list]) -> str:
 
 
 def render_json(meta: dict, columns: dict[str, list]) -> str:
-    def default(o):
-        if isinstance(o, Fraction):
-            return f"{o.numerator}/{o.denominator}"
-        raise TypeError(f"not serializable: {o!r}")
-
-    return json.dumps({"meta": meta, "columns": columns}, indent=2, default=default) + "\n"
+    return json.dumps({"meta": meta, "columns": columns}, indent=2) + "\n"
 
 
 def _emit(meta: dict, columns: dict[str, list], out: str | None, fmt: str) -> str:
@@ -106,13 +98,14 @@ def _emit(meta: dict, columns: dict[str, list], out: str | None, fmt: str) -> st
 
 
 def _chunked(trials: int, row_len: int, seed: int, draw, cell: int = 0, cells: int = 1) -> np.ndarray:
-    """Concatenated ``draw(rows, RngState(seed, c * cells + cell))`` over chunks c
-    of ``row_len``-entry trials: cell ``cell`` of ``cells`` gets its own streams."""
+    """Concatenated ``draw(rows, RngState(seed, c * cells + cell).generator())``
+    over chunks c of ``row_len``-entry trials: cell ``cell`` of ``cells`` gets
+    its own streams, and each chunk's draws share its one generator."""
     rows = min(_CHUNK, _CHUNK_ENTRIES // row_len)
     if rows < 1:
         raise ValueError(f"a row of {row_len} entries exceeds the chunk budget of {_CHUNK_ENTRIES}")
     return np.concatenate(
-        [draw(min(rows, trials - s), sampling.RngState(seed, c * cells + cell)) for c, s in enumerate(range(0, trials, rows))]
+        [draw(min(rows, trials - s), sampling.RngState(seed, c * cells + cell).generator()) for c, s in enumerate(range(0, trials, rows))]
     )
 
 
@@ -138,7 +131,7 @@ def table1_data() -> tuple[dict, dict]:
 
 def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
     """Height histogram of seeded uniform nonsimple butterfly trees."""
-    h = _chunked(trials, (1 << n) - 1, seed, lambda b, rng: sampling.nonsimple_butterfly_stats(n, b, rng)[0])
+    h = _chunked(trials, (1 << n) - 1, seed, lambda b, g: sampling.nonsimple_butterfly_stats(n, b, g)[0])
     lower, upper = exact.nonsimple_mean_bounds(n)
     meta = {
         "subcommand": "fig8",
@@ -161,8 +154,7 @@ def theorem2_diff_data(n: int, m: int, trials: int, seed: int) -> tuple[dict, di
     """Paired scaled mean-height difference: S_n wr S_m sample vs uniform S_{nm}."""
     scale = math.log(n * m)
 
-    def draw(b, rng):
-        g = rng.generator()
+    def draw(b, g):
         hw = sampling.wreath_heights(n, m, b, g)
         hu, _, _ = sampling.uniform_bst_stats(n * m, b, g)
         return (hw - hu) / scale
@@ -247,7 +239,7 @@ def explore_conjecture_data(grid: Sequence[tuple[int, int]], trials: int, seed: 
     cstar = exact.constants().cstar
     out = {k: [] for k in ("n", "m", "trials", "ratio_mean", "degenerate", "threshold", "exceed_freq")}
     for idx, (n, m) in enumerate(grid):
-        h = _chunked(trials, n * m, seed, lambda b, rng: sampling.wreath_heights(n, m, b, rng), idx, len(grid))
+        h = _chunked(trials, n * m, seed, lambda b, g: sampling.wreath_heights(n, m, b, g), idx, len(grid))
         thresh = cstar * math.fsum(1 / j for j in range(1, n + 1)) * math.log(m) if m > 1 else float("nan")
         out["n"].append(n)
         out["m"].append(m)
@@ -266,7 +258,7 @@ def explore_conjecture_data(grid: Sequence[tuple[int, int]], trials: int, seed: 
 
 def gepp_check_data(n: int, trials: int, seed: int, family: str) -> tuple[dict, dict]:
     """GEPP membership + uniformity + reconstruction check for one butterfly family."""
-    report = uniformity_check(n, trials, sampling.RngState(seed), family=family)
+    report = uniformity_check(n, trials, sampling.RngState(seed).generator(), family=family)
     # the chi-square law of the statistic needs an expected count of at least 5 per class
     test = "pvalue > 0.001"
     if trials < 5 * report.classes:
@@ -336,7 +328,7 @@ def law_hist_data(law: str, n: int, trials: int, seed: int) -> tuple[dict, dict]
         sampler, law_counts = sampling.cycle_law_samples, exact.cycle_law_counts
     else:
         raise ValueError(f"unknown law {law!r}")
-    x = _chunked(trials, 1 << n, seed, lambda b, rng: sampler(n, b, rng))
+    x = _chunked(trials, 1 << n, seed, lambda b, g: sampler(n, b, g))
     values, freqs = np.unique(x, return_counts=True)
     observed = {int(v): int(c) for v, c in zip(values, freqs)}
     meta = {"subcommand": "law-hist", "law": law, "n": n, "trials": trials, "seed": seed}
@@ -404,16 +396,10 @@ def _out_path(text: str) -> str:
 
 def _joint_range_error(args: argparse.Namespace) -> str | None:
     """The message for a bound that the per-argument types do not check, or None."""
-    if args.cmd == "fig8" and args.n > _LEVEL_CAP:
-        return f"argument --n: must be <= {_LEVEL_CAP}, got {args.n}"
-    if args.cmd == "bounds" and args.n_max > N_MAX_CAP:
-        return f"argument --n-max: must be <= {N_MAX_CAP}, got {args.n_max}"
     if args.cmd == "theorem2-diff" and args.n * args.m < 2:
         return f"need n*m >= 2 (differences are scaled by log(n*m)), got n={args.n}, m={args.m}"
     if args.cmd == "theorem2-diff" and args.n * args.m > _CHUNK_ENTRIES:
         return f"need n*m <= {_CHUNK_ENTRIES} (one row must fit a chunk), got n={args.n}, m={args.m}"
-    if args.cmd == "clt-simple" and args.samples > _CHUNK_ENTRIES:
-        return f"argument --samples: must be <= {_CHUNK_ENTRIES}, got {args.samples}"
     if args.cmd == "pmf" and args.which != "cycle-moments" and args.n < 1:
         return f"argument --n: must be >= 1 for --which {args.which}, got {args.n}"
     if args.cmd == "pmf" and args.n > PMF_CAP[args.which]:
@@ -434,7 +420,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     sub.add_parser("table1", parents=[common]).set_defaults(build=lambda a: table1_data())
     p = sub.add_parser("fig8", parents=[common])
     p.set_defaults(build=lambda a: fig8_data(a.n, a.trials, a.seed))
-    p.add_argument("--n", type=_bounded_int(1), default=10)
+    p.add_argument("--n", type=_bounded_int(1, _LEVEL_CAP), default=10)
     p.add_argument("--trials", type=_bounded_int(1), default=10_000)
     p = sub.add_parser("theorem2-diff", parents=[common])
     p.set_defaults(build=lambda a: theorem2_diff_data(a.n, a.m, a.trials, a.seed))
@@ -444,10 +430,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     p = sub.add_parser("clt-simple", parents=[common])
     p.set_defaults(build=lambda a: clt_simple_data(a.n, a.samples, a.seed))
     p.add_argument("--n", type=_bounded_int(1), default=400)
-    p.add_argument("--samples", type=_bounded_int(1), default=100_000)
+    p.add_argument("--samples", type=_bounded_int(1, _CHUNK_ENTRIES), default=100_000)
     p = sub.add_parser("bounds", parents=[common])
     p.set_defaults(build=lambda a: bounds_data(a.n_max, a.exact_max))
-    p.add_argument("--n-max", type=_bounded_int(1), default=10)
+    p.add_argument("--n-max", type=_bounded_int(1, N_MAX_CAP), default=10)
     p.add_argument("--exact-max", type=_bounded_int(None, EXACT_MAX_CAP), default=4, help="negative: no exact column")
     p = sub.add_parser("explore-conjecture", parents=[common])
     p.set_defaults(build=lambda a: explore_conjecture_data(a.grid, a.trials, a.seed))

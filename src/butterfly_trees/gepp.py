@@ -25,12 +25,13 @@ b = [|sin theta| > |cos theta|] of each angle, computed as
 gives a simple matrix the class sum_k b_k 2^k, and reads a nonsimple
 matrix's shape from the root down, its children swapped wherever the
 parent's bit is 1. :func:`uniformity_check` counts classes by this rule
-and runs GEPP on a bounded sample of its draws, raising on any
-disagreement, and reports the largest |P B - L U| entry of that sample's
-factorizations. A float near-tie |sin| ~ |cos|, where the rounded products
-GEPP compares can order differently from the angle's own sin and cos, is
-the only way the two can differ; a draw outside the sample is then
-counted by the rule.
+over angles drawn from a ``numpy.random.Generator`` that it advances
+(:func:`random_angles`), runs GEPP on a bounded sample of them, raising
+on any disagreement, and reports the largest |P B - L U| entry of that
+sample's factorizations. A float near-tie |sin| ~ |cos|, where the
+rounded products GEPP compares can order differently from the angle's own
+sin and cos, is the only way the two can differ; a draw outside the
+sample is then counted by the rule.
 
 Pivot ties (equal magnitudes) resolve to the smallest row index, which is
 what ``argmax`` returns, and the rule's strict ``>`` agrees; exact ties
@@ -44,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .butterfly import class_indices, shape_indices
-from .sampling import RngState, _gen
 
 SINGULAR_TOL = 1e-12
 
@@ -149,10 +149,10 @@ def pivot_classes(family: str, n: int, thetas: np.ndarray) -> np.ndarray:
     return rule(n, thetas)
 
 
-def random_angles(family: str, n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
+def random_angles(family: str, n: int, count: int, g: np.random.Generator) -> np.ndarray:
     """(count, angles) angles uniform on [0, 2pi) for ``family``'s matrices: one
-    per level (simple) or per internal node (nonsimple)."""
-    return _gen(rng).uniform(0, 2 * np.pi, size=(count, _family(family, n)[0]))
+    per level (simple) or per internal node (nonsimple), drawn from ``g``."""
+    return g.uniform(0, 2 * np.pi, size=(count, _family(family, n)[0]))
 
 
 def batch_gepp(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,19 +203,14 @@ GEPP_SAMPLE = 1024  # draws per run checked by GEPP against the pivot rule
 UNIFORMITY_CAP = {"simple": 10, "nonsimple": 3}  # largest n per family; nonsimple n = 3 has 128 classes
 
 
-def uniformity_check(
-    n: int,
-    trials: int,
-    rng: RngState | np.random.Generator,
-    family: str = "nonsimple",
-) -> UniformityReport:
+def uniformity_check(n: int, trials: int, g: np.random.Generator, family: str = "nonsimple") -> UniformityReport:
     """Chi-square test of GEPP permutations against uniform on the butterfly group.
 
-    Classes are counted by :func:`pivot_classes` from the angles, drawn in
-    chunks of at most ``_CHUNK_ENTRIES`` (the same stream as one draw). The
-    first ``min(trials, GEPP_SAMPLE)`` draws (fewer if that many matrices
-    exceed ``_CHUNK_ENTRIES``) are also built and eliminated: their GEPP
-    words are mapped by :func:`~butterfly_trees.butterfly.class_indices`,
+    Classes are counted by :func:`pivot_classes` from the angles, drawn from
+    ``g`` in chunks of at most ``_CHUNK_ENTRIES`` (the same numbers as one
+    draw). The first ``min(trials, GEPP_SAMPLE)`` draws (fewer if that many
+    matrices exceed ``_CHUNK_ENTRIES``) are also built and eliminated: their
+    GEPP words are mapped by :func:`~butterfly_trees.butterfly.class_indices`,
     and a non-member or a class that disagrees with the rule raises
     ``AssertionError``; their largest |P M - L U| entry is ``max_plu_error``.
     Only a float near-tie |sin| ~ |cos| can make the two classes differ, and
@@ -226,7 +221,6 @@ def uniformity_check(
     if n > UNIFORMITY_CAP.get(family, n):
         raise ValueError(f"{family} uniformity check capped at n = {UNIFORMITY_CAP[family]}")
     angles, make, _ = _family(family, n)
-    g = _gen(rng)
     draws = max(1, _CHUNK_ENTRIES // angles)
     sample = min(GEPP_SAMPLE, max(1, _CHUNK_ENTRIES >> (2 * n)))  # one batch of matrices, within the first draw
     counts = np.zeros(1 << angles, dtype=np.int64)

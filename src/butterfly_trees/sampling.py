@@ -8,12 +8,13 @@ and the two recursive distributional laws (LIS-law and cycle-law of
 nonsimple butterflies).
 Each returns ``count`` iid draws, one per row or entry.
 
-All samplers take either an :class:`RngState` (a value; the same state
-always reproduces the same draw) or a live ``numpy.random.Generator``
-(whose state advances between calls). Bounded-integer draws come from
-numpy's Generator, which uses rejection-based bounded sampling, so every
-rank below is exactly uniform, and the alias table, all in integers, draws
-every small tree exactly as often as its insertion orders.
+All samplers take a ``numpy.random.Generator`` and advance it, so two
+draws from one generator never repeat each other's numbers; a stream id
+:class:`RngState` becomes a generator only through its ``generator()``.
+Bounded-integer draws come from numpy's Generator, which uses
+rejection-based bounded sampling, so every rank below is exactly uniform,
+and the alias table, all in integers, draws every small tree exactly as
+often as its insertion orders.
 
 The recursion-law levels are normalized so that level n corresponds to
 permutations of length 2^n: the base value at n = 0 is the constant 1,
@@ -54,15 +55,7 @@ class RngState:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.stream,)))
 
 
-def _gen(rng: RngState | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RngState):
-        return rng.generator()
-    return rng
-
-
-def nonsimple_butterfly_stats(
-    n: int, count: int, rng: RngState | np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def nonsimple_butterfly_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, l, r) arrays of ``count`` iid uniform nonsimple butterfly trees, n >= 1.
 
     With k = min(n, 4), one (count, 2^(n-k) - 1) draw of fair bits for the
@@ -76,7 +69,6 @@ def nonsimple_butterfly_stats(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = _gen(rng)
     k = min(n, TABLE_LEVELS)
     top = g.integers(0, 2, size=(count, (1 << (n - k)) - 1))
     index = g.integers(0, 1 << ((1 << k) - 1), size=(count, 1 << (n - k)))
@@ -152,7 +144,7 @@ def _alias_table() -> tuple[np.ndarray, np.ndarray]:
     return thr, codes
 
 
-def uniform_bst_stats(n: int, count: int, rng: RngState | np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def uniform_bst_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, l, r) int64 arrays of ``count`` iid uniform BSTs on n keys, 1 <= n < 2^30.
 
     Root splits, level by level: the root of a uniform BST has a uniform
@@ -169,7 +161,6 @@ def uniform_bst_stats(n: int, count: int, rng: RngState | np.random.Generator) -
     """
     if not 1 <= n <= _SIZE:
         raise ValueError(f"n must be in 1..{_SIZE}, got {n}")
-    g = _gen(rng)
     thr, codes = _alias_table()
     h = np.zeros(count, dtype=np.int64)
     lr = np.zeros(count, dtype=np.int64)  # l | r << 32
@@ -217,7 +208,7 @@ def uniform_bst_stats(n: int, count: int, rng: RngState | np.random.Generator) -
     return h, lr & 0xFFFFFFFF, lr >> 32
 
 
-def wreath_heights(n: int, m: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
+def wreath_heights(n: int, m: int, count: int, g: np.random.Generator) -> np.ndarray:
     """Heights of ``count`` iid BSTs of uniform S_n wr S_m words, 1 <= n, m < 2^30.
 
     Such a tree is an external uniform BST on the m blocks, with an iid
@@ -229,7 +220,6 @@ def wreath_heights(n: int, m: int, count: int, rng: RngState | np.random.Generat
     """
     if not 1 <= m <= _SIZE:
         raise ValueError(f"m must be in 1..{_SIZE}, got {m}")
-    g = _gen(rng)
     hb, lb, rb = uniform_bst_stats(n, count * m, g)  # taken in order, one per block visited
     h = np.zeros(count, dtype=np.int64)
     live = np.arange(count, dtype=np.int64) << 32 | m
@@ -260,11 +250,11 @@ def _law_samples(n: int, count: int, g: np.random.Generator, combine) -> np.ndar
     return arr[:, 0]
 
 
-def lis_law_samples(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
+def lis_law_samples(n: int, count: int, g: np.random.Generator) -> np.ndarray:
     """iid samples of the level-n LIS law: X' = (X1 + X2) eta + max(X1, X2)(1 - eta) = eta min + max."""
-    return _law_samples(n, count, _gen(rng), lambda a, b, e: np.add(np.multiply(e, np.minimum(a, b), out=e), np.maximum(a, b), out=e))
+    return _law_samples(n, count, g, lambda a, b, e: np.add(np.multiply(e, np.minimum(a, b), out=e), np.maximum(a, b), out=e))
 
 
-def cycle_law_samples(n: int, count: int, rng: RngState | np.random.Generator) -> np.ndarray:
+def cycle_law_samples(n: int, count: int, g: np.random.Generator) -> np.ndarray:
     """iid samples of the level-n cycle law: Y' = Y1 + eta Y2, computed in place in eta."""
-    return _law_samples(n, count, _gen(rng), lambda a, b, e: np.add(np.multiply(e, b, out=e), a, out=e))
+    return _law_samples(n, count, g, lambda a, b, e: np.add(np.multiply(e, b, out=e), a, out=e))

@@ -272,9 +272,9 @@ def test_criterion_11_gepp_provenance():
         max_err = max(max_err, float(np.abs(P @ M - L @ U).max()))
     assert max_err <= 1e-9
 
-    rep2 = uniformity_check(2, 80_000, RngState(7002), family="nonsimple")
+    rep2 = uniformity_check(2, 80_000, RngState(7002).generator(), family="nonsimple")
     assert rep2.classes == 8 and rep2.pvalue > 0.001
-    rep3 = uniformity_check(3, 256_000, RngState(7003), family="nonsimple")
+    rep3 = uniformity_check(3, 256_000, RngState(7003).generator(), family="nonsimple")
     assert rep3.classes == 128 and rep3.pvalue > 0.001
     dt = time.perf_counter() - t0
     report(

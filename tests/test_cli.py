@@ -114,7 +114,7 @@ def test_explore_conjecture_chunks_are_per_cell_streams(monkeypatch):
     monkeypatch.setattr(cli, "_CHUNK", 2)
     _, cols = cli.explore_conjecture_data(grid, trials, seed)
     for i, (n, m) in enumerate(grid):
-        h = np.concatenate([wreath_heights(n, m, b, RngState(seed, c * 3 + i)) for c, b in enumerate([2, 2, 1])])
+        h = np.concatenate([wreath_heights(n, m, b, RngState(seed, c * 3 + i).generator()) for c, b in enumerate([2, 2, 1])])
         assert cols["ratio_mean"][i] == float(h.mean()) / (math.log(n) * math.log(m))
         assert cols["exceed_freq"][i] == float((h >= cols["threshold"][i]).mean())
 
@@ -135,7 +135,7 @@ def test_fig8_and_law_hist_chunks_are_per_chunk_streams(monkeypatch):
     n, trials, seed = 3, 5, 8
     monkeypatch.setattr(cli, "_CHUNK_ENTRIES", (1 << n) - 1)  # one shape-bit row per chunk
     meta, cols = cli.fig8_data(n, trials, seed)
-    h = np.concatenate([nonsimple_butterfly_stats(n, 1, RngState(seed, c))[0] for c in range(trials)])
+    h = np.concatenate([nonsimple_butterfly_stats(n, 1, RngState(seed, c).generator())[0] for c in range(trials)])
     values, counts = np.unique(h, return_counts=True)
     assert (cols["height"], cols["count"]) == (values.tolist(), counts.tolist())
     assert meta["mean"] == float(h.mean())
@@ -143,7 +143,7 @@ def test_fig8_and_law_hist_chunks_are_per_chunk_streams(monkeypatch):
     monkeypatch.setattr(cli, "_CHUNK_ENTRIES", 1 << n)  # one law row per chunk
     for law, sampler in (("cycle", cycle_law_samples), ("lis", lis_law_samples)):
         _, cols = cli.law_hist_data(law, n, trials, seed)
-        x = np.concatenate([sampler(n, 1, RngState(seed, c)) for c in range(trials)])
+        x = np.concatenate([sampler(n, 1, RngState(seed, c).generator()) for c in range(trials)])
         values, counts = np.unique(x, return_counts=True)
         assert [o for o in cols["observed"] if o] == counts.tolist()
         assert [v for v, o in zip(cols["value"], cols["observed"]) if o] == values.tolist()
@@ -199,15 +199,15 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["law-hist", "--trials", "-5"], "argument --trials: must be >= 1"),
         (["fig8", "--seed", "-1"], "argument --seed: must be in 0..18446744073709551615, got -1"),
         (["bounds", "--seed", "-7"], "argument --seed: must be in 0..18446744073709551615, got -7"),
-        (["fig8", "--n", "0"], "argument --n: must be >= 1"),
-        (["fig8", "--n", "-3"], "argument --n: must be >= 1"),
+        (["fig8", "--n", "0"], "argument --n: must be in 1..23, got 0"),
+        (["fig8", "--n", "-3"], "argument --n: must be in 1..23, got -3"),
         (["fig8", "--trials", "ten"], "argument --trials: invalid int value"),
         (["law-hist", "--n", "-1"], "argument --n: must be in 0..23"),
         (["theorem2-diff", "--n", "-4"], "argument --n: must be >= 1"),
         (["theorem2-diff", "--m", "0"], "argument --m: must be >= 1"),
         (["theorem2-diff", "--n", "1", "--m", "1"], "need n*m >= 2"),
         (["clt-simple", "--n", "0"], "argument --n: must be >= 1"),
-        (["clt-simple", "--samples", "0"], "argument --samples: must be >= 1"),
+        (["clt-simple", "--samples", "0"], "argument --samples: must be in 1..8388608, got 0"),
         (["gepp-check", "--n", "0"], "argument --n: must be >= 1"),
         (["gepp-check", "--n", "4"], "argument --n: must be <= 3 for --family nonsimple"),
         (["gepp-check", "--n", "11", "--family", "simple"], "argument --n: must be <= 10 for --family simple"),
@@ -215,7 +215,7 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["pmf", "--which", "simple-height", "--n", "0"], "argument --n: must be >= 1 for --which simple-height"),
         (["lattice-degrees", "--n", "-1"], "argument --n: must be in 1..20"),
         (["lattice-degrees", "--n", "21"], "argument --n: must be in 1..20"),
-        (["bounds", "--n-max", "-1"], "argument --n-max: must be >= 1"),
+        (["bounds", "--n-max", "-1"], "argument --n-max: must be in 1..1119, got -1"),
         (["explore-conjecture", "--grid", "0x5"], "argument --grid: grid entries must be >= 1"),
         (["explore-conjecture", "--grid", "4x6,5x0"], "argument --grid: grid entries must be >= 1"),
         (["bounds", "--exact-max", "9"], "argument --exact-max: must be <= 8, got 9"),
@@ -223,7 +223,7 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["explore-conjecture", "--grid", "5"], "argument --grid: expected NxM pairs like 50x50,100x20, got '5'"),
         (["explore-conjecture", "--grid", "4x6,ax5"], "argument --grid: expected NxM pairs like 50x50,100x20, got 'ax5'"),
         (["theorem2-diff", "--trials", "1"], "theorem2-diff: error: argument --trials: must be >= 2, got 1"),
-        (["fig8", "--n", "24"], "argument --n: must be <= 23, got 24"),
+        (["fig8", "--n", "24"], "argument --n: must be in 1..23, got 24"),
         (["theorem2-diff", "--n", "5000000", "--m", "2"], "need n*m <= 8388608"),
         (["theorem2-diff", "--n", "8388609", "--m", "1"], "need n*m <= 8388608"),
         (["pmf", "--which", "stirling", "--n", "1001"], "argument --n: must be <= 1000 for --which stirling, got 1001"),
@@ -236,9 +236,9 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         (["bounds", "--trials", "5"], "unrecognized arguments: --trials 5"),
         (["lattice-degrees", "--trials", "5"], "unrecognized arguments: --trials 5"),
         (["pmf", "--trials", "5"], "unrecognized arguments: --trials 5"),
-        (["clt-simple", "--samples", "8388609"], "argument --samples: must be <= 8388608, got 8388609"),
+        (["clt-simple", "--samples", "8388609"], "argument --samples: must be in 1..8388608, got 8388609"),
         (["explore-conjecture", "--grid", "4x6,3000x3000"], "argument --grid: need n*m <= 8388608 (one row must fit a chunk), got '3000x3000'"),
-        (["bounds", "--n-max", "1120"], "argument --n-max: must be <= 1119, got 1120"),
+        (["bounds", "--n-max", "1120"], "argument --n-max: must be in 1..1119, got 1120"),
         (["fig8", "--seed", str(10**26)], f"argument --seed: must be in 0..18446744073709551615, got {10**26}"),
     ],
 )
@@ -439,7 +439,7 @@ def test_gepp_check(capsys):
 
 @pytest.mark.parametrize("family,n", [("simple", 4), ("nonsimple", 3)])
 def test_gepp_check_residual_is_the_reports(monkeypatch, family, n):
-    # one stream, RngState(seed), and one angle draw from it: the residual is that of the sample the class check factors
+    # one stream, RngState(seed).generator(), and one angle draw from it: the residual is that of the sample the class check factors
     streams, draws = [], []
     real_generator, real_angles = RngState.generator, gepp.random_angles
 
@@ -455,7 +455,7 @@ def test_gepp_check_residual_is_the_reports(monkeypatch, family, n):
     monkeypatch.setattr(gepp, "random_angles", random_angles)
     _, cols = cli.gepp_check_data(n, 3000, 99, family)
     assert streams == [RngState(99)] and draws == [3000]
-    assert cols["max_plu_error"] == [gepp.uniformity_check(n, 3000, RngState(99), family=family).max_plu_error]
+    assert cols["max_plu_error"] == [gepp.uniformity_check(n, 3000, RngState(99).generator(), family=family).max_plu_error]
 
 
 def test_pmf_export(capsys):

@@ -261,7 +261,7 @@ def test_exact_mean_height_against_sampled_heights(n, mean_repr):
     m = exact_mean_height(n)
     assert repr(float(m)) == mean_repr
     # independent of the convolution: heights from sampled shape bits
-    h, _, _ = nonsimple_butterfly_stats(n, 4000, RngState(2024, n))
+    h, _, _ = nonsimple_butterfly_stats(n, 4000, RngState(2024, n).generator())
     sem = h.std(ddof=1) / math.sqrt(len(h))
     assert abs(h.mean() - float(m)) <= 5 * sem
     lo, up = nonsimple_mean_bounds(n)

@@ -83,10 +83,10 @@ def test_identity_angles_give_identity_matrix():
 def test_order_two_sampler_is_one_rotation():
     theta = RngState(0).generator().uniform(0, 2 * np.pi)
     for family in ("simple", "nonsimple"):
-        assert random_angles(family, 1, 1, RngState(0)).tolist() == [[theta]]
-        assert np.allclose(random_matrices(family, 1, 1, RngState(0))[0], rotation(theta))
-    assert random_angles("simple", 3, 2, RngState(0)).shape == (2, 3)
-    assert random_angles("nonsimple", 3, 2, RngState(0)).shape == (2, 7)
+        assert random_angles(family, 1, 1, RngState(0).generator()).tolist() == [[theta]]
+        assert np.allclose(random_matrices(family, 1, 1, RngState(0).generator())[0], rotation(theta))
+    assert random_angles("simple", 3, 2, RngState(0).generator()).shape == (2, 3)
+    assert random_angles("nonsimple", 3, 2, RngState(0).generator()).shape == (2, 7)
 
 
 def test_simple_matrix_is_kron_of_rotations():
@@ -101,16 +101,16 @@ def test_simple_matrix_is_kron_of_rotations():
 
 def test_orthogonality():
     for n in range(1, 7):
-        M = random_matrices("simple", n, 1, RngState(42, n))[0]
+        M = random_matrices("simple", n, 1, RngState(42, n).generator())[0]
         assert np.abs(M.T @ M - np.eye(1 << n)).max() <= 1e-12
-        B = random_matrices("nonsimple", n, 1, RngState(43, n))[0]
+        B = random_matrices("nonsimple", n, 1, RngState(43, n).generator())[0]
         assert np.abs(B.T @ B - np.eye(1 << n)).max() <= 1e-12
 
 
 def test_plu_reconstruction():
     for n in range(1, 7):
         for i in range(10):
-            M = random_matrices("nonsimple", n, 1, RngState(77, 10 * n + i))[0]
+            M = random_matrices("nonsimple", n, 1, RngState(77, 10 * n + i).generator())[0]
             word, L, U = gepp_factorization(M)
             assert plu_error(M, word, L, U) <= 1e-9
             assert np.allclose(np.triu(L, 1), 0) and np.allclose(np.tril(U, -1), 0)
@@ -120,7 +120,7 @@ def test_plu_reconstruction():
 def test_membership_of_gepp_permutations():
     for n in range(1, 6):
         for family, seed in (("simple", 7), ("nonsimple", 8)):
-            words, _ = batch_gepp(random_matrices(family, n, 60, RngState(seed, n)))
+            words, _ = batch_gepp(random_matrices(family, n, 60, RngState(seed, n).generator()))
             assert (class_indices(words, family) >= 0).all()
 
 
@@ -133,25 +133,25 @@ def test_batch_gepp_matches_scalar():
 
 
 def test_uniformity_check_simple():
-    rep = uniformity_check(2, 40_000, RngState(1234), family="simple")
+    rep = uniformity_check(2, 40_000, RngState(1234).generator(), family="simple")
     assert rep.classes == 4
     assert rep.pvalue > 0.001
     assert sum(rep.counts) == 40_000
 
 
 def test_uniformity_check_nonsimple():
-    rep = uniformity_check(2, 40_000, RngState(4321), family="nonsimple")
+    rep = uniformity_check(2, 40_000, RngState(4321).generator(), family="nonsimple")
     assert rep.classes == 8
     assert rep.pvalue > 0.001
 
 
 def test_uniformity_check_caps():
     with pytest.raises(ValueError):
-        uniformity_check(4, 10, RngState(0), family="nonsimple")
+        uniformity_check(4, 10, RngState(0).generator(), family="nonsimple")
     with pytest.raises(ValueError):
-        uniformity_check(11, 10, RngState(0), family="simple")
+        uniformity_check(11, 10, RngState(0).generator(), family="simple")
     with pytest.raises(ValueError):
-        uniformity_check(2, 10, RngState(0), family="other")
+        uniformity_check(2, 10, RngState(0).generator(), family="other")
 
 
 def test_matrices_match_block_recursion():
@@ -168,7 +168,7 @@ def test_matrices_match_block_recursion():
 @pytest.mark.parametrize("family,n", [("simple", 3), ("nonsimple", 2), ("nonsimple", 3)])
 def test_uniformity_counts_match_dict_count(family, n):
     trials = 3000
-    rep = uniformity_check(n, trials, RngState(606), family=family)
+    rep = uniformity_check(n, trials, RngState(606).generator(), family=family)
     g = RngState(606).generator()
     angles = n if family == "simple" else (1 << n) - 1
     make = simple_matrices if family == "simple" else nonsimple_matrices
@@ -189,15 +189,15 @@ def test_uniformity_check_names_first_non_member(monkeypatch):
 
     monkeypatch.setattr(gepp, "batch_gepp", words_with_strays)
     with pytest.raises(AssertionError, match=r"non-member word \(1, 3, 2, 4\) \(not a nonsimple butterfly\)"):
-        uniformity_check(2, 10, RngState(0), family="nonsimple")
+        uniformity_check(2, 10, RngState(0).generator(), family="nonsimple")
     with pytest.raises(AssertionError, match=r"non-member word \(1, 3, 2, 4\) \(not a simple butterfly\)"):
-        uniformity_check(2, 10, RngState(0), family="simple")
+        uniformity_check(2, 10, RngState(0).generator(), family="simple")
 
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_uniformity_check_needs_trials(trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        uniformity_check(2, trials, RngState(0), family="nonsimple")
+        uniformity_check(2, trials, RngState(0).generator(), family="nonsimple")
 
 
 STACKS = [("simple", n) for n in range(1, 7)] + [("nonsimple", n) for n in range(1, 5)]
@@ -241,7 +241,7 @@ def test_batch_gepp_raises_on_the_first_singular_column():
 def test_uniformity_report_residual_is_that_of_the_gepp_sample(monkeypatch, family, n, trials, entries, sample):
     # the residual comes from the factorizations whose words were checked: the first draws of the one stream
     monkeypatch.setattr(gepp, "_CHUNK_ENTRIES", entries)
-    rep = uniformity_check(n, trials, RngState(12), family=family)
+    rep = uniformity_check(n, trials, RngState(12).generator(), family=family)
     angles, make = MATRICES[family]
     thetas = RngState(12).generator().uniform(0, 2 * np.pi, size=(sample, angles(n)))
     errors = [float(plu_error(M, *gepp_factorization(M))) for M in make(n, thetas)]
@@ -299,7 +299,7 @@ def test_uniformity_check_raises_when_gepp_disagrees_with_rule(monkeypatch, fami
 
     monkeypatch.setattr(gepp, "batch_gepp", one_member_off)
     with pytest.raises(AssertionError, match=r"GEPP word \(.*\) of draw 2 is class \d+, the pivot rule gives \d+"):
-        uniformity_check(2, 100, RngState(0), family=family)
+        uniformity_check(2, 100, RngState(0).generator(), family=family)
 
 
 @pytest.mark.parametrize(
@@ -316,12 +316,12 @@ def test_uniformity_check_runs_gepp_on_a_bounded_sample(monkeypatch, n, trials, 
         return real(mats)
 
     monkeypatch.setattr(gepp, "batch_gepp", recording)
-    assert sum(uniformity_check(n, trials, RngState(5)).counts) == trials
+    assert sum(uniformity_check(n, trials, RngState(5).generator()).counts) == trials
     assert sizes == [sample]
 
 
 def test_uniformity_check_chunked_draws_keep_the_stream(monkeypatch):
-    whole = uniformity_check(2, 1000, RngState(77), family="nonsimple")
+    whole = uniformity_check(2, 1000, RngState(77).generator(), family="nonsimple")
     monkeypatch.setattr(gepp, "_CHUNK_ENTRIES", 70)  # 23 draws of 3 angles per chunk, GEPP on 4
-    chunked = uniformity_check(2, 1000, RngState(77), family="nonsimple")
+    chunked = uniformity_check(2, 1000, RngState(77).generator(), family="nonsimple")
     assert replace(chunked, max_plu_error=whole.max_plu_error) == whole  # the residual is of the smaller sample

@@ -72,31 +72,31 @@ def triples(h, l, r) -> Counter:
 def test_determinism():
     r = RngState(987, 3)
     for draw in (
-        lambda: uniform_bst_stats(30, 5, r),
-        lambda: uniform_bst_stats(5, 5, r),
-        lambda: wreath_heights(3, 2, 5, r),
-        lambda: wreath_heights(40, 30, 5, r),
-        lambda: nonsimple_butterfly_stats(3, 5, r),
-        lambda: lis_law_samples(5, 5, r),
-        lambda: cycle_law_samples(5, 5, r),
+        lambda: uniform_bst_stats(30, 5, r.generator()),
+        lambda: uniform_bst_stats(5, 5, r.generator()),
+        lambda: wreath_heights(3, 2, 5, r.generator()),
+        lambda: wreath_heights(40, 30, 5, r.generator()),
+        lambda: nonsimple_butterfly_stats(3, 5, r.generator()),
+        lambda: lis_law_samples(5, 5, r.generator()),
+        lambda: cycle_law_samples(5, 5, r.generator()),
     ):
         assert np.array_equal(draw(), draw())
 
 
 def test_substreams_differ():
-    a = uniform_bst_stats(2000, 20, RngState(987, 1))[0]
-    b = uniform_bst_stats(2000, 20, RngState(987, 2))[0]
+    a = uniform_bst_stats(2000, 20, RngState(987, 1).generator())[0]
+    b = uniform_bst_stats(2000, 20, RngState(987, 2).generator())[0]
     assert not np.array_equal(a, b)
 
 
 def test_split_samplers_edges():
-    for a in uniform_bst_stats(1, 3, RngState(0)):
+    for a in uniform_bst_stats(1, 3, RngState(0).generator()):
         assert a.dtype == np.int64 and a.tolist() == [0, 0, 0]
-    assert wreath_heights(1, 1, 3, RngState(0)).tolist() == [0, 0, 0]
-    assert [a.size for a in uniform_bst_stats(50, 0, RngState(0))] == [0, 0, 0]
-    h, l, r = uniform_bst_stats(50, 200, RngState(0))
+    assert wreath_heights(1, 1, 3, RngState(0).generator()).tolist() == [0, 0, 0]
+    assert [a.size for a in uniform_bst_stats(50, 0, RngState(0).generator())] == [0, 0, 0]
+    h, l, r = uniform_bst_stats(50, 200, RngState(0).generator())
     assert ((h >= 5) & (h <= 49) & (l <= h) & (r <= h)).all()
-    for bad in (lambda: uniform_bst_stats(0, 1, RngState(0)), lambda: wreath_heights(2, 0, 1, RngState(0))):
+    for bad in (lambda: uniform_bst_stats(0, 1, RngState(0).generator()), lambda: wreath_heights(2, 0, 1, RngState(0).generator())):
         with pytest.raises(ValueError):
             bad()
 
@@ -154,7 +154,7 @@ def test_uniform_bst_stats_match_all_of_s_n(n):
     # draws, which take every N <= 20 whole from the alias table at the root
     exact = enumerated_triples(n)
     trials = 40_000
-    obs = triples(*uniform_bst_stats(n, trials, RngState(11, n)))
+    obs = triples(*uniform_bst_stats(n, trials, RngState(11, n).generator()))
     assert set(obs) <= set(exact)
     if len(exact) > 1:
         total = sum(exact.values())
@@ -165,7 +165,7 @@ def test_uniform_bst_stats_match_all_of_s_n(n):
 def test_uniform_bst_stats_match_word_trees(n):
     # two samples of the joint (h, l, r) law, either side of the alias-table cutoff
     trials = 40_000
-    split = triples(*uniform_bst_stats(n, trials, RngState(12, n)))
+    split = triples(*uniform_bst_stats(n, trials, RngState(12, n).generator()))
     words = triples(*batch_summaries(uniform_words(n, trials, RngState(13, n).generator())))
     assert two_sample_pvalue(split, words) > P_FLOOR
 
@@ -177,7 +177,7 @@ def test_uniform_bst_height_law(n):
     trials, K = 10_000, min(n - 1, 80)
     cdf = uniform_height_cdf(n, K)
     pmf = np.diff(cdf, prepend=0.0)
-    h = uniform_bst_stats(n, trials, RngState(14))[0]
+    h = uniform_bst_stats(n, trials, RngState(14).generator())[0]
     assert h.max() <= K
     obs = Counter(h.tolist())
     assert pooled_chisquare_pvalue(obs, {k: trials * p for k, p in enumerate(pmf)}) > P_FLOOR
@@ -188,7 +188,7 @@ def test_wreath_heights_match_the_group(n, m):
     exact = wreath_height_counts(n, m)
     total = sum(exact.values())
     trials = 30_000
-    obs = Counter(wreath_heights(n, m, trials, RngState(15, 10 * n + m)).tolist())
+    obs = Counter(wreath_heights(n, m, trials, RngState(15, 10 * n + m).generator()).tolist())
     assert set(obs) <= set(exact)
     if len(exact) > 1:
         assert pooled_chisquare_pvalue(obs, {k: trials * c / total for k, c in exact.items()}) > P_FLOOR
@@ -198,7 +198,7 @@ def test_wreath_heights_match_the_group(n, m):
 def test_wreath_heights_match_word_trees(n, m):
     # blocks deep enough that a block's own (h, l, r) must hang together
     trials = 40_000
-    split = Counter(wreath_heights(n, m, trials, RngState(16, n)).tolist())
+    split = Counter(wreath_heights(n, m, trials, RngState(16, n).generator()).tolist())
     words = Counter(batch_summaries(wreath_words(n, m, trials, RngState(17, n).generator()))[0].tolist())
     assert two_sample_pvalue(split, words) > P_FLOOR
 
@@ -241,7 +241,7 @@ def test_butterfly_samplers():
     index = state.generator().integers(0, 8, size=(trials, 1))[:, 0]
     bits = nonsimple_shape_bits(2, trials, state.generator())
     assert np.array_equal(shape_indices(bits), index)
-    for a, b in zip(nonsimple_butterfly_stats(2, trials, state), stats_from_shape_bits(2, bits)):
+    for a, b in zip(nonsimple_butterfly_stats(2, trials, state.generator()), stats_from_shape_bits(2, bits)):
         np.testing.assert_array_equal(a, b)
     assert pooled_chisquare_pvalue(Counter(index.tolist()), dict.fromkeys(range(8), trials / 8)) > P_FLOOR
 
@@ -249,7 +249,7 @@ def test_butterfly_samplers():
     trials = 25_600
     state = RngState(708)
     bits = nonsimple_shape_bits(5, trials, state.generator())
-    for a, b in zip(nonsimple_butterfly_stats(5, trials, state), stats_from_shape_bits(5, bits)):
+    for a, b in zip(nonsimple_butterfly_stats(5, trials, state.generator()), stats_from_shape_bits(5, bits)):
         np.testing.assert_array_equal(a, b)
     counts = Counter(shape_indices(bits[:, :7]).tolist())
     assert pooled_chisquare_pvalue(counts, dict.fromkeys(range(128), trials / 128)) > P_FLOOR
@@ -262,7 +262,7 @@ def test_butterfly_samplers():
 def test_nonsimple_butterfly_stats_are_the_trees_of_the_sampled_words():
     for n in range(1, 11):
         state = RngState(31, n)
-        stats_hlr = nonsimple_butterfly_stats(n, 40, state)
+        stats_hlr = nonsimple_butterfly_stats(n, 40, state.generator())
         trees_hlr = batch_summaries(nonsimple_butterfly_words(n, 40, state.generator()))
         for a, b in zip(stats_hlr, trees_hlr):
             np.testing.assert_array_equal(a, b)
@@ -275,7 +275,7 @@ def test_sampled_subtree_index_is_the_class_index():
     state = RngState(909)
     index = state.generator().integers(0, 1 << 15, size=(trials, 1))[:, 0]
     assert np.array_equal(class_indices(nonsimple_butterfly_words(4, trials, state.generator()), "nonsimple"), index)
-    for a, b in zip(nonsimple_butterfly_stats(4, trials, state), batch_summaries(all_nonsimple_words(4)[index])):
+    for a, b in zip(nonsimple_butterfly_stats(4, trials, state.generator()), batch_summaries(all_nonsimple_words(4)[index])):
         np.testing.assert_array_equal(a, b)
 
 
@@ -285,19 +285,19 @@ def test_nonsimple_butterfly_stats_are_those_of_the_expanded_shape_bits():
         state = RngState(37, n)
         bits = nonsimple_shape_bits(n, 40, state.generator())
         assert bits.shape == (40, (1 << n) - 1) and ((bits == 0) | (bits == 1)).all()
-        for a, b in zip(nonsimple_butterfly_stats(n, 40, state), stats_from_shape_bits(n, bits)):
+        for a, b in zip(nonsimple_butterfly_stats(n, 40, state.generator()), stats_from_shape_bits(n, bits)):
             np.testing.assert_array_equal(a, b)
     with pytest.raises(ValueError):
-        nonsimple_butterfly_stats(0, 1, RngState(0))
+        nonsimple_butterfly_stats(0, 1, RngState(0).generator())
 
 
 def test_nonsimple_butterfly_stats_chunk_peak_memory():
     # one fig8 chunk at n = 16 (128 rows) peaks near 30 MB: its top bits, subtree indices and their
     # (h, l, r), 4 MB each, and one level's combine; a (128, 2^16 - 1) bit matrix alone is 64 MB
-    nonsimple_butterfly_stats(16, 1, RngState(0))  # the subtree tables are built outside the trace
+    nonsimple_butterfly_stats(16, 1, RngState(0).generator())  # the subtree tables are built outside the trace
     tracemalloc.start()
     try:
-        nonsimple_butterfly_stats(16, 128, RngState(16))
+        nonsimple_butterfly_stats(16, 128, RngState(16).generator())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -305,13 +305,13 @@ def test_nonsimple_butterfly_stats_chunk_peak_memory():
 
 
 def test_law_sampler_base_cases():
-    assert lis_law_samples(0, 3, RngState(0)).tolist() == [1, 1, 1]
-    assert cycle_law_samples(0, 3, RngState(0)).tolist() == [1, 1, 1]
-    x1 = Counter(int(v) for v in lis_law_samples(1, 4000, RngState(9)))
-    y1 = Counter(int(v) for v in cycle_law_samples(1, 4000, RngState(10)))
+    assert lis_law_samples(0, 3, RngState(0).generator()).tolist() == [1, 1, 1]
+    assert cycle_law_samples(0, 3, RngState(0).generator()).tolist() == [1, 1, 1]
+    x1 = Counter(int(v) for v in lis_law_samples(1, 4000, RngState(9).generator()))
+    y1 = Counter(int(v) for v in cycle_law_samples(1, 4000, RngState(10).generator()))
     assert set(x1) == {1, 2} and set(y1) == {1, 2}
     with pytest.raises(ValueError):
-        lis_law_samples(-1, 1, RngState(0))
+        lis_law_samples(-1, 1, RngState(0).generator())
 
 
 def law_samples_oracle(law: str, n: int, count: int, g: np.random.Generator) -> list[int]:
@@ -345,7 +345,7 @@ def test_lis_law_matches_enumeration():
     counts, exp = lis_law_counts(3)
     assert dict(exact_hist) == counts
     trials = 100_000
-    obs = Counter(int(v) for v in lis_law_samples(3, trials, RngState(808)))
+    obs = Counter(int(v) for v in lis_law_samples(3, trials, RngState(808).generator()))
     support = sorted(counts)
     res = stats.chisquare(
         [obs.get(v, 0) for v in support],
@@ -359,7 +359,7 @@ def test_cycle_law_matches_enumeration():
     counts, exp = cycle_law_counts(4)
     assert dict(exact_hist) == counts
     trials = 100_000
-    obs = Counter(int(v) for v in cycle_law_samples(4, trials, RngState(909)))
+    obs = Counter(int(v) for v in cycle_law_samples(4, trials, RngState(909).generator()))
     support = sorted(counts)
     res = stats.chisquare(
         [obs.get(v, 0) for v in support],

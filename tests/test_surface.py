@@ -1,5 +1,6 @@
 """Every public top-level name of the package is used by the package or by
-its benchmark. A name that only the tests read belongs in ``tests/``."""
+its benchmark. A name that only the tests read belongs in ``tests/``. No
+module of the package imports or reads another module's underscore name."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,32 @@ def test_every_public_name_in_src_is_used_by_src_or_perfbench():
     unused = {(p.stem, n) for p in modules for n in defined[p] - used}
     assert unused <= ALLOWED, sorted(unused - ALLOWED)
     assert ALLOWED <= {(p.stem, n) for p in modules for n in defined[p]}, "an allowed name no longer exists"
+
+
+def foreign_private_names(stem: str, tree: ast.Module, stems: set[str]) -> set[str]:
+    """``module.name`` of every underscore name of another package module that
+    ``tree`` imports (``from .m import _x``) or reads (``m._x`` after ``from . import m``)."""
+    found, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("butterfly_trees")):
+            source = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if source in stems and source != stem and alias.name.startswith("_"):
+                    found.add(f"{source}.{alias.name}")
+                elif alias.name in stems:
+                    aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            source = aliases[node.value.id]
+            if source != stem and node.attr.startswith("_") and not node.attr.startswith("__"):
+                found.add(f"{source}.{node.attr}")
+    return found
+
+
+def test_no_src_module_reads_another_modules_underscore_names():
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    stems = {p.stem for p in modules}
+    found = {
+        (p.stem, name) for p in modules for name in foreign_private_names(p.stem, ast.parse(p.read_text(encoding="utf-8")), stems)
+    }
+    assert not found, sorted(found)
