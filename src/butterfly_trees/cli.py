@@ -45,8 +45,10 @@ _CHUNK = 250  # rows per sampled chunk
 _CHUNK_ENTRIES = 1 << 23  # entries per sampled chunk, the largest row allowed and the largest clt-simple sample
 # fig8 and law-hist: the largest n whose 2^n-entry row fits one chunk
 _LEVEL_CAP = _CHUNK_ENTRIES.bit_length() - 1
-# bounds: the exact mean reads the level-(n-1) law, ~0.08 s at n = 7 and ~1.6 s at n = 8;
-# n = 9 would need the level-8 law, ~25 s with 0.7 GB (2-vCPU Xeon)
+# bounds and fig8's band: the mean reads the float64 level-(n-1) law. `bounds --exact-max 8`
+# takes ~0.10 s and 68 MB as a process (~0.50 s and 94 MB with the exact integer law); n = 9
+# takes ~0.45 s but peaks at ~322 MB, above the ~233 MB largest peak of any other run, so the cap
+# stays at 8 (2-vCPU AMD EPYC)
 EXACT_MAX_CAP = 8
 # bounds --n-max: the last n whose upper mean bound is a finite double (1120 gives inf)
 N_MAX_CAP = 1119
@@ -130,9 +132,20 @@ def table1_data() -> tuple[dict, dict]:
 
 
 def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
-    """Height histogram of seeded uniform nonsimple butterfly trees."""
+    """Height histogram of seeded uniform nonsimple butterfly trees. Up to
+    ``EXACT_MAX_CAP`` the band is the exact mean ± 5 standard errors, as at
+    n = 2 and 3 a correct sample falls below the lower mean bound half the time."""
     h = _chunked(trials, (1 << n) - 1, seed, lambda b, g: sampling.nonsimple_butterfly_stats(n, b, g)[0])
     lower, upper = exact.nonsimple_mean_bounds(n)
+    if n == 10:
+        band = "n=10: mean in [113,126]"
+    elif n > EXACT_MAX_CAP:
+        band = "mean in [lower, upper]"
+    elif trials < 2:
+        band = f"does not apply (the standard error needs trials >= 2); exact mean {exact.exact_mean_height(n)!r}"
+    else:
+        e, se = exact.exact_mean_height(n), float(h.std(ddof=1)) / math.sqrt(trials)
+        band = f"mean in [{e - 5 * se!r}, {e + 5 * se!r}]: exact mean {e!r} +/- 5 standard errors"
     meta = {
         "subcommand": "fig8",
         "n": n,
@@ -143,7 +156,7 @@ def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
         "max": int(h.max()),
         "mean_lower_bound": lower,
         "mean_upper_bound": upper,
-        "band": "n=10: mean in [113,126]" if n == 10 else "mean in [lower, upper]",
+        "band": band,
     }
     values, freqs = np.unique(h, return_counts=True)
     cols = {"height": [int(v) for v in values], "count": [int(c) for c in freqs]}
@@ -224,7 +237,7 @@ def bounds_data(n_max: int, exact_max: int = 4) -> tuple[dict, dict]:
         lo, up = exact.nonsimple_mean_bounds(n)
         lowers.append(f"{lo:.2f}")
         uppers.append(f"{up:.2f}")
-        exacts.append(repr(float(exact.exact_mean_height(n))) if n <= exact_max else "")
+        exacts.append(repr(exact.exact_mean_height(n)) if n <= exact_max else "")
     meta = {"subcommand": "bounds", "n_max": n_max, "exact_max": exact_max}
     cols = {"n": rows_n, "lower": lowers, "exact_mean": exacts, "upper": uppers}
     return meta, cols

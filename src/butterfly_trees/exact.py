@@ -1,21 +1,20 @@
 """
 Exact combinatorics backing the height/edge/cycle laws.
 
-Everything distributional here is exact: Stirling numbers are
-arbitrary-precision integers, butterfly-tree pmfs
-carry dyadic weights (integer numerators over a power-of-two denominator),
-and the bound sequences/constants are double precision with documented
-defining formulas.
+Stirling numbers are arbitrary-precision integers, the simple height pmf
+and the LIS and cycle laws carry dyadic weights (integer numerators over a
+power-of-two denominator), and the bound sequences/constants are double
+precision with documented defining formulas. The nonsimple (H, L, R) law is
+the one float64 law here, with a stated error bound; its exact integer
+counts and rational mean are the tests' oracle.
 
 The level recursions avoid pairwise loops over supports:
 
-- The nonsimple (H, L, R) law is a dense count array ``W[h, l, r]`` per
+- The nonsimple (H, L, R) law is a dense float64 array ``P[h, l, r]`` per
   level. A step conditions on the first copy's edge and takes the height
-  maximum from products of CDFs along h, then first differences; counts are
-  int64 up to level 5 and Python ints in object arrays from level 6 on,
-  where the total 2^63 no longer fits int64. The exact mean height at
-  level n sums the same CDF products over level n-1 and never builds
-  level n.
+  maximum from products of CDFs along h, then first differences. The mean
+  height at level n sums the same CDF products over level n-1 and never
+  builds level n.
 - The LIS and cycle laws square their count polynomial by Kronecker
   substitution in decimal slots: the counts are packed into one Decimal,
   squared exactly by libmpdec's number-theoretic transform, and cut back.
@@ -224,29 +223,30 @@ def nonsimple_mean_bounds(n: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Exact joint (H, L, R) law of nonsimple butterfly trees
+# Joint (H, L, R) law of nonsimple butterfly trees, in float64
 # ---------------------------------------------------------------------------
 
 
-def _height_edge_cdf(W: np.ndarray) -> np.ndarray:
-    """F[h, c] = #{H <= h, R = c} from the counts ``W[h, l, r]`` of one level."""
-    return np.cumsum(W.sum(axis=1), axis=0)
+def _height_edge_cdf(P: np.ndarray) -> np.ndarray:
+    """F[h, c] = P(H <= h, R = c) from the law ``P[h, l, r]`` of one level."""
+    return np.cumsum(P.sum(axis=1), axis=0)
 
 
-def _wreath_step(W: np.ndarray) -> np.ndarray:
-    """Level-(k+1) counts from the level-k counts ``W[h, l, r]`` of shape (D, D, D).
+def _wreath_step(P: np.ndarray) -> np.ndarray:
+    """Level-(k+1) law from the level-k law ``P[h, l, r]`` of shape (D, D, D).
 
     Bit 0 maps the iid pair to (max(H1, R1+1+H2), L1, R1+1+R2), so it needs
-    only the (H2, R2) marginal of the second copy. For each R1 = c the count
-    of max(H1, c+1+H2) <= h is the CDF product F1(h)·F2(h-c-1); first
-    differences along h give the point counts, which all lie in
-    h = c+1 .. c+D. Bit 1 is the mirror image of bit 0, and the law is
-    symmetric in (L, R), so its counts are bit 0's with L and R swapped.
+    only the (H2, R2) marginal of the second copy. For each R1 = c,
+    P(max(H1, c+1+H2) <= h) is the CDF product F1(h)·F2(h-c-1), with the fair
+    bit's 1/2 folded into F2; first differences along h give the point
+    masses, which all lie in h = c+1 .. c+D. Bit 1 is the mirror image of
+    bit 0, and the law is symmetric in (L, R), so its masses are bit 0's with
+    L and R swapped.
     """
-    D = W.shape[0]
-    F1 = np.cumsum(W, axis=0)  # F1[h, l, c] = #{H1 <= h, L1 = l, R1 = c}
-    F2 = _height_edge_cdf(W)  # F2[h, r] = #{H2 <= h, R2 = r}
-    new = np.zeros((2 * D, 2 * D, 2 * D), dtype=W.dtype)
+    D = P.shape[0]
+    F1 = np.cumsum(P, axis=0)  # F1[h, l, c] = P(H1 <= h, L1 = l, R1 = c)
+    F2 = 0.5 * _height_edge_cdf(P)  # F2[h, r] = P(H2 <= h, R2 = r) / 2
+    new = np.zeros((2 * D, 2 * D, 2 * D))
     for c in range(D):
         m = D - c  # L1 < D - c: the two top edges share only the root
         f1 = F1[np.minimum(np.arange(c + 1, c + D + 1), D - 1), :m, c]
@@ -255,48 +255,46 @@ def _wreath_step(W: np.ndarray) -> np.ndarray:
     return new + new.transpose(0, 2, 1)
 
 
-def triple_counts(n: int) -> tuple[np.ndarray, int]:
-    """Exact joint (H, L, R) law at level n as (counts ``W[h, l, r]``,
-    denominator exponent), from two iid level-(n-1) copies through the
-    deterministic edge recursion with a fair outer bit.
+def triple_law(n: int) -> np.ndarray:
+    """Joint (H, L, R) law at level n as float64 probabilities ``P[h, l, r]``,
+    from two iid level-(n-1) copies through the deterministic edge recursion
+    with a fair outer bit.
 
-    ``W`` is dense of side 2^n; level 0 is the one-node tree (0, 0, 0). See
-    :func:`_wreath_step` for one step. The counts sum to 2^(2^n - 1), so they
-    are int64 up to level 5 and Python ints in an object array from level 6
-    on, where int64 would wrap.
+    ``P`` is dense of side 2^n; level 0 is the one-node tree (0, 0, 0). See
+    :func:`_wreath_step` for one step. The exact masses are dyadic with
+    denominator 2^(2^n - 1); every entry is exact through level 6 and within
+    2^-52 of its exact mass at level 7 (1.7e-19 at most), as the tests check
+    against the integer counts.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    W = np.ones((1, 1, 1), dtype=np.int64)
-    exp = 0
+    P = np.ones((1, 1, 1))
     for _ in range(n):
-        exp = 2 * exp + 1
-        if 1 << exp > np.iinfo(np.int64).max:
-            W = W.astype(object)
-        W = _wreath_step(W)
-    return W, exp
+        P = _wreath_step(P)
+    return P
 
 
-def exact_mean_height(n: int) -> Fraction:
-    """Exact mean height of a uniform nonsimple butterfly tree with 2^n nodes.
+def exact_mean_height(n: int) -> float:
+    """Mean height of a uniform nonsimple butterfly tree with 2^n nodes, with
+    an absolute error below 2^n · 2^-52 for n <= 8 (exact for n <= 5).
 
     E h_n = sum_h P(h_n > h) needs only level n-1: bit 1 mirrors bit 0 and
     gives the same height law, so h_n = max(H1, R1+1+H2) in law. With
-    F[h, c] = #{H1 <= h, R1 = c} and F2(h) = #{H2 <= h}, the pairs with
-    h_n <= h number sum_c F[h, c]·F2(h-c-1), for h = 0 .. 2^n - 2 (the
-    largest height is 2^n - 1). Each such count fits int64 at n = 6; their
-    sum over h does not, so it is taken in Python ints.
+    F[h, c] = P(H1 <= h, R1 = c) and F2(h) = P(H2 <= h), P(h_n <= h) is
+    sum_c F[h, c]·F2(h-c-1), for h = 0 .. 2^n - 2 (the largest height is
+    2^n - 1). The bound allows 2^-52 per summed tail term; the tests check it
+    against the exact rationals for n <= 8, where the largest error is
+    5.5e-15 (n = 8).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    W, exp = triple_counts(n - 1)
-    D = W.shape[0]
-    F = _height_edge_cdf(W)
-    F2 = np.concatenate([np.zeros(1, dtype=W.dtype), F.sum(axis=1)])  # F2[x + 1] = #{H2 <= x}
+    P = triple_law(n - 1)
+    D = P.shape[0]
+    F = _height_edge_cdf(P)
+    F2 = np.concatenate([[0.0], F.sum(axis=1)])  # F2[x + 1] = P(H2 <= x)
     h = np.arange(2 * D - 1)
     below = (F[np.minimum(h, D - 1)] * F2[np.clip(h[:, None] - np.arange(D), 0, D)]).sum(axis=1)
-    pairs = 1 << (2 * exp)
-    return Fraction(pairs * len(below) - sum(below.tolist()), pairs)
+    return float((1 - below).sum())
 
 
 def _square_poly(c: list[int], bits: int) -> list[int]:

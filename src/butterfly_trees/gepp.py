@@ -198,7 +198,7 @@ class UniformityReport:
     max_plu_error: float  # largest |P B - L U| entry over the GEPP sample
 
 
-_CHUNK_ENTRIES = 1 << 22  # soft memory limit for batched matrices and angle draws
+_BATCH_ENTRIES = 1 << 22  # entries per GEPP batch: of one angle draw, and of the sample of matrices eliminated
 GEPP_SAMPLE = 1024  # draws per run checked by GEPP against the pivot rule
 UNIFORMITY_CAP = {"simple": 10, "nonsimple": 3}  # largest n per family; nonsimple n = 3 has 128 classes
 
@@ -207,9 +207,9 @@ def uniformity_check(n: int, trials: int, g: np.random.Generator, family: str = 
     """Chi-square test of GEPP permutations against uniform on the butterfly group.
 
     Classes are counted by :func:`pivot_classes` from the angles, drawn from
-    ``g`` in chunks of at most ``_CHUNK_ENTRIES`` (the same numbers as one
+    ``g`` in chunks of at most ``_BATCH_ENTRIES`` (the same numbers as one
     draw). The first ``min(trials, GEPP_SAMPLE)`` draws (fewer if that many
-    matrices exceed ``_CHUNK_ENTRIES``) are also built and eliminated: their
+    matrices exceed ``_BATCH_ENTRIES``) are also built and eliminated: their
     GEPP words are mapped by :func:`~butterfly_trees.butterfly.class_indices`,
     and a non-member or a class that disagrees with the rule raises
     ``AssertionError``; their largest |P M - L U| entry is ``max_plu_error``.
@@ -221,8 +221,8 @@ def uniformity_check(n: int, trials: int, g: np.random.Generator, family: str = 
     if n > UNIFORMITY_CAP.get(family, n):
         raise ValueError(f"{family} uniformity check capped at n = {UNIFORMITY_CAP[family]}")
     angles, make, _ = _family(family, n)
-    draws = max(1, _CHUNK_ENTRIES // angles)
-    sample = min(GEPP_SAMPLE, max(1, _CHUNK_ENTRIES >> (2 * n)))  # one batch of matrices, within the first draw
+    draws = max(1, _BATCH_ENTRIES // angles)
+    sample = min(GEPP_SAMPLE, max(1, _BATCH_ENTRIES >> (2 * n)))  # one batch of matrices, within the first draw
     counts = np.zeros(1 << angles, dtype=np.int64)
     for done in range(0, trials, draws):
         thetas = random_angles(family, n, min(draws, trials - done), g)

@@ -7,7 +7,9 @@ statistics (LIS/LDS by patience piles and by exhaustive subsequence
 enumeration, cycles, prefix records), the Kronecker and wreath products of
 words, the block decomposition of a wreath BST (Theorem 2's depth
 identity), the exact laws by pairwise dict convolution over their
-supports, the butterfly words (every simple and nonsimple word, and the
+supports, the nonsimple (H, L, R) counts and the rational mean height by
+the dense integer recursion (int64, then Python ints from level 6 on; the
+package computes that law in float64), the butterfly words (every simple and nonsimple word, and the
 words of given level-ordered shape bits, whose class index is those bits
 read as one binary number), membership tests and matrices by their
 block recursions, the Boolean lattice's degrees from its adjacency, GEPP
@@ -346,6 +348,77 @@ def dict_triple_levels(n: int) -> list[dict[tuple[int, int, int], int]]:
                     new[t] = new.get(t, 0) + w1 * w2
         levels.append(new)
     return levels
+
+
+def _height_edge_cdf(W: np.ndarray) -> np.ndarray:
+    """F[h, c] = #{H <= h, R = c} from the counts ``W[h, l, r]`` of one level."""
+    return np.cumsum(W.sum(axis=1), axis=0)
+
+
+def _wreath_step(W: np.ndarray) -> np.ndarray:
+    """Level-(k+1) counts from the level-k counts ``W[h, l, r]`` of shape (D, D, D).
+
+    Bit 0 maps the iid pair to (max(H1, R1+1+H2), L1, R1+1+R2), so it needs
+    only the (H2, R2) marginal of the second copy. For each R1 = c the count
+    of max(H1, c+1+H2) <= h is the CDF product F1(h)·F2(h-c-1); first
+    differences along h give the point counts, which all lie in
+    h = c+1 .. c+D. Bit 1 is the mirror image of bit 0, and the law is
+    symmetric in (L, R), so its counts are bit 0's with L and R swapped.
+    """
+    D = W.shape[0]
+    F1 = np.cumsum(W, axis=0)  # F1[h, l, c] = #{H1 <= h, L1 = l, R1 = c}
+    F2 = _height_edge_cdf(W)  # F2[h, r] = #{H2 <= h, R2 = r}
+    new = np.zeros((2 * D, 2 * D, 2 * D), dtype=W.dtype)
+    for c in range(D):
+        m = D - c  # L1 < D - c: the two top edges share only the root
+        f1 = F1[np.minimum(np.arange(c + 1, c + D + 1), D - 1), :m, c]
+        cdf = f1[:, :, None] * F2[:, None, :]  # rows h = c+1 .. c+D
+        new[c + 1 : c + D + 1, :m, c + 1 : c + D + 1] += np.diff(cdf, axis=0, prepend=np.zeros_like(cdf[:1]))
+    return new + new.transpose(0, 2, 1)
+
+
+def triple_counts(n: int) -> tuple[np.ndarray, int]:
+    """Exact joint (H, L, R) law at level n as (counts ``W[h, l, r]``,
+    denominator exponent), from two iid level-(n-1) copies through the
+    deterministic edge recursion with a fair outer bit.
+
+    ``W`` is dense of side 2^n; level 0 is the one-node tree (0, 0, 0). See
+    :func:`_wreath_step` for one step. The counts sum to 2^(2^n - 1), so they
+    are int64 up to level 5 and Python ints in an object array from level 6
+    on, where int64 would wrap.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    W = np.ones((1, 1, 1), dtype=np.int64)
+    exp = 0
+    for _ in range(n):
+        exp = 2 * exp + 1
+        if 1 << exp > np.iinfo(np.int64).max:
+            W = W.astype(object)
+        W = _wreath_step(W)
+    return W, exp
+
+
+def fraction_mean_height(n: int) -> Fraction:
+    """Exact mean height of a uniform nonsimple butterfly tree with 2^n nodes.
+
+    E h_n = sum_h P(h_n > h) needs only level n-1: bit 1 mirrors bit 0 and
+    gives the same height law, so h_n = max(H1, R1+1+H2) in law. With
+    F[h, c] = #{H1 <= h, R1 = c} and F2(h) = #{H2 <= h}, the pairs with
+    h_n <= h number sum_c F[h, c]·F2(h-c-1), for h = 0 .. 2^n - 2 (the
+    largest height is 2^n - 1). Each such count fits int64 at n = 6; their
+    sum over h does not, so it is taken in Python ints.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    W, exp = triple_counts(n - 1)
+    D = W.shape[0]
+    F = _height_edge_cdf(W)
+    F2 = np.concatenate([np.zeros(1, dtype=W.dtype), F.sum(axis=1)])  # F2[x + 1] = #{H2 <= x}
+    h = np.arange(2 * D - 1)
+    below = (F[np.minimum(h, D - 1)] * F2[np.clip(h[:, None] - np.arange(D), 0, D)]).sum(axis=1)
+    pairs = 1 << (2 * exp)
+    return Fraction(pairs * len(below) - sum(below.tolist()), pairs)
 
 
 def dict_law_levels(n: int, law: str) -> list[dict[int, int]]:

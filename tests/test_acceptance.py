@@ -25,7 +25,6 @@ from butterfly_trees.exact import (
     nonsimple_mean_bounds,
     simple_height_counts,
     stirling1_row,
-    triple_counts,
 )
 from butterfly_trees.gepp import nonsimple_matrices, uniformity_check
 from butterfly_trees.sampling import RngState
@@ -48,6 +47,7 @@ from conftest import (
     nonsimple_pareto_fronts,
     nonzero_counts,
     simple_height_mean,
+    triple_counts,
 )
 
 TABLE1 = {1023: 2, 512: 20, 258: 90, 134: 240, 78: 420, 62: 252}

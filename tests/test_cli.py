@@ -37,9 +37,9 @@ def test_table1(capsys):
 
 FIG8_GOLDEN = [
     ([], "87d62406bac85388ae2a77f735f218af48612b0df0094d266157a183af9322eb"),
-    (["--n", "6", "--trials", "777", "--seed", "5", "--format", "json"], "d50603c8da3c44864a8ba617a87e76c27350bd5c42e0c7e42a2dd4a7446bc902"),
-    (["--n", "4", "--trials", "3000", "--seed", "9"], "c637b83ae0ae46b890f7f5ddb2db61a6d302bb17f0ba27e5e876d4a44fb77ccd"),
-    (["--n", "5", "--trials", "1001", "--seed", "13", "--format", "json"], "f34e1b32a057ec30c11407baf245ff7c6ff3f0c878bd3a45265ee19879bbcf5c"),
+    (["--n", "6", "--trials", "777", "--seed", "5", "--format", "json"], "45bc60793aef24faa0c6e44140be95fe6b623204e452f5472f7a1fe13a1edf95"),
+    (["--n", "4", "--trials", "3000", "--seed", "9"], "8bc49989a7e87d25927f03429de14551d7e608c21da14c5a0b97d5d49932ab23"),
+    (["--n", "5", "--trials", "1001", "--seed", "13", "--format", "json"], "6a02708a4da704e0951d19ea76fc3bba1b9e066c314c840d9238aa18b4d78b1c"),
 ]
 
 
@@ -50,7 +50,9 @@ def test_fig8_golden_digest(capsys, args, digest):
     # consumed differently (the n = 10 band also lost its sampled-minimum clause); and again
     # when a subtree index came to mean the shape of that class index (its level-ordered
     # bits), not the root / first subtree / second subtree numbering: the same draws and
-    # law, each drawn index mapped to another shape
+    # law, each drawn index mapped to another shape. The n = 4, 5 and 6 digests were
+    # re-recorded again when the band below n = 9 became the exact mean +/- 5 standard
+    # errors instead of "mean in [lower, upper]": the band line alone moved
     out = run_cli(capsys, ["fig8"] + args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -192,54 +194,56 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The ids are literals, the names these cases had when pytest derived them from the
+# messages, so rewording a message does not rename its case.
 @pytest.mark.parametrize(
     "args,message",
     [
-        (["fig8", "--trials", "0"], "argument --trials: must be >= 1"),
-        (["law-hist", "--trials", "-5"], "argument --trials: must be >= 1"),
-        (["fig8", "--seed", "-1"], "argument --seed: must be in 0..18446744073709551615, got -1"),
-        (["bounds", "--seed", "-7"], "argument --seed: must be in 0..18446744073709551615, got -7"),
-        (["fig8", "--n", "0"], "argument --n: must be in 1..23, got 0"),
-        (["fig8", "--n", "-3"], "argument --n: must be in 1..23, got -3"),
-        (["fig8", "--trials", "ten"], "argument --trials: invalid int value"),
-        (["law-hist", "--n", "-1"], "argument --n: must be in 0..23"),
-        (["theorem2-diff", "--n", "-4"], "argument --n: must be >= 1"),
-        (["theorem2-diff", "--m", "0"], "argument --m: must be >= 1"),
-        (["theorem2-diff", "--n", "1", "--m", "1"], "need n*m >= 2"),
-        (["clt-simple", "--n", "0"], "argument --n: must be >= 1"),
-        (["clt-simple", "--samples", "0"], "argument --samples: must be in 1..8388608, got 0"),
-        (["gepp-check", "--n", "0"], "argument --n: must be >= 1"),
-        (["gepp-check", "--n", "4"], "argument --n: must be <= 3 for --family nonsimple"),
-        (["gepp-check", "--n", "11", "--family", "simple"], "argument --n: must be <= 10 for --family simple"),
-        (["pmf", "--n", "-2"], "argument --n: must be >= 0"),
-        (["pmf", "--which", "simple-height", "--n", "0"], "argument --n: must be >= 1 for --which simple-height"),
-        (["lattice-degrees", "--n", "-1"], "argument --n: must be in 1..20"),
-        (["lattice-degrees", "--n", "21"], "argument --n: must be in 1..20"),
-        (["bounds", "--n-max", "-1"], "argument --n-max: must be in 1..1119, got -1"),
-        (["explore-conjecture", "--grid", "0x5"], "argument --grid: grid entries must be >= 1"),
-        (["explore-conjecture", "--grid", "4x6,5x0"], "argument --grid: grid entries must be >= 1"),
-        (["bounds", "--exact-max", "9"], "argument --exact-max: must be <= 8, got 9"),
-        (["law-hist", "--n", "24"], "argument --n: must be in 0..23, got 24"),
-        (["explore-conjecture", "--grid", "5"], "argument --grid: expected NxM pairs like 50x50,100x20, got '5'"),
-        (["explore-conjecture", "--grid", "4x6,ax5"], "argument --grid: expected NxM pairs like 50x50,100x20, got 'ax5'"),
-        (["theorem2-diff", "--trials", "1"], "theorem2-diff: error: argument --trials: must be >= 2, got 1"),
-        (["fig8", "--n", "24"], "argument --n: must be in 1..23, got 24"),
-        (["theorem2-diff", "--n", "5000000", "--m", "2"], "need n*m <= 8388608"),
-        (["theorem2-diff", "--n", "8388609", "--m", "1"], "need n*m <= 8388608"),
-        (["pmf", "--which", "stirling", "--n", "1001"], "argument --n: must be <= 1000 for --which stirling, got 1001"),
-        (["pmf", "--which", "cycle-moments", "--n", "101"], "argument --n: must be <= 100 for --which cycle-moments, got 101"),
-        (["pmf", "--which", "simple-height", "--n", "10001"], "argument --n: must be <= 10000 for --which simple-height, got 10001"),
-        (["pmf", "--out", "no-such-dir/x.csv"], "argument --out: cannot write 'no-such-dir/x.csv': 'no-such-dir' is not a writable directory"),
-        (["gepp-check", "--out", "."], "argument --out: '.' is a directory"),
-        (["table1", "--trials", "5"], "unrecognized arguments: --trials 5"),
-        (["clt-simple", "--trials", "5"], "unrecognized arguments: --trials 5"),
-        (["bounds", "--trials", "5"], "unrecognized arguments: --trials 5"),
-        (["lattice-degrees", "--trials", "5"], "unrecognized arguments: --trials 5"),
-        (["pmf", "--trials", "5"], "unrecognized arguments: --trials 5"),
-        (["clt-simple", "--samples", "8388609"], "argument --samples: must be in 1..8388608, got 8388609"),
-        (["explore-conjecture", "--grid", "4x6,3000x3000"], "argument --grid: need n*m <= 8388608 (one row must fit a chunk), got '3000x3000'"),
-        (["bounds", "--n-max", "1120"], "argument --n-max: must be in 1..1119, got 1120"),
-        (["fig8", "--seed", str(10**26)], f"argument --seed: must be in 0..18446744073709551615, got {10**26}"),
+        pytest.param(["fig8", "--trials", "0"], "argument --trials: must be >= 1", id="args0-argument --trials: must be >= 1"),
+        pytest.param(["law-hist", "--trials", "-5"], "argument --trials: must be >= 1", id="args1-argument --trials: must be >= 1"),
+        pytest.param(["fig8", "--seed", "-1"], "argument --seed: must be in 0..18446744073709551615, got -1", id="args2-argument --seed: must be in 0..18446744073709551615, got -1"),
+        pytest.param(["bounds", "--seed", "-7"], "argument --seed: must be in 0..18446744073709551615, got -7", id="args3-argument --seed: must be in 0..18446744073709551615, got -7"),
+        pytest.param(["fig8", "--n", "0"], "argument --n: must be in 1..23, got 0", id="args4-argument --n: must be in 1..23, got 0"),
+        pytest.param(["fig8", "--n", "-3"], "argument --n: must be in 1..23, got -3", id="args5-argument --n: must be in 1..23, got -3"),
+        pytest.param(["fig8", "--trials", "ten"], "argument --trials: invalid int value", id="args6-argument --trials: invalid int value"),
+        pytest.param(["law-hist", "--n", "-1"], "argument --n: must be in 0..23", id="args7-argument --n: must be in 0..23"),
+        pytest.param(["theorem2-diff", "--n", "-4"], "argument --n: must be >= 1", id="args8-argument --n: must be >= 1"),
+        pytest.param(["theorem2-diff", "--m", "0"], "argument --m: must be >= 1", id="args9-argument --m: must be >= 1"),
+        pytest.param(["theorem2-diff", "--n", "1", "--m", "1"], "need n*m >= 2", id="args10-need n*m >= 2"),
+        pytest.param(["clt-simple", "--n", "0"], "argument --n: must be >= 1", id="args11-argument --n: must be >= 1"),
+        pytest.param(["clt-simple", "--samples", "0"], "argument --samples: must be in 1..8388608, got 0", id="args12-argument --samples: must be in 1..8388608, got 0"),
+        pytest.param(["gepp-check", "--n", "0"], "argument --n: must be >= 1", id="args13-argument --n: must be >= 1"),
+        pytest.param(["gepp-check", "--n", "4"], "argument --n: must be <= 3 for --family nonsimple", id="args14-argument --n: must be <= 3 for --family nonsimple"),
+        pytest.param(["gepp-check", "--n", "11", "--family", "simple"], "argument --n: must be <= 10 for --family simple", id="args15-argument --n: must be <= 10 for --family simple"),
+        pytest.param(["pmf", "--n", "-2"], "argument --n: must be >= 0", id="args16-argument --n: must be >= 0"),
+        pytest.param(["pmf", "--which", "simple-height", "--n", "0"], "argument --n: must be >= 1 for --which simple-height", id="args17-argument --n: must be >= 1 for --which simple-height"),
+        pytest.param(["lattice-degrees", "--n", "-1"], "argument --n: must be in 1..20", id="args18-argument --n: must be in 1..20"),
+        pytest.param(["lattice-degrees", "--n", "21"], "argument --n: must be in 1..20", id="args19-argument --n: must be in 1..20"),
+        pytest.param(["bounds", "--n-max", "-1"], "argument --n-max: must be in 1..1119, got -1", id="args20-argument --n-max: must be in 1..1119, got -1"),
+        pytest.param(["explore-conjecture", "--grid", "0x5"], "argument --grid: grid entries must be >= 1", id="args21-argument --grid: grid entries must be >= 1"),
+        pytest.param(["explore-conjecture", "--grid", "4x6,5x0"], "argument --grid: grid entries must be >= 1", id="args22-argument --grid: grid entries must be >= 1"),
+        pytest.param(["bounds", "--exact-max", "9"], "argument --exact-max: must be <= 8, got 9", id="args23-argument --exact-max: must be <= 8, got 9"),
+        pytest.param(["law-hist", "--n", "24"], "argument --n: must be in 0..23, got 24", id="args24-argument --n: must be in 0..23, got 24"),
+        pytest.param(["explore-conjecture", "--grid", "5"], "argument --grid: expected NxM pairs like 50x50,100x20, got '5'", id="args25-argument --grid: expected NxM pairs like 50x50,100x20, got '5'"),
+        pytest.param(["explore-conjecture", "--grid", "4x6,ax5"], "argument --grid: expected NxM pairs like 50x50,100x20, got 'ax5'", id="args26-argument --grid: expected NxM pairs like 50x50,100x20, got 'ax5'"),
+        pytest.param(["theorem2-diff", "--trials", "1"], "theorem2-diff: error: argument --trials: must be >= 2, got 1", id="args27-theorem2-diff: error: argument --trials: must be >= 2, got 1"),
+        pytest.param(["fig8", "--n", "24"], "argument --n: must be in 1..23, got 24", id="args28-argument --n: must be in 1..23, got 24"),
+        pytest.param(["theorem2-diff", "--n", "5000000", "--m", "2"], "need n*m <= 8388608", id="args29-need n*m <= 8388608"),
+        pytest.param(["theorem2-diff", "--n", "8388609", "--m", "1"], "need n*m <= 8388608", id="args30-need n*m <= 8388608"),
+        pytest.param(["pmf", "--which", "stirling", "--n", "1001"], "argument --n: must be <= 1000 for --which stirling, got 1001", id="args31-argument --n: must be <= 1000 for --which stirling, got 1001"),
+        pytest.param(["pmf", "--which", "cycle-moments", "--n", "101"], "argument --n: must be <= 100 for --which cycle-moments, got 101", id="args32-argument --n: must be <= 100 for --which cycle-moments, got 101"),
+        pytest.param(["pmf", "--which", "simple-height", "--n", "10001"], "argument --n: must be <= 10000 for --which simple-height, got 10001", id="args33-argument --n: must be <= 10000 for --which simple-height, got 10001"),
+        pytest.param(["pmf", "--out", "no-such-dir/x.csv"], "argument --out: cannot write 'no-such-dir/x.csv': 'no-such-dir' is not a writable directory", id="args34-argument --out: cannot write 'no-such-dir/x.csv': 'no-such-dir' is not a writable directory"),
+        pytest.param(["gepp-check", "--out", "."], "argument --out: '.' is a directory", id="args35-argument --out: '.' is a directory"),
+        pytest.param(["table1", "--trials", "5"], "unrecognized arguments: --trials 5", id="args36-unrecognized arguments: --trials 5"),
+        pytest.param(["clt-simple", "--trials", "5"], "unrecognized arguments: --trials 5", id="args37-unrecognized arguments: --trials 5"),
+        pytest.param(["bounds", "--trials", "5"], "unrecognized arguments: --trials 5", id="args38-unrecognized arguments: --trials 5"),
+        pytest.param(["lattice-degrees", "--trials", "5"], "unrecognized arguments: --trials 5", id="args39-unrecognized arguments: --trials 5"),
+        pytest.param(["pmf", "--trials", "5"], "unrecognized arguments: --trials 5", id="args40-unrecognized arguments: --trials 5"),
+        pytest.param(["clt-simple", "--samples", "8388609"], "argument --samples: must be in 1..8388608, got 8388609", id="args41-argument --samples: must be in 1..8388608, got 8388609"),
+        pytest.param(["explore-conjecture", "--grid", "4x6,3000x3000"], "argument --grid: need n*m <= 8388608 (one row must fit a chunk), got '3000x3000'", id="args42-argument --grid: need n*m <= 8388608 (one row must fit a chunk), got '3000x3000'"),
+        pytest.param(["bounds", "--n-max", "1120"], "argument --n-max: must be in 1..1119, got 1120", id="args43-argument --n-max: must be in 1..1119, got 1120"),
+        pytest.param(["fig8", "--seed", str(10**26)], f"argument --seed: must be in 0..18446744073709551615, got {10**26}", id="args44-argument --seed: must be in 0..18446744073709551615, got 100000000000000000000000000"),
     ],
 )
 def test_bad_arguments_are_argparse_errors(capsys, args, message):
@@ -378,6 +382,37 @@ def test_fig8_meta_bands(capsys):
     assert "# mean=" in out and "# mean_lower_bound=" in out and "# mean_upper_bound=" in out
     counts = [int(l.split(",")[1]) for l in out.strip().split("\n") if not l.startswith("#") and not l.startswith("height")]
     assert sum(counts) == 200
+
+
+def fig8_band(meta: dict) -> tuple[float, float]:
+    """The [lo, hi] interval that a fig8 band line states."""
+    lo, _, rest = meta["band"].removeprefix("mean in [").partition(", ")
+    return float(lo), float(rest.partition("]")[0])
+
+
+def test_fig8_band_is_the_exact_mean_up_to_the_cap(monkeypatch):
+    # n = 3: the paper's lower bound equals the exact mean 4.75, and this seed's mean lies below it
+    meta, _ = cli.fig8_data(3, 10_000, 2)
+    lo, hi = fig8_band(meta)
+    assert meta["mean"] < meta["mean_lower_bound"] == exact.exact_mean_height(3)
+    assert lo <= meta["mean"] <= hi
+    assert meta["band"].endswith(f": exact mean {exact.exact_mean_height(3)!r} +/- 5 standard errors")
+    # a sampler whose heights are all one too high fails the band
+    real = cli.sampling.nonsimple_butterfly_stats
+    monkeypatch.setattr(cli.sampling, "nonsimple_butterfly_stats", lambda n, b, g: (real(n, b, g)[0] + 1, None, None))
+    meta, _ = cli.fig8_data(5, 10_000, 2)
+    lo, hi = fig8_band(meta)
+    assert not lo <= meta["mean"] <= hi
+    monkeypatch.undo()
+    meta, _ = cli.fig8_data(5, 10_000, 2)
+    lo, hi = fig8_band(meta)
+    assert lo <= meta["mean"] <= hi
+
+
+def test_fig8_band_past_the_cap_and_below_two_trials():
+    assert cli.fig8_data(3, 1, 2)[0]["band"] == "does not apply (the standard error needs trials >= 2); exact mean 4.75"
+    assert cli.fig8_data(cli.EXACT_MAX_CAP + 1, 20, 2)[0]["band"] == "mean in [lower, upper]"
+    assert cli.fig8_data(10, 20, 2)[0]["band"] == "n=10: mean in [113,126]"
 
 
 def test_theorem2_small(capsys):

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from butterfly_trees.exact import (
@@ -20,7 +21,7 @@ from butterfly_trees.exact import (
     simple_height_pmf,
     stirling1_pmf,
     stirling1_row,
-    triple_counts,
+    triple_law,
 )
 from butterfly_trees.sampling import RngState, nonsimple_butterfly_stats
 
@@ -33,6 +34,7 @@ from conftest import (
     dict_law_levels,
     dict_triple_levels,
     edge_moments,
+    fraction_mean_height,
     harmonic,
     lis,
     ltr_maxima_len,
@@ -40,6 +42,7 @@ from conftest import (
     nonzero_counts,
     pareto_minimal,
     simple_height_mean,
+    triple_counts,
 )
 
 
@@ -106,8 +109,6 @@ def test_simple_height_law():
 
 
 def test_simple_height_counts_match_enumeration():
-    import numpy as np
-
     for n in range(1, 13):
         h, _, _ = batch_summaries(all_simple_words(n))
         values, freqs = np.unique(h, return_counts=True)
@@ -234,8 +235,8 @@ def test_triple_dist_past_int64(n):
     m1, m2 = edge_moments(n)
     assert moment(W, exp, 1, 1) == m1 and moment(W, exp, 1, 2) == m2
     assert (W.sum(axis=(0, 2)) == W.sum(axis=(0, 1))).all()
-    # the mean from level n - 1 against the full level-n law
-    assert exact_mean_height(n) == moment(W, exp, 0)
+    # the oracle's mean from level n - 1 against its full level-n law
+    assert fraction_mean_height(n) == moment(W, exp, 0)
 
 
 def test_exact_mean_heights():
@@ -243,13 +244,17 @@ def test_exact_mean_heights():
     assert exact_mean_height(2) == Fraction(5, 2)
     assert exact_mean_height(3) == Fraction(19, 4)
     assert exact_mean_height(4) == Fraction(4203, 512)
-    for n in range(1, 6):
+    for n in range(1, 9):
         m = exact_mean_height(n)
-        W, exp = triple_counts(n)
-        assert m == moment(W, exp, 0)
+        oracle = fraction_mean_height(n)
+        assert type(m) is float
+        assert abs(Fraction(m) - oracle) <= Fraction(2**n, 2**52)  # the stated error bound
+        if n <= 5:
+            W, exp = triple_counts(n)
+            assert m == oracle == moment(W, exp, 0)
         lo, up = nonsimple_mean_bounds(n)
         assert m >= 2 * LAMBDA**n - 2
-        assert float(m) <= up + 1e-9
+        assert m <= up + 1e-9
     with pytest.raises(ValueError):
         exact_mean_height(0)
 
@@ -258,7 +263,7 @@ def test_exact_mean_heights():
     "n,mean_repr", [(6, "21.35535695519614"), (7, "33.26661748143206"), (8, "51.18265204225739")]
 )
 def test_exact_mean_height_against_sampled_heights(n, mean_repr):
-    m = exact_mean_height(n)
+    m = fraction_mean_height(n)
     assert repr(float(m)) == mean_repr
     # independent of the convolution: heights from sampled shape bits
     h, _, _ = nonsimple_butterfly_stats(n, 4000, RngState(2024, n).generator())
@@ -266,6 +271,20 @@ def test_exact_mean_height_against_sampled_heights(n, mean_repr):
     assert abs(h.mean() - float(m)) <= 5 * sem
     lo, up = nonsimple_mean_bounds(n)
     assert lo <= float(m) <= up
+
+
+def test_triple_law_is_the_oracle_counts_within_its_bound():
+    for n in range(8):
+        P = triple_law(n)
+        W, exp = triple_counts(n)
+        assert P.dtype == np.float64 and P.shape == W.shape
+        if n <= 6:
+            # exact: scaling by 2^exp is exact, and float == int compares exactly
+            assert (P * 2.0**exp == W).all()
+        else:
+            assert np.abs(P - W.astype(float) / 2.0**exp).max() <= 2.0**-52
+    with pytest.raises(ValueError):
+        triple_law(-1)
 
 
 def schoolbook_square(c: list[int]) -> list[int]:

@@ -232,15 +232,15 @@ def test_batch_gepp_raises_on_the_first_singular_column():
 @pytest.mark.parametrize(
     "family,n,trials,entries,sample",
     [
-        ("simple", 3, 2000, gepp._CHUNK_ENTRIES, gepp.GEPP_SAMPLE),
-        ("nonsimple", 3, 2000, gepp._CHUNK_ENTRIES, gepp.GEPP_SAMPLE),
-        ("simple", 2, 300, gepp._CHUNK_ENTRIES, 300),
+        ("simple", 3, 2000, gepp._BATCH_ENTRIES, gepp.GEPP_SAMPLE),
+        ("nonsimple", 3, 2000, gepp._BATCH_ENTRIES, gepp.GEPP_SAMPLE),
+        ("simple", 2, 300, gepp._BATCH_ENTRIES, 300),
         ("nonsimple", 3, 2000, 1 << 10, 16),  # 2^10 entries hold 16 of order 8
     ],
 )
 def test_uniformity_report_residual_is_that_of_the_gepp_sample(monkeypatch, family, n, trials, entries, sample):
     # the residual comes from the factorizations whose words were checked: the first draws of the one stream
-    monkeypatch.setattr(gepp, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(gepp, "_BATCH_ENTRIES", entries)
     rep = uniformity_check(n, trials, RngState(12).generator(), family=family)
     angles, make = MATRICES[family]
     thetas = RngState(12).generator().uniform(0, 2 * np.pi, size=(sample, angles(n)))
@@ -304,12 +304,12 @@ def test_uniformity_check_raises_when_gepp_disagrees_with_rule(monkeypatch, fami
 
 @pytest.mark.parametrize(
     "n,trials,entries,sample",
-    [(2, 10, gepp._CHUNK_ENTRIES, 10), (3, 3000, gepp._CHUNK_ENTRIES, gepp.GEPP_SAMPLE), (3, 300, 1 << 10, 16)],
+    [(2, 10, gepp._BATCH_ENTRIES, 10), (3, 3000, gepp._BATCH_ENTRIES, gepp.GEPP_SAMPLE), (3, 300, 1 << 10, 16)],
 )
 def test_uniformity_check_runs_gepp_on_a_bounded_sample(monkeypatch, n, trials, entries, sample):
     # at most GEPP_SAMPLE draws, and no more than one batch of matrices: 2^10 entries hold 16 of order 8
     real, sizes = gepp.batch_gepp, []
-    monkeypatch.setattr(gepp, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(gepp, "_BATCH_ENTRIES", entries)
 
     def recording(mats):
         sizes.append(len(mats))
@@ -322,6 +322,6 @@ def test_uniformity_check_runs_gepp_on_a_bounded_sample(monkeypatch, n, trials, 
 
 def test_uniformity_check_chunked_draws_keep_the_stream(monkeypatch):
     whole = uniformity_check(2, 1000, RngState(77).generator(), family="nonsimple")
-    monkeypatch.setattr(gepp, "_CHUNK_ENTRIES", 70)  # 23 draws of 3 angles per chunk, GEPP on 4
+    monkeypatch.setattr(gepp, "_BATCH_ENTRIES", 70)  # 23 draws of 3 angles per chunk, GEPP on 4
     chunked = uniformity_check(2, 1000, RngState(77).generator(), family="nonsimple")
     assert replace(chunked, max_plu_error=whole.max_plu_error) == whole  # the residual is of the smaller sample
