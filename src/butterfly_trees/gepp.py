@@ -27,8 +27,9 @@ matrix's shape from the root down, its children swapped wherever the
 parent's bit is 1. :func:`uniformity_check` counts classes by this rule
 over angles drawn from a ``numpy.random.Generator`` that it advances
 (:func:`random_angles`), runs GEPP on a bounded sample of them, raising
-on any disagreement, and reports the largest |P B - L U| entry of that
-sample's factorizations. A float near-tie |sin| ~ |cos|, where the
+on any disagreement, and returns the counts with the largest |P B - L U|
+entry of that sample's factorizations; the chi-square test of the counts
+against uniform is ``cli``'s. A float near-tie |sin| ~ |cos|, where the
 rounded products GEPP compares can order differently from the angle's own
 sin and cos, is the only way the two can differ; a draw outside the
 sample is then counted by the rule.
@@ -39,8 +40,6 @@ have probability zero for the random angles used here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,32 +188,22 @@ def batch_gepp(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, A
 
 
-@dataclass(frozen=True)
-class UniformityReport:
-    classes: int
-    statistic: float
-    pvalue: float
-    counts: tuple[int, ...]  # draws of each class index, numbered as butterfly.class_indices numbers GEPP words
-    max_plu_error: float  # largest |P B - L U| entry over the GEPP sample
-
-
 _BATCH_ENTRIES = 1 << 22  # entries per GEPP batch: of one angle draw, and of the sample of matrices eliminated
 GEPP_SAMPLE = 1024  # draws per run checked by GEPP against the pivot rule
-UNIFORMITY_CAP = {"simple": 10, "nonsimple": 3}  # largest n per family; nonsimple n = 3 has 128 classes
+UNIFORMITY_CAP = {"simple": 10, "nonsimple": 4}  # largest n per family; nonsimple n = 4 has 32768 classes
 
 
-def uniformity_check(n: int, trials: int, g: np.random.Generator, family: str = "nonsimple") -> UniformityReport:
-    """Chi-square test of GEPP permutations against uniform on the butterfly group.
+def uniformity_check(n: int, trials: int, g: np.random.Generator, family: str = "nonsimple") -> tuple[np.ndarray, float]:
+    """``(counts, max_plu_error)`` of ``trials`` random butterfly matrices; ``cli``
+    tests the counts against uniform.
 
-    Classes are counted by :func:`pivot_classes` from the angles, drawn from
-    ``g`` in chunks of at most ``_BATCH_ENTRIES`` (the same numbers as one
-    draw). The first ``min(trials, GEPP_SAMPLE)`` draws (fewer if that many
-    matrices exceed ``_BATCH_ENTRIES``) are also built and eliminated: their
-    GEPP words are mapped by :func:`~butterfly_trees.butterfly.class_indices`,
-    and a non-member or a class that disagrees with the rule raises
-    ``AssertionError``; their largest |P M - L U| entry is ``max_plu_error``.
-    Only a float near-tie |sin| ~ |cos| can make the two classes differ, and
-    outside the sample such a draw is counted by the rule.
+    Draws of class i, numbered as :func:`~butterfly_trees.butterfly.class_indices`
+    numbers GEPP words, are ``counts[i]``, counted by :func:`pivot_classes` from
+    angles drawn from ``g`` in chunks of at most ``_BATCH_ENTRIES`` (the same
+    numbers as one draw). The first ``min(trials, GEPP_SAMPLE)`` draws (fewer if
+    that many matrices exceed ``_BATCH_ENTRIES``) are also built and eliminated:
+    a GEPP word that is no member, or whose class disagrees with the rule, raises
+    ``AssertionError``, and their largest |P M - L U| entry is ``max_plu_error``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -230,16 +219,7 @@ def uniformity_check(n: int, trials: int, g: np.random.Generator, family: str = 
         if done == 0:
             plu_error = _check_sample(family, make(n, thetas[:sample]), idx[:sample])
         counts += np.bincount(idx, minlength=len(counts))
-    from scipy import stats  # imported where used: it dominates the package's import time
-
-    res = stats.chisquare(counts)
-    return UniformityReport(
-        classes=len(counts),
-        statistic=float(res.statistic),
-        pvalue=float(res.pvalue),
-        counts=tuple(counts.tolist()),
-        max_plu_error=plu_error,
-    )
+    return counts, plu_error
 
 
 def _check_sample(family: str, mats: np.ndarray, rule_idx: np.ndarray) -> float:

@@ -80,7 +80,7 @@ def test_tree_golden_digest(capsys, args, digest):
 
 
 CHUNK_GOLDEN = [
-    (["law-hist"], "b563eef688b6cf744b0711c18076d7198a827dba74a60f1744ab375fe6b0e54b"),
+    (["law-hist"], "5a012084df0058578ebd6bda750a19a143e03b97e30997641f81b0bf8e815435"),
     (["fig8", "--n", "16", "--trials", "130"], "86bc54b46d6071b9f82532ea10db60ccfa79fb3ef6acd9f0dbdefb2d88d1bdbe"),
 ]
 
@@ -90,7 +90,8 @@ def test_chunk_golden_digest(capsys, args, digest):
     # recorded from the one chunk driver, whose row budget moved these outputs:
     # law-hist n = 4 now samples 250-row chunks (16000 before), fig8 n = 16 128-row ones (250 before);
     # fig8 n = 16 re-recorded when chunks drew subtree indices instead of shape bits, and
-    # again when those indices came to be class indices (same draws, another index-to-shape map)
+    # again when those indices came to be class indices (same draws, another index-to-shape map);
+    # law-hist re-recorded when its chi-square pooled cells to an expected 5 (only pvalue and band moved)
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -157,8 +158,8 @@ def test_fig8_and_law_hist_chunks_are_per_chunk_streams(monkeypatch):
 EXACT_GOLDEN = [
     (["bounds"], "9d6c3fd82048d3a44cb28765650006c4bf563f9abd9c26219ce557c8ca555ad1"),
     (["bounds", "--n-max", "10", "--exact-max", "5"], "dd32e10ae17d4f73838d11d54077367d2e2c6ee09d0497362a36773f8bb9b43f"),
-    (["law-hist", "--law", "cycle", "--n", "10", "--trials", "2000"], "580f770f4025d9e19c85dcd13883e6f306196dff5efa84c3525f5139338024be"),
-    (["law-hist", "--law", "lis", "--n", "10", "--trials", "2000"], "4615bdcac38bd814e3d30fd8aa54240f5dfb52ffd1c05b0778d389172810142e"),
+    (["law-hist", "--law", "cycle", "--n", "10", "--trials", "2000"], "1d29872cb73ba16d85e081ee594648208d81c09d31dfa98ca230eea9edaefcc1"),
+    (["law-hist", "--law", "lis", "--n", "10", "--trials", "2000"], "7dca8bab6521e7154d751a24f5856372bbf51fef118cf1f0a1c3cfef9013f05d"),
     (["pmf", "--which", "stirling"], "0af9cfa422609bbe8fa1909a1ef5a859e56e203e60cd21b644c1aee8d61b729e"),
     (["pmf", "--which", "stirling", "--n", "300"], "e0b5afc6da5d77a2cc94b73506e3307f0f535685585a8f445cf81dd62a5872b7"),
 ]
@@ -168,7 +169,9 @@ EXACT_GOLDEN = [
     "args,digest", EXACT_GOLDEN, ids=["bounds", "bounds-exact5", "law-cycle-n10", "law-lis-n10", "pmf-stirling", "pmf-stirling-n300"]
 )
 def test_exact_golden_digest(capsys, args, digest):
-    # recorded from the dict convolutions; the dense and Kronecker laws must reproduce it
+    # recorded from the dict convolutions; the dense and Kronecker laws must reproduce it.
+    # The law-hist digests were re-recorded when its chi-square pooled cells to an expected 5
+    # (only pvalue and band moved: unpooled, both read p = 1.0)
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -213,7 +216,7 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         pytest.param(["clt-simple", "--n", "0"], "argument --n: must be >= 1", id="args11-argument --n: must be >= 1"),
         pytest.param(["clt-simple", "--samples", "0"], "argument --samples: must be in 1..8388608, got 0", id="args12-argument --samples: must be in 1..8388608, got 0"),
         pytest.param(["gepp-check", "--n", "0"], "argument --n: must be >= 1", id="args13-argument --n: must be >= 1"),
-        pytest.param(["gepp-check", "--n", "4"], "argument --n: must be <= 3 for --family nonsimple", id="args14-argument --n: must be <= 3 for --family nonsimple"),
+        pytest.param(["gepp-check", "--n", "5"], "argument --n: must be <= 4 for --family nonsimple", id="args14-argument --n: must be <= 3 for --family nonsimple"),
         pytest.param(["gepp-check", "--n", "11", "--family", "simple"], "argument --n: must be <= 10 for --family simple", id="args15-argument --n: must be <= 10 for --family simple"),
         pytest.param(["pmf", "--n", "-2"], "argument --n: must be >= 0", id="args16-argument --n: must be >= 0"),
         pytest.param(["pmf", "--which", "simple-height", "--n", "0"], "argument --n: must be >= 1 for --which simple-height", id="args17-argument --n: must be >= 1 for --which simple-height"),
@@ -296,7 +299,7 @@ def test_trials_default_only_when_omitted(capsys):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.stats is imported by the three functions that use it, not by the package
+    # scipy.stats is imported by the two functions that use it, not by the package
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, butterfly_trees.cli; print([m for m in sys.modules if m.startswith('scipy')])"
@@ -434,16 +437,20 @@ def test_theorem2_n1_band_is_degenerate(capsys):
     assert doc["meta"]["band"] == "m=2: scaled difference in [0.6, 1.4]" and doc["columns"]["band_lo"] == [0.6]
 
 
-@pytest.mark.parametrize("trials,applies", [(1, False), (39, False), (40, True)])
-def test_gepp_check_band_needs_five_per_class(capsys, trials, applies):
-    # nonsimple n = 2 has 8 classes: the chi-square p-value needs an expected count of 5 per class
+@pytest.mark.parametrize("trials,cells", [(1, 1), (9, 1), (10, 2), (39, 4), (40, 8)])
+def test_gepp_check_band_needs_five_per_class(capsys, trials, cells):
+    # nonsimple n = 2 has 8 classes, and the chi-square p-value needs an expected count of 5 per cell:
+    # classes pool in runs until they expect 5 (9 trials make one cell, 10 two), and from 40 trials none pool
     doc = json.loads(run_cli(capsys, ["gepp-check", "--trials", str(trials), "--format", "json"]))
     assert doc["columns"]["classes"] == [8]
     band = doc["meta"]["band"]
-    if applies:
-        assert band == "pvalue > 0.001, plu_error <= 1e-9, all members"
+    if cells == 1:
+        assert band == "pvalue does not apply (fewer than 2 cells expect >= 5 when pooled), plu_error <= 1e-9, all members"
+        assert math.isnan(doc["columns"]["chi2"][0]) and math.isnan(doc["columns"]["pvalue"][0])
+    elif cells < 8:
+        assert band == f"pvalue > 0.001 over {cells} pooled cells, plu_error <= 1e-9, all members"
     else:
-        assert band == f"pvalue does not apply (expected count {trials}/8 < 5), plu_error <= 1e-9, all members"
+        assert band == "pvalue > 0.001, plu_error <= 1e-9, all members"
 
 
 def test_clt_simple_reports_band(capsys):
@@ -490,7 +497,7 @@ def test_gepp_check_residual_is_the_reports(monkeypatch, family, n):
     monkeypatch.setattr(gepp, "random_angles", random_angles)
     _, cols = cli.gepp_check_data(n, 3000, 99, family)
     assert streams == [RngState(99)] and draws == [3000]
-    assert cols["max_plu_error"] == [gepp.uniformity_check(n, 3000, RngState(99).generator(), family=family).max_plu_error]
+    assert cols["max_plu_error"] == [gepp.uniformity_check(n, 3000, RngState(99).generator(), family=family)[1]]
 
 
 def test_pmf_export(capsys):
@@ -518,6 +525,55 @@ def test_law_hist(capsys):
     assert doc_rows[0] == "value,observed,expected"
     pvalue = float(next(l for l in out.split("\n") if l.startswith("# pvalue=")).split("=")[1])
     assert pvalue > 0.001
+
+
+def test_chi_square_without_rare_cells_is_scipys():
+    from scipy import stats
+
+    obs, exp = [12, 7, 9, 12], [10.0, 10.0, 5.0, 15.0]
+    res = stats.chisquare(obs, f_exp=exp)
+    assert cli._chi_square(obs, exp) == (res.statistic, res.pvalue, "pvalue > 0.001")
+
+
+def test_chi_square_pools_a_short_tail_into_the_cell_before():
+    from scipy import stats
+
+    # 3 + 3 reach 5 and 6 stands alone; the last run, 2, is short and joins it: cells expect 6 and 8
+    res = stats.chisquare([5, 9], f_exp=[6.0, 8.0])
+    assert cli._chi_square([4, 1, 9, 0], [3.0, 3.0, 6.0, 2.0]) == (res.statistic, res.pvalue, "pvalue > 0.001 over 2 pooled cells")
+
+
+@pytest.mark.parametrize("obs,exp", [([3], [3.0]), ([7], [7.0]), ([4, 5], [4.5, 4.5]), ([1, 2, 3, 3], [2.0, 2.0, 2.0, 3.0])])
+def test_chi_square_needs_two_cells(obs, exp):
+    stat, p, band = cli._chi_square(obs, exp)
+    assert math.isnan(stat) and math.isnan(p)
+    assert band == "pvalue does not apply (fewer than 2 cells expect >= 5 when pooled)"
+
+
+@pytest.mark.parametrize("obs,exp", [([6, 0, 1], [3.0, 4.0, 0.0]), ([2, 2, 1, 2, 3], [2.5, 2.5, 0.0, 2.5, 2.5]), ([10, 1, 10], [10.5, 0.0, 10.5])])
+def test_chi_square_fails_a_count_outside_the_law(obs, exp):
+    # a draw where the exact law has no mass fails the band, even where its cell would pool into a likely one
+    assert cli._chi_square(obs, exp)[:2] == (math.inf, 0.0)
+
+
+@pytest.mark.parametrize("trials", [[], ["--trials", "10000"]], ids=["default-trials", "10000-trials"])
+@pytest.mark.parametrize("law", ["cycle", "lis"])
+def test_law_hist_band_fails_a_shifted_sampler(capsys, monkeypatch, law, trials):
+    # at n = 8 most values expect under one draw; unpooled, a sampler off by one read p = 0.998 (cycle)
+    # and 1.0 (lis) at 10000 trials, and p < 1e-50 only at the default 100000
+    name = f"{law}_law_samples"
+    real = getattr(cli.sampling, name)
+    monkeypatch.setattr(cli.sampling, name, lambda n, rows, g: real(n, rows, g) + 1)
+    meta = json.loads(run_cli(capsys, ["law-hist", "--law", law, "--n", "8", "--format", "json", *trials]))["meta"]
+    assert meta["band"].startswith("pvalue > 0.001") and not meta["pvalue"] > 0.001
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_law_hist_pvalue_is_finite_past_n10(capsys, n):
+    # expected counts below the least double round to 0.0; unpooled, they met observed zeros as 0/0
+    out = run_cli(capsys, ["law-hist", "--n", str(n), "--trials", "2000"])
+    pvalue = float(next(l for l in out.split("\n") if l.startswith("# pvalue=")).split("=")[1])
+    assert 0.001 < pvalue <= 1.0 and capsys.readouterr().err == ""
 
 
 SMALL_ARGS = [
