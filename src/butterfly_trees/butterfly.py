@@ -27,15 +27,15 @@ package; the word builders and insertion trees are the tests' oracles.
 Tree statistics come straight from the shape. Every bottom subtree of
 k = min(n, 4) levels is read whole from a table of the (h, l, r) of all
 2^(2^k - 1) k-level shapes, row i the shape of index i. :func:`_level` is
-the one step from a level's children to its nodes: the table is built from
-the one-key leaves up with it, and the top n - k levels run it, one numpy
-step per level. The tables are built on first use, not at import, and are
-read-only. :func:`stats_from_subtrees` is that kernel, over the top levels'
-bits and the subtrees' indices; ``fig8`` samples those two directly
-(``sampling.nonsimple_butterfly_stats``: per chunk, the top bits, then one
-uniform class index per bottom subtree). :func:`stats_from_shape_bits`
-first reduces 2^n - 1 level-ordered bits to them; ``table1`` runs it over
-every simple word.
+the one step from a level's children to its nodes: the k-level table is
+built with it from the (k-1)-level one, and the top n - k levels run it,
+one numpy step per level. The tables are built on first use, not at
+import, and are read-only. :func:`stats_from_subtrees` is that kernel, over
+the top levels' bits and the subtrees' indices; ``fig8`` samples those two
+directly (``sampling.nonsimple_butterfly_stats``: per chunk, the top bits,
+then one uniform class index per bottom subtree).
+:func:`stats_from_shape_bits` first reduces 2^n - 1 level-ordered bits to
+them; ``table1`` runs it over every simple word.
 """
 
 from __future__ import annotations
@@ -110,10 +110,9 @@ def shape_indices(bits: np.ndarray) -> np.ndarray:
     return bits.astype(weights.dtype, copy=False) @ weights
 
 
-def _level(bit, h, l, r):
-    """(h, l, r) of a level of nodes with shape bits ``bit`` over the level
-    below, given as (h, l, r) arrays whose adjacent entries 2j, 2j + 1 along
-    the last axis are node j's first and second child:
+def _level(bit, first, second):
+    """(h, l, r) of a level of nodes with shape bits ``bit`` over the (h, l, r)
+    arrays ``first`` and ``second`` of their first and second children:
 
         bit 0:  (max(H1, R1 + 1 + H2), L1, R1 + 1 + R2)
         bit 1:  (max(H1, L1 + 1 + H2), L1 + 1 + L2, R1)
@@ -121,7 +120,7 @@ def _level(bit, h, l, r):
     The first child owns the root block; the second child's tree hangs below
     the first child's edge on the side of its block. Arrays broadcast.
     """
-    (H1, H2), (L1, L2), (R1, R2) = ((a[..., 0::2], a[..., 1::2]) for a in (h, l, r))
+    (H1, L1, R1), (H2, L2, R2) = first, second
     edge = np.where(bit, L1, R1) + 1
     return np.maximum(H1, edge + H2), np.where(bit, edge + L2, L1), np.where(bit, R1, edge + R2)
 
@@ -131,16 +130,22 @@ def _subtree_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (h, l, r) arrays of all 2^(2^k - 1) shapes of k levels, row i
     the shape whose level-ordered bits read as i (its :func:`shape_indices` index).
 
-    Built from the 2^k one-key leaves up, one :func:`_level` per level: every
-    combination of level t's 2^t bits, leftmost node most significant, goes on
-    a new leading axis, so each level is more significant than those below it.
+    A k-level shape is a root bit over two (k-1)-level shapes, so the table is
+    one :func:`_level` over the cached (k-1)-level table, taken twice. The
+    root bit, then for each level t < k - 1 the first subtree's level-t bits
+    and the second's, each get an axis, in that order: these are the k-level
+    shape's bits in level order, so the broadcast result, read flat, is in
+    index order. The 0-level shape is one key, (0, 0, 0).
     """
-    h = l = r = np.zeros((1, 1 << k), dtype=np.int64)
-    for t in range(k - 1, -1, -1):
-        w = 1 << t
-        bit = ((np.arange(1 << w)[:, None, None] >> np.arange(w - 1, -1, -1)) & 1) == 1
-        h, l, r = (a.reshape(-1, w) for a in _level(bit, h, l, r))
-    table = tuple(a.reshape(-1) for a in (h, l, r))
+    if k == 0:
+        table = (np.zeros(1, dtype=np.int64),) * 3
+    else:
+        groups = [1 << (1 << t) for t in range(k - 1)]  # values of a subtree's level-t bits
+        sub = _subtree_table(k - 1)
+        first = [a.reshape([x for g in groups for x in (g, 1)]) for a in sub]
+        second = [a.reshape([x for g in groups for x in (1, g)]) for a in sub]
+        bit = np.array([False, True]).reshape([2] + [1] * (2 * len(groups)))
+        table = tuple(a.reshape(-1) for a in _level(bit, first, second))
     for a in table:
         a.flags.writeable = False
     return table
@@ -183,6 +188,7 @@ def stats_from_subtrees(n: int, top: np.ndarray, index: np.ndarray) -> tuple[np.
     k = min(n, TABLE_LEVELS)
     h, l, r = (a[index] for a in _subtree_table(k))
     for d in range(n - k - 1, -1, -1):
-        h, l, r = _level(top[:, (1 << d) - 1 : (1 << (d + 1)) - 1] == 1, h, l, r)
+        first, second = ([a[:, j::2] for a in (h, l, r)] for j in (0, 1))
+        h, l, r = _level(top[:, (1 << d) - 1 : (1 << (d + 1)) - 1] == 1, first, second)
     return h[:, 0], l[:, 0], r[:, 0]
 

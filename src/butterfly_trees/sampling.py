@@ -149,32 +149,35 @@ def uniform_bst_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.nd
 
     Root splits, level by level: the root of a uniform BST has a uniform
     rank, and its two subtrees are independent uniform BSTs on the keys
-    either side. Every live interval of a level draws its root rank in one
-    ``integers`` call. An interval of at most ``_SMALL`` keys instead draws
-    its whole (h, l, r) with one exact integer alias draw from the law of
-    all its insertion orders. A live interval is one int64,
-    tree << 32 | size << 2 | edge, whose edge bits _LEFT and _RIGHT say
-    that every split above it went left or right, so that its root lies on
-    the top-left or top-right edge. Each of a tree's l and r comes from the
-    one interval where its edge ends, so every interval adds its share to
-    l | r << 32, zero off the edges.
+    either side. A level is two arrays of intervals, ``small`` and
+    ``large``. Each small interval, of at most ``_SMALL`` keys, draws its
+    whole (h, l, r) with one exact integer alias draw from the law of all
+    its insertion orders. Then every large interval draws its root rank in
+    one ``integers`` call, and its two kids are split once into the next
+    level's nonempty small and large intervals, in order. An interval is
+    one int64, tree << 32 | size << 2 | edge, whose edge bits _LEFT and
+    _RIGHT say that every split above it went left or right, so that its
+    root lies on the top-left or top-right edge. Each of a tree's l and r
+    comes from the one interval where its edge ends, so every interval adds
+    its share to l | r << 32, zero off the edges.
     """
     if not 1 <= n <= _SIZE:
         raise ValueError(f"n must be in 1..{_SIZE}, got {n}")
     thr, codes = _alias_table()
     h = np.zeros(count, dtype=np.int64)
     lr = np.zeros(count, dtype=np.int64)  # l | r << 32
-    live = np.arange(count, dtype=np.int64) << 32 | n << 2 | _LEFT | _RIGHT
+    root = np.arange(count, dtype=np.int64) << 32 | n << 2 | _LEFT | _RIGHT
+    small, large = (root, root[:0]) if n <= _SMALL else (root[:0], root)
     depth = 0
-    while live.size:
-        small = (live >> 2 & _SIZE) <= _SMALL
-        iv = live[small]
-        tree = iv >> 32
+    # every partition is a compress: numpy 2.4 takes 1.7 ms to subscript 450K
+    # int64s by a half-true bool mask, and compress 0.21 ms
+    while small.size or large.size:
+        tree = small >> 32
         # column u mod _COLS of the interval's size, then the column's alias if
         # u // _COLS >= thr; in place, since a large level's temporaries cost
         # as much as its arithmetic
-        u = g.integers(0, _ORDERS, size=iv.size, dtype=np.int64)
-        at = iv & _SIZE << 2
+        u = g.integers(0, _ORDERS, size=small.size, dtype=np.int64)
+        at = small & _SIZE << 2
         at <<= _COL_BITS - 2
         at |= u & _COLS - 1
         u >>= _COL_BITS
@@ -187,23 +190,34 @@ def uniform_bst_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.nd
         l = code >> 8
         l &= 0xFF
         l += depth
-        l *= iv & _LEFT
+        l *= small & _LEFT
         code >>= 16
         code += depth
-        code *= (iv & _RIGHT) << 31
+        code *= (small & _RIGHT) << 31
         code |= l
         np.add.at(lr, tree, code)
 
-        iv = live[~small]
-        tree = iv >> 32
-        size = iv >> 2 & _SIZE
-        k = g.integers(0, size)
-        lr[tree[((iv & _LEFT) != 0) & (k == 0)]] += depth
-        lr[tree[((iv & _RIGHT) != 0) & (k == size - 1)]] += depth << 32
-        # each interval's nonempty children; a child keeps its parent's edge bit on its side
+        tree = large >> 32
+        rest = large >> 2 & _SIZE  # the size, until the root rank k is drawn
+        k = g.integers(0, rest)
+        rest -= 1
+        rest -= k
+        lr[tree.compress(((large & _LEFT) != 0) & (k == 0))] += depth
+        lr[tree.compress(((large & _RIGHT) != 0) & (rest == 0))] += depth << 32
+        # the kids split once into the nonempty small and the large, and are
+        # built in place over k and rest; a kid keeps its parent's edge bit on its side
+        big = np.stack((k > _SMALL, rest > _SMALL), axis=1).ravel()
+        kept = np.stack((k > 0, rest > 0), axis=1).ravel()
+        kept ^= big
         tree <<= 32
-        kids = np.stack((tree | k << 2 | (iv & _LEFT), tree | (size - 1 - k) << 2 | (iv & _RIGHT)), axis=1)
-        live = kids.ravel()[np.stack((k > 0, k < size - 1), axis=1).ravel()]
+        k <<= 2
+        k |= tree
+        k |= large & _LEFT
+        rest <<= 2
+        rest |= tree
+        rest |= large & _RIGHT
+        kids = np.stack((k, rest), axis=1).ravel()
+        small, large = kids.compress(kept), kids.compress(big)
         depth += 1
     return h, lr & 0xFFFFFFFF, lr >> 32
 
@@ -236,7 +250,7 @@ def wreath_heights(n: int, m: int, count: int, g: np.random.Generator) -> np.nda
         kids = np.stack((tree | k, tree | (size - 1 - k)), axis=1)
         offsets = np.stack((offset + lb[block] + 1, offset + rb[block] + 1), axis=1)
         keep = np.stack((k > 0, k < size - 1), axis=1).ravel()
-        live, offset = kids.ravel()[keep], offsets.ravel()[keep]
+        live, offset = kids.ravel().compress(keep), offsets.ravel().compress(keep)
     return h
 
 

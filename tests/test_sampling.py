@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from butterfly_trees import cli
 from butterfly_trees.butterfly import class_indices, shape_indices, stats_from_shape_bits
 from butterfly_trees.exact import cycle_law_counts, lis_law_counts
 from butterfly_trees.sampling import (
@@ -41,18 +43,11 @@ from conftest import (
 P_FLOOR = 0.001
 
 
-def pooled_chisquare_pvalue(observed: dict, expected: dict) -> float:
-    """Chi-square p-value of observed counts against expected ones over the union
-    of their keys, the cells expecting fewer than 5 pooled into one."""
+def chi_square_pvalue(observed: dict, expected: dict) -> float:
+    """p-value of the package's pooled chi-square (``cli._chi_square``) of
+    observed counts against expected ones, the cells in key order."""
     keys = sorted(set(observed) | set(expected))
-    obs = np.array([observed.get(k, 0) for k in keys], dtype=float)
-    exp = np.array([expected.get(k, 0.0) for k in keys])
-    rare = exp < 5
-    obs = np.append(obs[~rare], obs[rare].sum())
-    exp = np.append(exp[~rare], exp[rare].sum())
-    if obs[-1] == exp[-1] == 0:  # nothing to pool; a draw where none is expected still fails
-        obs, exp = obs[:-1], exp[:-1]
-    return stats.chisquare(obs, f_exp=exp * obs.sum() / exp.sum()).pvalue
+    return cli._chi_square([observed.get(k, 0) for k in keys], [expected.get(k, 0.0) for k in keys])[1]
 
 
 def two_sample_pvalue(a: Counter, b: Counter) -> float:
@@ -93,12 +88,63 @@ def test_split_samplers_edges():
     for a in uniform_bst_stats(1, 3, RngState(0).generator()):
         assert a.dtype == np.int64 and a.tolist() == [0, 0, 0]
     assert wreath_heights(1, 1, 3, RngState(0).generator()).tolist() == [0, 0, 0]
-    assert [a.size for a in uniform_bst_stats(50, 0, RngState(0).generator())] == [0, 0, 0]
+    for n in (20, 21, 50):  # a first level all small, all large
+        assert [a.size for a in uniform_bst_stats(n, 0, RngState(0).generator())] == [0, 0, 0]
     h, l, r = uniform_bst_stats(50, 200, RngState(0).generator())
     assert ((h >= 5) & (h <= 49) & (l <= h) & (r <= h)).all()
     for bad in (lambda: uniform_bst_stats(0, 1, RngState(0).generator()), lambda: wreath_heights(2, 0, 1, RngState(0).generator())):
         with pytest.raises(ValueError):
             bad()
+
+
+# sha256 of the (h, l, r) bytes and of the heights, recorded when the level loop still
+# partitioned one array of intervals: a first level all small (n <= 20) or all large, and
+# later levels with both
+SPLIT_DIGESTS = {
+    (1, 7): "e3c2af35d1dfc500e16f826a071cc311bf55003a3de77de7ea3376c6b6fa2857",
+    (20, 50): "2247a02dc0014caa2485f625b275a91329f993a8dba24a8029682c7bbb523823",
+    (21, 50): "29f311eb871dc967e7b4d08ebe02c88001d64e5607b21a73084ec99635b1b4f5",
+    (22, 50): "935264cada8be248364e63e5723fc1196120d618226e728b5d51dbb601311259",
+    (41, 50): "e43287ecc9bf248d9ef346f8a7a964b777a6690b2d27429463ecdf0e905235b1",
+    (20000, 12): "3afd2d160b1cd24afce88d32cc8ce2ac6fa2f768d04c43fcbd16a7411c323274",
+}
+WREATH_DIGESTS = {
+    (3, 10**4, 3): "e5c12039fb24ba01398865a38430746edf45e5e8b7717983c70c7d4c570fcf23",
+    (10**4, 2, 5): "a5500d46f8926d36a7cf08dda76a968afe32cf1cd3e557ffb56a53c5f81d0454",
+}
+
+
+@pytest.mark.parametrize("n,count", sorted(SPLIT_DIGESTS))
+def test_uniform_bst_stats_draw_order_is_pinned(n, count):
+    hlr = np.stack(uniform_bst_stats(n, count, RngState(23, n).generator()))
+    assert hashlib.sha256(hlr.tobytes()).hexdigest() == SPLIT_DIGESTS[n, count]
+
+
+@pytest.mark.parametrize("n,m,count", sorted(WREATH_DIGESTS))
+def test_wreath_heights_draw_order_is_pinned(n, m, count):
+    h = wreath_heights(n, m, count, RngState(24, m).generator())
+    assert hashlib.sha256(h.tobytes()).hexdigest() == WREATH_DIGESTS[n, m, count]
+
+
+@pytest.mark.parametrize(
+    "n,m,bound",
+    [
+        # theorem2's chunk: 5.98 MB measured, 6.70 MB when every partition was a bool-mask subscript
+        (10**4, 2, 6.9 * 2**20),
+        # README's largest explore chunk: 174.0 MB measured, 195.5 MB with bool-mask subscripts
+        (3, 10**4, 200 * 2**20),
+    ],
+    ids=["theorem2", "explore"],
+)
+def test_wreath_heights_chunk_peak_memory(n, m, bound):
+    _alias_table()  # built outside the trace
+    tracemalloc.start()
+    try:
+        wreath_heights(n, m, 250, RngState(25).generator())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def enumerated_triples(n: int) -> Counter:
@@ -158,7 +204,7 @@ def test_uniform_bst_stats_match_all_of_s_n(n):
     assert set(obs) <= set(exact)
     if len(exact) > 1:
         total = sum(exact.values())
-        assert pooled_chisquare_pvalue(obs, {t: trials * c / total for t, c in exact.items()}) > P_FLOOR
+        assert chi_square_pvalue(obs, {t: trials * c / total for t, c in exact.items()}) > P_FLOOR
 
 
 @pytest.mark.parametrize("n", [20, 21, 30])
@@ -180,7 +226,7 @@ def test_uniform_bst_height_law(n):
     h = uniform_bst_stats(n, trials, RngState(14).generator())[0]
     assert h.max() <= K
     obs = Counter(h.tolist())
-    assert pooled_chisquare_pvalue(obs, {k: trials * p for k, p in enumerate(pmf)}) > P_FLOOR
+    assert chi_square_pvalue(obs, {k: trials * p for k, p in enumerate(pmf)}) > P_FLOOR
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
@@ -191,7 +237,7 @@ def test_wreath_heights_match_the_group(n, m):
     obs = Counter(wreath_heights(n, m, trials, RngState(15, 10 * n + m).generator()).tolist())
     assert set(obs) <= set(exact)
     if len(exact) > 1:
-        assert pooled_chisquare_pvalue(obs, {k: trials * c / total for k, c in exact.items()}) > P_FLOOR
+        assert chi_square_pvalue(obs, {k: trials * c / total for k, c in exact.items()}) > P_FLOOR
 
 
 @pytest.mark.parametrize("n,m", [(9, 3), (30, 4)])
@@ -215,7 +261,7 @@ def test_uniform_permutation_chi_square():
     words = uniform_words(3, trials, RngState(101).generator())
     counts = Counter(map(tuple, words.tolist()))
     classes = list(itertools.permutations((1, 2, 3)))
-    assert pooled_chisquare_pvalue(counts, dict.fromkeys(classes, trials / len(classes))) > P_FLOOR
+    assert chi_square_pvalue(counts, dict.fromkeys(classes, trials / len(classes))) > P_FLOOR
 
 
 def test_sample_wreath_uniform_over_group():
@@ -224,14 +270,14 @@ def test_sample_wreath_uniform_over_group():
     counts = Counter(map(tuple, words.tolist()))
     classes = list(map(tuple, all_nonsimple_words(2).tolist()))
     assert set(counts) <= set(classes)
-    assert pooled_chisquare_pvalue(counts, dict.fromkeys(classes, trials / len(classes))) > P_FLOOR
+    assert chi_square_pvalue(counts, dict.fromkeys(classes, trials / len(classes))) > P_FLOOR
 
 
 def test_sample_wreath_trivial_blocks_is_uniform():
     trials = 30_000
     counts = Counter(map(tuple, wreath_words(1, 3, trials, RngState(404).generator()).tolist()))
     classes = list(itertools.permutations((1, 2, 3)))
-    assert pooled_chisquare_pvalue(counts, dict.fromkeys(classes, trials / len(classes))) > P_FLOOR
+    assert chi_square_pvalue(counts, dict.fromkeys(classes, trials / len(classes))) > P_FLOOR
 
 
 def test_butterfly_samplers():
@@ -243,7 +289,7 @@ def test_butterfly_samplers():
     assert np.array_equal(shape_indices(bits), index)
     for a, b in zip(nonsimple_butterfly_stats(2, trials, state.generator()), stats_from_shape_bits(2, bits)):
         np.testing.assert_array_equal(a, b)
-    assert pooled_chisquare_pvalue(Counter(index.tolist()), dict.fromkeys(range(8), trials / 8)) > P_FLOOR
+    assert chi_square_pvalue(Counter(index.tolist()), dict.fromkeys(range(8), trials / 8)) > P_FLOOR
 
     # at n = 5 the top three levels are the top bit, both subtree roots and their children: 128 classes
     trials = 25_600
@@ -252,7 +298,7 @@ def test_butterfly_samplers():
     for a, b in zip(nonsimple_butterfly_stats(5, trials, state.generator()), stats_from_shape_bits(5, bits)):
         np.testing.assert_array_equal(a, b)
     counts = Counter(shape_indices(bits[:, :7]).tolist())
-    assert pooled_chisquare_pvalue(counts, dict.fromkeys(range(128), trials / 128)) > P_FLOOR
+    assert chi_square_pvalue(counts, dict.fromkeys(range(128), trials / 128)) > P_FLOOR
 
     assert (class_indices(nonsimple_butterfly_words(4, 50, RngState(2).generator()), "nonsimple") >= 0).all()
     n1 = Counter(map(tuple, nonsimple_butterfly_words(1, 2000, RngState(3).generator()).tolist()))
