@@ -25,9 +25,10 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -136,6 +137,7 @@ class Constants:
     d: float
 
 
+@cache
 def constants() -> Constants:
     Cstar = 1 + math.sqrt(8 * math.sqrt(2) - 11)
     xi = (1 + math.sqrt(2) + math.sqrt(2 * math.sqrt(2) - 1)) / 2
@@ -301,12 +303,15 @@ def _square_poly(c: list[int], bits: int) -> list[int]:
     """Coefficients of (sum_v c[v] x^v)^2, each below 2^bits, by Kronecker
     substitution in decimal slots: pack c into one Decimal in d-digit slots,
     10^d > 2^bits, square it in a context where rounding raises, and cut the
-    product back into slots. Decimal, unlike int, has no str digit limit."""
+    product back into slots. A slot within int's str digit limit (0: none) is
+    read by int; a wider one through Decimal, which has no such limit."""
     d = bits * 30103 // 100000 + 1  # 30103 / 10^5 >= log10(2)
     packed = decimal.Decimal("".join(str(decimal.Decimal(x)).zfill(d) for x in reversed(c)))
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded])
     digits = str(exact.multiply(packed, packed)).zfill((2 * len(c) - 1) * d)
-    return [int(decimal.Decimal(digits[i - d : i or None])) for i in range(0, -len(digits), -d)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    cut = int if not limit or d <= limit else lambda slot: int(decimal.Decimal(slot))
+    return [cut(digits[i - d : i or None]) for i in range(0, -len(digits), -d)]
 
 
 def _law_counts(n: int, extra) -> tuple[dict[int, int], int]:

@@ -107,16 +107,16 @@ def _nonsimple_classes(n: int, thetas: np.ndarray) -> np.ndarray:
 
     GEPP on a node swaps its two halves when the node's bit is 1, so the
     shape node at step s below a parent at matrix node p is matrix node
-    2p + 1 + (s ^ b_p); ``node`` tracks that map one level at a time.
+    2p + 1 + (s ^ b_p). ``at`` indexes the raveled bits at row + node, one
+    level at a time, so the next level's index is 2 at - row + 1 + (s ^ b).
     """
     b = _pivot_bits(thetas)
-    node = np.zeros((len(b), 1), dtype=np.int64)
-    levels = [b[:, :1]]
-    for _ in range(n - 1):
-        parent = np.take_along_axis(b, node, axis=1)
-        node = (2 * node + 1)[:, :, None] + (np.arange(2) ^ parent[:, :, None])
-        node = node.reshape(len(b), -1)
-        levels.append(np.take_along_axis(b, node, axis=1))
+    flat = b.ravel()
+    row = np.arange(len(b))[:, None] * b.shape[1]
+    at, levels = row, [b[:, :1]]
+    for k in range(1, n):
+        at = ((2 * at - row + 1)[:, :, None] + (np.arange(2) ^ levels[-1][:, :, None])).reshape(len(b), 1 << k)
+        levels.append(flat.take(at))
     return shape_indices(np.concatenate(levels, axis=1))
 
 

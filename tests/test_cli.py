@@ -299,12 +299,22 @@ def test_trials_default_only_when_omitted(capsys):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.stats is imported by the two functions that use it, not by the package
+    # scipy.special is imported by the two functions that use it, not by the package,
+    # and no subcommand loads scipy.stats: the chi-square and the KS distance need only special
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, butterfly_trees.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+    code = (
+        "import sys, butterfly_trees.cli as c\n"
+        "for args in (['law-hist', '--n', '4', '--trials', '2000'], ['gepp-check', '--n', '2', '--trials', '400'],"
+        " ['clt-simple', '--n', '100', '--samples', '1000']):\n"
+        "    assert c.main(args) == 0\n"
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules, file=sys.stderr)"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stderr == "True False\n"
 
 
 def test_import_builds_no_alias_table():
@@ -535,6 +545,25 @@ def test_chi_square_without_rare_cells_is_scipys():
     assert cli._chi_square(obs, exp) == (res.statistic, res.pvalue, "pvalue > 0.001")
 
 
+def test_chi_square_is_scipys_on_random_counts():
+    from scipy import stats
+
+    g = np.random.default_rng(31)
+    for _ in range(50):
+        cells = int(g.integers(2, 40))
+        p = g.dirichlet(np.ones(cells))
+        trials = int(g.integers(5 / p.min(), 20 / p.min() + 1000))
+        obs, exp = g.multinomial(trials, p), trials * p
+        assert exp.min() >= 5
+        res = stats.chisquare(obs, exp)
+        assert cli._chi_square(obs, exp) == (res.statistic, res.pvalue, "pvalue > 0.001")
+
+
+def test_chi_square_rejects_counts_whose_sums_disagree():
+    with pytest.raises(ValueError, match="sum to 40.0 and 41.0"):
+        cli._chi_square([10, 10, 10, 10], [10.0, 10.0, 10.0, 11.0])
+
+
 def test_chi_square_pools_a_short_tail_into_the_cell_before():
     from scipy import stats
 
@@ -640,6 +669,21 @@ def test_explore_conjecture_exceedance_trend():
     counts = np.rint(np.array(cols["exceed_freq"]) * trials)
     assert (counts >= sps.binom.ppf(tail, trials, p - 4 * se)).all()
     assert (counts <= sps.binom.isf(tail, trials, p + 4 * se)).all()
+
+
+@pytest.mark.parametrize("n,samples", [(1, 50), (2, 7), (400, 1), (400, 20_000)])
+def test_clt_ks_distance_is_scipys(n, samples):
+    # n = 1 gives negative statistics, off the half-normal's support
+    from scipy import stats as sps
+
+    g = cli.sampling.RngState(99).generator()
+    x = g.binomial(n, 0.5, size=samples).astype(np.int64)
+    a = np.maximum(x, n - x).astype(float)
+    b = np.minimum(x, n - x).astype(float)
+    log2_h = a + np.log1p(np.exp2(b - a) - np.exp2(1.0 - a)) / math.log(2)
+    ks = sps.kstest((log2_h - n / 2) / (math.sqrt(n) / 2), sps.halfnorm.cdf).statistic
+    _, cols = cli.clt_simple_data(n, samples, seed=99)
+    assert cols["ks_distance"] == [ks]
 
 
 def test_clt_statistic_shift_insensitive():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -324,6 +325,20 @@ def test_square_poly_matches_schoolbook():
     # slots of 4516 digits, past the 4300-digit limit of int <-> str
     c = [rng.getrandbits(7490) for _ in range(3)]
     assert _square_poly(c, 15000) == schoolbook_square(c)
+
+
+@pytest.mark.parametrize("bits,digits", [(2126, 640), (2127, 641)])
+def test_square_poly_at_the_int_digit_limit(bits, digits):
+    # a slot of at most the limit's digits is cut by int, a wider one through Decimal
+    assert bits * 30103 // 100000 + 1 == digits
+    rng = random.Random(bits)
+    c = [rng.getrandbits((bits - 2) // 2) for _ in range(3)]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert _square_poly(c, bits) == schoolbook_square(c)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("law,law_counts", [("lis", lis_law_counts), ("cycle", cycle_law_counts)])

@@ -256,6 +256,7 @@ def test_pivot_classes_match_gepp(family, n, draws):
     thetas = RngState(2718, n).generator().uniform(0, 2 * np.pi, size=(draws, angles(n)))
     expected = class_indices(batch_gepp(make(n, thetas))[0], family)
     np.testing.assert_array_equal(pivot_classes(family, n, thetas), expected)
+    assert pivot_classes(family, n, np.zeros((0, angles(n)))).shape == (0,)
 
 
 TIE = float.fromhex("0x1.6c6cbc45dc8dep+4")  # 29 pi / 4, where sin and cos round to the same double
