@@ -24,14 +24,19 @@ b = [|sin theta| > |cos theta|] of each angle, computed as
 [|tan theta| > 1] with one transcendental per angle, :func:`pivot_classes`
 gives a simple matrix the class sum_k b_k 2^k, and reads a nonsimple
 matrix's shape from the root down, its children swapped wherever the
-parent's bit is 1. :func:`uniformity_check` counts classes by this rule
-over angles drawn from a ``numpy.random.Generator`` that it advances
-(:func:`random_angles`), runs GEPP on a bounded sample of them, raising
-on any disagreement, and returns the counts with the largest |P B - L U|
-entry of that sample's factorizations; the chi-square test of the counts
-against uniform is ``cli``'s. A float near-tie |sin| ~ |cos|, where the
-rounded products GEPP compares can order differently from the angle's own
-sin and cos, is the only way the two can differ; a draw outside the
+parent's bit is 1. The class is a function of the bits alone, and a
+one-to-one one, so :func:`uniformity_check` counts each draw's pivot
+pattern (its bits read as one integer) over angles drawn from a
+``numpy.random.Generator`` that it advances (:func:`random_angles`), and
+maps the 2^angles patterns to classes with the rule once per call. It
+runs GEPP on a bounded sample of the draws, raising on any disagreement,
+and returns the class counts with the largest |P B - L U| entry of that
+sample's factorizations; the chi-square test of the counts against
+uniform is ``cli``'s. Two budgets bound its memory: ``_DRAW_ENTRIES``
+angles a draw block, sized to stay in cache, and ``_BATCH_ENTRIES``
+matrix entries in the GEPP sample. A float near-tie |sin| ~ |cos|, where
+the rounded products GEPP compares can order differently from the angle's
+own sin and cos, is the only way the two can differ; a draw outside the
 sample is then counted by the rule.
 
 Pivot ties (equal magnitudes) resolve to the smallest row index, which is
@@ -94,15 +99,16 @@ def _pivot_bits(thetas: np.ndarray) -> np.ndarray:
     each tie in [0, 2 pi). At the double nearest 29 pi / 4, sin and cos round
     equal and tan rounds to exactly 1, so both forms keep the first row.
     """
-    return np.abs(np.tan(thetas)) > 1
+    t = np.tan(thetas)
+    return np.abs(t, out=t) > 1
 
 
-def _simple_classes(n: int, thetas: np.ndarray) -> np.ndarray:
-    """Class index sum_k b_k 2^k, ``thetas[:, 0]`` innermost (bit 0)."""
-    return _pivot_bits(thetas) @ (1 << np.arange(n))
+def _simple_classes(n: int, b: np.ndarray) -> np.ndarray:
+    """Class index sum_k b_k 2^k of (B, n) pivot bits, ``b[:, 0]`` innermost (bit 0)."""
+    return b @ (1 << np.arange(n))
 
 
-def _nonsimple_classes(n: int, thetas: np.ndarray) -> np.ndarray:
+def _nonsimple_classes(n: int, b: np.ndarray) -> np.ndarray:
     """Level-ordered shape bits, root first, read by :func:`~butterfly_trees.butterfly.shape_indices`.
 
     GEPP on a node swaps its two halves when the node's bit is 1, so the
@@ -110,13 +116,13 @@ def _nonsimple_classes(n: int, thetas: np.ndarray) -> np.ndarray:
     2p + 1 + (s ^ b_p). ``at`` indexes the raveled bits at row + node, one
     level at a time, so the next level's index is 2 at - row + 1 + (s ^ b).
     """
-    b = _pivot_bits(thetas)
     flat = b.ravel()
     row = np.arange(len(b))[:, None] * b.shape[1]
     at, levels = row, [b[:, :1]]
     for k in range(1, n):
-        at = ((2 * at - row + 1)[:, :, None] + (np.arange(2) ^ levels[-1][:, :, None])).reshape(len(b), 1 << k)
+        at = ((2 * at - row + 1)[:, :, None] + (levels[-1][:, :, None] ^ np.array([False, True]))).reshape(len(b), 1 << k)
         levels.append(flat.take(at))
+    del at, row  # 8 bytes a bit, freed before shape_indices widens the bits to int64
     return shape_indices(np.concatenate(levels, axis=1))
 
 
@@ -145,7 +151,7 @@ def pivot_classes(family: str, n: int, thetas: np.ndarray) -> np.ndarray:
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != angles:
         raise ValueError("wrong number of angles")
-    return rule(n, thetas)
+    return rule(n, _pivot_bits(thetas))
 
 
 def random_angles(family: str, n: int, count: int, g: np.random.Generator) -> np.ndarray:
@@ -188,9 +194,17 @@ def batch_gepp(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return words, A
 
 
-_BATCH_ENTRIES = 1 << 22  # entries per GEPP batch: of one angle draw, and of the sample of matrices eliminated
+_BATCH_ENTRIES = 1 << 22  # matrix entries of the sample of matrices GEPP eliminates
+_DRAW_ENTRIES = 1 << 15  # angles per draw block: 256 KB, so a block stays in cache while it is counted
 GEPP_SAMPLE = 1024  # draws per run checked by GEPP against the pivot rule
 UNIFORMITY_CAP = {"simple": 10, "nonsimple": 4}  # largest n per family; nonsimple n = 4 has 32768 classes
+
+
+def _pattern_classes(family: str, n: int) -> np.ndarray:
+    """Class of each of the 2^angles pivot patterns, pattern p holding the bit of
+    angle k at bit k: :func:`pivot_classes` of angle 0 (bit 0) or pi/2 (bit 1)."""
+    k = np.arange(_family(family, n)[0], dtype=np.uint16)
+    return pivot_classes(family, n, np.pi / 2 * ((np.arange(1 << len(k), dtype=np.uint16)[:, None] >> k) & 1))
 
 
 def uniformity_check(n: int, trials: int, g: np.random.Generator, family: str = "nonsimple") -> tuple[np.ndarray, float]:
@@ -198,27 +212,35 @@ def uniformity_check(n: int, trials: int, g: np.random.Generator, family: str = 
     tests the counts against uniform.
 
     Draws of class i, numbered as :func:`~butterfly_trees.butterfly.class_indices`
-    numbers GEPP words, are ``counts[i]``, counted by :func:`pivot_classes` from
-    angles drawn from ``g`` in chunks of at most ``_BATCH_ENTRIES`` (the same
-    numbers as one draw). The first ``min(trials, GEPP_SAMPLE)`` draws (fewer if
-    that many matrices exceed ``_BATCH_ENTRIES``) are also built and eliminated:
-    a GEPP word that is no member, or whose class disagrees with the rule, raises
-    ``AssertionError``, and their largest |P M - L U| entry is ``max_plu_error``.
+    numbers GEPP words, are ``counts[i]``. Angles are drawn from ``g`` in blocks of
+    at most ``_DRAW_ENTRIES`` (the same numbers as one draw), each draw's pivot bits
+    read as one pattern integer and counted with one ``bincount`` a block; the
+    pivot rule then runs once, on the 2^angles patterns, and its one-to-one map
+    from pattern to class carries the pattern counts to the class counts. The
+    first ``min(trials, GEPP_SAMPLE)`` draws (fewer if that many matrices exceed
+    ``_BATCH_ENTRIES`` entries, or the first block is shorter) are also built and
+    eliminated: a GEPP word that is no member, or whose class disagrees with the
+    rule, raises ``AssertionError``, and their largest |P M - L U| entry is
+    ``max_plu_error``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n > UNIFORMITY_CAP.get(family, n):
         raise ValueError(f"{family} uniformity check capped at n = {UNIFORMITY_CAP[family]}")
     angles, make, _ = _family(family, n)
-    draws = max(1, _BATCH_ENTRIES // angles)
-    sample = min(GEPP_SAMPLE, max(1, _BATCH_ENTRIES >> (2 * n)))  # one batch of matrices, within the first draw
-    counts = np.zeros(1 << angles, dtype=np.int64)
+    draws = max(1, _DRAW_ENTRIES // angles)
+    sample = min(GEPP_SAMPLE, max(1, _BATCH_ENTRIES >> (2 * n)))  # one batch of matrices, cut to the first block
+    classes = _pattern_classes(family, n)
+    weights = 1 << np.arange(angles)
+    by_pattern = np.zeros(1 << angles, dtype=np.int64)
     for done in range(0, trials, draws):
         thetas = random_angles(family, n, min(draws, trials - done), g)
-        idx = pivot_classes(family, n, thetas)
+        pattern = _pivot_bits(thetas) @ weights
         if done == 0:
-            plu_error = _check_sample(family, make(n, thetas[:sample]), idx[:sample])
-        counts += np.bincount(idx, minlength=len(counts))
+            plu_error = _check_sample(family, make(n, thetas[:sample]), classes[pattern[:sample]])
+        by_pattern += np.bincount(pattern, minlength=len(by_pattern))
+    counts = np.empty_like(by_pattern)
+    counts[classes] = by_pattern
     return counts, plu_error
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -322,6 +323,36 @@ def test_uniformity_check_runs_gepp_on_a_bounded_sample(monkeypatch, n, trials, 
 
 def test_uniformity_check_chunked_draws_keep_the_stream(monkeypatch):
     whole, _ = uniformity_check(2, 1000, RngState(77).generator(), family="nonsimple")
-    monkeypatch.setattr(gepp, "_BATCH_ENTRIES", 70)  # 23 draws of 3 angles per chunk, GEPP on 4
+    monkeypatch.setattr(gepp, "_DRAW_ENTRIES", 70)  # 23 draws of 3 angles per block, GEPP on those 23
     chunked, _ = uniformity_check(2, 1000, RngState(77).generator(), family="nonsimple")
     np.testing.assert_array_equal(chunked, whole)  # the residual is of the smaller sample, so it may differ
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f, cap in gepp.UNIFORMITY_CAP.items() for n in range(1, cap + 1)])
+def test_pattern_classes_are_a_permutation(family, n):
+    # counts[classes] = by_pattern would silently drop the counts of a class two patterns share
+    classes = gepp._pattern_classes(family, n)
+    np.testing.assert_array_equal(np.sort(classes), np.arange(1 << MATRICES[family][0](n)))
+
+
+@pytest.mark.parametrize("family,n,trials", [("simple", 3, 1050), ("nonsimple", 2, 1000), ("nonsimple", 3, 1050)])
+def test_uniformity_counts_are_those_of_pivot_classes_across_draw_blocks(monkeypatch, family, n, trials):
+    # 700 angles a block: 233 draws of 3 or 100 of 7, so every run spans several blocks and ends in a short one
+    monkeypatch.setattr(gepp, "_DRAW_ENTRIES", 700)
+    counts, _ = uniformity_check(n, trials, RngState(88).generator(), family=family)
+    angles = MATRICES[family][0](n)
+    assert trials % (700 // angles) != 0 and trials > 2 * (700 // angles)
+    idx = pivot_classes(family, n, random_angles(family, n, trials, RngState(88).generator()))
+    np.testing.assert_array_equal(counts, np.bincount(idx, minlength=1 << angles))
+
+
+def test_uniformity_check_peak_memory():
+    uniformity_check(4, 10, RngState(26).generator())  # lazy tables built outside the trace
+    tracemalloc.start()
+    try:
+        uniformity_check(4, 80_000, RngState(26).generator())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 9.1 MB measured; 28 MB when angles were drawn 2^22 at a time and the rule ran on every draw
+    assert peak <= 12 * 2**20
