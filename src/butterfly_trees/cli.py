@@ -11,9 +11,11 @@ byte-identical output.
 ``fig8``, ``theorem2-diff``, ``explore-conjecture`` and ``law-hist`` sample
 in chunks of at most ``_CHUNK`` rows and ``_CHUNK_ENTRIES`` entries (a row
 being the keys of one tree, or the 2^n entries of one law sample). Chunk c
-draws from stream ``RngState(seed, c)``, whose ``generator()`` ``_chunked``
-makes once and hands to the chunk's samplers, each advancing it:
-``theorem2-diff`` draws a chunk's wreath heights, then its uniform heights.
+draws from stream ``RngState(seed, c)``, whose ``generator()`` the chunk
+makes once and hands to its samplers, each advancing it. A ``theorem2-diff``
+chunk draws its wreath heights from that stream and, at the same time on one
+worker thread, its uniform heights from the stream's child
+``RngState(seed, c, child=True)``, which is no other stream of the package.
 Cell i of an ``explore-conjecture`` grid of G cells draws chunk c from
 ``RngState(seed, c * G + i)``, so no two (cell, chunk) pairs share a stream.
 A ``fig8`` chunk draws its trees' top-level shape bits, then one index per
@@ -100,15 +102,14 @@ def _emit(meta: dict, columns: dict[str, list], out: str | None, fmt: str) -> st
 
 
 def _chunked(trials: int, row_len: int, seed: int, draw, cell: int = 0, cells: int = 1) -> np.ndarray:
-    """Concatenated ``draw(rows, RngState(seed, c * cells + cell).generator())``
-    over chunks c of ``row_len``-entry trials: cell ``cell`` of ``cells`` gets
-    its own streams, and each chunk's draws share its one generator."""
+    """Concatenated ``draw(rows, RngState(seed, c * cells + cell))`` over chunks c
+    of ``row_len``-entry trials, in chunk order: cell ``cell`` of ``cells`` gets
+    its own streams, and a chunk's draws share its stream's one generator, or
+    draw apart on that stream and its child."""
     rows = min(_CHUNK, _CHUNK_ENTRIES // row_len)
     if rows < 1:
         raise ValueError(f"a row of {row_len} entries exceeds the chunk budget of {_CHUNK_ENTRIES}")
-    return np.concatenate(
-        [draw(min(rows, trials - s), sampling.RngState(seed, c * cells + cell).generator()) for c, s in enumerate(range(0, trials, rows))]
-    )
+    return np.concatenate([draw(min(rows, trials - s), sampling.RngState(seed, c * cells + cell)) for c, s in enumerate(range(0, trials, rows))])
 
 
 def _chi_square(observed, expected) -> tuple[float, float, str]:
@@ -165,7 +166,7 @@ def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
     """Height histogram of seeded uniform nonsimple butterfly trees. Up to
     ``EXACT_MAX_CAP`` the band is the exact mean ± 5 standard errors, as at
     n = 2 and 3 a correct sample falls below the lower mean bound half the time."""
-    h = _chunked(trials, (1 << n) - 1, seed, lambda b, g: sampling.nonsimple_butterfly_stats(n, b, g)[0])
+    h = _chunked(trials, (1 << n) - 1, seed, lambda b, s: sampling.nonsimple_butterfly_stats(n, b, s.generator())[0])
     lower, upper = exact.nonsimple_mean_bounds(n)
     if n == 10:
         band = "n=10: mean in [113,126]"
@@ -194,15 +195,25 @@ def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
 
 
 def theorem2_diff_data(n: int, m: int, trials: int, seed: int) -> tuple[dict, dict]:
-    """Paired scaled mean-height difference: S_n wr S_m sample vs uniform S_{nm}."""
+    """Paired scaled mean-height difference: S_n wr S_m sample vs uniform S_{nm}.
+
+    Chunk c draws its wreath heights from ``RngState(seed, c)`` while one worker
+    thread draws its uniform heights from that stream's child, and the two join
+    before the next chunk: numpy's draws and large array operations release the
+    GIL, so the halves overlap.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # imported where used, off the package's import time
+
     scale = math.log(n * m)
+    with ThreadPoolExecutor(1) as worker:
 
-    def draw(b, g):
-        hw = sampling.wreath_heights(n, m, b, g)
-        hu, _, _ = sampling.uniform_bst_stats(n * m, b, g)
-        return (hw - hu) / scale
+        def draw(b, state):
+            child = sampling.RngState(state.seed, state.stream, child=True)
+            uniform = worker.submit(sampling.uniform_bst_stats, n * m, b, child.generator())
+            hw = sampling.wreath_heights(n, m, b, state.generator())
+            return (hw - uniform.result()[0]) / scale
 
-    d = _chunked(trials, n * m, seed, draw)
+        d = _chunked(trials, n * m, seed, draw)
     band, note = (float("nan"), float("nan")), "exploratory"
     if n == 1:
         note = "degenerate: S_1 wr S_m is S_m, so the difference has mean 0 in law"
@@ -292,7 +303,7 @@ def explore_conjecture_data(grid: Sequence[tuple[int, int]], trials: int, seed: 
     cstar = exact.constants().cstar
     out = {k: [] for k in ("n", "m", "trials", "ratio_mean", "degenerate", "threshold", "exceed_freq")}
     for idx, (n, m) in enumerate(grid):
-        h = _chunked(trials, n * m, seed, lambda b, g: sampling.wreath_heights(n, m, b, g), idx, len(grid))
+        h = _chunked(trials, n * m, seed, lambda b, s: sampling.wreath_heights(n, m, b, s.generator()), idx, len(grid))
         thresh = cstar * math.fsum(1 / j for j in range(1, n + 1)) * math.log(m) if m > 1 else float("nan")
         out["n"].append(n)
         out["m"].append(m)
@@ -377,7 +388,7 @@ def law_hist_data(law: str, n: int, trials: int, seed: int) -> tuple[dict, dict]
         sampler, law_counts = sampling.cycle_law_samples, exact.cycle_law_counts
     else:
         raise ValueError(f"unknown law {law!r}")
-    x = _chunked(trials, 1 << n, seed, lambda b, g: sampler(n, b, g))
+    x = _chunked(trials, 1 << n, seed, lambda b, s: sampler(n, b, s.generator()))
     values, freqs = np.unique(x, return_counts=True)
     observed = {int(v): int(c) for v, c in zip(values, freqs)}
     meta = {"subcommand": "law-hist", "law": law, "n": n, "trials": trials, "seed": seed}

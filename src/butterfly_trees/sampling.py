@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,22 +38,30 @@ _COL_BITS = 11  # 2^11 alias columns per size: divides _ORDERS, exceeds the 1483
 _COLS = 1 << _COL_BITS
 _SIZE = (1 << 30) - 1  # size field of a live interval
 _LEFT, _RIGHT = 1, 2  # edge bits of a live interval
+_ALIAS_LOCK = threading.Lock()  # two threads' first uniform_bst_stats build the alias table once
 
 
 @dataclass(frozen=True)
 class RngState:
-    """A reproducible stream id: (seed, stream).
+    """A reproducible stream id: (seed, stream), or that stream's child.
 
     Equal states yield identical sample sequences across runs and
     platforms; distinct stream ids derived from one seed are treated as
-    independent streams (one per Monte Carlo trial or chunk).
+    independent streams (one per Monte Carlo trial or chunk). The child,
+    ``child=True``, is the stream's first ``SeedSequence.spawn`` child,
+    spawn key (stream, 0). It is no ``RngState(seed, s)``: a spawn key is
+    read as the uint32 words of its ints, least significant first, and an
+    int's words end in a nonzero word unless it is the one word 0, while a
+    child's end in the word 0 after at least one other.
     """
 
     seed: int
     stream: int = 0
+    child: bool = False
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.stream,)))
+        key = (self.stream, 0) if self.child else (self.stream,)
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
 
 
 def nonsimple_butterfly_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,59 +153,58 @@ def _alias_table() -> tuple[np.ndarray, np.ndarray]:
     return thr, codes
 
 
+def _alias_codes(small: np.ndarray, g: np.random.Generator) -> np.ndarray:
+    """h | l << 8 | r << 16 of the whole tree of each small interval, from one
+    exact integer alias draw each; the temporaries, as large as the level, die
+    on return."""
+    with _ALIAS_LOCK:
+        thr, codes = _alias_table()
+    # column u mod _COLS of the interval's size, then the column's alias if
+    # u // _COLS >= thr; in place, since a large level's temporaries cost
+    # as much as its arithmetic
+    u = g.integers(0, _ORDERS, size=small.size, dtype=np.int64)
+    at = small & _SIZE << 2
+    at <<= _COL_BITS - 2
+    at |= u & _COLS - 1
+    u >>= _COL_BITS
+    alias = u >= thr.take(at)
+    at <<= 1
+    at |= alias
+    return codes.take(at)
+
+
 def uniform_bst_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, l, r) int64 arrays of ``count`` iid uniform BSTs on n keys, 1 <= n < 2^30.
 
     Root splits, level by level: the root of a uniform BST has a uniform
     rank, and its two subtrees are independent uniform BSTs on the keys
-    either side. A level is two arrays of intervals, ``small`` and
-    ``large``. Each small interval, of at most ``_SMALL`` keys, draws its
-    whole (h, l, r) with one exact integer alias draw from the law of all
-    its insertion orders. Then every large interval draws its root rank in
-    one ``integers`` call, and its two kids are split once into the next
-    level's nonempty small and large intervals, in order. An interval is
-    one int64, tree << 32 | size << 2 | edge, whose edge bits _LEFT and
-    _RIGHT say that every split above it went left or right, so that its
-    root lies on the top-left or top-right edge. Each of a tree's l and r
-    comes from the one interval where its edge ends, so every interval adds
-    its share to l | r << 32, zero off the edges.
+    either side. An interval of at most ``_SMALL`` keys is small: it draws
+    its whole (h, l, r) with one exact integer alias draw from the law of
+    all its insertion orders, so a tree on n <= _SMALL keys is one draw.
+    Otherwise a level is the array of its ``large`` intervals. Each draws
+    its root rank in one ``integers`` call, and its two kids are split once
+    into the next level's nonempty small and large intervals, in order, and
+    the small ones draw their trees. An interval is one int64,
+    tree << 32 | size << 2 | edge, whose edge bits _LEFT and _RIGHT say that
+    every split above it went left or right, so that its root lies on the
+    top-left or top-right edge. Each of a tree's l and r comes from the one
+    interval where its edge ends, so every interval adds its share to
+    l | r << 32, zero off the edges. A level's arrays are freed before the
+    next level's are made, so that two calls on two threads fit in the
+    memory that one took while it kept them.
     """
     if not 1 <= n <= _SIZE:
         raise ValueError(f"n must be in 1..{_SIZE}, got {n}")
-    thr, codes = _alias_table()
+    if n <= _SMALL:
+        code = _alias_codes(np.full(count, n << 2, dtype=np.int64), g)
+        return code & 0xFF, code >> 8 & 0xFF, code >> 16
     h = np.zeros(count, dtype=np.int64)
     lr = np.zeros(count, dtype=np.int64)  # l | r << 32
-    root = np.arange(count, dtype=np.int64) << 32 | n << 2 | _LEFT | _RIGHT
-    small, large = (root, root[:0]) if n <= _SMALL else (root[:0], root)
+    large = np.arange(count, dtype=np.int64) << 32 | n << 2 | _LEFT | _RIGHT
     depth = 0
     # every partition is a compress: numpy 2.4 takes 1.7 ms to subscript 450K
     # int64s by a half-true bool mask, and compress 0.21 ms
-    while small.size or large.size:
-        tree = small >> 32
-        # column u mod _COLS of the interval's size, then the column's alias if
-        # u // _COLS >= thr; in place, since a large level's temporaries cost
-        # as much as its arithmetic
-        u = g.integers(0, _ORDERS, size=small.size, dtype=np.int64)
-        at = small & _SIZE << 2
-        at <<= _COL_BITS - 2
-        at |= u & _COLS - 1
-        u >>= _COL_BITS
-        alias = u >= thr.take(at)
-        at <<= 1
-        at |= alias
-        code = codes.take(at)
-        np.maximum.at(h, tree, (code & 0xFF) + depth)
-        # times the edge bits: _LEFT is 1, and _RIGHT << 31 is 1 << 32
-        l = code >> 8
-        l &= 0xFF
-        l += depth
-        l *= small & _LEFT
-        code >>= 16
-        code += depth
-        code *= (small & _RIGHT) << 31
-        code |= l
-        np.add.at(lr, tree, code)
-
+    while large.size:
         tree = large >> 32
         rest = large >> 2 & _SIZE  # the size, until the root rank k is drawn
         k = g.integers(0, rest)
@@ -217,8 +225,25 @@ def uniform_bst_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.nd
         rest |= tree
         rest |= large & _RIGHT
         kids = np.stack((k, rest), axis=1).ravel()
+        del tree, k, rest, large
         small, large = kids.compress(kept), kids.compress(big)
+        del kids, kept, big
         depth += 1
+
+        code = _alias_codes(small, g)
+        tree = small >> 32
+        np.maximum.at(h, tree, (code & 0xFF) + depth)
+        # times the edge bits: _LEFT is 1, and _RIGHT << 31 is 1 << 32
+        l = code >> 8
+        l &= 0xFF
+        l += depth
+        l *= small & _LEFT
+        code >>= 16
+        code += depth
+        code *= (small & _RIGHT) << 31
+        code |= l
+        np.add.at(lr, tree, code)
+        del small, tree, code, l
     return h, lr & 0xFFFFFFFF, lr >> 32
 
 

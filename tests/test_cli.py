@@ -59,8 +59,8 @@ def test_fig8_golden_digest(capsys, args, digest):
 
 TREE_GOLDEN = [
     (["table1"], "07138414ce3b46fae8089f342c858aca3f69548e87fe84904205073f2c5b964b"),
-    (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "5cb4efcdb7104f2dea0749910ee6b8da2edc2e3e3fbaa876c05c5d6ee32b124e"),
-    (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "99550545ba9172bd3fe8f6792f9323295f7d3e5806949a41bbf0468242fe4307"),
+    (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "ed8b4717c90d5546ed47098b5a2520ef5282e0ea62662b01551fde2b1131b6a7"),
+    (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "a9130b240527e77abfd0dc9c57e2e0543d429f11764a05b82d6a6ae0f11e2df0"),
     (
         ["explore-conjecture", "--grid", "20x5,1x3,30x1", "--trials", "300", "--seed", "3", "--format", "json"],
         "ce722150ee4e143e0cf7afcd27c70b90b8e5cd3111bef3c5a9bb906ad43bfb37",
@@ -74,7 +74,9 @@ def test_tree_golden_digest(capsys, args, digest):
     # explore digests were re-recorded when their trees came from root splits instead of
     # words (explore-conjecture also moved to one stream per cell and chunk), and again
     # when every subtree of at most 20 keys came whole from the alias table: each change
-    # consumes each chunk's stream differently.
+    # consumes each chunk's stream differently. The theorem2 digests were re-recorded again
+    # when each chunk's uniform heights moved to the child of its stream, drawn on a worker
+    # thread beside the wreath heights, which keep the chunk's stream.
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -96,15 +98,16 @@ def test_chunk_golden_digest(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_theorem2_chunks_draw_both_families_from_one_stream(monkeypatch):
+def test_theorem2_chunks_draw_each_family_from_its_own_stream(monkeypatch):
+    # chunk c draws its wreath heights from RngState(seed, c), as explore-conjecture's one-cell
+    # grid does, and its uniform heights from that stream's child
     n, m, trials, seed = 7, 3, 7, 21
     monkeypatch.setattr(cli, "_CHUNK", 3)
     _, cols = cli.theorem2_diff_data(n, m, trials, seed)
     diffs = []
     for c, b in enumerate([3, 3, 1]):
-        g = RngState(seed, c).generator()
-        hw = wreath_heights(n, m, b, g)
-        hu, _, _ = uniform_bst_stats(n * m, b, g)
+        hw = wreath_heights(n, m, b, RngState(seed, c).generator())
+        hu, _, _ = uniform_bst_stats(n * m, b, RngState(seed, c, child=True).generator())
         diffs.append((hw - hu) / math.log(n * m))
     d = np.concatenate(diffs)
     assert cols["scaled_diff_mean"] == [float(d.mean())]
@@ -298,13 +301,17 @@ def test_trials_default_only_when_omitted(capsys):
     assert doc["meta"]["trials"] == 1 and sum(doc["columns"]["observed"]) == 1
 
 
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.special is imported by the two functions that use it, not by the package,
     # and no subcommand loads scipy.stats: the chi-square and the KS distance need only special
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, butterfly_trees.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    run = fresh_python("import sys, butterfly_trees.cli; print([m for m in sys.modules if m.startswith('scipy')])")
     assert run.stdout == "[]\n"
     code = (
         "import sys, butterfly_trees.cli as c\n"
@@ -313,21 +320,40 @@ def test_import_leaves_scipy_unloaded():
         "    assert c.main(args) == 0\n"
         "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules, file=sys.stderr)"
     )
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stderr == "True False\n"
+    assert fresh_python(code).stderr == "True False\n"
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # theorem2-diff imports concurrent.futures where it starts its worker thread
+    run = fresh_python("import sys, butterfly_trees.cli; print('concurrent.futures' in sys.modules)")
+    assert run.stdout == "False\n"
 
 
 def test_import_builds_no_alias_table():
     # the alias table and the subtree tables are built on first use, never at import,
     # and no subcommand pulls in the tree builder
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, butterfly_trees.cli as c; print('butterfly_trees.bst' in sys.modules); "
         "print(c.sampling._alias_table.cache_info().currsize, c.butterfly._subtree_table.cache_info().currsize)"
     )
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout == "False\n0 0\n"
+    assert fresh_python(code).stdout == "False\n0 0\n"
+
+
+def test_first_theorem2_runs_build_the_alias_table_once():
+    # a chunk's two halves, and here four runs at once on more threads than cores, all ask
+    # for the alias table before it exists: one builds it, and every run keeps its numbers
+    code = (
+        "import sys\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import butterfly_trees.cli as c\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "with ThreadPoolExecutor(4) as pool:\n"
+        "    runs = list(pool.map(lambda s: c.theorem2_diff_data(30, 2, 300, s), range(4)))\n"
+        "sys.setswitchinterval(0.005)\n"
+        "assert runs == [c.theorem2_diff_data(30, 2, 300, s) for s in range(4)]\n"
+        "print(c.sampling._alias_table.cache_info().misses)"
+    )
+    assert fresh_python(code).stdout == "1\n"
 
 
 def test_fmt_numpy_scalars():

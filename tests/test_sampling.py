@@ -84,6 +84,26 @@ def test_substreams_differ():
     assert not np.array_equal(a, b)
 
 
+def test_child_stream_is_the_first_spawned_child_and_no_stream():
+    # RngState(seed, c, child=True) is SeedSequence(seed, spawn_key=(c,)).spawn(1)[0]: its key
+    # (c, 0) ends in a 0 word, which no int key's words do
+    def state(seeded):
+        pcg = np.random.default_rng(seeded).bit_generator.state["state"]
+        return pcg["state"], pcg["inc"]
+
+    for seed in (0, 21, 2**64 - 1):
+        children = set()
+        for c in (0, 1, 2, 3, 2**32 - 1, 2**32, 2**40 + 3):
+            child = state(RngState(seed, c, child=True).generator())
+            assert child == state(np.random.SeedSequence(seed, spawn_key=(c,)).spawn(1)[0])
+            for s in {*range(64), c + 1, c + 2**32, c << 32, c + 2**64}:
+                assert child != state(RngState(seed, s).generator())
+            children.add(child)
+        assert len(children) == 7
+    # the second child's key (c, 1) would collide: its words are those of the stream c + 2^32
+    assert state(np.random.SeedSequence(21, spawn_key=(3, 1))) == state(np.random.SeedSequence(21, spawn_key=(3 + 2**32,)))
+
+
 def test_split_samplers_edges():
     for a in uniform_bst_stats(1, 3, RngState(0).generator()):
         assert a.dtype == np.int64 and a.tolist() == [0, 0, 0]
@@ -129,10 +149,12 @@ def test_wreath_heights_draw_order_is_pinned(n, m, count):
 @pytest.mark.parametrize(
     "n,m,bound",
     [
-        # theorem2's chunk: 5.98 MB measured, 6.70 MB when every partition was a bool-mask subscript
-        (10**4, 2, 6.9 * 2**20),
-        # README's largest explore chunk: 174.0 MB measured, 195.5 MB with bool-mask subscripts
-        (3, 10**4, 200 * 2**20),
+        # theorem2's chunk: 2.44 MB measured, 5.26 MB while each level kept its arrays until
+        # the next level's replaced them
+        (10**4, 2, 3.2 * 2**20),
+        # README's largest explore chunk: 81.7 MB measured, 174.0 MB while a root of at most 20
+        # keys went through the level loop's (h, l | r << 32) sums
+        (3, 10**4, 100 * 2**20),
     ],
     ids=["theorem2", "explore"],
 )
@@ -145,6 +167,19 @@ def test_wreath_heights_chunk_peak_memory(n, m, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def test_uniform_bst_stats_chunk_peak_memory():
+    # theorem2's uniform half: 3.07 MB measured, 5.80 MB while each level kept its arrays
+    # until the next level's replaced them; two halves on two threads now fit in one's memory
+    _alias_table()  # built outside the trace
+    tracemalloc.start()
+    try:
+        uniform_bst_stats(20_000, 250, RngState(25).generator())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def enumerated_triples(n: int) -> Counter:
