@@ -49,8 +49,8 @@ _CHUNK_ENTRIES = 1 << 23  # entries per sampled chunk, the largest row allowed a
 _LEVEL_CAP = _CHUNK_ENTRIES.bit_length() - 1
 # bounds and fig8's band: the mean reads the float64 level-(n-1) law. `bounds --exact-max 8`
 # takes ~0.10 s and 68 MB as a process (~0.50 s and 94 MB with the exact integer law); n = 9
-# takes ~0.45 s but peaks at ~322 MB, above the ~233 MB largest peak of any other run, so the cap
-# stays at 8 (2-vCPU AMD EPYC)
+# takes ~0.45 s (2-vCPU AMD EPYC) but peaks at ~350 MB, above the ~313 MB largest peak of any
+# other run (`theorem2-diff --n 1 --m 8388608 --trials 2`), so the cap stays at 8
 EXACT_MAX_CAP = 8
 # bounds --n-max: the last n whose upper mean bound is a finite double (1120 gives inf)
 N_MAX_CAP = 1119
@@ -58,6 +58,9 @@ N_MAX_CAP = 1119
 # limit (n! passes it near n = 1555, 2^n near n = 14284), in seconds: ~0.9 s for
 # stirling 1000, ~3.7 s for simple-height 10000, ~1.3 s for cycle-moments 100 (200: ~40 s)
 PMF_CAP = {"stirling": 1000, "simple-height": 10_000, "cycle-moments": 100}
+# _chi2_sf: the least z whose log Gamma(z) is Stirling's series, not lgamma. From there the series'
+# first dropped term, 1/(1188 z^9), is below 2e-15, while lgamma's cancellation grows with z
+_STIRLING_FROM = 20
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +115,58 @@ def _chunked(trials: int, row_len: int, seed: int, draw, cell: int = 0, cells: i
     return np.concatenate([draw(min(rows, trials - s), sampling.RngState(seed, c * cells + cell)) for c, s in enumerate(range(0, trials, rows))])
 
 
+def _chi2_sf(df: int, x: float) -> float:
+    """P(chi-square with ``df`` >= 1 degrees of freedom > x), in closed form.
+
+    With lam = x / 2 and d = (df mod 2) / 2 it is the sum over j < df // 2 of
+    e^-lam lam^(j+d) / Gamma(j+1+d), plus erfc(sqrt(lam)) when df is odd. The
+    terms are summed outward from the largest, each scaled by it, so none
+    underflows before the one ``exp``. The largest term's logarithm takes
+    ``lgamma`` below z = j+1+d = ``_STIRLING_FROM``, and above it Stirling's
+    series with its exponent in log1p form (Loader, "Fast and accurate
+    computation of binomial probabilities", 2000): ``lgamma`` of a large z
+    cancels against (z-1) log lam, losing ~7e-11 at df ~ 35000. Against
+    ``scipy.special.chdtrc`` it is within 1e-12 relative for p >= 1e-12 and
+    within 1e-9 down to p = 1e-300, for every df a subcommand reaches (up to
+    32767, nonsimple ``gepp-check --n 4``)."""
+    if x <= 0:
+        return 1.0
+    lam, d, terms = x / 2, (df & 1) / 2, df >> 1
+    tail = math.erfc(math.sqrt(lam)) if d else 0.0
+    if not terms:
+        return tail
+    top = min(terms - 1, max(0, math.ceil(lam - 1 - d)))  # the largest term: they grow while lam > j+1+d
+    z = top + 1 + d
+    if z < _STIRLING_FROM:
+        log_top = (z - 1) * math.log(lam) - lam - math.lgamma(z)
+    else:
+        r, zz = (lam - z) / z, z * z
+        series = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * zz)) / zz) / zz) / z  # lgamma's Stirling remainder
+        log_top = 0.5 * math.log(z / (2 * math.pi)) - math.log(lam) - z * (r - math.log1p(r)) - series
+    # away from the largest term the ratios fall, so once a term is below 2^-60 of the sum the rest is too small to count
+    total = t = 1.0
+    for j in range(top + 1, terms):
+        t *= lam / (j + d)
+        total += t
+        if t < total * 2**-60:
+            break
+    t = 1.0
+    for j in range(top, 0, -1):
+        t *= (j + d) / lam
+        total += t
+        if t < total * 2**-60:
+            break
+    return min(1.0, tail + math.exp(log_top) * total)
+
+
 def _chi_square(observed, expected) -> tuple[float, float, str]:
     """(statistic, pvalue, band text) of Pearson's test of counts against an exact
     law's expected counts. The statistic's chi-square law needs 5 expected draws a
     cell, so adjacent cells pool in order until each expects 5, a short last run
     joining the cell before it; under two cells the test does not apply (NaN). A
-    count where the law expects none gives p = 0, however the cells pool. The
-    statistic and p-value are bit for bit those of ``scipy.stats.chisquare``."""
+    count where the law expects none gives p = 0, however the cells pool. Against
+    ``scipy.stats.chisquare`` the statistic is bit for bit, the p-value (``_chi2_sf``)
+    within 1e-12 relative for p >= 1e-12 and within 1e-9 down to p = 1e-300."""
     obs, exp = np.asarray(observed, dtype=float), np.asarray(expected, dtype=float)
     if (obs[exp == 0] > 0).any():
         return math.inf, 0.0, "pvalue > 0.001"
@@ -131,15 +179,13 @@ def _chi_square(observed, expected) -> tuple[float, float, str]:
     cells = cell if run < 5 and cell else cell + 1
     if cells < 2:
         return math.nan, math.nan, "pvalue does not apply (fewer than 2 cells expect >= 5 when pooled)"
-    from scipy import special  # imported where used: scipy.special takes ten times the package's import time
-
     ids = np.minimum(ids, cells - 1)
     o, e = np.bincount(ids, obs), np.bincount(ids, exp)
     o_sum, e_sum = o.sum(), e.sum()
     if abs(o_sum - e_sum) > np.finfo(float).eps ** 0.5 * min(o_sum, e_sum):  # chisquare's sum check
         raise ValueError(f"observed and expected counts sum to {o_sum} and {e_sum}")
     stat = float(((o - e) ** 2 / e).sum())
-    return stat, float(special.chdtrc(float(cells - 1), stat)), "pvalue > 0.001" if cells == len(obs) else f"pvalue > 0.001 over {cells} pooled cells"
+    return stat, _chi2_sf(cells - 1, stat), "pvalue > 0.001" if cells == len(obs) else f"pvalue > 0.001 over {cells} pooled cells"
 
 
 def table1_data() -> tuple[dict, dict]:
@@ -243,16 +289,15 @@ def theorem2_diff_data(n: int, m: int, trials: int, seed: int) -> tuple[dict, di
 
 
 def clt_simple_data(n: int, samples: int, seed: int) -> tuple[dict, dict]:
-    """KS distance of the standardized log-height (exact binomial law) to |N(0,1)|,
-    bit for bit ``scipy.stats.kstest``'s statistic against ``halfnorm.cdf``.
+    """KS distance of the standardized log-height (exact binomial law) to |N(0,1)|:
+    ``scipy.stats.kstest``'s statistic against ``halfnorm.cdf``, within 1e-15, as
+    the CDF is ``math.erf``'s, which is within 5e-16 relative of scipy's.
 
     The statistic takes at most n + 1 values, so it is computed once per distinct
     draw x and merged where x and n - x meet. Over a run of equal sorted
     statistics, kstest's largest ``i / samples - cdf`` is at the run's end and its
     largest ``cdf - (i - 1) / samples`` at its start, i counting samples from 1.
     """
-    from scipy import special  # imported where used: scipy.special takes ten times the package's import time
-
     g = sampling.RngState(seed).generator()
     x, count = np.unique(g.binomial(n, 0.5, size=samples), return_counts=True)
     a = np.maximum(x, n - x).astype(float)
@@ -261,7 +306,8 @@ def clt_simple_data(n: int, samples: int, seed: int) -> tuple[dict, dict]:
     stat, run = np.unique((log2h - n / 2) / (math.sqrt(n) / 2), return_inverse=True)
     merged = np.bincount(run, weights=count)  # samples at each statistic, exact in float64
     end = np.cumsum(merged)
-    cdf = np.where(stat > 0, special.erf(stat / np.sqrt(2)), 0.0)  # |N(0,1)|'s CDF, 0 off its support
+    z = np.maximum(stat, 0.0) / math.sqrt(2)  # |N(0,1)|'s CDF is erf(stat / sqrt 2), 0 off its support
+    cdf = np.fromiter(map(math.erf, memoryview(z)), float, len(z))  # one float at a time: a list of all would hold ~35 MB at 10^6 statistics
     ks = float(max((end / samples - cdf).max(), (cdf - (end - merged) / samples).max()))
     meta = {
         "subcommand": "clt-simple",

@@ -21,7 +21,7 @@ The class also follows from the angles alone (Peca-Medlin & Trogdon,
 "Growth factors of random butterfly matrices and the stability of
 avoiding pivoting", SIAM J. Matrix Anal. Appl. 2023): with the pivot bit
 b = [|sin theta| > |cos theta|] of each angle, computed as
-[|tan theta| > 1] with one transcendental per angle, :func:`pivot_classes`
+[|tan theta| > 1] with one transcendental per angle, the pivot rule
 gives a simple matrix the class sum_k b_k 2^k, and reads a nonsimple
 matrix's shape from the root down, its children swapped wherever the
 parent's bit is 1. The class is a function of the bits alone, and a
@@ -135,25 +135,6 @@ def _family(family: str, n: int):
     raise ValueError(f"unknown family {family!r}")
 
 
-def pivot_classes(family: str, n: int, thetas: np.ndarray) -> np.ndarray:
-    """GEPP class index of each row of a (B, angles) array, without building a matrix.
-
-    Equal to ``class_indices(batch_gepp(matrices(n, thetas))[0], family)``
-    except at float near-ties |sin| ~ |cos| (see the module docstring):
-
-    >>> t = np.array([[2.0, 0.1, 2.0]])  # bits 1, 0, 1: the root's bit swaps its children
-    >>> pivot_classes("nonsimple", 2, t).tolist()
-    [6]
-    >>> class_indices(batch_gepp(nonsimple_matrices(2, t))[0], "nonsimple").tolist()
-    [6]
-    """
-    angles, _, rule = _family(family, n)
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if thetas.shape[1] != angles:
-        raise ValueError("wrong number of angles")
-    return rule(n, _pivot_bits(thetas))
-
-
 def random_angles(family: str, n: int, count: int, g: np.random.Generator) -> np.ndarray:
     """(count, angles) angles uniform on [0, 2pi) for ``family``'s matrices: one
     per level (simple) or per internal node (nonsimple), drawn from ``g``."""
@@ -202,9 +183,9 @@ UNIFORMITY_CAP = {"simple": 10, "nonsimple": 4}  # largest n per family; nonsimp
 
 def _pattern_classes(family: str, n: int) -> np.ndarray:
     """Class of each of the 2^angles pivot patterns, pattern p holding the bit of
-    angle k at bit k: :func:`pivot_classes` of angle 0 (bit 0) or pi/2 (bit 1)."""
-    k = np.arange(_family(family, n)[0], dtype=np.uint16)
-    return pivot_classes(family, n, np.pi / 2 * ((np.arange(1 << len(k), dtype=np.uint16)[:, None] >> k) & 1))
+    angle k at bit k: the family's pivot rule run on the patterns' bits."""
+    angles, _, rule = _family(family, n)
+    return rule(n, (np.arange(1 << angles, dtype=np.uint16)[:, None] >> np.arange(angles, dtype=np.uint16)) & 1 == 1)
 
 
 def uniformity_check(n: int, trials: int, g: np.random.Generator, family: str = "nonsimple") -> tuple[np.ndarray, float]:

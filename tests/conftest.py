@@ -19,8 +19,10 @@ the sampler's draw spelled out as shape bits (the package samples their
 trees without words or bits), the wreath height law by enumerating the
 group, the uniform BST height law by its size recursion, the least
 nonsimple heights by a Pareto DP over (h, l, r), and the harmonic numbers,
-simple mean height and edge moments in closed form. One helper is not an
-oracle: :func:`gepp_factorization`, the package's batched GEPP on one matrix.
+simple mean height and edge moments in closed form. Two helpers are not
+oracles: :func:`gepp_factorization`, the package's batched GEPP on one
+matrix, and :func:`pivot_classes`, the package's pivot rule read from
+angles, which the tests check against GEPP and against the pattern counts.
 """
 
 from __future__ import annotations
@@ -606,6 +608,31 @@ def gepp_factorization(M: np.ndarray) -> tuple[tuple[int, ...], np.ndarray, np.n
         raise ValueError("expected a square matrix")
     words, lu = batch_gepp(M[None])
     return tuple(words[0].tolist()), np.tril(lu[0], -1) + np.eye(len(M)), np.triu(lu[0])
+
+
+def pivot_classes(family: str, n: int, thetas: np.ndarray) -> np.ndarray:
+    """GEPP class index of each row of a (B, angles) array, without building a matrix:
+    the package's pivot rule on the angles' pivot bits. Not an oracle: what
+    ``gepp.uniformity_check`` counts, one draw at a time.
+
+    Equal to ``class_indices(batch_gepp(matrices(n, thetas))[0], family)``
+    except at float near-ties |sin| ~ |cos| (see the ``gepp`` module docstring):
+
+    >>> from butterfly_trees.butterfly import class_indices
+    >>> from butterfly_trees.gepp import batch_gepp, nonsimple_matrices
+    >>> t = np.array([[2.0, 0.1, 2.0]])  # bits 1, 0, 1: the root's bit swaps its children
+    >>> pivot_classes("nonsimple", 2, t).tolist()
+    [6]
+    >>> class_indices(batch_gepp(nonsimple_matrices(2, t))[0], "nonsimple").tolist()
+    [6]
+    """
+    from butterfly_trees import gepp
+
+    angles, _, rule = gepp._family(family, n)
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if thetas.shape[1] != angles:
+        raise ValueError("wrong number of angles")
+    return rule(n, gepp._pivot_bits(thetas))
 
 
 def uniform_words(n: int, count: int, g: np.random.Generator) -> np.ndarray:

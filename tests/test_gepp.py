@@ -11,13 +11,12 @@ from butterfly_trees.butterfly import class_indices
 from butterfly_trees.gepp import (
     batch_gepp,
     nonsimple_matrices,
-    pivot_classes,
     random_angles,
     simple_matrices,
     uniformity_check,
 )
 from butterfly_trees.sampling import RngState
-from conftest import all_nonsimple_words, all_simple_words, block_nonsimple_matrices, gepp_factorization, scalar_gepp
+from conftest import all_nonsimple_words, all_simple_words, block_nonsimple_matrices, gepp_factorization, pivot_classes, scalar_gepp
 
 
 def plu_error(M, word, L, U):

@@ -1,9 +1,13 @@
 """Every public top-level name of the package is used by the package or by
 its benchmark. A name that only the tests read belongs in ``tests/``. No
-module of the package imports or reads another module's underscore name."""
+module of the package imports or reads another module's underscore name.
+The package imports only the standard library, numpy and itself."""
 
 import ast
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # read only by tests until the planned ``growth`` subcommand prints it
@@ -75,3 +79,19 @@ def test_no_src_module_reads_another_modules_underscore_names():
         (p.stem, name) for p in modules for name in foreign_private_names(p.stem, ast.parse(p.read_text(encoding="utf-8")), stems)
     }
     assert not found, sorted(found)
+
+
+def test_src_imports_only_the_standard_library_numpy_and_itself():
+    # scipy stays in the tests, as the oracle of the p-values and distances that src/ computes
+    allowed = set(sys.stdlib_module_names) | {"numpy", "butterfly_trees"}
+    found = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.partition(".")[0])
+    assert found and found <= allowed, sorted(found - allowed)
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [d.partition(">")[0] for d in project["dependencies"]] == ["numpy"]
