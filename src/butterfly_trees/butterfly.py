@@ -25,15 +25,20 @@ the one numbering of nonsimple shapes here. No word is built in this
 package; the word builders and insertion trees are the tests' oracles.
 
 Tree statistics come straight from the shape. Every bottom subtree of
-k = min(n, 4) levels is read whole from a table of the (h, l, r) of all
-2^(2^k - 1) k-level shapes, row i the shape of index i. :func:`_level` is
-the one step from a level's children to its nodes: the k-level table is
-built with it from the (k-1)-level one, and the top n - k levels run it,
-one numpy step per level. The tables are built on first use, not at
-import, and are read-only. :func:`stats_from_subtrees` is that kernel, over
-the top levels' bits and the subtrees' indices; ``fig8`` samples those two
-directly (``sampling.nonsimple_butterfly_stats``: per chunk, the top bits,
-then one uniform class index per bottom subtree).
+k = min(n, 4) levels is read whole from a table of all 2^(2^k - 1) k-level
+shapes, entry i the int32 code h | l << 8 | r << 16 of the shape of index
+i, the packing of ``sampling``'s alias codes. :func:`_level` is the one
+step from a level's children to its nodes: the k-level table is built with
+it from the (k-1)-level one, and the top n - k levels run it, one numpy
+step per level. The tables are built on first use, not at import, and are
+read-only. :func:`stats_from_subtrees` is that kernel, over the top levels'
+bits and the subtrees' indices. It works node-major in int32: a level of
+2^d nodes is a (2^d, B) array per statistic in bit-reversed node order, so
+a level's first and second children are the two contiguous halves of the
+level below, and its result is again in that order. int32 bounds it to
+heights below 2^31, n <= 31; the CLI stops at n = 23. ``fig8`` samples
+the bits and indices directly (``sampling.nonsimple_butterfly_stats``: per
+chunk, the top bits, then one uniform class index per bottom subtree).
 :func:`stats_from_shape_bits` first reduces 2^n - 1 level-ordered bits to
 them; ``table1`` runs it over every simple word.
 """
@@ -44,7 +49,7 @@ import functools
 
 import numpy as np
 
-TABLE_LEVELS = 4  # 2^15 shapes: 3 x 256 KB of int64 (h, l, r), the largest table built
+TABLE_LEVELS = 4  # 2^15 shapes: 128 KB of int32 codes, the largest table built
 
 
 def simple_shape_bits(n: int) -> np.ndarray:
@@ -110,9 +115,16 @@ def shape_indices(bits: np.ndarray) -> np.ndarray:
     return bits.astype(weights.dtype, copy=False) @ weights
 
 
-def _level(bit, first, second):
-    """(h, l, r) of a level of nodes with shape bits ``bit`` over the (h, l, r)
-    arrays ``first`` and ``second`` of their first and second children:
+def _pick(mask, a, b):
+    """``a`` where ``mask`` is all ones, ``b`` where it is 0: three integer ops,
+    against a branch per entry in ``np.where`` on random bits."""
+    return b ^ ((a ^ b) & mask)
+
+
+def _level(mask, first, second):
+    """(h, l, r) of a level of nodes with shape bits ``-mask`` (0 or all ones)
+    over the (h, l, r) arrays ``first`` and ``second`` of their first and
+    second children:
 
         bit 0:  (max(H1, R1 + 1 + H2), L1, R1 + 1 + R2)
         bit 1:  (max(H1, L1 + 1 + H2), L1 + 1 + L2, R1)
@@ -121,14 +133,15 @@ def _level(bit, first, second):
     the first child's edge on the side of its block. Arrays broadcast.
     """
     (H1, L1, R1), (H2, L2, R2) = first, second
-    edge = np.where(bit, L1, R1) + 1
-    return np.maximum(H1, edge + H2), np.where(bit, edge + L2, L1), np.where(bit, R1, edge + R2)
+    edge = _pick(mask, L1, R1) + 1
+    return np.maximum(H1, edge + H2), _pick(mask, edge + L2, L1), _pick(mask, R1, edge + R2)
 
 
 @functools.cache
-def _subtree_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (h, l, r) arrays of all 2^(2^k - 1) shapes of k levels, row i
-    the shape whose level-ordered bits read as i (its :func:`shape_indices` index).
+def _subtree_table(k: int) -> np.ndarray:
+    """Read-only int32 codes h | l << 8 | r << 16 of all 2^(2^k - 1) shapes of
+    k levels, entry i the shape whose level-ordered bits read as i (its
+    :func:`shape_indices` index); k <= 4 keeps every field below 2^8.
 
     A k-level shape is a root bit over two (k-1)-level shapes, so the table is
     one :func:`_level` over the cached (k-1)-level table, taken twice. The
@@ -138,17 +151,22 @@ def _subtree_table(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     index order. The 0-level shape is one key, (0, 0, 0).
     """
     if k == 0:
-        table = (np.zeros(1, dtype=np.int64),) * 3
+        table = np.zeros(1, dtype=np.int32)
     else:
         groups = [1 << (1 << t) for t in range(k - 1)]  # values of a subtree's level-t bits
-        sub = _subtree_table(k - 1)
+        sub = _unpack(_subtree_table(k - 1))
         first = [a.reshape([x for g in groups for x in (g, 1)]) for a in sub]
         second = [a.reshape([x for g in groups for x in (1, g)]) for a in sub]
-        bit = np.array([False, True]).reshape([2] + [1] * (2 * len(groups)))
-        table = tuple(a.reshape(-1) for a in _level(bit, first, second))
-    for a in table:
-        a.flags.writeable = False
+        mask = np.array([0, -1], dtype=np.int32).reshape([2] + [1] * (2 * len(groups)))
+        h, l, r = (a.reshape(-1) for a in _level(mask, first, second))
+        table = h | l << 8 | r << 16
+    table.flags.writeable = False
     return table
+
+
+def _unpack(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, l, r) of codes h | l << 8 | r << 16, in their dtype."""
+    return code & 0xFF, code >> 8 & 0xFF, code >> 16
 
 
 def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,20 +193,32 @@ def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def stats_from_subtrees(n: int, top: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, l, r) arrays of the nonsimple butterfly trees given by a (B, 2^(n-k) - 1)
-    matrix of level-ordered 0/1 bits of the top n - k levels, k = min(n, 4),
-    and a (B, 2^(n-k)) matrix of the class indices (:func:`shape_indices`) of
-    the bottom k-level subtrees, left to right; n >= 1. Neither is checked: the
-    callers draw or derive them in these shapes and ranges.
+    """(h, l, r) int64 arrays of the nonsimple butterfly trees given by a
+    (B, 2^(n-k) - 1) matrix of level-ordered 0/1 bits of the top n - k levels,
+    k = min(n, 4), and a (B, 2^(n-k)) matrix of the class indices
+    (:func:`shape_indices`) of the bottom k-level subtrees, left to right;
+    1 <= n <= 31. Neither is checked nor changed: the callers draw or derive
+    them in these shapes and ranges.
 
-    The subtrees' (h, l, r) are gathered from :func:`_subtree_table`; the top
-    levels then apply :func:`_level`, one numpy step per level on (B, 2^d)
-    arrays, from the leaves up. No word or tree is built.
+    The work is node-major: the level of 2^d nodes at depth d is a (2^d, B)
+    int32 array of each of h, l and r whose row p is node rev(p), the d bits
+    of p reversed. In that order the first children of a level's nodes are
+    the rows [:2^d] of the level below and the second children the rows
+    [2^d:], so each :func:`_level` is one contiguous loop per op, and its
+    result is again in bit-reversed order. One gather from
+    :func:`_subtree_table` and one row permutation place the subtrees' codes
+    so, and each level gathers its top bits in its rows' order. Every h, l
+    and r of a subtree is at most the tree's height, 2^n - 1, so int32 holds
+    them for n <= 31. No word or tree is built.
     """
     k = min(n, TABLE_LEVELS)
-    h, l, r = (a[index] for a in _subtree_table(k))
-    for d in range(n - k - 1, -1, -1):
-        first, second = ([a[:, j::2] for a in (h, l, r)] for j in (0, 1))
-        h, l, r = _level(top[:, (1 << d) - 1 : (1 << (d + 1)) - 1] == 1, first, second)
-    return h[:, 0], l[:, 0], r[:, 0]
-
+    d0 = n - k  # depth of the subtree roots
+    rev = np.zeros(1, dtype=np.intp)  # rev[p]: the d0 bits of p reversed, by doubling
+    for j in range(d0):
+        rev = np.concatenate((rev, rev + (1 << (d0 - 1 - j))))
+    h, l, r = _unpack(_subtree_table(k).take(index).T[rev])
+    for d in range(d0 - 1, -1, -1):
+        w = 1 << d
+        mask = np.negative(top.T[(rev[:w] >> (d0 - d)) + (w - 1)], dtype=np.int32)
+        h, l, r = _level(mask, (h[:w], l[:w], r[:w]), (h[w:], l[w:], r[w:]))
+    return tuple(a[0].astype(np.int64) for a in (h, l, r))

@@ -76,12 +76,8 @@ def _fmt(v) -> str:
 
 def render_csv(meta: dict, columns: dict[str, list]) -> str:
     lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
-    names = list(columns)
-    lines.append(",".join(names))
-    if names:
-        length = len(columns[names[0]])
-        for i in range(length):
-            lines.append(",".join(_fmt(columns[name][i]) for name in names))
+    lines.append(",".join(columns))
+    lines += map(",".join, zip(*(list(map(_fmt, column)) for column in columns.values())))
     return "\n".join(lines) + "\n"
 
 

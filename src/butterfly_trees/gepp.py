@@ -159,13 +159,18 @@ def batch_gepp(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     B, N, _ = A.shape
     rows = np.arange(B)
     piv = np.tile(np.arange(N), (B, 1))
+    # each step's outer product fills a contiguous prefix of one buffer, so the peak does not
+    # hang on how the allocator reuses a shrinking temporary freed every step
+    buf = np.empty(B * (N - 1) ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot's NaNs stay in its matrix; it raises below
         for k in range(N - 1):
             j = np.abs(A[:, k:, k]).argmax(axis=1) + k
             A[rows, k], A[rows, j] = A[rows, j], A[rows, k]
             piv[rows, k], piv[rows, j] = piv[rows, j], piv[rows, k]
             A[:, k + 1 :, k] /= A[:, k, k, None]
-            A[:, k + 1 :, k + 1 :] -= A[:, k + 1 :, k, None] * A[:, k, None, k + 1 :]
+            m = N - k - 1
+            outer = np.multiply(A[:, k + 1 :, k, None], A[:, k, None, k + 1 :], out=buf[: B * m * m].reshape(B, m, m))
+            A[:, k + 1 :, k + 1 :] -= outer
     # pivots are final once chosen, and the first tiny one precedes any NaN it caused
     singular = (np.abs(np.diagonal(A, axis1=1, axis2=2)) < SINGULAR_TOL).any(axis=0)
     if singular.any():

@@ -149,9 +149,10 @@ def test_stats_recursion_nonsimple_matches_summaries():
 
 def test_stats_from_shape_bits_matches_built_trees():
     # the trees built by insertion stay the oracle of the shape recursion: n <= 4 is
-    # read whole from the 4-level table, n = 5 combines one level above it
+    # read whole from the 4-level table, n = 5 combines one level above it, and n = 14
+    # combines ten levels of bit-reversed rows
     g = np.random.default_rng(2024)
-    for n in range(1, 13):
+    for n in range(1, 15):
         T = (1 << n) - 1
         bits = np.vstack([np.zeros((1, T), dtype=np.int64), np.ones((1, T), dtype=np.int64), g.integers(0, 2, size=(20, T))])
         h, l, r = stats_from_shape_bits(n, bits)
@@ -162,6 +163,29 @@ def test_stats_from_shape_bits_matches_built_trees():
         stats_from_shape_bits(3, np.zeros((2, 6), dtype=np.int64))
     with pytest.raises(ValueError):
         stats_from_shape_bits(0, np.zeros((2, 0), dtype=np.int64))
+
+
+@pytest.mark.parametrize("n", [16, 23])
+def test_stats_from_shape_bits_of_constant_shapes_past_16_bits(n):
+    # all-zero bits make one right-going path of 2^n - 1 edges, all-one bits a left-going one:
+    # heights past 2^16 through the int32 levels, out as int64
+    N = 1 << n
+    for bit, expected in ((0, (N - 1, 0, N - 1)), (1, (N - 1, N - 1, 0))):
+        hlr = stats_from_shape_bits(n, np.full((1, N - 1), bit, dtype=np.int8))
+        assert all(a.dtype == np.int64 for a in hlr)
+        assert tuple(int(a[0]) for a in hlr) == expected
+
+
+def test_stats_from_subtrees_leaves_its_inputs_unchanged():
+    g = np.random.default_rng(7)
+    for n in (3, 4, 5, 9):
+        k = min(n, butterfly.TABLE_LEVELS)
+        top = g.integers(0, 2, size=(6, (1 << (n - k)) - 1))
+        index = g.integers(0, 1 << ((1 << k) - 1), size=(6, 1 << (n - k)))
+        kept = top.copy(), index.copy()
+        butterfly.stats_from_subtrees(n, top, index)
+        np.testing.assert_array_equal(top, kept[0])
+        np.testing.assert_array_equal(index, kept[1])
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 10])
@@ -175,19 +199,21 @@ def test_stats_from_shape_bits_every_bit_dtype(n):
 
 
 def test_subtree_tables_are_read_only():
-    # every caller shares the cached tables
+    # every caller shares the cached tables, one int32 code array each
     stats_from_shape_bits(4, np.zeros((1, 15), dtype=np.int64))
     for k in range(5):
-        for a in butterfly._subtree_table(k):
-            with pytest.raises(ValueError):
-                a[0] = 1
+        table = butterfly._subtree_table(k)
+        assert table.dtype == np.int32 and table.shape == (1 << ((1 << k) - 1),)
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_subtree_table_rows_are_class_indices():
-    # row i of the k-level table is the tree of the word of class index i
-    assert [a.tolist() for a in butterfly._subtree_table(0)] == [[0], [0], [0]]
+    # entry i of the k-level table is h | l << 8 | r << 16 of the tree of the word of class index i
+    assert butterfly._subtree_table(0).tolist() == [0]
     for k in range(1, 5):
-        for a, b in zip(butterfly._subtree_table(k), batch_summaries(all_nonsimple_words(k))):
+        code = butterfly._subtree_table(k)
+        for a, b in zip((code & 0xFF, code >> 8 & 0xFF, code >> 16), batch_summaries(all_nonsimple_words(k))):
             np.testing.assert_array_equal(a, b)
 
 
