@@ -18,11 +18,12 @@ On 0-based positions i both families are XOR masks: a simple word is
 1 + (i ^ m), bit j of m being factor bit j, and a nonsimple word is
 1 + (i ^ f(i)), bit k-1 of f(i) being the bit of the level-k node that
 owns i, so a simple word is the nonsimple word whose bits are constant on
-each level (:func:`simple_shape_bits`). :func:`class_indices` inverts both
-forms: a simple word's index is m, and a nonsimple word's index is its
-level-ordered shape bits read as one binary number (:func:`shape_indices`),
-the one numbering of nonsimple shapes here. No word is built in this
-package; the word builders and insertion trees are the tests' oracles.
+each level, bit j of m at every node of height j + 1. :func:`class_indices`
+inverts both forms: a simple word's index is m, and a nonsimple word's
+index is its level-ordered shape bits read as one binary number
+(:func:`shape_indices`), the one numbering of nonsimple shapes here. No
+word is built in this package; the word builders and insertion trees are
+the tests' oracles.
 
 Tree statistics come straight from the shape. Every bottom subtree of
 k = min(n, 4) levels is read whole from a table of all 2^(2^k - 1) k-level
@@ -39,8 +40,9 @@ level below, and its result is again in that order. int32 bounds it to
 heights below 2^31, n <= 31; the CLI stops at n = 23. ``fig8`` samples
 the bits and indices directly (``sampling.nonsimple_butterfly_stats``: per
 chunk, the top bits, then one uniform class index per bottom subtree).
-:func:`stats_from_shape_bits` first reduces 2^n - 1 level-ordered bits to
-them; ``table1`` runs it over every simple word.
+A simple tree needs no table: both children of each node are the same
+tree, so :func:`simple_stats` runs :func:`_level` n times over all 2^n
+simple trees at once, and ``table1`` reads its heights.
 """
 
 from __future__ import annotations
@@ -50,20 +52,6 @@ import functools
 import numpy as np
 
 TABLE_LEVELS = 4  # 2^15 shapes: 128 KB of int32 codes, the largest table built
-
-
-def simple_shape_bits(n: int) -> np.ndarray:
-    """(2^n, 2^n - 1) matrix of level-ordered shape bits, row m those of simple
-    word m: a simple word is the nonsimple word whose bits are constant on
-    each level, bit n - d - 1 of m at every depth-d node.
-
-    >>> simple_shape_bits(2).tolist()
-    [[0, 0, 0], [0, 1, 1], [1, 0, 0], [1, 1, 1]]
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    levels = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return np.repeat(levels, 1 << np.arange(n), axis=1)
 
 
 def class_indices(words: np.ndarray, family: str) -> np.ndarray:
@@ -169,29 +157,6 @@ def _unpack(code: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return code & 0xFF, code >> 8 & 0xFF, code >> 16
 
 
-def stats_from_shape_bits(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, l, r) arrays of the nonsimple butterfly trees of a (B, 2^n - 1)
-    matrix of level-ordered shape bits.
-
-    The bits split into the top n - k levels, k = min(n, 4), and the class
-    index (:func:`shape_indices`) of each of the 2^(n-k) bottom subtrees:
-    node q of level t of subtree j is column 2^(n-k+t) - 1 + j 2^t + q.
-    :func:`stats_from_subtrees` does the rest.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    bits = np.asarray(bits)
-    if bits.ndim != 2 or bits.shape[1] != (1 << n) - 1:
-        raise ValueError(f"need a (B, {(1 << n) - 1}) matrix of shape bits, got shape {bits.shape}")
-    if bits.dtype.kind not in "biu" or bits.size and (bits.min() < 0 or bits.max() > 1):
-        raise ValueError("shape bits must be integers 0 or 1")
-    k = min(n, TABLE_LEVELS)
-    d = n - k  # depth of the subtree roots
-    j = np.arange(1 << d)[:, None]
-    cols = np.concatenate([(1 << (d + t)) - 1 + (j << t) + np.arange(1 << t) for t in range(k)], axis=1)
-    return stats_from_subtrees(n, bits[:, : (1 << d) - 1], shape_indices(bits[:, cols]))
-
-
 def stats_from_subtrees(n: int, top: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, l, r) int64 arrays of the nonsimple butterfly trees given by a
     (B, 2^(n-k) - 1) matrix of level-ordered 0/1 bits of the top n - k levels,
@@ -222,3 +187,21 @@ def stats_from_subtrees(n: int, top: np.ndarray, index: np.ndarray) -> tuple[np.
         mask = np.negative(top.T[(rev[:w] >> (d0 - d)) + (w - 1)], dtype=np.int32)
         h, l, r = _level(mask, (h[:w], l[:w], r[:w]), (h[w:], l[w:], r[w:]))
     return tuple(a[0].astype(np.int64) for a in (h, l, r))
+
+
+def simple_stats(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, l, r) int64 arrays of the 2^n simple butterfly trees, entry m that of
+    simple word m. Every node at height j + 1 above the leaves has bit j of m,
+    so both of its children are the same height-j tree: each level is one
+    :func:`_level` of the level below with itself, from leaves (0, 0, 0).
+
+    >>> [a.tolist() for a in simple_stats(2)]
+    [[3, 2, 2, 3], [0, 1, 1, 3], [3, 1, 1, 0]]
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    m = np.arange(1 << n, dtype=np.int64)
+    hlr = (np.zeros_like(m),) * 3
+    for j in range(n):
+        hlr = _level(-(m >> j & 1), hlr, hlr)
+    return hlr

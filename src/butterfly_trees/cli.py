@@ -186,10 +186,10 @@ def _chi_square(observed, expected) -> tuple[float, float, str]:
 
 def table1_data() -> tuple[dict, dict]:
     """Height counts of the 1024 depth-10 simple butterfly trees, law vs
-    enumeration by the shape recursion over their level-constant shape bits."""
+    enumeration by the level recursion over all of them at once."""
     n = 10
     law = exact.simple_height_counts(n)
-    h, _, _ = butterfly.stats_from_shape_bits(n, butterfly.simple_shape_bits(n))
+    h, _, _ = butterfly.simple_stats(n)
     values, freqs = np.unique(h, return_counts=True)
     enum = {int(v): int(c) for v, c in zip(values, freqs)}
     heights = sorted(law, reverse=True)
@@ -486,6 +486,8 @@ def _bounded_int(low: int | None, high: int | None = None):
 
 def _out_path(text: str) -> str:
     """An ``--out`` path that can be written once the run ends, checked before it starts."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
     parent = os.path.dirname(text) or "."

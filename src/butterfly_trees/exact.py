@@ -94,21 +94,20 @@ def simple_height_pmf(n: int) -> dict[int, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def devroye_constant(tol: float = 1e-10) -> float:
-    """Unique x >= 2 with x*log(2e/x) = 1, by bisection on [2, 10].
+def devroye_constant() -> float:
+    """Unique x >= 2 with x*log(2e/x) = 1, by bisection on [2, 10] until
+    |x*log(2e/x) - 1| <= 1e-12.
 
     g(x) = x*log(2e/x) - 1 satisfies g(2) = 1 > 0 and is strictly
     decreasing for x > 2, so bisection converges unconditionally.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     g = lambda x: x * math.log(2 * math.e / x) - 1
     lo, hi = 2.0, 10.0
     mid = 0.5 * (lo + hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         v = g(mid)
-        if abs(v) <= tol:
+        if abs(v) <= 1e-12:
             return mid
         if v > 0:
             lo = mid
@@ -142,7 +141,7 @@ def constants() -> Constants:
     Cstar = 1 + math.sqrt(8 * math.sqrt(2) - 11)
     xi = (1 + math.sqrt(2) + math.sqrt(2 * math.sqrt(2) - 1)) / 2
     return Constants(
-        cstar=devroye_constant(1e-12),
+        cstar=devroye_constant(),
         alpha=math.log2(1.5),
         beta=math.log2(xi),
         xi=xi,

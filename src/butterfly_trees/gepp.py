@@ -209,6 +209,8 @@ def uniformity_check(n: int, trials: int, g: np.random.Generator, family: str = 
     rule, raises ``AssertionError``, and their largest |P M - L U| entry is
     ``max_plu_error``.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if n > UNIFORMITY_CAP.get(family, n):

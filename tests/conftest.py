@@ -27,6 +27,7 @@ angles, which the tests check against GEPP and against the pattern counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -479,6 +480,16 @@ def all_simple_words(n: int) -> np.ndarray:
     return 1 + (i[None, :] ^ i[:, None])
 
 
+@functools.cache
+def simple_trees(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (h, l, r) of the trees of :func:`all_simple_words`, built once
+    per n by :func:`batch_summaries` and shared by the tests that enumerate them."""
+    hlr = batch_summaries(all_simple_words(n))
+    for a in hlr:
+        a.flags.writeable = False
+    return hlr
+
+
 def words_from_shape_bits(n: int, bits) -> np.ndarray:
     """(B, 2^n) words from a (B, 2^n - 1) matrix of level-ordered 0/1 shape bits.
 
@@ -650,18 +661,32 @@ def wreath_words(n: int, m: int, count: int, g: np.random.Generator) -> np.ndarr
     return (picked + (rho * n)[:, :, None]).reshape(count, n * m)
 
 
-def nonsimple_shape_bits(n: int, count: int, g: np.random.Generator) -> np.ndarray:
-    """(count, 2^n - 1) level-ordered fair shape bits, drawn as
-    ``sampling.nonsimple_butterfly_stats`` draws them: with k = min(n, 4),
-    the top n - k levels' bits, then one uniform class index below
-    2^(2^k - 1) per bottom subtree, left to right, expanded to its binary
-    digits by :func:`index_shape_bits`. Level n - k + t holds every subtree's
-    level t."""
+def nonsimple_subtrees(n: int, count: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(top, index) drawn as ``sampling.nonsimple_butterfly_stats`` draws them:
+    with k = min(n, 4), a (count, 2^(n-k) - 1) matrix of the top n - k levels'
+    fair bits, then a (count, 2^(n-k)) matrix of uniform class indices below
+    2^(2^k - 1), one per bottom subtree, left to right."""
     k = min(n, 4)
     top = g.integers(0, 2, size=(count, (1 << (n - k)) - 1))
-    sub = index_shape_bits(g.integers(0, 1 << ((1 << k) - 1), size=(count, 1 << (n - k))), k)
-    levels = [sub[..., (1 << t) - 1 : (1 << (t + 1)) - 1].reshape(count, -1) for t in range(k)]
+    return top, g.integers(0, 1 << ((1 << k) - 1), size=(count, 1 << (n - k)))
+
+
+def subtree_shape_bits(n: int, top: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(B, 2^n - 1) level-ordered shape bits of the trees given, as
+    ``butterfly.stats_from_subtrees`` takes them, by top bits and bottom
+    subtree class indices: the top bits, then every index expanded to its
+    binary digits by :func:`index_shape_bits`. Level n - k + t holds every
+    subtree's level t, k = min(n, 4)."""
+    k = min(n, 4)
+    sub = index_shape_bits(index, k)
+    levels = [sub[..., (1 << t) - 1 : (1 << (t + 1)) - 1].reshape(len(top), -1) for t in range(k)]
     return np.concatenate([top] + levels, axis=1)
+
+
+def nonsimple_shape_bits(n: int, count: int, g: np.random.Generator) -> np.ndarray:
+    """(count, 2^n - 1) level-ordered fair shape bits: the draw of
+    :func:`nonsimple_subtrees` spelled out by :func:`subtree_shape_bits`."""
+    return subtree_shape_bits(n, *nonsimple_subtrees(n, count, g))
 
 
 def nonsimple_butterfly_words(n: int, count: int, g: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,7 @@ from scipy import stats
 
 from butterfly_trees import cli
 from butterfly_trees.bst import summary
-from butterfly_trees.butterfly import class_indices, stats_from_shape_bits
+from butterfly_trees.butterfly import class_indices, stats_from_subtrees
 from butterfly_trees.exact import (
     LAMBDA,
     constants,
@@ -47,6 +47,7 @@ from conftest import (
     nonsimple_pareto_fronts,
     nonzero_counts,
     simple_height_mean,
+    simple_trees,
     triple_counts,
 )
 
@@ -70,7 +71,7 @@ def test_criterion_01_height_count_table_exact():
 
 def test_criterion_02_simple_mean_height_exact():
     for n in range(1, 13):
-        h, _, _ = batch_summaries(all_simple_words(n))
+        h, _, _ = simple_trees(n)
         mean = Fraction(int(h.sum()), 1 << n)
         assert mean == simple_height_mean(n) == 2 * LAMBDA**n - 2
     report("criterion 02 (enumeration mean = 2(3/2)^n - 2, n <= 12, exact): PASS")
@@ -102,9 +103,9 @@ def test_criterion_04_nonsimple_exhaustive_oracle():
     for w in words.tolist():
         direct.append(naive_summary(w))
         cycles.append(cycle_count(w))
-    T = (1 << n) - 1
-    shapes = (np.arange(total)[:, None] >> np.arange(T - 1, -1, -1)) & 1  # row i: the bits of shape i
-    assert list(zip(*(a.tolist() for a in stats_from_shape_bits(n, shapes)))) == direct
+    # n = 4 has no top bits: row i is the one subtree of class index i
+    hlr = stats_from_subtrees(n, np.zeros((total, 0), dtype=np.int64), np.arange(total)[:, None])
+    assert list(zip(*(a.tolist() for a in hlr))) == direct
 
     hist = Counter(direct)
     W, exp = triple_counts(n)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from butterfly_trees import butterfly
 from butterfly_trees.bst import summary
-from butterfly_trees.butterfly import class_indices, simple_shape_bits, stats_from_shape_bits
+from butterfly_trees.butterfly import class_indices, simple_stats, stats_from_subtrees
 from butterfly_trees.sampling import RngState
 from conftest import (
     all_nonsimple_words,
@@ -17,9 +18,11 @@ from conftest import (
     kron,
     lds,
     lis,
+    simple_trees,
     sliced_is_nonsimple,
     sliced_is_simple,
     stats_recursion_simple,
+    subtree_shape_bits,
     tuple_nonsimple_word,
     uniform_words,
     words_from_shape_bits,
@@ -106,8 +109,7 @@ def test_stats_recursion_simple_examples():
 def test_stats_recursion_simple_matches_summaries_exhaustively():
     # all 2^n simple butterflies up to n = 10, trees built for real
     for n in range(1, 11):
-        W = all_simple_words(n)
-        h, l, r = batch_summaries(W)
+        h, l, r = simple_trees(n)
         for i in range(1 << n):
             bits = tuple((i >> j) & 1 for j in range(n))
             assert stats_recursion_simple(bits) == (h[i], l[i], r[i])
@@ -115,7 +117,7 @@ def test_stats_recursion_simple_matches_summaries_exhaustively():
 
 def test_height_splits_into_edges_simple():
     for n in range(1, 11):
-        h, l, r = batch_summaries(all_simple_words(n))
+        h, l, r = simple_trees(n)
         assert (h == l + r).all()
 
 
@@ -132,46 +134,55 @@ def test_lis_lds_orientation_simple():
 
 
 def test_stats_recursion_nonsimple_examples():
-    assert [a.tolist() for a in stats_from_shape_bits(2, np.array([[1, 0, 1]]))] == [[2], [2], [1]]
+    # n <= 4 has no top bits: one subtree index per tree, the shape's bits read as a number
+    assert [a.tolist() for a in stats_from_subtrees(2, np.zeros((1, 0), dtype=np.int64), np.array([[0b101]]))] == [[2], [2], [1]]
     for n in (1, 2, 3):
-        hlr = stats_from_shape_bits(n, np.zeros((1, (1 << n) - 1), dtype=np.int64))
+        hlr = stats_from_subtrees(n, np.zeros((1, 0), dtype=np.int64), np.zeros((1, 1), dtype=np.int64))
         assert [a.tolist() for a in hlr] == [[(1 << n) - 1], [0], [(1 << n) - 1]]
 
 
 def test_stats_recursion_nonsimple_matches_summaries():
     for n in range(1, 4):
         T = (1 << n) - 1
-        for i in range(1 << T):
-            h, l, r = stats_from_shape_bits(n, np.array(shape_bits(n, i)))
-            s = summary(rows(all_nonsimple_words(n))[i])
-            assert (h[0], l[0], r[0]) == (s.h, s.l, s.r)
+        h, l, r = stats_from_subtrees(n, np.zeros((1 << T, 0), dtype=np.int64), np.arange(1 << T)[:, None])
+        for i, w in enumerate(rows(all_nonsimple_words(n))):
+            s = summary(w)
+            assert (h[i], l[i], r[i]) == (s.h, s.l, s.r)
 
 
 def test_stats_from_shape_bits_matches_built_trees():
-    # the trees built by insertion stay the oracle of the shape recursion: n <= 4 is
-    # read whole from the 4-level table, n = 5 combines one level above it, and n = 14
+    # the trees built by insertion stay the oracle of the shape recursion, their words
+    # those of the top bits and subtree indices spelled out as shape bits: n <= 4 is read
+    # whole from the 4-level table, n = 5 combines one level above it, and n = 14
     # combines ten levels of bit-reversed rows
     g = np.random.default_rng(2024)
     for n in range(1, 15):
-        T = (1 << n) - 1
-        bits = np.vstack([np.zeros((1, T), dtype=np.int64), np.ones((1, T), dtype=np.int64), g.integers(0, 2, size=(20, T))])
-        h, l, r = stats_from_shape_bits(n, bits)
-        for t, row in enumerate(bits.tolist()):
+        k = min(n, butterfly.TABLE_LEVELS)
+        tops, subtrees = (1 << (n - k)) - 1, 1 << (n - k)
+        last = (1 << ((1 << k) - 1)) - 1  # the index of the all-one k-level shape
+        top = np.vstack([np.zeros((1, tops), dtype=np.int64), np.ones((1, tops), dtype=np.int64), g.integers(0, 2, size=(20, tops))])
+        index = np.vstack([np.zeros((1, subtrees), dtype=np.int64), np.full((1, subtrees), last), g.integers(0, last + 1, size=(20, subtrees))])
+        h, l, r = stats_from_subtrees(n, top, index)
+        for t, row in enumerate(subtree_shape_bits(n, top, index).tolist()):
             s = summary(tuple_nonsimple_word(row, n))
             assert (h[t], l[t], r[t]) == (s.h, s.l, s.r)
-    with pytest.raises(ValueError):
-        stats_from_shape_bits(3, np.zeros((2, 6), dtype=np.int64))
-    with pytest.raises(ValueError):
-        stats_from_shape_bits(0, np.zeros((2, 0), dtype=np.int64))
 
 
 @pytest.mark.parametrize("n", [16, 23])
 def test_stats_from_shape_bits_of_constant_shapes_past_16_bits(n):
     # all-zero bits make one right-going path of 2^n - 1 edges, all-one bits a left-going one:
-    # heights past 2^16 through the int32 levels, out as int64
-    N = 1 << n
+    # heights past 2^16 through the int32 levels, out as int64, in a bounded peak
+    N, k = 1 << n, butterfly.TABLE_LEVELS
     for bit, expected in ((0, (N - 1, 0, N - 1)), (1, (N - 1, N - 1, 0))):
-        hlr = stats_from_shape_bits(n, np.full((1, N - 1), bit, dtype=np.int8))
+        top = np.full((1, (1 << (n - k)) - 1), bit, dtype=np.int8)
+        index = np.full((1, 1 << (n - k)), bit * ((1 << ((1 << k) - 1)) - 1))
+        tracemalloc.start()
+        try:
+            hlr = stats_from_subtrees(n, top, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
         assert all(a.dtype == np.int64 for a in hlr)
         assert tuple(int(a[0]) for a in hlr) == expected
 
@@ -188,19 +199,9 @@ def test_stats_from_subtrees_leaves_its_inputs_unchanged():
         np.testing.assert_array_equal(index, kept[1])
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 10])
-def test_stats_from_shape_bits_every_bit_dtype(n):
-    g = np.random.default_rng(n)
-    bits = g.integers(0, 2, size=(40, (1 << n) - 1))
-    expected = stats_from_shape_bits(n, bits)
-    for dtype in (bool, np.uint8, np.int8, np.int32, np.uint64):
-        got = stats_from_shape_bits(n, bits.astype(dtype))
-        assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(got, expected)), dtype
-
-
 def test_subtree_tables_are_read_only():
     # every caller shares the cached tables, one int32 code array each
-    stats_from_shape_bits(4, np.zeros((1, 15), dtype=np.int64))
+    stats_from_subtrees(4, np.zeros((1, 0), dtype=np.int64), np.zeros((1, 1), dtype=np.int64))
     for k in range(5):
         table = butterfly._subtree_table(k)
         assert table.dtype == np.int32 and table.shape == (1 << ((1 << k) - 1),)
@@ -218,14 +219,21 @@ def test_subtree_table_rows_are_class_indices():
 
 
 def test_simple_words_are_level_constant_shapes():
-    # table1 counts the simple heights by the shape recursion over these bits
+    # simple word m is the nonsimple word with bit n - d - 1 of m at every depth-d node,
+    # which is why simple_stats combines each level's tree with itself
     for n in range(1, 11):
-        bits = simple_shape_bits(n)
+        levels = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        bits = np.repeat(levels, 1 << np.arange(n), axis=1)
         assert np.array_equal(words_from_shape_bits(n, bits), all_simple_words(n))
-        h, l, r = batch_summaries(all_simple_words(n))
-        assert all(np.array_equal(a, b) for a, b in zip(stats_from_shape_bits(n, bits), (h, l, r)))
+
+
+def test_simple_stats_are_the_trees_of_the_simple_words():
+    # table1 reads its heights from simple_stats; the trees built by insertion are its oracle
+    for n in range(1, 13):
+        got = simple_stats(n)
+        assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(got, simple_trees(n)))
     with pytest.raises(ValueError):
-        simple_shape_bits(0)
+        simple_stats(0)
 
 
 def test_cycles_match_right_edge_in_distribution():
@@ -342,5 +350,3 @@ def test_class_indices_invert_builders():
 def test_shape_bits_reject_bad_input(n, bits):
     with pytest.raises(ValueError):
         words_from_shape_bits(n, np.array(bits))
-    with pytest.raises(ValueError):
-        stats_from_shape_bits(n, np.array(bits))

@@ -254,6 +254,7 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         pytest.param(["explore-conjecture", "--grid", "4x6,3000x3000"], "argument --grid: need n*m <= 8388608 (one row must fit a chunk), got '3000x3000'", id="args42-argument --grid: need n*m <= 8388608 (one row must fit a chunk), got '3000x3000'"),
         pytest.param(["bounds", "--n-max", "1120"], "argument --n-max: must be in 1..1119, got 1120", id="args43-argument --n-max: must be in 1..1119, got 1120"),
         pytest.param(["fig8", "--seed", str(10**26)], f"argument --seed: must be in 0..18446744073709551615, got {10**26}", id="args44-argument --seed: must be in 0..18446744073709551615, got 100000000000000000000000000"),
+        pytest.param(["table1", "--out", ""], "argument --out: must not be empty", id="out-empty"),
     ],
 )
 def test_bad_arguments_are_argparse_errors(capsys, args, message):

@@ -28,7 +28,6 @@ from butterfly_trees.sampling import RngState, nonsimple_butterfly_stats
 
 from conftest import (
     all_nonsimple_words,
-    all_simple_words,
     all_words,
     batch_summaries,
     cycle_count,
@@ -43,6 +42,7 @@ from conftest import (
     nonzero_counts,
     pareto_minimal,
     simple_height_mean,
+    simple_trees,
     triple_counts,
 )
 
@@ -111,19 +111,18 @@ def test_simple_height_law():
 
 def test_simple_height_counts_match_enumeration():
     for n in range(1, 13):
-        h, _, _ = batch_summaries(all_simple_words(n))
+        h, _, _ = simple_trees(n)
         values, freqs = np.unique(h, return_counts=True)
         assert {int(v): int(c) for v, c in zip(values, freqs)} == simple_height_counts(n)
 
 
 def test_devroye_constant():
     g = lambda x: x * math.log(2 * math.e / x) - 1
-    c = devroye_constant(1e-10)
-    assert abs(g(c)) <= 1e-10
+    c = devroye_constant()
+    assert abs(g(c)) <= 1e-12
+    assert c == constants().cstar
     assert 4.31 < c < 4.32
     assert abs(c - 4.31107) <= 1e-4
-    with pytest.raises(ValueError):
-        devroye_constant(0)
 
 
 def test_edge_moments():

@@ -199,6 +199,14 @@ def test_uniformity_check_needs_trials(trials):
         uniformity_check(2, trials, RngState(0).generator(), family="nonsimple")
 
 
+@pytest.mark.parametrize("family", ["simple", "nonsimple"])
+def test_uniformity_check_needs_a_level(family):
+    # n = 0 has no angles to draw: a ValueError, not a ZeroDivisionError from the draw block size
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            uniformity_check(n, 10, RngState(0).generator(), family=family)
+
+
 STACKS = [("simple", n) for n in range(1, 7)] + [("nonsimple", n) for n in range(1, 5)]
 
 

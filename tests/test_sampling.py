@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from butterfly_trees import cli
-from butterfly_trees.butterfly import class_indices, shape_indices, stats_from_shape_bits
+from butterfly_trees.butterfly import class_indices, shape_indices, stats_from_subtrees
 from butterfly_trees.exact import cycle_law_counts, lis_law_counts
 from butterfly_trees.sampling import (
     _COLS,
@@ -33,10 +33,12 @@ from conftest import (
     lis,
     naive_summary,
     nonsimple_butterfly_words,
-    nonsimple_shape_bits,
+    nonsimple_subtrees,
+    subtree_shape_bits,
     uniform_height_cdf,
     uniform_words,
     wreath_height_counts,
+    words_from_shape_bits,
     wreath_words,
 )
 
@@ -320,19 +322,19 @@ def test_butterfly_samplers():
     trials = 80_000
     state = RngState(707)
     index = state.generator().integers(0, 8, size=(trials, 1))[:, 0]
-    bits = nonsimple_shape_bits(2, trials, state.generator())
-    assert np.array_equal(shape_indices(bits), index)
-    for a, b in zip(nonsimple_butterfly_stats(2, trials, state.generator()), stats_from_shape_bits(2, bits)):
+    top, sub = nonsimple_subtrees(2, trials, state.generator())
+    assert np.array_equal(shape_indices(subtree_shape_bits(2, top, sub)), index)
+    for a, b in zip(nonsimple_butterfly_stats(2, trials, state.generator()), stats_from_subtrees(2, top, sub)):
         np.testing.assert_array_equal(a, b)
     assert chi_square_pvalue(Counter(index.tolist()), dict.fromkeys(range(8), trials / 8)) > P_FLOOR
 
     # at n = 5 the top three levels are the top bit, both subtree roots and their children: 128 classes
     trials = 25_600
     state = RngState(708)
-    bits = nonsimple_shape_bits(5, trials, state.generator())
-    for a, b in zip(nonsimple_butterfly_stats(5, trials, state.generator()), stats_from_shape_bits(5, bits)):
+    top, sub = nonsimple_subtrees(5, trials, state.generator())
+    for a, b in zip(nonsimple_butterfly_stats(5, trials, state.generator()), stats_from_subtrees(5, top, sub)):
         np.testing.assert_array_equal(a, b)
-    counts = Counter(shape_indices(bits[:, :7]).tolist())
+    counts = Counter(shape_indices(subtree_shape_bits(5, top, sub)[:, :7]).tolist())
     assert chi_square_pvalue(counts, dict.fromkeys(range(128), trials / 128)) > P_FLOOR
 
     assert (class_indices(nonsimple_butterfly_words(4, 50, RngState(2).generator()), "nonsimple") >= 0).all()
@@ -361,13 +363,17 @@ def test_sampled_subtree_index_is_the_class_index():
 
 
 def test_nonsimple_butterfly_stats_are_those_of_the_expanded_shape_bits():
-    # the top bits and subtree indices of the sampler, spelled out as 2^n - 1 level-ordered bits
+    # the top bits and subtree indices of the sampler, and the trees built by insertion
+    # from them spelled out as 2^n - 1 level-ordered bits
     for n in range(1, 13):
         state = RngState(37, n)
-        bits = nonsimple_shape_bits(n, 40, state.generator())
+        top, sub = nonsimple_subtrees(n, 40, state.generator())
+        bits = subtree_shape_bits(n, top, sub)
         assert bits.shape == (40, (1 << n) - 1) and ((bits == 0) | (bits == 1)).all()
-        for a, b in zip(nonsimple_butterfly_stats(n, 40, state.generator()), stats_from_shape_bits(n, bits)):
+        stats_hlr = nonsimple_butterfly_stats(n, 40, state.generator())
+        for a, b, c in zip(stats_hlr, stats_from_subtrees(n, top, sub), batch_summaries(words_from_shape_bits(n, bits))):
             np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
     with pytest.raises(ValueError):
         nonsimple_butterfly_stats(0, 1, RngState(0).generator())
 
