@@ -531,7 +531,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--trials", type=_bounded_int(2), default=2000, help="at least 2: the SEM needs two trials")
     p = sub.add_parser("clt-simple", parents=[common])
     p.set_defaults(build=lambda a: clt_simple_data(a.n, a.samples, a.seed))
-    p.add_argument("--n", type=_bounded_int(1), default=400)
+    p.add_argument("--n", type=_bounded_int(1, 2**63 - 1), default=400, help="at most 2^63 - 1, numpy's binomial count")
     p.add_argument("--samples", type=_bounded_int(1, _CHUNK_ENTRIES), default=100_000)
     p = sub.add_parser("bounds", parents=[common])
     p.set_defaults(build=lambda a: bounds_data(a.n_max, a.exact_max))

@@ -15,7 +15,15 @@ w[j]; :func:`~butterfly_trees.butterfly.class_indices` maps w to its class.
 :func:`batch_gepp` is the one elimination: a single loop over the pivot
 steps of a whole (B, N, N) stack, returning the words and ``lu``, which
 holds L's multipliers below the diagonal (L's unit diagonal is implied)
-and U on and above it.
+and U on and above it. The loop indexes entry (i, c) of matrix b as
+A[i, c, b], the batch axis last. Behind that index a stack of at least
+``_BATCH_LAST`` matrices is stored batch-last, so each step's divide,
+product and subtract is one contiguous loop over the matrices, and a
+smaller one batch-first, where rows are the contiguous loops. Every entry
+takes the same IEEE operations in the same order in both memories, so the
+words and ``lu`` are the same to the bit. :func:`nonsimple_matrices` builds
+its stack batch-last, so a sample reaches the elimination without a
+transpose.
 
 The class also follows from the angles alone (Peca-Medlin & Trogdon,
 "Growth factors of random butterfly matrices and the stability of
@@ -51,30 +59,39 @@ import numpy as np
 from .butterfly import class_indices, shape_indices
 
 SINGULAR_TOL = 1e-12
+# batch_gepp eliminates a stack of at least this many matrices batch-last. Against batch-first, on
+# orders 64 to 1024: 1.5-3x slower at 2 and 4 matrices, within 8% at 8 and 12, the same or up to 45%
+# faster at 16, 30% faster at 64 of order 256; on the orders 8 to 32 measured it was never slower
+_BATCH_LAST = 16
 
 
 def nonsimple_matrices(n: int, thetas: np.ndarray) -> np.ndarray:
     """(B, 2^n, 2^n) butterfly matrices from (B, 2^n - 1) level-ordered angles.
 
-    Level k multiplies in place by the (B, 2, 2^n) factor of its rotation
-    entries, row r broadcast over the rows i with bit k-1 equal to r. Leaf
-    level first, as in the block recursion, so every float matches it.
+    Built in batch-last memory, a C-order (2^n, 2^n, B) array returned as
+    its (B, 2^n, 2^n) view: the memory :func:`batch_gepp` eliminates a stack
+    of at least ``_BATCH_LAST`` matrices in, and one whose level products
+    run contiguous loops over the matrices at any B. Level k multiplies in
+    place by the (2, 2^n, B) factor of its rotation entries, gathered from
+    a cos, sin, -sin table, row r broadcast over the rows i with bit k-1
+    equal to r. Leaf level first, as in the block recursion, so every float
+    matches it.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     B, T = thetas.shape
     if T != (1 << n) - 1:
         raise ValueError("wrong number of angles")
-    c, s = np.cos(thetas), np.sin(thetas)
+    sin = np.sin(thetas.T)
+    entries = np.stack([np.cos(thetas.T), sin, -sin])  # (3, T, B)
     N = 1 << n
     j = np.arange(N)
-    A = np.ones((B, N, N))
+    A = np.ones((N, N, B))
     for k in range(1, n + 1):
         node = (1 << (n - k)) - 1 + (j >> k)
-        bit = ((j >> (k - 1)) & 1) == 1
-        cj, sj = c[:, node], s[:, node]
-        rows = np.stack([np.where(bit, sj, cj), np.where(bit, cj, -sj)], axis=1)  # [[c, s], [-s, c]]
-        A.reshape(B, N >> k, 2, 1 << (k - 1), N)[...] *= rows[:, None, :, None, :]
-    return A
+        bit = (j >> (k - 1)) & 1
+        rows = entries[np.stack([bit, 2 - 2 * bit]), node]  # [[c, s], [-s, c]]
+        A.reshape(N >> k, 2, 1 << (k - 1), N, B)[...] *= rows[None, :, None]
+    return np.moveaxis(A, -1, 0)
 
 
 def simple_matrices(n: int, thetas: np.ndarray) -> np.ndarray:
@@ -145,39 +162,58 @@ def batch_gepp(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GEPP of a (B, N, N) stack: ``(words, lu)`` with P_b M_b = L_b U_b.
 
     ``words[b, j-1]`` is the final row of row j, so P_b has the 1 of column
-    j-1 in row ``words[b, j-1]``; ``lu[b]`` holds L_b's multipliers below
-    the diagonal (L_b has a unit diagonal) and U_b on and above it. Step k
-    swaps whole row k with the row of the largest |entry| of column k among
-    rows k..N (the first on ties), divides the column below the pivot by
-    the pivot and subtracts the outer product of that column and the pivot
-    row. Raises on the first column whose pivot is below ``SINGULAR_TOL``
-    in any matrix of the stack.
+    j-1 in row ``words[b, j-1]``; ``lu`` is a C-contiguous (B, N, N) array
+    whose ``lu[b]`` holds L_b's multipliers below the diagonal (L_b has a
+    unit diagonal) and U_b on and above it. Step k swaps whole row k with
+    the row of the largest |entry| of column k among rows k..N (the first on
+    ties), divides the column below the pivot by the pivot and subtracts the
+    outer product of that column and the pivot row. Raises on the first
+    column whose pivot is below ``SINGULAR_TOL`` in any matrix of the stack.
+
+    The one loop reads the stack as A[i, c, b], entry (i, c) of matrix b.
+    A stack of at least ``_BATCH_LAST`` matrices is copied batch-last, an
+    (N, N, B) array in C order, so every divide, product and subtract runs
+    one contiguous loop over the matrices; a smaller one is copied
+    batch-first, (B, N, N) in C order, where the contiguous loops run along
+    rows. Both memories take each entry through the same IEEE operations in
+    the same order (exact swaps, one divide by the pivot, the product
+    rounded and then subtracted), so ``words`` and ``lu`` do not depend on
+    the order.
     """
-    A = np.array(mats, dtype=float, copy=True)
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError("expected a (B, N, N) stack of square matrices")
-    B, N, _ = A.shape
+    B, N, _ = mats.shape
+
+    def stack(flat: np.ndarray, m: int) -> np.ndarray:
+        """The first B m^2 entries of ``flat`` as an (m, m, B) stack in A's memory order."""
+        flat = flat[: B * m * m]
+        return flat.reshape(m, m, B) if B >= _BATCH_LAST else np.moveaxis(flat.reshape(B, m, m), 0, -1)
+
+    A = stack(np.empty(B * N * N), N)
+    A[...] = np.moveaxis(mats, 0, -1)
     rows = np.arange(B)
-    piv = np.tile(np.arange(N), (B, 1))
+    piv = np.tile(np.arange(N)[:, None], B)
     # each step's outer product fills a contiguous prefix of one buffer, so the peak does not
     # hang on how the allocator reuses a shrinking temporary freed every step
     buf = np.empty(B * (N - 1) ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot's NaNs stay in its matrix; it raises below
         for k in range(N - 1):
-            j = np.abs(A[:, k:, k]).argmax(axis=1) + k
-            A[rows, k], A[rows, j] = A[rows, j], A[rows, k]
-            piv[rows, k], piv[rows, j] = piv[rows, j], piv[rows, k]
-            A[:, k + 1 :, k] /= A[:, k, k, None]
-            m = N - k - 1
-            outer = np.multiply(A[:, k + 1 :, k, None], A[:, k, None, k + 1 :], out=buf[: B * m * m].reshape(B, m, m))
-            A[:, k + 1 :, k + 1 :] -= outer
+            j = np.abs(A[k:, k]).argmax(axis=0) + k
+            for a in (A, piv):  # swap rows k and j: gather each row j, move row k down to it, put the gathered row at k
+                top = a[j, ..., rows]
+                a[j, ..., rows] = a[k].T
+                a[k] = top.T
+            A[k + 1 :, k] /= A[k, k]
+            A[k + 1 :, k + 1 :] -= np.multiply(A[k + 1 :, k, None], A[k, None, k + 1 :], out=stack(buf, N - k - 1))
+    del buf  # before a batch-last A is copied out: three stacks at most, mats, A and buf or lu
     # pivots are final once chosen, and the first tiny one precedes any NaN it caused
-    singular = (np.abs(np.diagonal(A, axis1=1, axis2=2)) < SINGULAR_TOL).any(axis=0)
+    singular = (np.abs(np.diagonal(A)) < SINGULAR_TOL).any(axis=0)
     if singular.any():
         raise ValueError(f"numerically singular column {int(singular.argmax()) + 1} (max |entry| < {SINGULAR_TOL})")
     words = np.empty((B, N), dtype=np.int64)
-    words[rows[:, None], piv] = np.arange(1, N + 1)
-    return words, A
+    words[rows, piv] = np.arange(1, N + 1)[:, None]
+    return words, np.ascontiguousarray(np.moveaxis(A, -1, 0))
 
 
 _BATCH_ENTRIES = 1 << 22  # matrix entries of the sample of matrices GEPP eliminates

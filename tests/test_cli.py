@@ -186,13 +186,15 @@ GEPP_LATTICE_CLT_GOLDEN = [
     (["gepp-check", "--family", "nonsimple", "--n", "3", "--trials", "20000"], "e5787b63c9b778253be67004e8840c6618ea3cde182e3667faa4f6c648bc9a1c"),
     (["gepp-check", "--family", "simple", "--n", "4", "--trials", "20000"], "aec1b555a6b923d841a3490c01612e55257362651d9460baf44d8d1ec7fea7fa"),
     (["gepp-check", "--family", "simple", "--n", "6", "--trials", "20000"], "58e6c061700ae7b2ffc0fc2ccbfdd36453514f052c9a1c2625dedd3f9411daad"),
+    (["gepp-check", "--family", "nonsimple", "--n", "4", "--trials", "2000"], "f1865535453845f7f3d33982ed451914864cb62f1b2cc493aa3e098bc8f29e46"),
+    (["gepp-check", "--family", "simple", "--n", "7", "--trials", "128"], "693652fa4afcd1a2b344b61c1bec70ad91bbaa2cd62356dbfb74db6d84abbaa8"),
     (["lattice-degrees"], "bcb88a71c3ed24f272ff6751c0e23969335e3c5c200f91659e28611b7888486b"),
     (["clt-simple", "--n", "400", "--samples", "20000"], "b540af079c80921dc576ec18a23fddceab1ea252bdc0ce2b0dd31816768acf15"),
 ]
 
 
 @pytest.mark.parametrize(
-    "args,digest", GEPP_LATTICE_CLT_GOLDEN, ids=["gepp-default", "gepp-nonsimple-n3", "gepp-simple-n4", "gepp-simple-n6", "lattice-degrees", "clt-simple-n400"]
+    "args,digest", GEPP_LATTICE_CLT_GOLDEN, ids=["gepp-default", "gepp-nonsimple-n3", "gepp-simple-n4", "gepp-simple-n6", "gepp-nonsimple-n4", "gepp-simple-n7", "lattice-degrees", "clt-simple-n400"]
 )
 def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
     # recorded from the block-recursive matrices and the tuple-dict class count; the XOR masks must reproduce it.
@@ -200,6 +202,8 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
     # GEPP sample instead of 50 matrices from a second stream; classes, chi2 and pvalue did not change.
     # They were re-recorded again when the p-value came from cli._chi2_sf instead of scipy.special.chdtrc:
     # only pvalue moved, by at most 2.3e-15 relative (nonsimple n = 3), within _chi_square's stated bound.
+    # gepp-nonsimple-n4 and gepp-simple-n7 (a 128-matrix GEPP sample of order 128) were recorded while batch_gepp
+    # still eliminated every stack batch-first; they pin that the batch-last memory order moves no bit.
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -220,7 +224,7 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         pytest.param(["theorem2-diff", "--n", "-4"], "argument --n: must be >= 1", id="args8-argument --n: must be >= 1"),
         pytest.param(["theorem2-diff", "--m", "0"], "argument --m: must be >= 1", id="args9-argument --m: must be >= 1"),
         pytest.param(["theorem2-diff", "--n", "1", "--m", "1"], "need n*m >= 2", id="args10-need n*m >= 2"),
-        pytest.param(["clt-simple", "--n", "0"], "argument --n: must be >= 1", id="args11-argument --n: must be >= 1"),
+        pytest.param(["clt-simple", "--n", "0"], "argument --n: must be in 1..9223372036854775807, got 0", id="args11-argument --n: must be >= 1"),
         pytest.param(["clt-simple", "--samples", "0"], "argument --samples: must be in 1..8388608, got 0", id="args12-argument --samples: must be in 1..8388608, got 0"),
         pytest.param(["gepp-check", "--n", "0"], "argument --n: must be >= 1", id="args13-argument --n: must be >= 1"),
         pytest.param(["gepp-check", "--n", "5"], "argument --n: must be <= 4 for --family nonsimple", id="args14-argument --n: must be <= 3 for --family nonsimple"),
@@ -255,6 +259,7 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         pytest.param(["bounds", "--n-max", "1120"], "argument --n-max: must be in 1..1119, got 1120", id="args43-argument --n-max: must be in 1..1119, got 1120"),
         pytest.param(["fig8", "--seed", str(10**26)], f"argument --seed: must be in 0..18446744073709551615, got {10**26}", id="args44-argument --seed: must be in 0..18446744073709551615, got 100000000000000000000000000"),
         pytest.param(["table1", "--out", ""], "argument --out: must not be empty", id="out-empty"),
+        pytest.param(["clt-simple", "--n", str(2**63), "--samples", "3"], f"argument --n: must be in 1..{2**63 - 1}, got {2**63}", id="clt-n-past-int64"),
     ],
 )
 def test_bad_arguments_are_argparse_errors(capsys, args, message):

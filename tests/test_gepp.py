@@ -224,14 +224,34 @@ def test_batch_gepp_equals_scalar_oracle_bit_for_bit(family, n):
         assert one[0] == word and np.array_equal(one[1], L) and np.array_equal(one[2], U)
 
 
+@pytest.mark.parametrize("family,n,small", [("nonsimple", 3, 4), ("simple", 4, 8)])
+def test_batch_gepp_is_bit_for_bit_in_both_memory_orders(family, n, small):
+    # the same order N once below _BATCH_LAST matrices (batch-first memory) and once above it (batch-last),
+    # each fed as the batch-last view the matrix constructors return, as a C-order copy and as every other matrix of it
+    assert small < gepp._BATCH_LAST <= 40
+    angles, make = MATRICES[family]
+    for B in (small, 40):
+        mats = make(n, RngState(47, B).generator().uniform(0, 2 * np.pi, size=(B, angles(n))))
+        assert not mats.flags.c_contiguous  # built batch-last
+        kept, oracle = mats.copy(), [scalar_gepp(M) for M in mats]
+        for stack, expected in ((mats, oracle), (np.ascontiguousarray(mats), oracle), (mats[::2], oracle[::2])):
+            words, lu = batch_gepp(stack)
+            assert lu.shape == stack.shape and lu.flags.c_contiguous and words.dtype == np.int64
+            for w, f, (word, L, U) in zip(words, lu, expected, strict=True):
+                assert tuple(w.tolist()) == word
+                assert np.array_equal(np.tril(f, -1) + np.eye(len(f)), L) and np.array_equal(np.triu(f), U)
+        assert np.array_equal(mats, kept)  # the input is copied, never eliminated in place
+
+
 def test_batch_gepp_raises_on_the_first_singular_column():
-    mats = RngState(3).generator().normal(size=(5, 4, 4))
-    mats[2, :, 1] = 2 * mats[2, :, 0]  # column 2 is a multiple of column 1: its pivot is ~0
-    with pytest.raises(ValueError) as oracle:
-        scalar_gepp(mats[2])
-    assert "numerically singular column 2" in str(oracle.value)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(oracle.value))}$"):
-        batch_gepp(mats)
+    for B in (5, 40):  # batch-first and batch-last memory
+        mats = RngState(3).generator().normal(size=(B, 4, 4))
+        mats[2, :, 1] = 2 * mats[2, :, 0]  # column 2 is a multiple of column 1: its pivot is ~0
+        with pytest.raises(ValueError) as oracle:
+            scalar_gepp(mats[2])
+        assert "numerically singular column 2" in str(oracle.value)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(oracle.value))}$"):
+            batch_gepp(mats)
     with pytest.raises(ValueError, match="expected a"):
         batch_gepp(mats[0])
 
@@ -363,3 +383,25 @@ def test_uniformity_check_peak_memory():
         tracemalloc.stop()
     # 9.1 MB measured; 28 MB when angles were drawn 2^22 at a time and the rule ran on every draw
     assert peak <= 12 * 2**20
+
+
+def test_uniformity_check_gepp_sample_peak_memory():
+    # 1024 matrices of order 32 are eliminated batch-last and copied back to (B, N, N): the peak must stay
+    # _check_sample's four 8 MB stacks. 34225968 bytes measured while every stack was eliminated batch-first
+    uniformity_check(5, 10, RngState(26).generator(), family="simple")  # lazy tables built outside the trace
+    tracemalloc.start()
+    try:
+        uniformity_check(5, 1024, RngState(26).generator(), family="simple")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 34_225_968
+    # batch_gepp alone holds two stacks besides its input: A and its buffer, then A and lu (2.07 measured)
+    mats = simple_matrices(5, random_angles("simple", 5, 1024, RngState(26).generator()))
+    tracemalloc.start()
+    try:
+        batch_gepp(mats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * mats.nbytes
