@@ -2,11 +2,11 @@
 Experiment harness: seeded, deterministic reproductions of the height-law
 checks, emitted as CSV or JSON.
 
-Every artifact embeds the subcommand, its parameters, and the seed in its
-meta header (``# key=value`` lines in CSV, a "meta" object in JSON), and
-statistical subcommands carry their acceptance band beside the observed
-value. Re-running a subcommand with identical configuration reproduces
-byte-identical output.
+Every artifact embeds the subcommand, its parameters and, if it samples,
+the seed in its meta header (``# key=value`` lines in CSV, a "meta" object
+in JSON), and statistical subcommands carry their acceptance band beside
+the observed value. Re-running a subcommand with identical configuration
+reproduces byte-identical output.
 
 ``fig8``, ``theorem2-diff``, ``explore-conjecture`` and ``law-hist`` sample
 in chunks of at most ``_CHUNK`` rows and ``_CHUNK_ENTRIES`` entries (a row
@@ -251,7 +251,7 @@ def theorem2_diff_data(n: int, m: int, trials: int, seed: int) -> tuple[dict, di
 
         def draw(b, state):
             child = sampling.RngState(state.seed, state.stream, child=True)
-            uniform = worker.submit(sampling.uniform_bst_stats, n * m, b, child.generator())
+            uniform = worker.submit(sampling.uniform_bst_stats, n * m, b, child.generator(), edges=False)
             hw = sampling.wreath_heights(n, m, b, state.generator())
             return (hw - uniform.result()[0]) / scale
 
@@ -565,7 +565,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         sub.choices[args.cmd].error(problem)
 
     meta, cols = args.build(args)
-    meta.setdefault("seed", args.seed)
     meta["format"] = args.format
     _emit(meta, cols, args.out, args.format)
     return 0

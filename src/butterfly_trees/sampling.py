@@ -11,10 +11,14 @@ Each returns ``count`` iid draws, one per row or entry.
 All samplers take a ``numpy.random.Generator`` and advance it, so two
 draws from one generator never repeat each other's numbers; a stream id
 :class:`RngState` becomes a generator only through its ``generator()``.
-Bounded-integer draws come from numpy's Generator, which uses
-rejection-based bounded sampling, so every rank below is exactly uniform,
-and the alias table, all in integers, draws every small tree exactly as
-often as its insertion orders.
+A generator must not be shared between threads during a call: the root
+ranks read and write its state. Bounded-integer draws are exactly uniform
+by rejection. The root ranks of :func:`uniform_bst_stats` are Lemire's
+multiply-shift draws (ACM TOMACS 2019) on the generator's 32-bit words,
+taken in the order numpy's ``integers`` takes them and with numpy itself
+as the fallback when a word would be rejected, so they are numpy's ranks;
+every other bounded draw is numpy's. The alias table, all in integers,
+draws every small tree exactly as often as its insertion orders.
 
 The recursion-law levels are normalized so that level n corresponds to
 permutations of length 2^n: the base value at n = 0 is the constant 1,
@@ -53,6 +57,10 @@ class RngState:
     read as the uint32 words of its ints, least significant first, and an
     int's words end in a nonzero word unless it is the one word 0, while a
     child's end in the word 0 after at least one other.
+
+    A generator belongs to one thread during a sampler call: the root ranks
+    read its state and write it back, so a draw from another thread in
+    between would be lost or repeated.
     """
 
     seed: int
@@ -173,45 +181,95 @@ def _alias_codes(small: np.ndarray, g: np.random.Generator) -> np.ndarray:
     return codes.take(at)
 
 
-def uniform_bst_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, l, r) int64 arrays of ``count`` iid uniform BSTs on n keys, 1 <= n < 2^30.
+def _root_ranks(size: np.ndarray, g: np.random.Generator) -> np.ndarray:
+    """``g.integers(0, size)`` for int64 sizes in 2..2^32 - 1: the same ranks,
+    and the same ``g.bit_generator.state`` after.
+
+    numpy draws rank k < s from a 32-bit word w by Lemire's rule, k = w * s >> 32,
+    unless the low half w * s mod 2^32 is below 2^32 mod s; then it rejects w and
+    draws the next word. PCG64 hands out its words as the half its state holds,
+    if any, then the low and the high half of each 64-bit word, and holds an
+    unused high half. Here the words come from one ``random_raw`` call and the
+    rule runs on whole arrays, both without the GIL, where numpy's loop over the
+    sizes holds it. If any word would be rejected, the state is restored and
+    numpy draws the ranks; so does any other bit generator, and an empty array.
+    A size of 1 would draw no word in numpy, and is not handled.
+    """
+    bg = g.bit_generator
+    if type(bg) is not np.random.PCG64 or not size.size:
+        return g.integers(0, size)
+    state = bg.state
+    held = state["has_uint32"]
+    fresh = size.size - held  # words beyond the held half
+    # each raw word's halves, low first, on any host byte order
+    words = bg.random_raw((fresh + 1) // 2).astype("<u8", copy=False).view("<u4")
+    s = size.view(np.uint64)
+    m = np.empty(size.size, dtype=np.uint64)  # w * s, then the rank w * s >> 32
+    if held:
+        m[0] = state["uinteger"] * int(size[0])
+    np.multiply(words[:fresh], s[held:], out=m[held:])
+    last = int(words[-1]) if fresh else state["uinteger"]
+    del words
+    low = m.astype(np.uint32)
+    maybe = np.flatnonzero(low < s)  # low >= s is never rejected; one word in 2^32 / s is checked
+    if maybe.size and (low[maybe] < (1 << 32) % s[maybe]).any():
+        bg.state = state
+        return g.integers(0, size)
+    del low
+    m >>= 32
+    state = bg.state  # the raw words advanced it
+    state["has_uint32"] = fresh & 1
+    state["uinteger"] = last
+    bg.state = state
+    return m.view(np.int64)
+
+
+def uniform_bst_stats(
+    n: int, count: int, g: np.random.Generator, edges: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(h, l, r) int64 arrays of ``count`` iid uniform BSTs on n keys, 1 <= n < 2^30;
+    with ``edges=False``, (h, None, None) from the same draws, the edge work skipped.
 
     Root splits, level by level: the root of a uniform BST has a uniform
     rank, and its two subtrees are independent uniform BSTs on the keys
     either side. An interval of at most ``_SMALL`` keys is small: it draws
     its whole (h, l, r) with one exact integer alias draw from the law of
     all its insertion orders, so a tree on n <= _SMALL keys is one draw.
-    Otherwise a level is the array of its ``large`` intervals. Each draws
-    its root rank in one ``integers`` call, and its two kids are split once
+    Otherwise a level is the array of its ``large`` intervals. They draw
+    their root ranks in one :func:`_root_ranks` call, numpy's ``integers``
+    ranks without the GIL, and each interval's two kids are split once
     into the next level's nonempty small and large intervals, in order, and
     the small ones draw their trees. An interval is one int64,
     tree << 32 | size << 2 | edge, whose edge bits _LEFT and _RIGHT say that
     every split above it went left or right, so that its root lies on the
     top-left or top-right edge. Each of a tree's l and r comes from the one
     interval where its edge ends, so every interval adds its share to
-    l | r << 32, zero off the edges. A level's arrays are freed before the
-    next level's are made, so that two calls on two threads fit in the
-    memory that one took while it kept them.
+    l | r << 32, zero off the edges; ``edges=False`` sets no edge bit and
+    sums nothing, for a caller that reads only h. A level's arrays are freed
+    before the next level's are made, so that two calls on two threads fit
+    in the memory that one took while it kept them. ``g`` must not be drawn
+    from on another thread during the call.
     """
     if not 1 <= n <= _SIZE:
         raise ValueError(f"n must be in 1..{_SIZE}, got {n}")
     if n <= _SMALL:
         code = _alias_codes(np.full(count, n << 2, dtype=np.int64), g)
-        return code & 0xFF, code >> 8 & 0xFF, code >> 16
+        return (code & 0xFF, code >> 8 & 0xFF, code >> 16) if edges else (code & 0xFF, None, None)
     h = np.zeros(count, dtype=np.int64)
-    lr = np.zeros(count, dtype=np.int64)  # l | r << 32
-    large = np.arange(count, dtype=np.int64) << 32 | n << 2 | _LEFT | _RIGHT
+    lr = np.zeros(count, dtype=np.int64) if edges else None  # l | r << 32
+    large = np.arange(count, dtype=np.int64) << 32 | n << 2 | (_LEFT | _RIGHT if edges else 0)
     depth = 0
     # every partition is a compress: numpy 2.4 takes 1.7 ms to subscript 450K
     # int64s by a half-true bool mask, and compress 0.21 ms
     while large.size:
         tree = large >> 32
         rest = large >> 2 & _SIZE  # the size, until the root rank k is drawn
-        k = g.integers(0, rest)
+        k = _root_ranks(rest, g)
         rest -= 1
         rest -= k
-        lr[tree.compress(((large & _LEFT) != 0) & (k == 0))] += depth
-        lr[tree.compress(((large & _RIGHT) != 0) & (rest == 0))] += depth << 32
+        if edges:
+            lr[tree.compress(((large & _LEFT) != 0) & (k == 0))] += depth
+            lr[tree.compress(((large & _RIGHT) != 0) & (rest == 0))] += depth << 32
         # the kids split once into the nonempty small and the large, and are
         # built in place over k and rest; a kid keeps its parent's edge bit on its side
         big = np.stack((k > _SMALL, rest > _SMALL), axis=1).ravel()
@@ -220,10 +278,11 @@ def uniform_bst_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.nd
         tree <<= 32
         k <<= 2
         k |= tree
-        k |= large & _LEFT
         rest <<= 2
         rest |= tree
-        rest |= large & _RIGHT
+        if edges:
+            k |= large & _LEFT
+            rest |= large & _RIGHT
         kids = np.stack((k, rest), axis=1).ravel()
         del tree, k, rest, large
         small, large = kids.compress(kept), kids.compress(big)
@@ -233,18 +292,20 @@ def uniform_bst_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.nd
         code = _alias_codes(small, g)
         tree = small >> 32
         np.maximum.at(h, tree, (code & 0xFF) + depth)
-        # times the edge bits: _LEFT is 1, and _RIGHT << 31 is 1 << 32
-        l = code >> 8
-        l &= 0xFF
-        l += depth
-        l *= small & _LEFT
-        code >>= 16
-        code += depth
-        code *= (small & _RIGHT) << 31
-        code |= l
-        np.add.at(lr, tree, code)
-        del small, tree, code, l
-    return h, lr & 0xFFFFFFFF, lr >> 32
+        if edges:
+            # times the edge bits: _LEFT is 1, and _RIGHT << 31 is 1 << 32
+            l = code >> 8
+            l &= 0xFF
+            l += depth
+            l *= small & _LEFT
+            code >>= 16
+            code += depth
+            code *= (small & _RIGHT) << 31
+            code |= l
+            np.add.at(lr, tree, code)
+            del l
+        del small, tree, code
+    return (h, lr & 0xFFFFFFFF, lr >> 32) if edges else (h, None, None)
 
 
 def wreath_heights(n: int, m: int, count: int, g: np.random.Generator) -> np.ndarray:

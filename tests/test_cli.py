@@ -58,7 +58,7 @@ def test_fig8_golden_digest(capsys, args, digest):
 
 
 TREE_GOLDEN = [
-    (["table1"], "07138414ce3b46fae8089f342c858aca3f69548e87fe84904205073f2c5b964b"),
+    (["table1"], "5ce51e718033b657db914dba4ce0c8317cff73d866fb90823e95de864dbebe6a"),
     (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "ed8b4717c90d5546ed47098b5a2520ef5282e0ea62662b01551fde2b1131b6a7"),
     (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "a9130b240527e77abfd0dc9c57e2e0543d429f11764a05b82d6a6ae0f11e2df0"),
     (
@@ -76,7 +76,8 @@ def test_tree_golden_digest(capsys, args, digest):
     # when every subtree of at most 20 keys came whole from the alias table: each change
     # consumes each chunk's stream differently. The theorem2 digests were re-recorded again
     # when each chunk's uniform heights moved to the child of its stream, drawn on a worker
-    # thread beside the wreath heights, which keep the chunk's stream.
+    # thread beside the wreath heights, which keep the chunk's stream. table1 was re-recorded
+    # when the subcommands that sample nothing stopped writing a seed line: that line alone left.
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -159,12 +160,12 @@ def test_fig8_and_law_hist_chunks_are_per_chunk_streams(monkeypatch):
 
 
 EXACT_GOLDEN = [
-    (["bounds"], "9d6c3fd82048d3a44cb28765650006c4bf563f9abd9c26219ce557c8ca555ad1"),
-    (["bounds", "--n-max", "10", "--exact-max", "5"], "dd32e10ae17d4f73838d11d54077367d2e2c6ee09d0497362a36773f8bb9b43f"),
+    (["bounds"], "1199bb8e2c065b0809d61c03ac322ddb6ce11cadbede192cd61edebce8b53dd3"),
+    (["bounds", "--n-max", "10", "--exact-max", "5"], "5a60af97847216aa4fea104769be2e2e2d39ceb999c93d3dba1e01d83e6a2d3e"),
     (["law-hist", "--law", "cycle", "--n", "10", "--trials", "2000"], "9cab477b6e5993dd1cc8e0c8bba33ef9ecb63f16a9225555e5498f0023101c5f"),
     (["law-hist", "--law", "lis", "--n", "10", "--trials", "2000"], "73b99f2f1a07acf97d3374609a1808c25f3813ef0f1a75ee738354938094c66f"),
-    (["pmf", "--which", "stirling"], "0af9cfa422609bbe8fa1909a1ef5a859e56e203e60cd21b644c1aee8d61b729e"),
-    (["pmf", "--which", "stirling", "--n", "300"], "e0b5afc6da5d77a2cc94b73506e3307f0f535685585a8f445cf81dd62a5872b7"),
+    (["pmf", "--which", "stirling"], "a2a4f5b961e5a54f0330c66111af992aacdd46b286118c77ec8df8e1f88acf9c"),
+    (["pmf", "--which", "stirling", "--n", "300"], "f02911378c8aa26980f4dd3b73836b8ff4a6ada06a5ea92b30201a0a43ecef06"),
 ]
 
 
@@ -176,7 +177,9 @@ def test_exact_golden_digest(capsys, args, digest):
     # The law-hist digests were re-recorded when its chi-square pooled cells to an expected 5
     # (only pvalue and band moved: unpooled, both read p = 1.0), and again when the p-value
     # came from cli._chi2_sf instead of scipy.special.chdtrc: pvalue moved in its last digits
-    # (0.5258576811653656 -> ...659 cycle, 0.7325172688098454 -> ...451 lis), within its bound
+    # (0.5258576811653656 -> ...659 cycle, 0.7325172688098454 -> ...451 lis), within its bound.
+    # The bounds and pmf digests were re-recorded when the subcommands that sample nothing
+    # stopped writing a seed line: that line alone left.
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -188,7 +191,7 @@ GEPP_LATTICE_CLT_GOLDEN = [
     (["gepp-check", "--family", "simple", "--n", "6", "--trials", "20000"], "58e6c061700ae7b2ffc0fc2ccbfdd36453514f052c9a1c2625dedd3f9411daad"),
     (["gepp-check", "--family", "nonsimple", "--n", "4", "--trials", "2000"], "f1865535453845f7f3d33982ed451914864cb62f1b2cc493aa3e098bc8f29e46"),
     (["gepp-check", "--family", "simple", "--n", "7", "--trials", "128"], "693652fa4afcd1a2b344b61c1bec70ad91bbaa2cd62356dbfb74db6d84abbaa8"),
-    (["lattice-degrees"], "bcb88a71c3ed24f272ff6751c0e23969335e3c5c200f91659e28611b7888486b"),
+    (["lattice-degrees"], "e0394c8c1e1a5ac6c0462fe8710652b47788836139b10713587a7f9087abf56c"),
     (["clt-simple", "--n", "400", "--samples", "20000"], "b540af079c80921dc576ec18a23fddceab1ea252bdc0ce2b0dd31816768acf15"),
 ]
 
@@ -204,6 +207,8 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
     # only pvalue moved, by at most 2.3e-15 relative (nonsimple n = 3), within _chi_square's stated bound.
     # gepp-nonsimple-n4 and gepp-simple-n7 (a 128-matrix GEPP sample of order 128) were recorded while batch_gepp
     # still eliminated every stack batch-first; they pin that the batch-last memory order moves no bit.
+    # lattice-degrees was re-recorded when the subcommands that sample nothing stopped writing a
+    # seed line: that line alone left.
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -295,7 +300,7 @@ def test_upper_bounds_accept_their_edge(capsys):
     out = run_cli(capsys, ["bounds", "--n-max", str(cli.N_MAX_CAP), "--exact-max", "-1"])
     assert math.isfinite(float(out.splitlines()[-1].split(",")[-1]))
     assert exact.nonsimple_mean_bounds(cli.N_MAX_CAP + 1)[1] == math.inf
-    out = run_cli(capsys, ["pmf", "--seed", str(2**64 - 1)])
+    out = run_cli(capsys, ["fig8", "--n", "2", "--trials", "10", "--seed", str(2**64 - 1)])
     assert f"# seed={2**64 - 1}\n" in out
     # one row of 2^23 entries fills a chunk: ~0.7 s and ~250 MB each on a 2-vCPU Xeon
     doc = json.loads(run_cli(capsys, ["law-hist", "--n", "23", "--trials", "3", "--format", "json"]))
@@ -406,7 +411,7 @@ def test_json_mirrors_columns(capsys):
     out = run_cli(capsys, ["lattice-degrees", "--n", "3", "--format", "json"])
     doc = json.loads(out)
     assert doc["meta"]["subcommand"] == "lattice-degrees"
-    assert doc["meta"]["seed"] == cli.DEFAULT_SEED
+    assert "seed" not in doc["meta"]
     assert doc["columns"]["degree"] == [4, 7]
     assert doc["columns"]["count"] == [6, 2]
     assert doc["columns"]["equal"] == [1, 1]
@@ -557,8 +562,9 @@ def test_pmf_export(capsys):
 def test_pmf_stirling_row_deeper_than_the_recursion_limit(capsys):
     # the row recursion used to recurse once per row and raised RecursionError here
     rows = run_cli(capsys, ["pmf", "--which", "stirling", "--n", "500"]).strip().split("\n")
-    assert rows[5:7] == ["value,numerator,denominator,probability", f"1,1,500,{1 / 500!r}"]
-    assert len(rows) == 6 + 500 and rows[-1] == f"500,1,{math.factorial(500)},0.0"
+    head = rows.index("value,numerator,denominator,probability")
+    assert rows[head + 1] == f"1,1,500,{1 / 500!r}"
+    assert len(rows) == head + 1 + 500 and rows[-1] == f"500,1,{math.factorial(500)},0.0"
 
 
 def test_law_hist(capsys):
@@ -699,7 +705,19 @@ def test_every_subcommand_is_byte_deterministic(capsys, args):
         first = run_cli(capsys, args + ["--format", fmt, "--seed", "55"])
         second = run_cli(capsys, args + ["--format", fmt, "--seed", "55"])
         assert first == second
-        assert "seed" in first
+
+
+# the builders that draw nothing; every other subcommand samples and records its seed
+DRAWS_NOTHING = {"table1", "bounds", "lattice-degrees", "pmf"}
+
+
+@pytest.mark.parametrize("args", SMALL_ARGS, ids=lambda a: a[0])
+def test_only_sampling_subcommands_record_a_seed(capsys, args):
+    out = run_cli(capsys, args + ["--seed", "55"])
+    seeds = [line for line in out.split("\n") if line.startswith("# seed=")]
+    assert seeds == ([] if args[0] in DRAWS_NOTHING else ["# seed=55"])
+    doc = json.loads(run_cli(capsys, args + ["--seed", "55", "--format", "json"]))
+    assert doc["meta"].get("seed") == (None if args[0] in DRAWS_NOTHING else 55)
 
 
 def test_fig8_small_mean_matches_exact():
