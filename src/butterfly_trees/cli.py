@@ -514,22 +514,23 @@ def _joint_range_error(args: argparse.Namespace) -> str | None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="butterfly-trees", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_bounded_int(0, 2**64 - 1), default=DEFAULT_SEED, help="64-bit experiment seed")
     common.add_argument("--out", type=_out_path, default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
+    seeded = argparse.ArgumentParser(add_help=False)  # the subcommands that sample
+    seeded.add_argument("--seed", type=_bounded_int(0, 2**64 - 1), default=DEFAULT_SEED, help="64-bit experiment seed")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     sub.add_parser("table1", parents=[common]).set_defaults(build=lambda a: table1_data())
-    p = sub.add_parser("fig8", parents=[common])
+    p = sub.add_parser("fig8", parents=[common, seeded])
     p.set_defaults(build=lambda a: fig8_data(a.n, a.trials, a.seed))
     p.add_argument("--n", type=_bounded_int(1, _LEVEL_CAP), default=10)
     p.add_argument("--trials", type=_bounded_int(1), default=10_000)
-    p = sub.add_parser("theorem2-diff", parents=[common])
+    p = sub.add_parser("theorem2-diff", parents=[common, seeded])
     p.set_defaults(build=lambda a: theorem2_diff_data(a.n, a.m, a.trials, a.seed))
     p.add_argument("--n", type=_bounded_int(1), default=10_000)
     p.add_argument("--m", type=_bounded_int(1), default=2)
     p.add_argument("--trials", type=_bounded_int(2), default=2000, help="at least 2: the SEM needs two trials")
-    p = sub.add_parser("clt-simple", parents=[common])
+    p = sub.add_parser("clt-simple", parents=[common, seeded])
     p.set_defaults(build=lambda a: clt_simple_data(a.n, a.samples, a.seed))
     p.add_argument("--n", type=_bounded_int(1, 2**63 - 1), default=400, help="at most 2^63 - 1, numpy's binomial count")
     p.add_argument("--samples", type=_bounded_int(1, _CHUNK_ENTRIES), default=100_000)
@@ -537,11 +538,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.set_defaults(build=lambda a: bounds_data(a.n_max, a.exact_max))
     p.add_argument("--n-max", type=_bounded_int(1, N_MAX_CAP), default=10)
     p.add_argument("--exact-max", type=_bounded_int(None, EXACT_MAX_CAP), default=4, help="negative: no exact column")
-    p = sub.add_parser("explore-conjecture", parents=[common])
+    p = sub.add_parser("explore-conjecture", parents=[common, seeded])
     p.set_defaults(build=lambda a: explore_conjecture_data(a.grid, a.trials, a.seed))
     p.add_argument("--grid", type=_parse_grid, default=[(50, 50)], help="pairs like 50x50,100x20")
     p.add_argument("--trials", type=_bounded_int(1), default=500, help="trials per grid cell")
-    p = sub.add_parser("gepp-check", parents=[common])
+    p = sub.add_parser("gepp-check", parents=[common, seeded])
     p.set_defaults(build=lambda a: gepp_check_data(a.n, a.trials, a.seed, a.family))
     p.add_argument("--n", type=_bounded_int(1), default=2)
     p.add_argument("--family", choices=("simple", "nonsimple"), default="nonsimple")
@@ -553,7 +554,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.set_defaults(build=lambda a: pmf_data(a.which, a.n))
     p.add_argument("--which", choices=("stirling", "simple-height", "cycle-moments"), default="stirling")
     p.add_argument("--n", type=_bounded_int(0), default=10)
-    p = sub.add_parser("law-hist", parents=[common])
+    p = sub.add_parser("law-hist", parents=[common, seeded])
     p.set_defaults(build=lambda a: law_hist_data(a.law, a.n, a.trials, a.seed))
     p.add_argument("--law", choices=("lis", "cycle"), default="cycle")
     p.add_argument("--n", type=_bounded_int(0, _LEVEL_CAP), default=4)

@@ -18,6 +18,15 @@ The level recursions avoid pairwise loops over supports:
 - The LIS and cycle laws square their count polynomial by Kronecker
   substitution in decimal slots: the counts are packed into one Decimal,
   squared exactly by libmpdec's number-theoretic transform, and cut back.
+  libmpdec transforms 2^m words of 19 digits, or 1.5 * 2^m words when the
+  product is longer, and the longer transform costs ~1.6 times as much: a
+  square of 155,648 digits (2^14 product words) takes 5.3 ms, one of
+  155,700 to 160,000 digits 8.5 ms (2-vCPU Xeon). Every law level's product
+  lands ~1.4% past a power of two (n = 10: 1025 slots of 308 digits,
+  16,616 words), so only the counts whose square fits the power of two
+  below go through the transform (505 of 513 at n = 10), and the last few
+  counts, the largest values with the smallest counts, add their cross
+  terms in ints.
 """
 
 from __future__ import annotations
@@ -298,19 +307,44 @@ def exact_mean_height(n: int) -> float:
     return float((1 - below).sum())
 
 
+# libmpdec (CPython's decimal, 64-bit builds) holds 19 digits a word. It multiplies a product of
+# at most _DIRECT_WORDS words by Karatsuba, and squares a longer one by number-theoretic transforms
+# of 2^m words if the product fits, else of 1.5 * 2^m words, which cost ~1.6 times as much
+_WORD_DIGITS = 19
+_DIRECT_WORDS = 1024
+# the cross terms of a tail of t of L counts cost ~t * L int products, a third of what the power
+# of two saves at a 1.5% tail (n = 12); a tail of more than 1/_TAIL_SHARE of the counts is squared whole
+_TAIL_SHARE = 32
+
+
 def _square_poly(c: list[int], bits: int) -> list[int]:
     """Coefficients of (sum_v c[v] x^v)^2, each below 2^bits, by Kronecker
-    substitution in decimal slots: pack c into one Decimal in d-digit slots,
-    10^d > 2^bits, square it in a context where rounding raises, and cut the
-    product back into slots. A slot within int's str digit limit (0: none) is
-    read by int; a wider one through Decimal, which has no such limit."""
+    substitution in decimal slots: pack the first k counts A into one Decimal
+    in d-digit slots, 10^d > 2^bits, square it in a context where rounding
+    raises, cut the product back into slots, and add the cross terms
+    2 A B + B^2 of the last counts B in ints. k is len(c) unless the whole
+    square would miss a power-of-two transform that A^2 fits, with a tail of
+    at most 1/_TAIL_SHARE of the counts. A slot within int's str digit limit
+    (0: none) is read by int; a wider one through Decimal, which has no such
+    limit."""
     d = bits * 30103 // 100000 + 1  # 30103 / 10^5 >= log10(2)
-    packed = decimal.Decimal("".join(str(decimal.Decimal(x)).zfill(d) for x in reversed(c)))
+    k = len(c)
+    words = 2 * -(-k * d // _WORD_DIGITS)  # the whole square's words, at most
+    if words >= 2 * _DIRECT_WORDS:  # A^2 still runs through a transform
+        fit = min(k, (1 << (words.bit_length() - 2)) * _WORD_DIGITS // d)  # A's words: half the power of two at or below
+        if _TAIL_SHARE * (k - fit) <= k:
+            k = fit
+    packed = decimal.Decimal("".join(str(decimal.Decimal(x)).zfill(d) for x in reversed(c[:k])))
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded])
-    digits = str(exact.multiply(packed, packed)).zfill((2 * len(c) - 1) * d)
+    digits = str(exact.multiply(packed, packed)).zfill((2 * k - 1) * d)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     cut = int if not limit or d <= limit else lambda slot: int(decimal.Decimal(slot))
-    return [cut(digits[i - d : i or None]) for i in range(0, -len(digits), -d)]
+    out = [cut(digits[i - d : i or None]) for i in range(0, -len(digits), -d)] + [0] * (2 * (len(c) - k))
+    for i in range(k, len(c)):  # count i times every count before it, twice, and itself
+        b, b2 = c[i], 2 * c[i]
+        out[i : 2 * i] = [o + b2 * a for o, a in zip(out[i : 2 * i], c)]
+        out[2 * i] += b * b
+    return out
 
 
 def _law_counts(n: int, extra) -> tuple[dict[int, int], int]:

@@ -12,13 +12,18 @@ All samplers take a ``numpy.random.Generator`` and advance it, so two
 draws from one generator never repeat each other's numbers; a stream id
 :class:`RngState` becomes a generator only through its ``generator()``.
 A generator must not be shared between threads during a call: the root
-ranks read and write its state. Bounded-integer draws are exactly uniform
-by rejection. The root ranks of :func:`uniform_bst_stats` are Lemire's
-multiply-shift draws (ACM TOMACS 2019) on the generator's 32-bit words,
-taken in the order numpy's ``integers`` takes them and with numpy itself
-as the fallback when a word would be rejected, so they are numpy's ranks;
-every other bounded draw is numpy's. The alias table, all in integers,
-draws every small tree exactly as often as its insertion orders.
+ranks, the shape draws and the law samplers read and write its state.
+Bounded-integer draws are exactly uniform by rejection. Three kinds of
+draw read the generator's 32-bit words from :func:`_words`, in the order
+numpy's ``integers`` takes them, and apply Lemire's multiply-shift rule
+(ACM TOMACS 2019), as numpy does: the root ranks of
+:func:`uniform_bst_stats`, with numpy itself as the fallback when a word
+would be rejected; and the fair bits of the law samplers and the top bits
+and class indices of :func:`nonsimple_butterfly_stats`, whose bounds are
+powers of two, which the rule never rejects, so each is its word's top
+bits. So these are numpy's draws; every other bounded draw is numpy's own
+call. The alias table, all in integers, draws every small tree exactly as
+often as its insertion orders.
 
 The recursion-law levels are normalized so that level n corresponds to
 permutations of length 2^n: the base value at n = 0 is the constant 1,
@@ -58,9 +63,10 @@ class RngState:
     int's words end in a nonzero word unless it is the one word 0, while a
     child's end in the word 0 after at least one other.
 
-    A generator belongs to one thread during a sampler call: the root ranks
-    read its state and write it back, so a draw from another thread in
-    between would be lost or repeated.
+    A generator belongs to one thread during a sampler call: the root
+    ranks, the shape draws and the law samplers read its state and write it
+    back (:func:`_words`), so a draw from another thread in between would
+    be lost or repeated.
     """
 
     seed: int
@@ -75,10 +81,11 @@ class RngState:
 def nonsimple_butterfly_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, l, r) arrays of ``count`` iid uniform nonsimple butterfly trees, n >= 1.
 
-    With k = min(n, 4), one (count, 2^(n-k) - 1) draw of fair bits for the
-    internal nodes of the top n - k levels, in level order, then one
+    With k = min(n, 4), numpy's (count, 2^(n-k) - 1) draw of fair bits for
+    the internal nodes of the top n - k levels, in level order, then its
     (count, 2^(n-k)) draw of uniform class indices below 2^(2^k - 1), one
-    per bottom k-level subtree, left to right, read by
+    per bottom k-level subtree, left to right, both the top bits of one
+    :func:`_words` draw, read by
     :func:`~butterfly_trees.butterfly.stats_from_subtrees`. A uniform class
     index is 2^k - 1 fair level-ordered shape bits, its binary digits, so
     these are the trees of fair bits on every internal node, with neither
@@ -87,9 +94,12 @@ def nonsimple_butterfly_stats(n: int, count: int, g: np.random.Generator) -> tup
     if n < 1:
         raise ValueError("n must be >= 1")
     k = min(n, TABLE_LEVELS)
-    top = g.integers(0, 2, size=(count, (1 << (n - k)) - 1))
-    index = g.integers(0, 1 << ((1 << k) - 1), size=(count, 1 << (n - k)))
-    return stats_from_subtrees(n, top, index)
+    tops, subtrees = (1 << (n - k)) - 1, 1 << (n - k)
+    words = _words(g, count * (tops + subtrees))
+    top, index = words[: count * tops], words[count * tops :]
+    top >>= 31
+    index >>= 32 - ((1 << k) - 1)
+    return stats_from_subtrees(n, top.reshape(count, tops), index.reshape(count, subtrees))
 
 
 def _law_counts() -> np.ndarray:
@@ -181,35 +191,52 @@ def _alias_codes(small: np.ndarray, g: np.random.Generator) -> np.ndarray:
     return codes.take(at)
 
 
+def _words(g: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words of ``g`` as uint32, in the order numpy's
+    bounded draws take them: ``g.integers(0, 2**32, count, dtype=np.uint32)``,
+    with the same ``g.bit_generator.state`` after.
+
+    PCG64 hands out its words as the half its state holds, if any, then the
+    low and the high half of each 64-bit word, and holds an unused high half.
+    Here the 64-bit words come from one ``random_raw`` call, without the GIL,
+    and are read in place; they are copied only to put a held half first. The
+    state is then written as numpy's word-by-word draws would leave it. Any
+    other bit generator draws through ``integers``.
+    """
+    bg = g.bit_generator
+    if type(bg) is not np.random.PCG64 or not count:
+        return g.integers(0, 1 << 32, size=count, dtype=np.uint32)
+    state = bg.state
+    held = state["has_uint32"]
+    fresh = count - held  # words beyond the held half
+    # each raw word's halves, low first, on any host byte order
+    words = bg.random_raw((fresh + 1) // 2).astype("<u8", copy=False).view("<u4")
+    if held:
+        words = np.concatenate((np.array([state["uinteger"]], dtype=np.uint32), words))
+    if fresh:
+        state = bg.state  # the raw words advanced it
+        state["uinteger"] = int(words[-1])  # numpy keeps the last high half, held or spent
+    state["has_uint32"] = fresh & 1
+    bg.state = state
+    return words[:count]
+
+
 def _root_ranks(size: np.ndarray, g: np.random.Generator) -> np.ndarray:
     """``g.integers(0, size)`` for int64 sizes in 2..2^32 - 1: the same ranks,
     and the same ``g.bit_generator.state`` after.
 
     numpy draws rank k < s from a 32-bit word w by Lemire's rule, k = w * s >> 32,
     unless the low half w * s mod 2^32 is below 2^32 mod s; then it rejects w and
-    draws the next word. PCG64 hands out its words as the half its state holds,
-    if any, then the low and the high half of each 64-bit word, and holds an
-    unused high half. Here the words come from one ``random_raw`` call and the
-    rule runs on whole arrays, both without the GIL, where numpy's loop over the
+    draws the next word. Here the words come from :func:`_words` and the rule
+    runs on whole arrays, both without the GIL, where numpy's loop over the
     sizes holds it. If any word would be rejected, the state is restored and
-    numpy draws the ranks; so does any other bit generator, and an empty array.
-    A size of 1 would draw no word in numpy, and is not handled.
+    numpy draws the ranks. A size of 1 would draw no word in numpy, and is not
+    handled.
     """
     bg = g.bit_generator
-    if type(bg) is not np.random.PCG64 or not size.size:
-        return g.integers(0, size)
     state = bg.state
-    held = state["has_uint32"]
-    fresh = size.size - held  # words beyond the held half
-    # each raw word's halves, low first, on any host byte order
-    words = bg.random_raw((fresh + 1) // 2).astype("<u8", copy=False).view("<u4")
     s = size.view(np.uint64)
-    m = np.empty(size.size, dtype=np.uint64)  # w * s, then the rank w * s >> 32
-    if held:
-        m[0] = state["uinteger"] * int(size[0])
-    np.multiply(words[:fresh], s[held:], out=m[held:])
-    last = int(words[-1]) if fresh else state["uinteger"]
-    del words
+    m = np.multiply(_words(g, size.size), s)  # w * s, then the rank w * s >> 32
     low = m.astype(np.uint32)
     maybe = np.flatnonzero(low < s)  # low >= s is never rejected; one word in 2^32 / s is checked
     if maybe.size and (low[maybe] < (1 << 32) % s[maybe]).any():
@@ -217,10 +244,6 @@ def _root_ranks(size: np.ndarray, g: np.random.Generator) -> np.ndarray:
         return g.integers(0, size)
     del low
     m >>= 32
-    state = bg.state  # the raw words advanced it
-    state["has_uint32"] = fresh & 1
-    state["uinteger"] = last
-    bg.state = state
     return m.view(np.int64)
 
 
@@ -341,13 +364,27 @@ def wreath_heights(n: int, m: int, count: int, g: np.random.Generator) -> np.nda
 
 
 def _law_samples(n: int, count: int, g: np.random.Generator, combine) -> np.ndarray:
+    """int64 level-n samples of a law whose level k + 1 is ``combine(X1, X2, eta)``
+    of level k's adjacent pairs and a fair bit: numpy's ``g.integers(1, 3)`` for
+    level 1 and ``g.integers(0, 2)`` for each level above, as (count, width) arrays
+    from level 1 up, read from one :func:`_words` draw of all count * (2^n - 1)
+    bits, the top bit of each word, and combined in place in its uint32 words."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    # level 1 of both laws is 1 + eta, drawn as such: no all-ones level is built
-    arr = g.integers(1, 3, size=(count, 1 << (n - 1))) if n else np.ones((count, 1), dtype=np.int64)
-    for _ in range(n - 1):
-        arr = combine(arr[:, 0::2], arr[:, 1::2], g.integers(0, 2, size=(count, arr.shape[1] // 2)))
-    return arr[:, 0]
+    if not n:
+        return np.ones(count, dtype=np.int64)
+    bits = _words(g, count * ((1 << n) - 1))
+    bits >>= 31
+    width = 1 << (n - 1)
+    arr = bits[: count * width].reshape(count, width)
+    arr += 1  # level 1 of both laws is 1 + eta: no all-ones level is built
+    at = arr.size
+    while width > 1:
+        width >>= 1
+        eta = bits[at : at + count * width].reshape(count, width)
+        at += eta.size
+        arr = combine(arr[:, 0::2], arr[:, 1::2], eta)
+    return arr[:, 0].astype(np.int64)
 
 
 def lis_law_samples(n: int, count: int, g: np.random.Generator) -> np.ndarray:

@@ -164,13 +164,17 @@ EXACT_GOLDEN = [
     (["bounds", "--n-max", "10", "--exact-max", "5"], "5a60af97847216aa4fea104769be2e2e2d39ceb999c93d3dba1e01d83e6a2d3e"),
     (["law-hist", "--law", "cycle", "--n", "10", "--trials", "2000"], "9cab477b6e5993dd1cc8e0c8bba33ef9ecb63f16a9225555e5498f0023101c5f"),
     (["law-hist", "--law", "lis", "--n", "10", "--trials", "2000"], "73b99f2f1a07acf97d3374609a1808c25f3813ef0f1a75ee738354938094c66f"),
+    (["law-hist", "--law", "cycle", "--n", "12", "--trials", "2000"], "40efdad84611c7c41e057b20e60222fb87560559aae593db611e80c8cd63e90c"),
+    (["law-hist", "--law", "lis", "--n", "12", "--trials", "2000"], "bbc6900ae9ecf94d91c3c64661cd883d62a01b52689710c83b9f655b3deeae21"),
     (["pmf", "--which", "stirling"], "a2a4f5b961e5a54f0330c66111af992aacdd46b286118c77ec8df8e1f88acf9c"),
     (["pmf", "--which", "stirling", "--n", "300"], "f02911378c8aa26980f4dd3b73836b8ff4a6ada06a5ea92b30201a0a43ecef06"),
 ]
 
 
 @pytest.mark.parametrize(
-    "args,digest", EXACT_GOLDEN, ids=["bounds", "bounds-exact5", "law-cycle-n10", "law-lis-n10", "pmf-stirling", "pmf-stirling-n300"]
+    "args,digest",
+    EXACT_GOLDEN,
+    ids=["bounds", "bounds-exact5", "law-cycle-n10", "law-lis-n10", "law-cycle-n12", "law-lis-n12", "pmf-stirling", "pmf-stirling-n300"],
 )
 def test_exact_golden_digest(capsys, args, digest):
     # recorded from the dict convolutions; the dense and Kronecker laws must reproduce it.
@@ -179,7 +183,8 @@ def test_exact_golden_digest(capsys, args, digest):
     # came from cli._chi2_sf instead of scipy.special.chdtrc: pvalue moved in its last digits
     # (0.5258576811653656 -> ...659 cycle, 0.7325172688098454 -> ...451 lis), within its bound.
     # The bounds and pmf digests were re-recorded when the subcommands that sample nothing
-    # stopped writing a seed line: that line alone left.
+    # stopped writing a seed line: that line alone left. The n = 12 law-hist digests were
+    # recorded from the unsplit Kronecker square and numpy's own fair-bit draws.
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -221,7 +226,7 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         pytest.param(["fig8", "--trials", "0"], "argument --trials: must be >= 1", id="args0-argument --trials: must be >= 1"),
         pytest.param(["law-hist", "--trials", "-5"], "argument --trials: must be >= 1", id="args1-argument --trials: must be >= 1"),
         pytest.param(["fig8", "--seed", "-1"], "argument --seed: must be in 0..18446744073709551615, got -1", id="args2-argument --seed: must be in 0..18446744073709551615, got -1"),
-        pytest.param(["bounds", "--seed", "-7"], "argument --seed: must be in 0..18446744073709551615, got -7", id="args3-argument --seed: must be in 0..18446744073709551615, got -7"),
+        pytest.param(["fig8", "--seed", "-7"], "argument --seed: must be in 0..18446744073709551615, got -7", id="args3-argument --seed: must be in 0..18446744073709551615, got -7"),
         pytest.param(["fig8", "--n", "0"], "argument --n: must be in 1..23, got 0", id="args4-argument --n: must be in 1..23, got 0"),
         pytest.param(["fig8", "--n", "-3"], "argument --n: must be in 1..23, got -3", id="args5-argument --n: must be in 1..23, got -3"),
         pytest.param(["fig8", "--trials", "ten"], "argument --trials: invalid int value", id="args6-argument --trials: invalid int value"),
@@ -263,6 +268,10 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
         pytest.param(["explore-conjecture", "--grid", "4x6,3000x3000"], "argument --grid: need n*m <= 8388608 (one row must fit a chunk), got '3000x3000'", id="args42-argument --grid: need n*m <= 8388608 (one row must fit a chunk), got '3000x3000'"),
         pytest.param(["bounds", "--n-max", "1120"], "argument --n-max: must be in 1..1119, got 1120", id="args43-argument --n-max: must be in 1..1119, got 1120"),
         pytest.param(["fig8", "--seed", str(10**26)], f"argument --seed: must be in 0..18446744073709551615, got {10**26}", id="args44-argument --seed: must be in 0..18446744073709551615, got 100000000000000000000000000"),
+        pytest.param(["bounds", "--seed", "5"], "unrecognized arguments: --seed 5", id="seed-bounds"),
+        pytest.param(["table1", "--seed", "5"], "unrecognized arguments: --seed 5", id="seed-table1"),
+        pytest.param(["lattice-degrees", "--seed", "5"], "unrecognized arguments: --seed 5", id="seed-lattice-degrees"),
+        pytest.param(["pmf", "--seed", "5"], "unrecognized arguments: --seed 5", id="seed-pmf"),
         pytest.param(["table1", "--out", ""], "argument --out: must not be empty", id="out-empty"),
         pytest.param(["clt-simple", "--n", str(2**63), "--samples", "3"], f"argument --n: must be in 1..{2**63 - 1}, got {2**63}", id="clt-n-past-int64"),
     ],
@@ -699,25 +708,34 @@ SMALL_ARGS = [
 ]
 
 
+# the builders that draw nothing and take no --seed; every other subcommand samples and records its seed
+DRAWS_NOTHING = {"table1", "bounds", "lattice-degrees", "pmf"}
+
+
+def seeded(args: list[str]) -> list[str]:
+    """``args`` with ``--seed 55`` where the subcommand samples."""
+    return args if args[0] in DRAWS_NOTHING else args + ["--seed", "55"]
+
+
 @pytest.mark.parametrize("args", SMALL_ARGS, ids=lambda a: a[0])
 def test_every_subcommand_is_byte_deterministic(capsys, args):
     for fmt in ("csv", "json"):
-        first = run_cli(capsys, args + ["--format", fmt, "--seed", "55"])
-        second = run_cli(capsys, args + ["--format", fmt, "--seed", "55"])
+        first = run_cli(capsys, seeded(args) + ["--format", fmt])
+        second = run_cli(capsys, seeded(args) + ["--format", fmt])
         assert first == second
-
-
-# the builders that draw nothing; every other subcommand samples and records its seed
-DRAWS_NOTHING = {"table1", "bounds", "lattice-degrees", "pmf"}
 
 
 @pytest.mark.parametrize("args", SMALL_ARGS, ids=lambda a: a[0])
 def test_only_sampling_subcommands_record_a_seed(capsys, args):
-    out = run_cli(capsys, args + ["--seed", "55"])
+    out = run_cli(capsys, seeded(args))
     seeds = [line for line in out.split("\n") if line.startswith("# seed=")]
     assert seeds == ([] if args[0] in DRAWS_NOTHING else ["# seed=55"])
-    doc = json.loads(run_cli(capsys, args + ["--seed", "55", "--format", "json"]))
+    doc = json.loads(run_cli(capsys, seeded(args) + ["--format", "json"]))
     assert doc["meta"].get("seed") == (None if args[0] in DRAWS_NOTHING else 55)
+    if args[0] in DRAWS_NOTHING:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--seed", "55"])
+        assert exc.value.code == 2 and "unrecognized arguments: --seed 55" in capsys.readouterr().err
 
 
 def test_fig8_small_mean_matches_exact():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -338,6 +339,63 @@ def test_square_poly_at_the_int_digit_limit(bits, digits):
         assert _square_poly(c, bits) == schoolbook_square(c)
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def square_words(length: int, bits: int) -> int:
+    """libmpdec words, 19 digits each, of the whole square of ``length`` counts in slots for ``bits``."""
+    return 2 * -(-length * (bits * 30103 // 100000 + 1) // 19)
+
+
+@pytest.mark.parametrize(
+    "length,bits,words",
+    [
+        (1023, 60, 2046),  # 19-digit slots, one word each: just below 2^11 words
+        (1024, 60, 2048),  # at it
+        (1025, 60, 2050),  # just above: the first 1024 counts are packed, the last one is the tail
+        (2049, 60, 4098),
+        (511, 123, 2044),  # 38-digit slots, two words each
+        (512, 123, 2048),
+        (513, 123, 2052),
+        (513, 1023, 16632),  # a law level's shape, n = 10: 505 counts packed, 8 in the tail
+    ],
+)
+def test_square_poly_around_a_power_of_two_transform(length, bits, words):
+    # random counts as large as the slots allow, the tail's too, so a split must be exact for any counts
+    assert square_words(length, bits) == words
+    rng = random.Random(length * bits)
+    k = (bits - length.bit_length()) // 2
+    c = [rng.getrandbits(k) for _ in range(length)]
+    assert _square_poly(c, bits) == schoolbook_square(c)
+    # a tail holding the largest counts, after small ones
+    c = [rng.getrandbits(k // 4) for _ in range(length - 16)] + [(1 << k) - 1 - rng.getrandbits(8) for _ in range(16)]
+    assert _square_poly(c, bits) == schoolbook_square(c)
+
+
+@pytest.mark.parametrize("length", [1, 2])
+def test_square_poly_of_one_and_two_transform_sized_counts(length):
+    # a product past 2048 words from one or two counts, whose slots are past int's 4300-digit limit
+    bits = 70_000
+    assert square_words(length, bits) >= 2048
+    rng = random.Random(length)
+    c = [rng.getrandbits((bits - 2) // 2) for _ in range(length)]
+    assert _square_poly(c, bits) == schoolbook_square(c)
+
+
+LAW_COUNTS_SHA256 = {
+    ("cycle", 11): "19b622e44a0fdfa7b55400ed5d716a3f345b4ca3c5314564d4613fa339ff5017",
+    ("lis", 11): "f035d1bc6ca72748630321e350cd658274cd8806b88bfd5cbfa4122624c20dbb",
+    ("cycle", 12): "8c68043cf27261db567ddd6fe6915c1ffe58c9aedc7ec274f25f82408989d20e",
+    ("lis", 12): "fbcea0f9cf7b89ff793b9576224c20cd3bdb4a3389a1425b8b1de853d9a18fc1",
+}
+
+
+@pytest.mark.parametrize("law,n", list(LAW_COUNTS_SHA256), ids=lambda v: str(v))
+def test_law_counts_past_the_dict_oracle_are_pinned(law, n):
+    # recorded from the unsplit Kronecker square, which matched the dict convolution through
+    # n = 10; the oracle takes too long here, and the split square of these levels must not move them
+    counts, denom_exp = (lis_law_counts if law == "lis" else cycle_law_counts)(n)
+    assert denom_exp == (1 << n) - 1
+    assert hashlib.sha256(repr(sorted(counts.items())).encode()).hexdigest() == LAW_COUNTS_SHA256[law, n]
 
 
 @pytest.mark.parametrize("law,law_counts", [("lis", lis_law_counts), ("cycle", cycle_law_counts)])

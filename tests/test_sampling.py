@@ -21,6 +21,7 @@ from butterfly_trees.sampling import (
     _alias_table,
     _law_counts,
     _root_ranks,
+    _words,
     cycle_law_samples,
     lis_law_samples,
     nonsimple_butterfly_stats,
@@ -457,12 +458,13 @@ def test_nonsimple_butterfly_stats_are_those_of_the_expanded_shape_bits():
 
 
 def test_nonsimple_butterfly_stats_chunk_peak_memory():
-    # one fig8 chunk at n = 16 (128 rows) peaks near 20 MB: its int64 top bits and subtree
-    # indices, 4 MB each, their int32 (h, l, r), 2 MB each, and one level's combine; the one-row
-    # chunk at n = 23 near 24 MB, with 4 MB more for its bit-reversal permutation. Both read
-    # 30.3 MB while the levels ran on int64 columns; a (128, 2^16 - 1) bit matrix alone is 64 MB
+    # one fig8 chunk at n = 16 (128 rows) peaks near 16 MB: the uint32 words of its top bits and
+    # subtree indices, 4 MB in all, their int32 (h, l, r), 2 MB each, and one level's combine; the
+    # one-row chunk at n = 23 near 20 MB, with 4 MB more for its bit-reversal permutation. Both read
+    # 4 MB more while the bits and indices were numpy's int64 draws, and 30.3 MB while the levels
+    # ran on int64 columns; a (128, 2^16 - 1) bit matrix alone is 64 MB
     nonsimple_butterfly_stats(16, 1, RngState(0).generator())  # the subtree tables are built outside the trace
-    for n, rows, bound in ((16, 128, 24), (23, 1, 28)):
+    for n, rows, bound in ((16, 128, 20), (23, 1, 24)):
         tracemalloc.start()
         try:
             nonsimple_butterfly_stats(n, rows, RngState(n).generator())
@@ -505,6 +507,56 @@ def test_law_samplers_match_the_recursion_on_the_same_draws(law, sampler, n):
     g, oracle = state.generator(), state.generator()
     assert sampler(n, 25, g).tolist() == law_samples_oracle(law, n, 25, oracle)
     assert g.integers(0, 2**62) == oracle.integers(0, 2**62)
+
+
+def twin_generators(kind: str) -> tuple[np.random.Generator, np.random.Generator]:
+    """Two generators in one state: PCG64 with no half held, PCG64 holding the high
+    half of a word whose low half was drawn, or MT19937 (numpy's draws, the fallback)."""
+    if kind == "mt19937":
+        return np.random.Generator(np.random.MT19937(17)), np.random.Generator(np.random.MT19937(17))
+    g, twin = np.random.default_rng(17), np.random.default_rng(17)
+    if kind == "held":
+        for gen in (g, twin):
+            gen.integers(0, 2, size=3)
+        assert g.bit_generator.state["has_uint32"] == 1
+    return g, twin
+
+
+DRAW_KINDS = ["fresh", "held", "mt19937"]
+
+
+@pytest.mark.parametrize("kind", DRAW_KINDS)
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 8])
+def test_words_are_numpys_uint32_draws(kind, count):
+    g, twin = twin_generators(kind)
+    got, want = _words(g, count), twin.integers(0, 2**32, size=count, dtype=np.uint32)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    np.testing.assert_equal(g.bit_generator.state, twin.bit_generator.state)
+    assert g.integers(0, 2, size=5).tolist() == twin.integers(0, 2, size=5).tolist()
+
+
+@pytest.mark.parametrize("kind", DRAW_KINDS)
+@pytest.mark.parametrize("n", [0, 1, 4, 10])
+@pytest.mark.parametrize("count", [0, 1, 7])
+@pytest.mark.parametrize("law,sampler", [("lis", lis_law_samples), ("cycle", cycle_law_samples)])
+def test_law_samplers_are_those_of_numpys_draws(kind, n, count, law, sampler):
+    # the values and dtype of the recursion on numpy's own g.integers bits, and numpy's state after
+    g, twin = twin_generators(kind)
+    got = sampler(n, count, g)
+    assert got.dtype == np.int64 and got.tolist() == law_samples_oracle(law, n, count, twin)
+    np.testing.assert_equal(g.bit_generator.state, twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("kind", DRAW_KINDS)
+@pytest.mark.parametrize("n", [1, 4, 5, 10])
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_nonsimple_butterfly_stats_are_those_of_numpys_draws(kind, n, count):
+    # the trees of numpy's g.integers top bits and class indices, and numpy's state after
+    g, twin = twin_generators(kind)
+    got, want = nonsimple_butterfly_stats(n, count, g), stats_from_subtrees(n, *nonsimple_subtrees(n, count, twin))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    np.testing.assert_equal(g.bit_generator.state, twin.bit_generator.state)
 
 
 def test_lis_law_matches_enumeration():
