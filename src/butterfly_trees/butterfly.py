@@ -42,7 +42,7 @@ the bits and indices directly (``sampling.nonsimple_butterfly_stats``: per
 chunk, the top bits, then one uniform class index per bottom subtree).
 A simple tree needs no table: both children of each node are the same
 tree, so :func:`simple_stats` runs :func:`_level` n times over all 2^n
-simple trees at once, and ``table1`` reads its heights.
+simple trees at once, and ``table1`` and ``lattice-degrees`` read its heights.
 """
 
 from __future__ import annotations

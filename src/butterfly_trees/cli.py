@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import butterfly, exact, lattice, sampling
+from . import butterfly, exact, sampling
 from .gepp import UNIFORMITY_CAP, uniformity_check
 
 DEFAULT_SEED = 1024
@@ -52,6 +52,11 @@ _LEVEL_CAP = _CHUNK_ENTRIES.bit_length() - 1
 # takes ~0.45 s (2-vCPU AMD EPYC) but peaks at ~350 MB, above the ~313 MB largest peak of any
 # other run (`theorem2-diff --n 1 --m 8388608 --trials 2`), so the cap stays at 8
 EXACT_MAX_CAP = 8
+# law-hist: the largest n given exact columns. The exact law takes ~0.37 s at n = 12 and
+# ~2.0 s at n = 13 (cycle and lis alike, 2-vCPU Intel Xeon), about 5x per level
+LAW_EXACT_CAP = 12
+# lattice-degrees --n: 2^20 simple trees take ~0.75 s and ~109 MB as a process (2-vCPU Intel Xeon)
+LATTICE_CAP = 20
 # bounds --n-max: the last n whose upper mean bound is a finite double (1120 gives inf)
 N_MAX_CAP = 1119
 # pmf --n per --which: every number must print within Python's 4300-digit int-to-str
@@ -387,16 +392,25 @@ def gepp_check_data(n: int, trials: int, seed: int, family: str) -> tuple[dict, 
 
 
 def lattice_degrees_data(n: int) -> tuple[dict, dict]:
-    """Comparability-graph degree multiset next to the simple height counts."""
-    degs = lattice.degree_multiset(n)
-    heights = exact.simple_height_counts(n)
-    keys = sorted(degs)
+    """Degree multiset of the Boolean lattice's comparability graph next to the
+    height counts of the 2^n simple butterfly trees (``butterfly.simple_stats``).
+    A subset of size k, counted from its bitmask, is comparable to its 2^k - 1
+    proper subsets and 2^(n-k) - 1 proper supersets."""
+    values, freqs = np.unique(butterfly.simple_stats(n)[0], return_counts=True)
+    heights = dict(zip(values.tolist(), freqs.tolist()))  # the trees are freed before the masks are built
+    masks = np.arange(1 << n, dtype=np.int64)
+    size = np.zeros_like(masks)
+    for i in range(n):
+        size += masks >> i & 1
+    values, freqs = np.unique((1 << size) + (1 << (n - size)) - 2, return_counts=True)
+    degs = dict(zip(values.tolist(), freqs.tolist()))
+    keys = sorted(degs.keys() | heights.keys())
     meta = {"subcommand": "lattice-degrees", "n": n}
     cols = {
         "degree": keys,
-        "count": [degs[k] for k in keys],
+        "count": [degs.get(k, 0) for k in keys],
         "height_count": [heights.get(k, 0) for k in keys],
-        "equal": [int(degs[k] == heights.get(k, 0)) for k in keys],
+        "equal": [int(degs.get(k, 0) == heights.get(k, 0)) for k in keys],
     }
     return meta, cols
 
@@ -423,7 +437,7 @@ def pmf_data(which: str, n: int) -> tuple[dict, dict]:
 
 def law_hist_data(law: str, n: int, trials: int, seed: int) -> tuple[dict, dict]:
     """Histogram of a recursion-law sampler next to its exact dyadic law, with
-    the pooled chi-square p-value up to n = 12."""
+    the pooled chi-square p-value up to n = ``LAW_EXACT_CAP``."""
     if law == "lis":
         sampler, law_counts = sampling.lis_law_samples, exact.lis_law_counts
     elif law == "cycle":
@@ -434,7 +448,7 @@ def law_hist_data(law: str, n: int, trials: int, seed: int) -> tuple[dict, dict]
     values, freqs = np.unique(x, return_counts=True)
     observed = {int(v): int(c) for v, c in zip(values, freqs)}
     meta = {"subcommand": "law-hist", "law": law, "n": n, "trials": trials, "seed": seed}
-    if n <= 12:
+    if n <= LAW_EXACT_CAP:
         counts, denom_exp = law_counts(n)
         support = sorted(set(observed) | set(counts))
         # int / int is correctly rounded; a float denominator overflows from n = 10
@@ -549,7 +563,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--trials", type=_bounded_int(1), default=80_000)
     p = sub.add_parser("lattice-degrees", parents=[common])
     p.set_defaults(build=lambda a: lattice_degrees_data(a.n))
-    p.add_argument("--n", type=_bounded_int(1, lattice.ANALYTIC_CAP), default=10)
+    p.add_argument("--n", type=_bounded_int(1, LATTICE_CAP), default=10)
     p = sub.add_parser("pmf", parents=[common])
     p.set_defaults(build=lambda a: pmf_data(a.which, a.n))
     p.add_argument("--which", choices=("stirling", "simple-height", "cycle-moments"), default="stirling")

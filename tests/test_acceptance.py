@@ -287,8 +287,8 @@ def test_criterion_11_gepp_provenance():
 
 
 def test_criterion_12_lattice_degrees_match_height_counts():
-    from butterfly_trees.lattice import degree_multiset
-
     for n in range(1, 13):
-        assert degree_multiset(n) == simple_height_counts(n)
-    report("criterion 12 (comparability degrees = height counts, n <= 12, exact): PASS")
+        _, cols = cli.lattice_degrees_data(n)
+        assert dict(zip(cols["degree"], cols["count"])) == simple_height_counts(n)
+        assert cols["height_count"] == cols["count"] and cols["equal"] == [1] * len(cols["count"])
+    report("criterion 12 (comparability degrees = simple tree height counts, n <= 12, exact): PASS")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from butterfly_trees import cli, exact, gepp
+
+from conftest import explicit_degree_multiset
 from butterfly_trees.sampling import (
     RngState,
     cycle_law_samples,
@@ -424,6 +427,49 @@ def test_json_mirrors_columns(capsys):
     assert doc["columns"]["degree"] == [4, 7]
     assert doc["columns"]["count"] == [6, 2]
     assert doc["columns"]["equal"] == [1, 1]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lattice_degrees_compare_the_lattice_with_the_trees(n):
+    _, cols = cli.lattice_degrees_data(n)
+    assert dict(zip(cols["degree"], cols["count"])) == explicit_degree_multiset(n)
+    assert dict(zip(cols["degree"], cols["height_count"])) == exact.simple_height_counts(n)
+    assert cols["equal"] == [1] * len(cols["degree"])
+
+
+def test_lattice_degrees_flag_a_wrong_tree_height(capsys, monkeypatch):
+    # the all-12 tree of 2^4 keys is a path of height 15, the degree of the empty set and of the full set
+    real = cli.butterfly.simple_stats
+
+    def one_wrong(n):
+        h, l, r = real(n)
+        h[0] += 1
+        return h, l, r
+
+    monkeypatch.setattr(cli.butterfly, "simple_stats", one_wrong)
+    rows = [l.split(",") for l in run_cli(capsys, ["lattice-degrees", "--n", "4"]).split("\n") if l and not l.startswith("#")]
+    assert rows[0] == ["degree", "count", "height_count", "equal"]
+    assert {r[0]: r[1:] for r in rows[1:]} == {"6": ["6", "6", "1"], "8": ["8", "8", "1"], "15": ["2", "1", "0"], "16": ["0", "1", "0"]}
+
+
+def test_lattice_degrees_peak_memory_at_the_cap():
+    tracemalloc.start()
+    try:
+        cli.lattice_degrees_data(cli.LATTICE_CAP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 80.0 MiB measured, all of it butterfly.simple_stats(20): the trees are freed before the masks are built
+    assert peak <= 96 * 2**20
+
+
+@pytest.mark.parametrize("law", ["cycle", "lis"])
+def test_law_hist_exact_columns_end_at_the_cap(law):
+    meta, cols = cli.law_hist_data(law, cli.LAW_EXACT_CAP, 20, seed=5)
+    assert list(cols) == ["value", "observed", "expected"] and "pvalue" in meta
+    meta, cols = cli.law_hist_data(law, cli.LAW_EXACT_CAP + 1, 20, seed=5)
+    assert list(cols) == ["value", "observed"] and "pvalue" not in meta
+    assert meta["band"] == "exploratory (law too large for exact columns)"
 
 
 def test_bounds_two_decimal_format(capsys):
