@@ -46,7 +46,10 @@ _ORDERS = math.factorial(_SMALL)  # < 2^63: one int64 draw per small interval
 _COL_BITS = 11  # 2^11 alias columns per size: divides _ORDERS, exceeds the 1483 triples of 20 keys
 _COLS = 1 << _COL_BITS
 _SIZE = (1 << 30) - 1  # size field of a live interval
-_LEFT, _RIGHT = 1, 2  # edge bits of a live interval
+_LEFT, _RIGHT = 1 << 30, 1 << 31  # edge bits of a live interval
+_TREE = -1 << 32  # tree field of a live interval
+# the halves of l | r << 32 that a small interval's edge bits keep, indexed by right << 1 | left
+_EDGE_HALVES = np.array([0, 0xFFFFFFFF, -1 << 32, -1], dtype=np.int64)
 _ALIAS_LOCK = threading.Lock()  # two threads' first uniform_bst_stats build the alias table once
 
 
@@ -133,7 +136,8 @@ def _law_counts() -> np.ndarray:
 def _alias_table() -> tuple[np.ndarray, np.ndarray]:
     """Read-only Walker alias columns (thr, codes) of every size s <= _SMALL:
     column c of size s is entry i = s * _COLS + c of thr, and codes[2i] and
-    codes[2i + 1] are its primary and alias, each h | l << 8 | r << 16.
+    codes[2i + 1] are its primary and alias, each h | l << 24 | r << 56, so
+    that code >> 24 is l | r << 32, the layout of the edge sums.
 
     A triple of size s weighs its count times _ORDERS / s!, so each size
     weighs _ORDERS in all, _COLS columns of capacity _ORDERS / _COLS. Vose's
@@ -152,7 +156,7 @@ def _alias_table() -> tuple[np.ndarray, np.ndarray]:
         at = np.nonzero(T[s])
         h, l, r = (i - 1 for i in at)
         pad = [0] * (_COLS - h.size)  # empty columns: weight 0, always their alias
-        code = (h | l << 8 | r << 16).tolist() + pad
+        code = (h | l << 24 | r << 56).tolist() + pad
         weight = [int(c) * (_ORDERS // math.factorial(s)) for c in T[s][at]] + pad
         alias = list(range(_COLS))
         small = [c for c in alias if weight[c] < cap]
@@ -172,17 +176,18 @@ def _alias_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _alias_codes(small: np.ndarray, g: np.random.Generator) -> np.ndarray:
-    """h | l << 8 | r << 16 of the whole tree of each small interval, from one
-    exact integer alias draw each; the temporaries, as large as the level, die
-    on return."""
+    """h | l << 24 | r << 56 of the whole tree of each small interval, from one
+    exact integer alias draw each. An interval's size is its low bits,
+    ``& _SIZE``, read unshifted (:func:`uniform_bst_stats`); the temporaries,
+    as large as the level, die on return."""
     with _ALIAS_LOCK:
         thr, codes = _alias_table()
     # column u mod _COLS of the interval's size, then the column's alias if
     # u // _COLS >= thr; in place, since a large level's temporaries cost
     # as much as its arithmetic
     u = g.integers(0, _ORDERS, size=small.size, dtype=np.int64)
-    at = small & _SIZE << 2
-    at <<= _COL_BITS - 2
+    at = small & _SIZE
+    at <<= _COL_BITS
     at |= u & _COLS - 1
     u >>= _COL_BITS
     alias = u >= thr.take(at)
@@ -247,6 +252,15 @@ def _root_ranks(size: np.ndarray, g: np.random.Generator) -> np.ndarray:
     return m.view(np.int64)
 
 
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ... of two arrays of one size and dtype:
+    ``np.stack((a, b), axis=1).ravel()`` without ``np.stack``'s Python wrapper."""
+    out = np.empty(2 * a.size, dtype=a.dtype)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
 def uniform_bst_stats(
     n: int, count: int, g: np.random.Generator, edges: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -263,10 +277,14 @@ def uniform_bst_stats(
     ranks without the GIL, and each interval's two kids are split once
     into the next level's nonempty small and large intervals, in order, and
     the small ones draw their trees. An interval is one int64,
-    tree << 32 | size << 2 | edge, whose edge bits _LEFT and _RIGHT say that
-    every split above it went left or right, so that its root lies on the
-    top-left or top-right edge. Each of a tree's l and r comes from the one
-    interval where its edge ends, so every interval adds its share to
+    tree << 32 | right << 31 | left << 30 | size, whose edge bits _RIGHT and
+    _LEFT say that every split above it went right or left, so that its root
+    lies on the top-right or top-left edge; a kid takes its parent's tree and
+    its own side's edge bit with one mask, over its size. Each of a tree's l
+    and r comes from the one interval where its edge ends: a large interval
+    whose kid on that side is empty, read off the kid as its edge bit over a
+    size of 0, adds its depth; a small interval on the edge adds its depth
+    plus its own tree's l or r. So every interval adds its share to
     l | r << 32, zero off the edges; ``edges=False`` sets no edge bit and
     sums nothing, for a caller that reads only h. A level's arrays are freed
     before the next level's are made, so that two calls on two threads fit
@@ -276,38 +294,34 @@ def uniform_bst_stats(
     if not 1 <= n <= _SIZE:
         raise ValueError(f"n must be in 1..{_SIZE}, got {n}")
     if n <= _SMALL:
-        code = _alias_codes(np.full(count, n << 2, dtype=np.int64), g)
-        return (code & 0xFF, code >> 8 & 0xFF, code >> 16) if edges else (code & 0xFF, None, None)
+        code = _alias_codes(np.full(count, n, dtype=np.int64), g)
+        return (code & 0xFF, code >> 24 & 0xFF, code >> 56) if edges else (code & 0xFF, None, None)
     h = np.zeros(count, dtype=np.int64)
     lr = np.zeros(count, dtype=np.int64) if edges else None  # l | r << 32
-    large = np.arange(count, dtype=np.int64) << 32 | n << 2 | (_LEFT | _RIGHT if edges else 0)
+    large = np.arange(count, dtype=np.int64) << 32 | (_LEFT | _RIGHT if edges else 0) | n
     depth = 0
     # every partition is a compress: numpy 2.4 takes 1.7 ms to subscript 450K
     # int64s by a half-true bool mask, and compress 0.21 ms
     while large.size:
-        tree = large >> 32
-        rest = large >> 2 & _SIZE  # the size, until the root rank k is drawn
+        rest = large & _SIZE  # the size, until the root rank k is drawn
         k = _root_ranks(rest, g)
         rest -= 1
         rest -= k
-        if edges:
-            lr[tree.compress(((large & _LEFT) != 0) & (k == 0))] += depth
-            lr[tree.compress(((large & _RIGHT) != 0) & (rest == 0))] += depth << 32
         # the kids split once into the nonempty small and the large, and are
-        # built in place over k and rest; a kid keeps its parent's edge bit on its side
-        big = np.stack((k > _SMALL, rest > _SMALL), axis=1).ravel()
-        kept = np.stack((k > 0, rest > 0), axis=1).ravel()
+        # built in place over k and rest; a kid keeps its parent's tree and
+        # its parent's edge bit on its side
+        big = _pairs(k > _SMALL, rest > _SMALL)
+        kept = _pairs(k > 0, rest > 0)
         kept ^= big
-        tree <<= 32
-        k <<= 2
-        k |= tree
-        rest <<= 2
-        rest |= tree
+        k |= large & (_TREE | _LEFT)
+        rest |= large & (_TREE | _RIGHT)
+        del large
         if edges:
-            k |= large & _LEFT
-            rest |= large & _RIGHT
-        kids = np.stack((k, rest), axis=1).ravel()
-        del tree, k, rest, large
+            # an empty kid on an edge ends it at its parent
+            lr[k.compress(k & (_LEFT | _SIZE) == _LEFT) >> 32] += depth
+            lr[rest.compress(rest & (_RIGHT | _SIZE) == _RIGHT) >> 32] += depth << 32
+        kids = _pairs(k, rest)
+        del k, rest
         small, large = kids.compress(kept), kids.compress(big)
         del kids, kept, big
         depth += 1
@@ -316,17 +330,14 @@ def uniform_bst_stats(
         tree = small >> 32
         np.maximum.at(h, tree, (code & 0xFF) + depth)
         if edges:
-            # times the edge bits: _LEFT is 1, and _RIGHT << 31 is 1 << 32
-            l = code >> 8
-            l &= 0xFF
-            l += depth
-            l *= small & _LEFT
-            code >>= 16
-            code += depth
-            code *= (small & _RIGHT) << 31
-            code |= l
+            # l | r << 32 plus the depth on each, each half kept if its edge bit is set
+            code >>= 24
+            code += depth << 32 | depth
+            side = small >> 30
+            side &= 3
+            code &= _EDGE_HALVES.take(side)
             np.add.at(lr, tree, code)
-            del l
+            del side
         del small, tree, code
     return (h, lr & 0xFFFFFFFF, lr >> 32) if edges else (h, None, None)
 
@@ -356,10 +367,10 @@ def wreath_heights(n: int, m: int, count: int, g: np.random.Generator) -> np.nda
         size = live & _SIZE
         k = g.integers(0, size)
         tree <<= 32
-        kids = np.stack((tree | k, tree | (size - 1 - k)), axis=1)
-        offsets = np.stack((offset + lb[block] + 1, offset + rb[block] + 1), axis=1)
-        keep = np.stack((k > 0, k < size - 1), axis=1).ravel()
-        live, offset = kids.ravel().compress(keep), offsets.ravel().compress(keep)
+        kids = _pairs(tree | k, tree | (size - 1 - k))
+        offsets = _pairs(offset + lb[block] + 1, offset + rb[block] + 1)
+        keep = _pairs(k > 0, k < size - 1)
+        live, offset = kids.compress(keep), offsets.compress(keep)
     return h
 
 

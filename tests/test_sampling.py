@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -118,9 +119,17 @@ def test_split_samplers_edges():
         assert [a.size for a in uniform_bst_stats(n, 0, RngState(0).generator())] == [0, 0, 0]
     h, l, r = uniform_bst_stats(50, 200, RngState(0).generator())
     assert ((h >= 5) & (h <= 49) & (l <= h) & (r <= h)).all()
-    for bad in (lambda: uniform_bst_stats(0, 1, RngState(0).generator()), lambda: wreath_heights(2, 0, 1, RngState(0).generator())):
-        with pytest.raises(ValueError):
-            bad()
+    # a live interval's size is its low 30 bits: 2^30 keys would run into the _LEFT bit
+    for bad in (
+        lambda g: uniform_bst_stats(0, 1, g),
+        lambda g: wreath_heights(2, 0, 1, g),
+        lambda g: uniform_bst_stats(2**30, 1, g),
+        lambda g: uniform_bst_stats(2**30, 1, g, edges=False),
+        lambda g: wreath_heights(2**30, 2, 1, g),
+        lambda g: wreath_heights(2, 2**30, 1, g),
+    ):
+        with pytest.raises(ValueError, match="must be in 1..1073741823"):
+            bad(RngState(0).generator())
 
 
 def assert_ranks_are_numpys(size, g, reference):
@@ -197,27 +206,54 @@ WREATH_DIGESTS = {
     (10**4, 2, 5): "a5500d46f8926d36a7cf08dda76a968afe32cf1cd3e557ffb56a53c5f81d0454",
 }
 
+# sha256 of the generator's state after each of those calls, as state_digest gives it,
+# recorded before the live interval packed its edge bits above its size: a change that
+# keeps the outputs but reads a different number of words fails here
+SPLIT_STATES = {
+    (1, 7): "18278238dc80bacaa6f1fca61f96c0b63d220aaec0c5b88372a4f5e8e68c3eff",
+    (20, 50): "a25b5898c4ef4bef955ba5372faa0e4c6c1530e8f598d826183484f64d136633",
+    (21, 50): "debbe2b8f861392a3a9380f21d24c81500aa30a6ad9c0ca3ce7e06788537fe85",
+    (22, 50): "187fd68ee4469b65a0462454462ded6706f286f0f17c3ab22ee488ac8a0d2ed9",
+    (41, 50): "09a1f71e91b2b79774868380409ad87ce2186f0e80f1e3da229f9ee098127f46",
+    (20000, 12): "79b590552065cb3fde285011629bf87f1d711641dc1dd86ae51955f3abfb9f08",
+}
+WREATH_STATES = {
+    (3, 10**4, 3): "35baa73a929ef4df06856d228e06e4f554d7e0b4f609cb75c98d356369416001",
+    (10**4, 2, 5): "2e314b0148213e6a6c128bc0409760ba269a7e190208efddb47b9d3ee3d2f834",
+}
+
+
+def state_digest(g: np.random.Generator) -> str:
+    """sha256 of ``g.bit_generator.state`` as JSON with sorted keys, its ints written exactly."""
+    return hashlib.sha256(json.dumps(g.bit_generator.state, sort_keys=True).encode()).hexdigest()
+
 
 @pytest.mark.parametrize("n,count", sorted(SPLIT_DIGESTS))
 def test_uniform_bst_stats_draw_order_is_pinned(n, count):
-    hlr = np.stack(uniform_bst_stats(n, count, RngState(23, n).generator()))
+    g = RngState(23, n).generator()
+    hlr = np.stack(uniform_bst_stats(n, count, g))
     assert hashlib.sha256(hlr.tobytes()).hexdigest() == SPLIT_DIGESTS[n, count]
+    assert state_digest(g) == SPLIT_STATES[n, count]
 
 
 @pytest.mark.parametrize("n,m,count", sorted(WREATH_DIGESTS))
 def test_wreath_heights_draw_order_is_pinned(n, m, count):
-    h = wreath_heights(n, m, count, RngState(24, m).generator())
+    g = RngState(24, m).generator()
+    h = wreath_heights(n, m, count, g)
     assert hashlib.sha256(h.tobytes()).hexdigest() == WREATH_DIGESTS[n, m, count]
+    assert state_digest(g) == WREATH_STATES[n, m, count]
 
 
 @pytest.mark.parametrize(
     "n,m,bound",
     [
-        # theorem2's chunk: 2.44 MB measured, 5.26 MB while each level kept its arrays until
-        # the next level's replaced them
+        # theorem2's chunk: 2.93 MiB measured, 3.15 MiB while the level loop kept a tree array
+        # beside its intervals, 5.26 MB while each level kept its arrays until the next
+        # level's replaced them
         (10**4, 2, 3.2 * 2**20),
-        # README's largest explore chunk: 81.7 MB measured, 174.0 MB while a root of at most 20
-        # keys went through the level loop's (h, l | r << 32) sums
+        # README's largest explore chunk: 81.7 MiB measured, the external tree's arrays, with or
+        # without a tree array in the level loop; 174.0 MB while a root of at most 20 keys went
+        # through the level loop's (h, l | r << 32) sums
         (3, 10**4, 100 * 2**20),
     ],
     ids=["theorem2", "explore"],
@@ -234,9 +270,10 @@ def test_wreath_heights_chunk_peak_memory(n, m, bound):
 
 
 def test_uniform_bst_stats_chunk_peak_memory():
-    # all of (h, l, r): 3.07 MB measured, 5.80 MB while each level kept its arrays until the
-    # next level's replaced them; two halves on two threads now fit in one's memory. The
-    # heights alone, theorem2's uniform half: 2.33 MB measured
+    # all of (h, l, r): 2.13 MiB measured, 2.33 MiB while the level loop kept a tree array
+    # beside its intervals, 5.80 MB while each level kept its arrays until the next level's
+    # replaced them; two halves on two threads now fit in one's memory. The heights alone,
+    # theorem2's uniform half: 1.95 MiB measured, 2.33 MiB with the tree array
     _alias_table()  # built outside the trace
     for edges, bound in ((True, 4 * 2**20), (False, 3 * 2**20)):
         tracemalloc.start()
@@ -249,10 +286,10 @@ def test_uniform_bst_stats_chunk_peak_memory():
 
 
 def test_theorem2_chunk_peak_memory():
-    # both halves of one theorem2 chunk, on their two threads: 4.0-4.7 MB measured over
-    # seeds 1-5 and 25, as the threads' overlap moves the peak (4.3-4.4 MB over seeds 1-5
-    # while the uniform half also summed its edges); the halves' own peaks, 2.4 and 2.3 MB,
-    # sum to 4.8 MB
+    # both halves of one theorem2 chunk, on their two threads: 3.8-4.1 MiB measured over
+    # seeds 1-5 and 25, as the threads' overlap moves the peak (4.2-4.8 MiB while the level
+    # loop kept a tree array, 4.3-4.4 MB over seeds 1-5 while the uniform half also summed
+    # its edges); the halves' own peaks, 2.9 and 1.9 MiB, sum to 4.9 MiB
     cli.theorem2_diff_data(100, 2, 10, 0)  # the alias table and the thread pool's imports, outside the trace
     tracemalloc.start()
     try:
@@ -306,7 +343,7 @@ def test_alias_columns_rebuild_the_law_exactly():
             assert 0 <= thr[i] <= cap
             got[int(codes[2 * i])] += int(thr[i])
             got[int(codes[2 * i + 1])] += cap - int(thr[i])
-        want = {h | l << 8 | r << 16: c * (_ORDERS // math.factorial(s)) for (h, l, r), c in law_triples(s).items()}
+        want = {h | l << 24 | r << 56: c * (_ORDERS // math.factorial(s)) for (h, l, r), c in law_triples(s).items()}
         assert +got == want
 
 
