@@ -28,7 +28,7 @@ the tests' oracles.
 Tree statistics come straight from the shape. Every bottom subtree of
 k = min(n, 4) levels is read whole from a table of all 2^(2^k - 1) k-level
 shapes, entry i the int32 code h | l << 8 | r << 16 of the shape of index
-i, the packing of ``sampling``'s alias codes. :func:`_level` is the one
+i. :func:`_level` is the one
 step from a level's children to its nodes: the k-level table is built with
 it from the (k-1)-level one, and the top n - k levels run it, one numpy
 step per level. The tables are built on first use, not at import, and are

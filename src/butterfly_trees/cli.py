@@ -10,14 +10,12 @@ reproduces byte-identical output.
 
 ``fig8``, ``theorem2-diff``, ``explore-conjecture`` and ``law-hist`` sample
 in chunks of at most ``_CHUNK`` rows and ``_CHUNK_ENTRIES`` entries (a row
-being the keys of one tree, or the 2^n entries of one law sample). Chunk c
-draws from stream ``RngState(seed, c)``, whose ``generator()`` the chunk
-makes once and hands to its samplers, each advancing it. A ``theorem2-diff``
-chunk draws its wreath heights from that stream and, at the same time on one
-worker thread, its uniform heights from the stream's child
-``RngState(seed, c, child=True)``, which is no other stream of the package.
-Cell i of an ``explore-conjecture`` grid of G cells draws chunk c from
+being the keys of one tree, or the 2^n entries of one law sample). Cell i of
+a grid of G cells draws chunk c from the generator of stream
 ``RngState(seed, c * G + i)``, so no two (cell, chunk) pairs share a stream.
+``fig8`` and ``law-hist`` are one cell, ``explore-conjecture`` one cell per
+grid entry, and ``theorem2-diff`` two: its wreath heights are cell 0, and its
+uniform heights cell 1, drawn at the same time on one worker thread.
 A ``fig8`` chunk draws its trees' top-level shape bits, then one index per
 bottom subtree of min(n, 4) levels, from its stream
 (``sampling.nonsimple_butterfly_stats``). ``clt-simple`` and ``gepp-check``
@@ -86,8 +84,14 @@ def render_csv(meta: dict, columns: dict[str, list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_value(v):
+    """``v``, or null for a float JSON has no number for (nan, inf): RFC 8259 allows none."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def render_json(meta: dict, columns: dict[str, list]) -> str:
-    return json.dumps({"meta": meta, "columns": columns}, indent=2) + "\n"
+    doc = {"meta": {k: _json_value(v) for k, v in meta.items()}, "columns": {k: list(map(_json_value, c)) for k, c in columns.items()}}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(meta: dict, columns: dict[str, list], out: str | None, fmt: str) -> str:
@@ -106,14 +110,14 @@ def _emit(meta: dict, columns: dict[str, list], out: str | None, fmt: str) -> st
 
 
 def _chunked(trials: int, row_len: int, seed: int, draw, cell: int = 0, cells: int = 1) -> np.ndarray:
-    """Concatenated ``draw(rows, RngState(seed, c * cells + cell))`` over chunks c
-    of ``row_len``-entry trials, in chunk order: cell ``cell`` of ``cells`` gets
-    its own streams, and a chunk's draws share its stream's one generator, or
-    draw apart on that stream and its child."""
+    """Concatenated ``draw(rows, g)`` over chunks c of ``row_len``-entry trials,
+    in chunk order, g being ``RngState(seed, c * cells + cell).generator()``:
+    cell ``cell`` of ``cells`` gets its own streams, and a chunk's draws share
+    its one generator."""
     rows = min(_CHUNK, _CHUNK_ENTRIES // row_len)
     if rows < 1:
         raise ValueError(f"a row of {row_len} entries exceeds the chunk budget of {_CHUNK_ENTRIES}")
-    return np.concatenate([draw(min(rows, trials - s), sampling.RngState(seed, c * cells + cell)) for c, s in enumerate(range(0, trials, rows))])
+    return np.concatenate([draw(min(rows, trials - s), sampling.RngState(seed, c * cells + cell).generator()) for c, s in enumerate(range(0, trials, rows))])
 
 
 def _chi2_sf(df: int, x: float) -> float:
@@ -213,7 +217,7 @@ def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
     """Height histogram of seeded uniform nonsimple butterfly trees. Up to
     ``EXACT_MAX_CAP`` the band is the exact mean ± 5 standard errors, as at
     n = 2 and 3 a correct sample falls below the lower mean bound half the time."""
-    h = _chunked(trials, (1 << n) - 1, seed, lambda b, s: sampling.nonsimple_butterfly_stats(n, b, s.generator())[0])
+    h = _chunked(trials, (1 << n) - 1, seed, lambda b, g: sampling.nonsimple_butterfly_stats(n, b, g)[0])
     lower, upper = exact.nonsimple_mean_bounds(n)
     if n == 10:
         band = "n=10: mean in [113,126]"
@@ -244,26 +248,20 @@ def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
 def theorem2_diff_data(n: int, m: int, trials: int, seed: int) -> tuple[dict, dict]:
     """Paired scaled mean-height difference: S_n wr S_m sample vs uniform S_{nm}.
 
-    Chunk c draws its wreath heights from ``RngState(seed, c)`` while one worker
-    thread draws its uniform heights from that stream's child, and the two join
-    before the next chunk: numpy's draws and large array operations release the
-    GIL, so the halves overlap, but only partly. The ``np.maximum.at`` and
-    ``np.add.at`` sums run at 1.0x on two threads at this chunk's ~20K-entry
-    levels, and the Python dispatch of every numpy op holds the GIL, so each
-    whole-level op the level loops drop saves GIL hand-offs as well as work.
+    A two-cell chunked grid: the wreath heights are cell 0, drawn here, and the
+    uniform heights cell 1, drawn whole on one worker thread and read once at the
+    end. numpy's draws and large array operations release the GIL, so the halves
+    overlap, but only partly. The ``np.maximum.at`` and ``np.add.at`` sums run at
+    1.0x on two threads at a chunk's ~20K-entry levels, and the Python dispatch of
+    every numpy op holds the GIL, so each whole-level op the level loops drop
+    saves GIL hand-offs as well as work.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported where used, off the package's import time
 
-    scale = math.log(n * m)
     with ThreadPoolExecutor(1) as worker:
-
-        def draw(b, state):
-            child = sampling.RngState(state.seed, state.stream, child=True)
-            uniform = worker.submit(sampling.uniform_bst_stats, n * m, b, child.generator(), edges=False)
-            hw = sampling.wreath_heights(n, m, b, state.generator())
-            return (hw - uniform.result()[0]) / scale
-
-        d = _chunked(trials, n * m, seed, draw)
+        uniform = worker.submit(_chunked, trials, n * m, seed, lambda b, g: sampling.uniform_bst_stats(n * m, b, g, edges=False)[0], 1, 2)
+        hw = _chunked(trials, n * m, seed, lambda b, g: sampling.wreath_heights(n, m, b, g), 0, 2)
+        d = (hw - uniform.result()) / math.log(n * m)
     band, note = (float("nan"), float("nan")), "exploratory"
     if n == 1:
         note = "degenerate: S_1 wr S_m is S_m, so the difference has mean 0 in law"
@@ -301,24 +299,32 @@ def clt_simple_data(n: int, samples: int, seed: int) -> tuple[dict, dict]:
     draw x and merged where x and n - x meet. Over a run of equal sorted
     statistics, kstest's largest ``i / samples - cdf`` is at the run's end and its
     largest ``cdf - (i - 1) / samples`` at its start, i counting samples from 1.
+
+    No draw lies below the least statistic, x = n // 2's, so the band names the CDF
+    there as the distance's floor: above 0.05 for 3 <= n < 1018 (even n) or 1199 (odd n).
     """
+
+    def half_normal_z(x: np.ndarray) -> np.ndarray:
+        # the standardized log2-height of a draw x, over sqrt 2 and clipped at 0: |N(0,1)|'s CDF there is erf(z)
+        a = np.maximum(x, n - x).astype(float)
+        b = np.minimum(x, n - x).astype(float)
+        log2h = a + np.log1p(np.exp2(b - a) - np.exp2(1.0 - a)) / math.log(2)
+        return np.maximum((log2h - n / 2) / (math.sqrt(n) / 2), 0.0) / math.sqrt(2)
+
     g = sampling.RngState(seed).generator()
     x, count = np.unique(g.binomial(n, 0.5, size=samples), return_counts=True)
-    a = np.maximum(x, n - x).astype(float)
-    b = np.minimum(x, n - x).astype(float)
-    log2h = a + np.log1p(np.exp2(b - a) - np.exp2(1.0 - a)) / math.log(2)
-    stat, run = np.unique((log2h - n / 2) / (math.sqrt(n) / 2), return_inverse=True)
+    z, run = np.unique(half_normal_z(x), return_inverse=True)
     merged = np.bincount(run, weights=count)  # samples at each statistic, exact in float64
     end = np.cumsum(merged)
-    z = np.maximum(stat, 0.0) / math.sqrt(2)  # |N(0,1)|'s CDF is erf(stat / sqrt 2), 0 off its support
     cdf = np.fromiter(map(math.erf, memoryview(z)), float, len(z))  # one float at a time: a list of all would hold ~35 MB at 10^6 statistics
     ks = float(max((end / samples - cdf).max(), (cdf - (end - merged) / samples).max()))
+    floor = math.erf(float(half_normal_z(np.array([n // 2]))[0]))
     meta = {
         "subcommand": "clt-simple",
         "n": n,
         "samples": samples,
         "seed": seed,
-        "band": "ks_distance <= 0.05 for n >= 100",
+        "band": f"ks_distance <= 0.05 for n >= 100; at n={n} it cannot fall below {floor!r}, the half-normal CDF at the least statistic (x = n // 2)",
     }
     cols = {
         "n": [n],
@@ -353,7 +359,7 @@ def explore_conjecture_data(grid: Sequence[tuple[int, int]], trials: int, seed: 
     cstar = exact.constants().cstar
     out = {k: [] for k in ("n", "m", "trials", "ratio_mean", "degenerate", "threshold", "exceed_freq")}
     for idx, (n, m) in enumerate(grid):
-        h = _chunked(trials, n * m, seed, lambda b, s: sampling.wreath_heights(n, m, b, s.generator()), idx, len(grid))
+        h = _chunked(trials, n * m, seed, lambda b, g: sampling.wreath_heights(n, m, b, g), idx, len(grid))
         thresh = cstar * math.fsum(1 / j for j in range(1, n + 1)) * math.log(m) if m > 1 else float("nan")
         out["n"].append(n)
         out["m"].append(m)
@@ -447,7 +453,7 @@ def law_hist_data(law: str, n: int, trials: int, seed: int) -> tuple[dict, dict]
         sampler, law_counts = sampling.cycle_law_samples, exact.cycle_law_counts
     else:
         raise ValueError(f"unknown law {law!r}")
-    x = _chunked(trials, 1 << n, seed, lambda b, s: sampler(n, b, s.generator()))
+    x = _chunked(trials, 1 << n, seed, lambda b, g: sampler(n, b, g))
     values, freqs = np.unique(x, return_counts=True)
     observed = {int(v): int(c) for v, c in zip(values, freqs)}
     meta = {"subcommand": "law-hist", "law": law, "n": n, "trials": trials, "seed": seed}

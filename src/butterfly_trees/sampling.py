@@ -55,16 +55,11 @@ _ALIAS_LOCK = threading.Lock()  # two threads' first uniform_bst_stats build the
 
 @dataclass(frozen=True)
 class RngState:
-    """A reproducible stream id: (seed, stream), or that stream's child.
+    """A reproducible stream id: (seed, stream).
 
     Equal states yield identical sample sequences across runs and
     platforms; distinct stream ids derived from one seed are treated as
-    independent streams (one per Monte Carlo trial or chunk). The child,
-    ``child=True``, is the stream's first ``SeedSequence.spawn`` child,
-    spawn key (stream, 0). It is no ``RngState(seed, s)``: a spawn key is
-    read as the uint32 words of its ints, least significant first, and an
-    int's words end in a nonzero word unless it is the one word 0, while a
-    child's end in the word 0 after at least one other.
+    independent streams (one per Monte Carlo trial or chunk).
 
     A generator belongs to one thread during a sampler call: the root
     ranks, the shape draws and the law samplers read its state and write it
@@ -74,11 +69,9 @@ class RngState:
 
     seed: int
     stream: int = 0
-    child: bool = False
 
     def generator(self) -> np.random.Generator:
-        key = (self.stream, 0) if self.child else (self.stream,)
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(self.stream,)))
 
 
 def nonsimple_butterfly_stats(n: int, count: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -24,9 +24,21 @@ from butterfly_trees.sampling import (
 )
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+    return json.loads(text, parse_constant=reject_constant)
+
+
 def run_cli(capsys, args):
     assert cli.main(args) == 0
-    return capsys.readouterr().out
+    out = capsys.readouterr().out
+    if "--format" in args and args[args.index("--format") + 1] == "json":
+        strict_json(out)  # every JSON artifact parses strictly, the golden digests' too
+    return out
 
 
 def test_table1(capsys):
@@ -62,11 +74,11 @@ def test_fig8_golden_digest(capsys, args, digest):
 
 TREE_GOLDEN = [
     (["table1"], "5ce51e718033b657db914dba4ce0c8317cff73d866fb90823e95de864dbebe6a"),
-    (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "ed8b4717c90d5546ed47098b5a2520ef5282e0ea62662b01551fde2b1131b6a7"),
-    (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "a9130b240527e77abfd0dc9c57e2e0543d429f11764a05b82d6a6ae0f11e2df0"),
+    (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "d0abf4c02095c68ac3f365bf1b8751d9815ac87945b7340be882706b5c981813"),
+    (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "af63ad2162396d2cbafa78c0d5e6641a079f7a5cfb1a24738b96de1030cf5810"),
     (
         ["explore-conjecture", "--grid", "20x5,1x3,30x1", "--trials", "300", "--seed", "3", "--format", "json"],
-        "ce722150ee4e143e0cf7afcd27c70b90b8e5cd3111bef3c5a9bb906ad43bfb37",
+        "61e54cdac80cc6d1aff54730b8399f84244a0ffc483329ebf678e3cdca6747cb",
     ),
 ]
 
@@ -81,6 +93,10 @@ def test_tree_golden_digest(capsys, args, digest):
     # when each chunk's uniform heights moved to the child of its stream, drawn on a worker
     # thread beside the wreath heights, which keep the chunk's stream. table1 was re-recorded
     # when the subcommands that sample nothing stopped writing a seed line: that line alone left.
+    # The theorem2 digests were re-recorded when theorem2-diff became a two-cell chunked grid,
+    # wreath chunk c on stream 2c and uniform chunk c on stream 2c + 1: the same law, other
+    # streams. theorem2-json and explore-json were re-recorded when JSON came to write nan as
+    # null, as RFC 8259 has no NaN: only those cells moved in explore-json.
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -103,19 +119,17 @@ def test_chunk_golden_digest(capsys, args, digest):
 
 
 def test_theorem2_chunks_draw_each_family_from_its_own_stream(monkeypatch):
-    # chunk c draws its wreath heights from RngState(seed, c), as explore-conjecture's one-cell
-    # grid does, and its uniform heights from that stream's child
+    # a two-cell grid, as explore-conjecture's: chunk c draws its wreath heights from
+    # RngState(seed, 2c) and its uniform heights from RngState(seed, 2c + 1)
     n, m, trials, seed = 7, 3, 7, 21
     monkeypatch.setattr(cli, "_CHUNK", 3)
-    _, cols = cli.theorem2_diff_data(n, m, trials, seed)
-    diffs = []
-    for c, b in enumerate([3, 3, 1]):
-        hw = wreath_heights(n, m, b, RngState(seed, c).generator())
-        hu, _, _ = uniform_bst_stats(n * m, b, RngState(seed, c, child=True).generator())
-        diffs.append((hw - hu) / math.log(n * m))
-    d = np.concatenate(diffs)
-    assert cols["scaled_diff_mean"] == [float(d.mean())]
-    assert cols["scaled_diff_sem"] == [float(d.std(ddof=1) / math.sqrt(trials))]
+    hw = np.concatenate([wreath_heights(n, m, b, RngState(seed, 2 * c).generator()) for c, b in enumerate([3, 3, 1])])
+    hu = np.concatenate([uniform_bst_stats(n * m, b, RngState(seed, 2 * c + 1).generator())[0] for c, b in enumerate([3, 3, 1])])
+    d = (hw - hu) / math.log(n * m)
+    for _ in range(2):  # and again on a repeated call
+        _, cols = cli.theorem2_diff_data(n, m, trials, seed)
+        assert cols["scaled_diff_mean"] == [float(d.mean())]
+        assert cols["scaled_diff_sem"] == [float(d.std(ddof=1) / math.sqrt(trials))]
 
 
 def test_explore_conjecture_chunks_are_per_cell_streams(monkeypatch):
@@ -200,7 +214,7 @@ GEPP_LATTICE_CLT_GOLDEN = [
     (["gepp-check", "--family", "nonsimple", "--n", "4", "--trials", "2000"], "f1865535453845f7f3d33982ed451914864cb62f1b2cc493aa3e098bc8f29e46"),
     (["gepp-check", "--family", "simple", "--n", "7", "--trials", "128"], "693652fa4afcd1a2b344b61c1bec70ad91bbaa2cd62356dbfb74db6d84abbaa8"),
     (["lattice-degrees"], "e0394c8c1e1a5ac6c0462fe8710652b47788836139b10713587a7f9087abf56c"),
-    (["clt-simple", "--n", "400", "--samples", "20000"], "b540af079c80921dc576ec18a23fddceab1ea252bdc0ce2b0dd31816768acf15"),
+    (["clt-simple", "--n", "400", "--samples", "20000"], "376435a6853ab3ee35ef9c9917ff079e68830f0bfb4a7226239016cc4348292d"),
 ]
 
 
@@ -216,7 +230,8 @@ def test_gepp_lattice_clt_golden_digest(capsys, args, digest):
     # gepp-nonsimple-n4 and gepp-simple-n7 (a 128-matrix GEPP sample of order 128) were recorded while batch_gepp
     # still eliminated every stack batch-first; they pin that the batch-last memory order moves no bit.
     # lattice-degrees was re-recorded when the subcommands that sample nothing stopped writing a
-    # seed line: that line alone left.
+    # seed line: that line alone left. clt-simple-n400 was re-recorded when its band came to name
+    # the distance's floor at the run's n (0.0797 at n = 400): only the band line moved.
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -315,16 +330,16 @@ def test_upper_bounds_accept_their_edge(capsys):
     out = run_cli(capsys, ["fig8", "--n", "2", "--trials", "10", "--seed", str(2**64 - 1)])
     assert f"# seed={2**64 - 1}\n" in out
     # one row of 2^23 entries fills a chunk: ~0.7 s and ~250 MB each on a 2-vCPU Xeon
-    doc = json.loads(run_cli(capsys, ["law-hist", "--n", "23", "--trials", "3", "--format", "json"]))
+    doc = strict_json(run_cli(capsys, ["law-hist", "--n", "23", "--trials", "3", "--format", "json"]))
     assert sum(doc["columns"]["observed"]) == 3
-    doc = json.loads(run_cli(capsys, ["fig8", "--n", "23", "--trials", "1", "--format", "json"]))
+    doc = strict_json(run_cli(capsys, ["fig8", "--n", "23", "--trials", "1", "--format", "json"]))
     assert sum(doc["columns"]["count"]) == 1
 
 
 def test_trials_default_only_when_omitted(capsys):
-    doc = json.loads(run_cli(capsys, ["law-hist", "--n", "2", "--format", "json"]))
+    doc = strict_json(run_cli(capsys, ["law-hist", "--n", "2", "--format", "json"]))
     assert doc["meta"]["trials"] == 100_000
-    doc = json.loads(run_cli(capsys, ["law-hist", "--n", "2", "--trials", "1", "--format", "json"]))
+    doc = strict_json(run_cli(capsys, ["law-hist", "--n", "2", "--trials", "1", "--format", "json"]))
     assert doc["meta"]["trials"] == 1 and sum(doc["columns"]["observed"]) == 1
 
 
@@ -421,7 +436,7 @@ def test_out_file(tmp_path, capsys):
 
 def test_json_mirrors_columns(capsys):
     out = run_cli(capsys, ["lattice-degrees", "--n", "3", "--format", "json"])
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["meta"]["subcommand"] == "lattice-degrees"
     assert "seed" not in doc["meta"]
     assert doc["columns"]["degree"] == [4, 7]
@@ -533,10 +548,10 @@ def test_theorem2_n1_band_is_degenerate(capsys):
     # S_1 wr S_m is S_m: the difference has mean 0 in law, and the m = 2 band (asymptotic in n) does not apply
     # and S_n wr S_1 is S_n, so m = 1 is degenerate at every n
     for n, m in ((1, 2), (1, 3), (5, 1)):
-        doc = json.loads(run_cli(capsys, ["theorem2-diff", "--n", str(n), "--m", str(m), "--trials", "40", "--format", "json"]))
+        doc = strict_json(run_cli(capsys, ["theorem2-diff", "--n", str(n), "--m", str(m), "--trials", "40", "--format", "json"]))
         assert doc["meta"]["band"].startswith("degenerate")
-        assert math.isnan(doc["columns"]["band_lo"][0]) and math.isnan(doc["columns"]["band_hi"][0])
-    doc = json.loads(run_cli(capsys, ["theorem2-diff", "--n", "2", "--m", "2", "--trials", "40", "--format", "json"]))
+        assert doc["columns"]["band_lo"] == [None] and doc["columns"]["band_hi"] == [None]  # nan, written as null
+    doc = strict_json(run_cli(capsys, ["theorem2-diff", "--n", "2", "--m", "2", "--trials", "40", "--format", "json"]))
     assert doc["meta"]["band"] == "m=2: scaled difference in [0.6, 1.4]" and doc["columns"]["band_lo"] == [0.6]
 
 
@@ -544,12 +559,12 @@ def test_theorem2_n1_band_is_degenerate(capsys):
 def test_gepp_check_band_needs_five_per_class(capsys, trials, cells):
     # nonsimple n = 2 has 8 classes, and the chi-square p-value needs an expected count of 5 per cell:
     # classes pool in runs until they expect 5 (9 trials make one cell, 10 two), and from 40 trials none pool
-    doc = json.loads(run_cli(capsys, ["gepp-check", "--trials", str(trials), "--format", "json"]))
+    doc = strict_json(run_cli(capsys, ["gepp-check", "--trials", str(trials), "--format", "json"]))
     assert doc["columns"]["classes"] == [8]
     band = doc["meta"]["band"]
     if cells == 1:
         assert band == "pvalue does not apply (fewer than 2 cells expect >= 5 when pooled), plu_error <= 1e-9, all members"
-        assert math.isnan(doc["columns"]["chi2"][0]) and math.isnan(doc["columns"]["pvalue"][0])
+        assert doc["columns"]["chi2"] == [None] and doc["columns"]["pvalue"] == [None]  # nan, written as null
     elif cells < 8:
         assert band == f"pvalue > 0.001 over {cells} pooled cells, plu_error <= 1e-9, all members"
     else:
@@ -728,7 +743,7 @@ def test_law_hist_band_fails_a_shifted_sampler(capsys, monkeypatch, law, trials)
     name = f"{law}_law_samples"
     real = getattr(cli.sampling, name)
     monkeypatch.setattr(cli.sampling, name, lambda n, rows, g: real(n, rows, g) + 1)
-    meta = json.loads(run_cli(capsys, ["law-hist", "--law", law, "--n", "8", "--format", "json", *trials]))["meta"]
+    meta = strict_json(run_cli(capsys, ["law-hist", "--law", law, "--n", "8", "--format", "json", *trials]))["meta"]
     assert meta["band"].startswith("pvalue > 0.001") and not meta["pvalue"] > 0.001
 
 
@@ -776,7 +791,7 @@ def test_only_sampling_subcommands_record_a_seed(capsys, args):
     out = run_cli(capsys, seeded(args))
     seeds = [line for line in out.split("\n") if line.startswith("# seed=")]
     assert seeds == ([] if args[0] in DRAWS_NOTHING else ["# seed=55"])
-    doc = json.loads(run_cli(capsys, seeded(args) + ["--format", "json"]))
+    doc = strict_json(run_cli(capsys, seeded(args) + ["--format", "json"]))
     assert doc["meta"].get("seed") == (None if args[0] in DRAWS_NOTHING else 55)
     if args[0] in DRAWS_NOTHING:
         with pytest.raises(SystemExit) as exc:

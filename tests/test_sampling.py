@@ -91,26 +91,6 @@ def test_substreams_differ():
     assert not np.array_equal(a, b)
 
 
-def test_child_stream_is_the_first_spawned_child_and_no_stream():
-    # RngState(seed, c, child=True) is SeedSequence(seed, spawn_key=(c,)).spawn(1)[0]: its key
-    # (c, 0) ends in a 0 word, which no int key's words do
-    def state(seeded):
-        pcg = np.random.default_rng(seeded).bit_generator.state["state"]
-        return pcg["state"], pcg["inc"]
-
-    for seed in (0, 21, 2**64 - 1):
-        children = set()
-        for c in (0, 1, 2, 3, 2**32 - 1, 2**32, 2**40 + 3):
-            child = state(RngState(seed, c, child=True).generator())
-            assert child == state(np.random.SeedSequence(seed, spawn_key=(c,)).spawn(1)[0])
-            for s in {*range(64), c + 1, c + 2**32, c << 32, c + 2**64}:
-                assert child != state(RngState(seed, s).generator())
-            children.add(child)
-        assert len(children) == 7
-    # the second child's key (c, 1) would collide: its words are those of the stream c + 2^32
-    assert state(np.random.SeedSequence(21, spawn_key=(3, 1))) == state(np.random.SeedSequence(21, spawn_key=(3 + 2**32,)))
-
-
 def test_split_samplers_edges():
     for a in uniform_bst_stats(1, 3, RngState(0).generator()):
         assert a.dtype == np.int64 and a.tolist() == [0, 0, 0]

@@ -1,7 +1,8 @@
 """Every public top-level name of the package is used by the package or by
 its benchmark. A name that only the tests read belongs in ``tests/``. No
 module of the package imports or reads another module's underscore name.
-The package imports only the standard library, numpy and itself."""
+The package imports only the standard library, numpy and itself, and makes
+its random streams in one place, ``sampling.RngState.generator``."""
 
 import ast
 import sys
@@ -95,3 +96,31 @@ def test_src_imports_only_the_standard_library_numpy_and_itself():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert [d.partition(">")[0] for d in project["dependencies"]] == ["numpy"]
+
+
+# numpy.random's makers of a seed sequence, a bit generator or a generator, by call name
+STREAM_MAKERS = {"SeedSequence", "default_rng", "Generator", "RandomState", "BitGenerator", "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64", "spawn", "jumped"}
+
+
+def stream_makers(tree: ast.Module) -> set[str]:
+    """Dotted name of the class and function scope (``<module>`` at top level) of
+    every call in ``tree`` whose callee is named in ``STREAM_MAKERS``."""
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
+            if isinstance(child, ast.Call):
+                callee = child.func.attr if isinstance(child.func, ast.Attribute) else getattr(child.func, "id", None)
+                if callee in STREAM_MAKERS:
+                    found.add(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_rngstate_generator_makes_a_random_stream():
+    # one stream scheme: every generator of the package comes from RngState(seed, stream).generator()
+    found = {(p.stem, scope) for p in sorted((ROOT / "src").rglob("*.py")) for scope in stream_makers(ast.parse(p.read_text(encoding="utf-8")))}
+    assert found == {("sampling", "RngState.generator")}, sorted(found)
