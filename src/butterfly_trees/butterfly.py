@@ -31,13 +31,17 @@ shapes, entry i the int32 code h | l << 8 | r << 16 of the shape of index
 i. :func:`_level` is the one
 step from a level's children to its nodes: the k-level table is built with
 it from the (k-1)-level one, and the top n - k levels run it, one numpy
-step per level. The tables are built on first use, not at import, and are
-read-only. :func:`stats_from_subtrees` is that kernel, over the top levels'
-bits and the subtrees' indices. It works node-major in int32: a level of
-2^d nodes is a (2^d, B) array per statistic in bit-reversed node order, so
-a level's first and second children are the two contiguous halves of the
-level below, and its result is again in that order. int32 bounds it to
-heights below 2^31, n <= 31; the CLI stops at n = 23. ``fig8`` samples
+step per level. :func:`stats_from_subtrees` is that kernel, over the top
+levels' bits and the subtrees' indices. It works node-major in int32: a
+level of 2^d nodes is a (2^d, B) array per statistic in bit-reversed node
+order, so a level's first and second children are the two contiguous
+halves of the level below, and its result is again in that order. The
+subtrees' codes are gathered straight into that order through a view of
+their indices with the bit axes reversed; the top bits of all levels are
+gathered at once, in an order that depends only on the depth. The tables
+and that order are cached, built on first use, not at import, and
+read-only. int32 bounds the kernel to heights below 2^31, n <= 31; the
+CLI stops at n = 23. ``fig8`` samples
 the bits and indices directly (``sampling.nonsimple_butterfly_stats``: per
 chunk, the top bits, then one uniform class index per bottom subtree).
 A simple tree needs no table: both children of each node are the same
@@ -171,22 +175,47 @@ def stats_from_subtrees(n: int, top: np.ndarray, index: np.ndarray) -> tuple[np.
     the rows [:2^d] of the level below and the second children the rows
     [2^d:], so each :func:`_level` is one contiguous loop per op, and its
     result is again in bit-reversed order. One gather from
-    :func:`_subtree_table` and one row permutation place the subtrees' codes
-    so, and each level gathers its top bits in its rows' order. Every h, l
-    and r of a subtree is at most the tree's height, 2^n - 1, so int32 holds
+    :func:`_subtree_table` places the subtrees' codes so, with no index
+    array for the permutation: ``index`` is viewed as a B axis, then d0 axes
+    of size 2 (a column's bits, most significant first), and those axes are
+    reversed ahead of the B axis, so the gather writes row p from column
+    rev(p). One gather of ``top``'s columns in the order of
+    :func:`_top_order`, built once per depth, and one negation give every
+    level's masks, and each level takes its rows as a slice. Every h, l and
+    r of a subtree is at most the tree's height, 2^n - 1, so int32 holds
     them for n <= 31. No word or tree is built.
     """
     k = min(n, TABLE_LEVELS)
     d0 = n - k  # depth of the subtree roots
-    rev = np.zeros(1, dtype=np.intp)  # rev[p]: the d0 bits of p reversed, by doubling
-    for j in range(d0):
-        rev = np.concatenate((rev, rev + (1 << (d0 - 1 - j))))
-    h, l, r = _unpack(_subtree_table(k).take(index).T[rev])
+    B = index.shape[0]
+    perm = index.reshape((B,) + (2,) * d0).transpose(tuple(range(d0, 0, -1)) + (0,))
+    h, l, r = _unpack(_subtree_table(k).take(perm).reshape(1 << d0, B))
+    masks = np.negative(top.T[_top_order(d0)], dtype=np.int32)
     for d in range(d0 - 1, -1, -1):
         w = 1 << d
-        mask = np.negative(top.T[(rev[:w] >> (d0 - d)) + (w - 1)], dtype=np.int32)
-        h, l, r = _level(mask, (h[:w], l[:w], r[:w]), (h[w:], l[w:], r[w:]))
+        h, l, r = _level(masks[w - 1 : 2 * w - 1], (h[:w], l[:w], r[:w]), (h[w:], l[w:], r[w:]))
     return tuple(a[0].astype(np.int64) for a in (h, l, r))
+
+
+@functools.cache
+def _top_order(d0: int) -> np.ndarray:
+    """Read-only intp order in which :func:`stats_from_subtrees` reads the
+    2^d0 - 1 level-ordered top bits: entry 2^d - 1 + p is the level-order
+    position of node rev(p) at depth d, rev(p) the d bits of p reversed, so
+    each level's masks are one slice of one gather, in its rows' order. The
+    children of level-order position i are 2i + 1 and 2i + 2, and a level in
+    bit-reversed order is the first children, then the second children, of
+    the level above in that order, so each level is written from the one
+    above in place: at d0 = 19 the order's 4 MiB are all it allocates."""
+    order = np.zeros((1 << d0) - 1, dtype=np.intp)
+    for d in range(1, d0):
+        w = 1 << d
+        first, second = order[w - 1 : 2 * w - 1].reshape(2, -1)
+        np.left_shift(order[w // 2 - 1 : w - 1], 1, out=first)
+        first += 1
+        np.add(first, 1, out=second)
+    order.flags.writeable = False
+    return order
 
 
 def simple_stats(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

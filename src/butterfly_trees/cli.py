@@ -71,16 +71,24 @@ _STIRLING_FROM = 20
 # ---------------------------------------------------------------------------
 
 
+_FLOATS = (float, np.floating)  # written by repr: one tuple, not built again for every value
+
+
 def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, _FLOATS):
         return repr(float(v))
     return str(v)
 
 
 def render_csv(meta: dict, columns: dict[str, list]) -> str:
+    """``# key=value`` meta lines, the header, then one line per row, every value
+    as :func:`_fmt` writes it: floats (numpy's too) by ``repr``, anything else
+    by ``str``. Each column is one comprehension with that rule inline, not a
+    call per value."""
     lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
     lines.append(",".join(columns))
-    lines += map(",".join, zip(*(list(map(_fmt, column)) for column in columns.values())))
+    cells = [[repr(float(v)) if isinstance(v, _FLOATS) else str(v) for v in column] for column in columns.values()]
+    lines += map(",".join, zip(*cells))
     return "\n".join(lines) + "\n"
 
 
@@ -241,7 +249,7 @@ def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
         "band": band,
     }
     values, freqs = np.unique(h, return_counts=True)
-    cols = {"height": [int(v) for v in values], "count": [int(c) for c in freqs]}
+    cols = {"height": values.tolist(), "count": freqs.tolist()}
     return meta, cols
 
 
@@ -403,14 +411,11 @@ def gepp_check_data(n: int, trials: int, seed: int, family: str) -> tuple[dict, 
 def lattice_degrees_data(n: int) -> tuple[dict, dict]:
     """Degree multiset of the Boolean lattice's comparability graph next to the
     height counts of the 2^n simple butterfly trees (``butterfly.simple_stats``).
-    A subset of size k, counted from its bitmask, is comparable to its 2^k - 1
-    proper subsets and 2^(n-k) - 1 proper supersets."""
+    A subset of size k, counted from its bitmask by ``np.bitwise_count``, is
+    comparable to its 2^k - 1 proper subsets and 2^(n-k) - 1 proper supersets."""
     values, freqs = np.unique(butterfly.simple_stats(n)[0], return_counts=True)
     heights = dict(zip(values.tolist(), freqs.tolist()))  # the trees are freed before the masks are built
-    masks = np.arange(1 << n, dtype=np.int64)
-    size = np.zeros_like(masks)
-    for i in range(n):
-        size += masks >> i & 1
+    size = np.bitwise_count(np.arange(1 << n)).astype(np.int64)  # uint8 counts would overflow 1 << size from n = 8
     values, freqs = np.unique((1 << size) + (1 << (n - size)) - 2, return_counts=True)
     degs = dict(zip(values.tolist(), freqs.tolist()))
     keys = sorted(degs.keys() | heights.keys())

@@ -337,7 +337,7 @@ def _square_poly(c: list[int], bits: int) -> list[int]:
     packed = decimal.Decimal("".join(str(decimal.Decimal(x)).zfill(d) for x in reversed(c[:k])))
     exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded])
     digits = str(exact.multiply(packed, packed)).zfill((2 * k - 1) * d)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     cut = int if not limit or d <= limit else lambda slot: int(decimal.Decimal(slot))
     out = [cut(digits[i - d : i or None]) for i in range(0, -len(digits), -d)] + [0] * (2 * (len(c) - k))
     for i in range(k, len(c)):  # count i times every count before it, twice, and itself

@@ -405,6 +405,21 @@ def test_fmt_numpy_scalars():
     assert text == "# mean=2.5\nh,x\n3,1.0\n"
 
 
+def test_render_csv_writes_every_value_as_fmt_does():
+    # render_csv inlines _fmt's rule in one comprehension per column; a table of every kind
+    # of value a builder returns, columns of mixed types, keeps the two the same text
+    values = [7, True, False, "band", None, math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324, 0.1]
+    values += [np.int64(-3), np.float32(0.1), np.float64(2.5), np.float64(math.nan), Fraction(3, 4)]
+    columns = {"a": values, "b": values[::-1]}
+    meta = {"x": 1.5, "y": np.float32(-0.0)}
+    rows = [",".join(map(cli._fmt, row)) for row in zip(*columns.values())]
+    assert cli.render_csv(meta, columns) == "\n".join(["# x=1.5", "# y=-0.0", "a,b", *rows]) + "\n"
+    assert rows == [
+        "7,3/4", "True,nan", "False,2.5", "band,0.10000000149011612", "None,-3", "nan,0.1", "inf,5e-324", "-inf,1e+16", "-0.0,-0.0",
+        "1e+16,-inf", "5e-324,inf", "0.1,nan", "-3,None", "0.10000000149011612,band", "2.5,False", "nan,True", "3/4,7",
+    ]
+
+
 @pytest.mark.parametrize("law", ["cycle", "lis"])
 def test_law_hist_exact_columns_at_n10(law):
     trials = 2000

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from butterfly_trees import cli
+from butterfly_trees import butterfly, cli, sampling
 from butterfly_trees.butterfly import class_indices, shape_indices, stats_from_subtrees
 from butterfly_trees.exact import cycle_law_counts, lis_law_counts
 from butterfly_trees.sampling import (
@@ -460,26 +460,35 @@ def test_sampled_subtree_index_is_the_class_index():
 
 def test_nonsimple_butterfly_stats_are_those_of_the_expanded_shape_bits():
     # the top bits and subtree indices of the sampler, and the trees built by insertion
-    # from them spelled out as 2^n - 1 level-ordered bits
-    for n in range(1, 13):
-        state = RngState(37, n)
-        top, sub = nonsimple_subtrees(n, 40, state.generator())
-        bits = subtree_shape_bits(n, top, sub)
-        assert bits.shape == (40, (1 << n) - 1) and ((bits == 0) | (bits == 1)).all()
-        stats_hlr = nonsimple_butterfly_stats(n, 40, state.generator())
-        for a, b, c in zip(stats_hlr, stats_from_subtrees(n, top, sub), batch_summaries(words_from_shape_bits(n, bits))):
-            np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(a, c)
+    # from them spelled out as 2^n - 1 level-ordered bits, in one-row, odd-row and even-row
+    # chunks; the depths come in shuffled order from an empty cache, so each depth's
+    # top-bit order is first built by one of these calls
+    depths = list(range(1, 13))
+    np.random.default_rng(37).shuffle(depths)
+    butterfly._top_order.cache_clear()
+    for n in depths:
+        for count in (1, 37, 40):
+            state = RngState(37, n)
+            top, sub = nonsimple_subtrees(n, count, state.generator())
+            bits = subtree_shape_bits(n, top, sub)
+            assert bits.shape == (count, (1 << n) - 1) and ((bits == 0) | (bits == 1)).all()
+            stats_hlr = nonsimple_butterfly_stats(n, count, state.generator())
+            for a, b, c in zip(stats_hlr, stats_from_subtrees(n, top, sub), batch_summaries(words_from_shape_bits(n, bits))):
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a, c)
+    assert butterfly._top_order.cache_info().misses == 9  # top depths 0..8, each built once
     with pytest.raises(ValueError):
         nonsimple_butterfly_stats(0, 1, RngState(0).generator())
 
 
 def test_nonsimple_butterfly_stats_chunk_peak_memory():
-    # one fig8 chunk at n = 16 (128 rows) peaks near 16 MB: the uint32 words of its top bits and
-    # subtree indices, 4 MB in all, their int32 (h, l, r), 2 MB each, and one level's combine; the
-    # one-row chunk at n = 23 near 20 MB, with 4 MB more for its bit-reversal permutation. Both read
-    # 4 MB more while the bits and indices were numpy's int64 draws, and 30.3 MB while the levels
-    # ran on int64 columns; a (128, 2^16 - 1) bit matrix alone is 64 MB
+    # one fig8 chunk at n = 16 (128 rows) peaks at 17.0 MiB measured: the uint32 words of its top
+    # bits and subtree indices, 4 MB in all, their int32 (h, l, r), 2 MB each, every level's masks,
+    # 2 MB, and one level's combine; the one-row chunk at n = 23 at 17.0 MiB once the depth-19
+    # top-bit order is cached, 21.0 MiB when it is built inside the trace (4 MiB of intp). They read
+    # 16.0 and 20.0 MiB while each chunk built its bit-reversal permutation and gathered one level's
+    # masks at a time, 4 MB more while the bits and indices were numpy's int64 draws, and 30.3 MB
+    # while the levels ran on int64 columns; a (128, 2^16 - 1) bit matrix alone is 64 MB
     nonsimple_butterfly_stats(16, 1, RngState(0).generator())  # the subtree tables are built outside the trace
     for n, rows, bound in ((16, 128, 20), (23, 1, 24)):
         tracemalloc.start()
@@ -489,6 +498,21 @@ def test_nonsimple_butterfly_stats_chunk_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= bound * 2**20, (n, rows, peak)
+
+
+def test_cached_builders_return_read_only_arrays():
+    # every caller shares the cached arrays, theorem2-diff's worker thread too: a write through
+    # one caller would change every later draw, so each array refuses it
+    calls = {butterfly._subtree_table: [(k,) for k in range(5)], butterfly._top_order: [(d,) for d in (0, 1, 2, 6, 19)], _alias_table: [()]}
+    cached = {f for m in (butterfly, sampling) for f in vars(m).values() if hasattr(f, "cache_info") and f.__module__ == m.__name__}
+    assert cached == set(calls)
+    for builder, args in calls.items():
+        for a in args:
+            out = builder(*a)
+            for array in out if isinstance(out, tuple) else (out,):
+                assert isinstance(array, np.ndarray) and not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
 
 
 def test_law_sampler_base_cases():

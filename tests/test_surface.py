@@ -6,9 +6,8 @@ its random streams in one place, ``sampling.RngState.generator``."""
 
 import ast
 import sys
+import tomllib
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # read only by tests until the planned ``growth`` subcommand prints it
@@ -93,7 +92,6 @@ def test_src_imports_only_the_standard_library_numpy_and_itself():
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 found.add(node.module.partition(".")[0])
     assert found and found <= allowed, sorted(found - allowed)
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert [d.partition(">")[0] for d in project["dependencies"]] == ["numpy"]
 
