@@ -22,8 +22,8 @@ bottom subtree of min(n, 4) levels, from its stream
 draw from ``RngState(seed).generator()``.
 No sampled tree is built from a word: the samplers split key intervals
 (``sampling.uniform_bst_stats``, ``sampling.wreath_heights``) or read shapes.
-An argument whose single row exceeds ``_CHUNK_ENTRIES`` is an argparse error,
-and so is a ``clt-simple --samples`` above it: that sample is drawn in one piece.
+Every bound on an argument is stated once, by its type in :func:`_parser` or by
+``_joint_error`` over two arguments, and a sweep in the tests reads each back at its edges.
 """
 
 from __future__ import annotations
@@ -57,10 +57,13 @@ LAW_EXACT_CAP = 12
 LATTICE_CAP = 20
 # bounds --n-max: the last n whose upper mean bound is a finite double (1120 gives inf)
 N_MAX_CAP = 1119
-# pmf --n per --which: every number must print within Python's 4300-digit int-to-str
-# limit (n! passes it near n = 1555, 2^n near n = 14284), in seconds: ~0.9 s for
-# stirling 1000, ~3.7 s for simple-height 10000, ~1.3 s for cycle-moments 100 (200: ~40 s)
-PMF_CAP = {"stirling": 1000, "simple-height": 10_000, "cycle-moments": 100}
+# --n's (low, high) per choice of another argument. pmf's: every number must print within Python's
+# 4300-digit int-to-str limit (n! passes it near n = 1555, 2^n near n = 14284), in seconds: ~0.9 s
+# for stirling 1000, ~3.7 s for simple-height 10000, ~1.3 s for cycle-moments 100 (200: ~40 s)
+_N_RANGES = {
+    "pmf": ("which", {"stirling": (1, 1000), "simple-height": (1, 10_000), "cycle-moments": (0, 100)}),
+    "gepp-check": ("family", {family: (1, cap) for family, cap in UNIFORMITY_CAP.items()}),
+}
 # _chi2_sf: the least z whose log Gamma(z) is Stirling's series, not lgamma. From there the series'
 # first dropped term, 1/(1188 z^9), is below 2e-15, while lgamma's cancellation grows with z
 _STIRLING_FROM = 20
@@ -117,14 +120,19 @@ def _emit(meta: dict, columns: dict[str, list], out: str | None, fmt: str) -> st
 # ---------------------------------------------------------------------------
 
 
+def _row_error(size: str, row_len: int, got: str) -> str | None:
+    """The message if a row of ``row_len`` entries, named ``size``, does not fit a chunk, else None."""
+    return f"need {size} <= {_CHUNK_ENTRIES} (one row must fit a chunk), got {got}" if row_len > _CHUNK_ENTRIES else None
+
+
 def _chunked(trials: int, row_len: int, seed: int, draw, cell: int = 0, cells: int = 1) -> np.ndarray:
     """Concatenated ``draw(rows, g)`` over chunks c of ``row_len``-entry trials,
     in chunk order, g being ``RngState(seed, c * cells + cell).generator()``:
     cell ``cell`` of ``cells`` gets its own streams, and a chunk's draws share
     its one generator."""
+    if problem := _row_error("row_len", row_len, str(row_len)):
+        raise ValueError(problem)
     rows = min(_CHUNK, _CHUNK_ENTRIES // row_len)
-    if rows < 1:
-        raise ValueError(f"a row of {row_len} entries exceeds the chunk budget of {_CHUNK_ENTRIES}")
     return np.concatenate([draw(min(rows, trials - s), sampling.RngState(seed, c * cells + cell).generator()) for c, s in enumerate(range(0, trials, rows))])
 
 
@@ -491,24 +499,23 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
             raise argparse.ArgumentTypeError(f"expected NxM pairs like 50x50,100x20, got {part!r}") from None
         if n < 1 or m < 1:
             raise argparse.ArgumentTypeError(f"grid entries must be >= 1, got {part!r}")
-        if n * m > _CHUNK_ENTRIES:
-            raise argparse.ArgumentTypeError(f"need n*m <= {_CHUNK_ENTRIES} (one row must fit a chunk), got {part!r}")
+        if problem := _row_error("n*m", n * m, repr(part)):
+            raise argparse.ArgumentTypeError(problem)
         grid.append((n, m))
     return grid
 
 
 def _bounded_int(low: int | None, high: int | None = None):
+    bound = f">= {low}" if high is None else f"<= {high}" if low is None else f"in {low}..{high}"
+
     def parse(text: str) -> int:
         value = int(text)
-        if high is None and value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if low is None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
-        if None not in (low, high) and not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {value}")
+        if (low is not None and value < low) or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    parse.low, parse.high = low, high  # the bounds, stated once here and read back by the tests
     return parse
 
 
@@ -524,22 +531,24 @@ def _out_path(text: str) -> str:
     return text
 
 
-def _joint_range_error(args: argparse.Namespace) -> str | None:
-    """The message for a bound that the per-argument types do not check, or None."""
-    if args.cmd == "theorem2-diff" and args.n * args.m < 2:
-        return f"need n*m >= 2 (differences are scaled by log(n*m)), got n={args.n}, m={args.m}"
-    if args.cmd == "theorem2-diff" and args.n * args.m > _CHUNK_ENTRIES:
-        return f"need n*m <= {_CHUNK_ENTRIES} (one row must fit a chunk), got n={args.n}, m={args.m}"
-    if args.cmd == "pmf" and args.which != "cycle-moments" and args.n < 1:
-        return f"argument --n: must be >= 1 for --which {args.which}, got {args.n}"
-    if args.cmd == "pmf" and args.n > PMF_CAP[args.which]:
-        return f"argument --n: must be <= {PMF_CAP[args.which]} for --which {args.which}, got {args.n}"
-    if args.cmd == "gepp-check" and args.n > UNIFORMITY_CAP[args.family]:
-        return f"argument --n: must be <= {UNIFORMITY_CAP[args.family]} for --family {args.family}, got {args.n}"
+def _joint_error(args: argparse.Namespace) -> str | None:
+    """The message for a bound over two arguments that ``args`` break, or None: theorem2-diff's
+    n*m, or --n's range for the choice of another argument (``_N_RANGES``)."""
+    if args.cmd == "theorem2-diff":
+        got = f"n={args.n}, m={args.m}"
+        if args.n * args.m < 2:
+            return f"need n*m >= 2 (differences are scaled by log(n*m)), got {got}"
+        return _row_error("n*m", args.n * args.m, got)
+    if args.cmd in _N_RANGES:
+        key, ranges = _N_RANGES[args.cmd]
+        low, high = ranges[choice := getattr(args, key)]
+        if not low <= args.n <= high:
+            return f"argument --n: must be {f'>= {low}' if args.n < low else f'<= {high}'} for --{key} {choice}, got {args.n}"
     return None
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommands' parsers, by name."""
     parser = argparse.ArgumentParser(prog="butterfly-trees", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=_out_path, default=None, help="output path (default: stdout)")
@@ -561,7 +570,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p = sub.add_parser("clt-simple", parents=[common, seeded])
     p.set_defaults(build=lambda a: clt_simple_data(a.n, a.samples, a.seed))
     p.add_argument("--n", type=_bounded_int(1, 2**63 - 1), default=400, help="at most 2^63 - 1, numpy's binomial count")
-    p.add_argument("--samples", type=_bounded_int(1, _CHUNK_ENTRIES), default=100_000)
+    p.add_argument("--samples", type=_bounded_int(1, _CHUNK_ENTRIES), default=100_000)  # drawn in one piece, so at most a chunk
     p = sub.add_parser("bounds", parents=[common])
     p.set_defaults(build=lambda a: bounds_data(a.n_max, a.exact_max))
     p.add_argument("--n-max", type=_bounded_int(1, N_MAX_CAP), default=10)
@@ -587,11 +596,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.add_argument("--law", choices=("lis", "cycle"), default="cycle")
     p.add_argument("--n", type=_bounded_int(0, _LEVEL_CAP), default=4)
     p.add_argument("--trials", type=_bounded_int(1), default=100_000)
+    return parser, sub.choices
 
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser, subcommands = _parser()
     args = parser.parse_args(argv)
-    problem = _joint_range_error(args)
-    if problem:
-        sub.choices[args.cmd].error(problem)
+    if problem := _joint_error(args):
+        subcommands[args.cmd].error(problem)
 
     meta, cols = args.build(args)
     meta["format"] = args.format

@@ -287,8 +287,11 @@ def uniform_bst_stats(
     if not 1 <= n <= _SIZE:
         raise ValueError(f"n must be in 1..{_SIZE}, got {n}")
     if n <= _SMALL:
-        code = _alias_codes(np.full(count, n, dtype=np.int64), g)
-        return (code & 0xFF, code >> 24 & 0xFF, code >> 56) if edges else (code & 0xFF, None, None)
+        code = _alias_codes(np.broadcast_to(np.int64(n), count), g)  # every tree has n keys: no count-long input
+        h, l = code & 0xFF, code >> 24
+        l &= 0xFF
+        code >>= 56  # r in place, so that h, l and r take no more memory than the draw's temporaries
+        return (h, l, code) if edges else (h, None, None)
     h = np.zeros(count, dtype=np.int64)
     lr = np.zeros(count, dtype=np.int64) if edges else None  # l | r << 32
     large = np.arange(count, dtype=np.int64) << 32 | (_LEFT | _RIGHT if edges else 0) | n

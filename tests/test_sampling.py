@@ -265,6 +265,21 @@ def test_uniform_bst_stats_chunk_peak_memory():
         assert peak <= bound
 
 
+def test_small_tree_draws_peak_memory():
+    # 2^21 trees of at most _SMALL keys, one alias code each: 50.0 MiB measured with or without
+    # the edges, the draw's u, index, alias mask and codes, which h, l and r reuse in place;
+    # 66.0 MiB while every tree's size came as a count-long np.full and h, l and r as copies
+    _alias_table()  # built outside the trace
+    for n, edges in ((1, True), (20, True), (20, False)):
+        tracemalloc.start()
+        try:
+            uniform_bst_stats(n, 1 << 21, RngState(25).generator(), edges=edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * 2**20
+
+
 def test_theorem2_chunk_peak_memory():
     # both halves of one theorem2 chunk, on their two threads: 3.8-4.1 MiB measured over
     # seeds 1-5 and 25, as the threads' overlap moves the peak (4.2-4.8 MiB while the level

@@ -2,7 +2,9 @@
 its benchmark. A name that only the tests read belongs in ``tests/``. No
 module of the package imports or reads another module's underscore name.
 The package imports only the standard library, numpy and itself, and makes
-its random streams in one place, ``sampling.RngState.generator``."""
+its random streams in one place, ``sampling.RngState.generator``. Every
+integer argument of the CLI carries its bounds, and every per-choice range
+covers its argument's choices, so that the bounds sweep reaches them all."""
 
 import ast
 import sys
@@ -122,3 +124,30 @@ def test_only_rngstate_generator_makes_a_random_stream():
     # one stream scheme: every generator of the package comes from RngState(seed, stream).generator()
     found = {(p.stem, scope) for p in sorted((ROOT / "src").rglob("*.py")) for scope in stream_makers(ast.parse(p.read_text(encoding="utf-8")))}
     assert found == {("sampling", "RngState.generator")}, sorted(found)
+
+
+def test_no_cli_argument_is_a_bare_int():
+    # an integer argument's type is cli._bounded_int, which carries the low and high that the
+    # bounds sweep (test_bounds_sweep.py) reads back: a bare type=int would have no bound to try
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.keyword) and node.arg == "type" and isinstance(node.value, ast.Name) and node.value.id == "int":
+                found.append(f"{path.stem}:{node.value.lineno}")
+    assert not found, found
+    from butterfly_trees import cli
+
+    _, subcommands = cli._parser()
+    untyped = [(cmd, a.dest) for cmd, sub in subcommands.items() for a in sub._actions if type(a.default) is int and not hasattr(a.type, "low")]
+    assert not untyped, untyped
+
+
+def test_every_per_choice_range_is_keyed_by_its_arguments_choices():
+    # so that no choice escapes its range, and --n's own type cuts none of them
+    from butterfly_trees import cli
+
+    _, subcommands = cli._parser()
+    for cmd, (key, ranges) in cli._N_RANGES.items():
+        actions = {a.dest: a for a in subcommands[cmd]._actions}
+        assert set(ranges) == set(actions[key].choices), cmd
+        assert actions["n"].type.low == min(low for low, _ in ranges.values()) and actions["n"].type.high is None, cmd
