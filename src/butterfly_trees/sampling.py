@@ -3,7 +3,8 @@ Seeded batch samplers: the trees of nonsimple butterfly words from their
 shapes (a draw of the top levels' bits, then one uniform class index per
 bottom subtree of up to four levels), and those of uniform S_n and
 S_n wr S_m words (Theorem 2's block model) by root splits, with no word
-built, a subtree of at most 20 keys drawn whole from an exact alias table;
+built, a subtree on an edge of at most 20 keys drawing its whole (h, l, r),
+and one off the edges of at most 64 keys its height, from exact alias tables;
 and the two recursive distributional laws (LIS-law and cycle-law of
 nonsimple butterflies).
 Each returns ``count`` iid draws, one per row or entry.
@@ -22,8 +23,13 @@ would be rejected; and the fair bits of the law samplers and the top bits
 and class indices of :func:`nonsimple_butterfly_stats`, whose bounds are
 powers of two, which the rule never rejects, so each is its word's top
 bits. So these are numpy's draws; every other bounded draw is numpy's own
-call. The alias table, all in integers, draws every small tree exactly as
-often as its insertion orders.
+call. The alias draws of small subtrees read whole 64-bit words instead
+(:func:`_raw`, PCG64's raw words): each word's low bits pick a column of
+Walker's alias table (Vose, IEEE TSE 1991), and its other bits, read as a
+binary fraction and extended by further words in the rare case of a tie,
+are compared with the column's exact threshold. The tables are built in
+integers, so every small tree comes exactly as often as its insertion
+orders.
 
 The recursion-law levels are normalized so that level n corresponds to
 permutations of length 2^n: the base value at n = 0 is the constant 1,
@@ -41,16 +47,18 @@ import numpy as np
 
 from .butterfly import TABLE_LEVELS, stats_from_subtrees
 
-_SMALL = 20  # an interval of at most this many keys draws its whole tree from an alias table
-_ORDERS = math.factorial(_SMALL)  # < 2^63: one int64 draw per small interval
-_COL_BITS = 11  # 2^11 alias columns per size: divides _ORDERS, exceeds the 1483 triples of 20 keys
-_COLS = 1 << _COL_BITS
+_SMALL = 20  # an interval on an edge of at most this many keys draws its whole (h, l, r) from an alias table
+_SMALL_OFF = 64  # an interval off the edges of at most this many keys draws its height from an alias table
+_BLOCK = 1 << 20  # the alias draw reads its words and builds its codes this many intervals at a time
 _SIZE = (1 << 30) - 1  # size field of a live interval
 _LEFT, _RIGHT = 1 << 30, 1 << 31  # edge bits of a live interval
 _TREE = -1 << 32  # tree field of a live interval
 # the halves of l | r << 32 that a small interval's edge bits keep, indexed by right << 1 | left
 _EDGE_HALVES = np.array([0, 0xFFFFFFFF, -1 << 32, -1], dtype=np.int64)
-_ALIAS_LOCK = threading.Lock()  # two threads' first uniform_bst_stats build the alias table once
+# the largest small left and right kid of a large interval, indexed by its right << 1 | left edge bits
+_CUTS = np.array([[_SMALL_OFF, _SMALL_OFF], [_SMALL, _SMALL_OFF], [_SMALL_OFF, _SMALL], [_SMALL, _SMALL]], dtype=np.int64)
+_KEEP = np.array([_TREE | _LEFT, _TREE | _RIGHT], dtype=np.int64)  # what the left and right kid keep of its parent
+_ALIAS_LOCK = threading.Lock()  # two threads' first uniform_bst_stats build each alias table once
 
 
 @dataclass(frozen=True)
@@ -125,33 +133,55 @@ def _law_counts() -> np.ndarray:
     return T
 
 
-@functools.cache
-def _alias_table() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Walker alias columns (thr, codes) of every size s <= _SMALL:
-    column c of size s is entry i = s * _COLS + c of thr, and codes[2i] and
-    codes[2i + 1] are its primary and alias, each h | l << 24 | r << 56, so
-    that code >> 24 is l | r << 32, the layout of the edge sums.
+def _height_counts() -> list[list[int]]:
+    """C[s][h]: the insertion orders of s <= _SMALL_OFF keys whose BST has height
+    h, in Python ints; C[0] is empty.
 
-    A triple of size s weighs its count times _ORDERS / s!, so each size
-    weighs _ORDERS in all, _COLS columns of capacity _ORDERS / _COLS. Vose's
-    pairing, in Python ints, leaves each column thr of its primary and the
-    rest of its capacity to its alias. A uniform u in 0.._ORDERS-1 is a
-    uniform column u mod _COLS and an independent uniform u // _COLS below
-    the capacity, which picks the primary if it is below thr. So every tree
-    of s keys comes exactly as often as its insertion orders. Built on first
-    use, not at import.
+    F_h(s), the orders of s keys of height at most h, is s! for s <= h + 1 and
+    otherwise sum_k C(s-1, k) F_{h-1}(k) F_{h-1}(s-1-k) over the first key's
+    rank k, whose terms at k and s-1-k are equal; F_{-1} is 1 on the empty
+    tree and 0 elsewhere. First differences along h give the law.
     """
-    T = _law_counts()
-    cap = _ORDERS // _COLS
-    thr = np.zeros((_SMALL + 1, _COLS), dtype=np.int64)
-    codes = np.zeros((_SMALL + 1, _COLS, 2), dtype=np.int64)
-    for s in range(1, _SMALL + 1):
-        at = np.nonzero(T[s])
-        h, l, r = (i - 1 for i in at)
-        pad = [0] * (_COLS - h.size)  # empty columns: weight 0, always their alias
-        code = (h | l << 24 | r << 56).tolist() + pad
-        weight = [int(c) * (_ORDERS // math.factorial(s)) for c in T[s][at]] + pad
-        alias = list(range(_COLS))
+    below = [1] + [0] * _SMALL_OFF  # F_{h-1}(s), from h = 0
+    C = [[] for _ in range(_SMALL_OFF + 1)]
+    for h in range(_SMALL_OFF):
+        at = [math.factorial(s) for s in range(min(h + 2, _SMALL_OFF + 1))]
+        for m in range(h + 1, _SMALL_OFF):  # s - 1
+            f = sum(math.comb(m, k) * below[k] * below[m - k] for k in range((m + 1) // 2)) << 1
+            if m % 2 == 0:
+                f += math.comb(m, m // 2) * below[m // 2] ** 2
+            at.append(f)
+        for s in range(1, _SMALL_OFF + 1):
+            C[s].append(at[s] - below[s])
+        below = at
+    for s in range(1, _SMALL_OFF + 1):
+        del C[s][s:]  # heights above s - 1 have no orders
+        assert sum(C[s]) == math.factorial(s)
+    return C
+
+
+def _alias_columns(laws: list[tuple[list[int], list[int]]], bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Walker alias columns (thr, codes, num) of the laws (codes, counts)
+    of the sizes s = 1, 2, ..., row s of each array, 2^bits columns a row; row 0
+    is never drawn.
+
+    An outcome of s keys weighs its count of the s! orders times 2^bits, so each
+    column holds s!. Vose's pairing, in Python ints, leaves each column num of
+    its primary, codes[s, c, 0], and the rest to its alias, codes[s, c, 1].
+    thr is num / s! as a binary fraction of 64 - bits bits, rounded down, which
+    :func:`_alias_codes` compares with a word's high bits; num keeps the
+    threshold exact for a tie.
+    """
+    cols = 1 << bits
+    thr = np.zeros((len(laws) + 1, cols), dtype=np.uint64)
+    num = np.zeros((len(laws) + 1, cols), dtype=object)
+    codes = np.zeros((len(laws) + 1, cols, 2), dtype=np.int64)
+    for s, (code, count) in enumerate(laws, 1):
+        cap = math.factorial(s)
+        pad = [0] * (cols - len(code))  # empty columns: weight 0, always their alias
+        code = code + pad
+        weight = [c << bits for c in count] + pad
+        alias = list(range(cols))
         small = [c for c in alias if weight[c] < cap]
         large = [c for c in alias if weight[c] >= cap]
         while small:
@@ -160,33 +190,93 @@ def _alias_table() -> tuple[np.ndarray, np.ndarray]:
             weight[big] -= cap - weight[c]
             (small if weight[big] < cap else large).append(big)
         assert all(weight[c] == cap for c in large)
-        thr[s] = weight
+        num[s] = weight
+        thr[s] = [(w << (64 - bits)) // cap for w in weight]
         codes[s, :, 0] = code
         codes[s, :, 1] = [code[c] for c in alias]
+    for a in (thr, num, codes):
+        a.flags.writeable = False
+    return thr, codes, num
+
+
+@functools.cache
+def _alias_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alias columns (:func:`_alias_columns`) of the (h, l, r) law of every size
+    s <= _SMALL, 2^11 columns a size, more than the 1483 triples of 20 keys;
+    each code is h | l << 24 | r << 56, so that code >> 24 is l | r << 32, the
+    layout of the edge sums. Built on first use, not at import."""
+    T = _law_counts()
+    laws = []
+    for s in range(1, _SMALL + 1):
+        at = np.nonzero(T[s])
+        h, l, r = (i - 1 for i in at)
+        laws.append(((h | l << 24 | r << 56).tolist(), T[s][at].tolist()))
+    return _alias_columns(laws, 11)
+
+
+@functools.cache
+def _height_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alias columns (:func:`_alias_columns`) of the height law of every size
+    s <= _SMALL_OFF, 2^6 columns a size, one for each height up to 63; each
+    code is the height. Built on first use, not at import."""
+    return _alias_columns([(list(range(s)), counts) for s, counts in enumerate(_height_counts()) if s], 6)
+
+
+def _raw(g: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` 64-bit words of ``g`` as uint64: ``g.integers(0, 2**64,
+    count, dtype=np.uint64)``, which for PCG64 is its raw words, read without
+    ``integers``' wrapper."""
+    bg = g.bit_generator
+    if type(bg) is np.random.PCG64:
+        return bg.random_raw(count)
+    return g.integers(0, 1 << 64, size=count, dtype=np.uint64)
+
+
+def _alias_codes(small: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray], g: np.random.Generator) -> np.ndarray:
+    """The code of each small interval from one exact alias draw of ``table``
+    (:func:`_alias_columns`) at its size, its low bits, ``& _SIZE``.
+
+    The interval reads one 64-bit word of :func:`_raw`. Its low ``bits`` pick
+    the column, and its other 64 - bits bits, read as a binary fraction U,
+    pick the primary if U is below the column's threshold: thr, unless the bits
+    equal it, where further words extend U and are compared with the
+    threshold's next exact bits (:func:`_below`), after the words of the
+    sub-block. So each outcome comes exactly as often as its orders. Sub-blocks
+    of at most _BLOCK intervals bound the temporaries.
+    """
+    thr, codes, num = table
+    bits = thr.shape[1].bit_length() - 1
     thr, codes = thr.ravel(), codes.ravel()
-    thr.flags.writeable = codes.flags.writeable = False
-    return thr, codes
+    out = np.empty(small.size, dtype=np.int64)
+    for lo in range(0, small.size, _BLOCK):
+        hi = min(lo + _BLOCK, small.size)
+        w = _raw(g, hi - lo)
+        at = small[lo:hi] & _SIZE
+        at <<= bits
+        at |= w.view(np.int64) & (1 << bits) - 1
+        w >>= bits
+        t = thr.take(at)
+        alias = w >= t
+        for i in np.flatnonzero(w == t).tolist():
+            s, c = divmod(int(at[i]), 1 << bits)
+            alias[i] = not _below(int(num[s, c]), math.factorial(s), int(w[i]), 64 - bits, g)
+        at <<= 1
+        at |= alias
+        codes.take(at, out=out[lo:hi], mode="clip")  # "clip" writes out unbuffered; at is in range
+    return out
 
 
-def _alias_codes(small: np.ndarray, g: np.random.Generator) -> np.ndarray:
-    """h | l << 24 | r << 56 of the whole tree of each small interval, from one
-    exact integer alias draw each. An interval's size is its low bits,
-    ``& _SIZE``, read unshifted (:func:`uniform_bst_stats`); the temporaries,
-    as large as the level, die on return."""
-    with _ALIAS_LOCK:
-        thr, codes = _alias_table()
-    # column u mod _COLS of the interval's size, then the column's alias if
-    # u // _COLS >= thr; in place, since a large level's temporaries cost
-    # as much as its arithmetic
-    u = g.integers(0, _ORDERS, size=small.size, dtype=np.int64)
-    at = small & _SIZE
-    at <<= _COL_BITS
-    at |= u & _COLS - 1
-    u >>= _COL_BITS
-    alias = u >= thr.take(at)
-    at <<= 1
-    at |= alias
-    return codes.take(at)
+def _below(num: int, den: int, u: int, k: int, g: np.random.Generator) -> bool:
+    """Whether a uniform fraction whose first k bits are u, which equal those of
+    num / den, is below num / den, reading its next bits from ``g``'s 64-bit
+    words until the two differ. Equal to the last bit means not below."""
+    rest = (num << k) - u * den  # num / den = (u + rest / den) / 2^k
+    while rest:
+        q, rest = divmod(rest << 64, den)
+        x = int(_raw(g, 1)[0])
+        if x != q:
+            return x < q
+    return False
 
 
 def _words(g: np.random.Generator, count: int) -> np.ndarray:
@@ -254,6 +344,14 @@ def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _small_codes(n: int, count: int, g: np.random.Generator) -> np.ndarray:
+    """h | l << 24 | r << 56 of ``count`` iid uniform BSTs on 1 <= n <= _SMALL
+    keys, one alias draw each."""
+    with _ALIAS_LOCK:
+        table = _alias_table()
+    return _alias_codes(np.broadcast_to(np.int64(n), count), table, g)  # every tree has n keys: no count-long input
+
+
 def uniform_bst_stats(
     n: int, count: int, g: np.random.Generator, edges: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -262,24 +360,29 @@ def uniform_bst_stats(
 
     Root splits, level by level: the root of a uniform BST has a uniform
     rank, and its two subtrees are independent uniform BSTs on the keys
-    either side. An interval of at most ``_SMALL`` keys is small: it draws
-    its whole (h, l, r) with one exact integer alias draw from the law of
-    all its insertion orders, so a tree on n <= _SMALL keys is one draw.
-    Otherwise a level is the array of its ``large`` intervals. They draw
-    their root ranks in one :func:`_root_ranks` call, numpy's ``integers``
-    ranks without the GIL, and each interval's two kids are split once
-    into the next level's nonempty small and large intervals, in order, and
-    the small ones draw their trees. An interval is one int64,
+    either side. An interval is one int64,
     tree << 32 | right << 31 | left << 30 | size, whose edge bits _RIGHT and
     _LEFT say that every split above it went right or left, so that its root
-    lies on the top-right or top-left edge; a kid takes its parent's tree and
-    its own side's edge bit with one mask, over its size. Each of a tree's l
-    and r comes from the one interval where its edge ends: a large interval
-    whose kid on that side is empty, read off the kid as its edge bit over a
-    size of 0, adds its depth; a small interval on the edge adds its depth
-    plus its own tree's l or r. So every interval adds its share to
-    l | r << 32, zero off the edges; ``edges=False`` sets no edge bit and
-    sums nothing, for a caller that reads only h. A level's arrays are freed
+    lies on the top-right or top-left edge; the root has both. An interval
+    on an edge of at most ``_SMALL`` keys is small: it draws its whole
+    (h, l, r) with one exact alias draw from the law of all its insertion
+    orders (:func:`_alias_table`), so a tree on n <= _SMALL keys is one
+    draw. An interval off the edges adds only its height, so it is small
+    up to ``_SMALL_OFF`` keys, and draws its height alone
+    (:func:`_height_table`). Otherwise a level is the array of its
+    ``large`` intervals. They draw their root ranks in one
+    :func:`_root_ranks` call, numpy's ``integers`` ranks without the GIL,
+    and each interval's two kids are split once, each against the cut of
+    its side (``_CUTS``), into the next level's nonempty small and large
+    intervals, in order; the small ones off the edges, then those on an
+    edge, draw their trees. A kid takes its parent's tree and its own
+    side's edge bit with one mask, over its size. Each of a tree's l and r
+    comes from the one interval where its edge ends: a large interval whose
+    kid on that side is empty, read off the kid as its edge bit over a size
+    of 0, adds its depth; a small interval on the edge adds its depth plus
+    its own tree's l or r. So every interval adds its share to
+    l | r << 32, zero off the edges; ``edges=False`` draws the same words
+    and sums nothing, for a caller that reads only h. A level's arrays are freed
     before the next level's are made, so that two calls on two threads fit
     in the memory that one took while it kept them. ``g`` must not be drawn
     from on another thread during the call.
@@ -287,14 +390,19 @@ def uniform_bst_stats(
     if not 1 <= n <= _SIZE:
         raise ValueError(f"n must be in 1..{_SIZE}, got {n}")
     if n <= _SMALL:
-        code = _alias_codes(np.broadcast_to(np.int64(n), count), g)  # every tree has n keys: no count-long input
+        code = _small_codes(n, count, g)
+        if not edges:
+            code &= 0xFF
+            return code, None, None
         h, l = code & 0xFF, code >> 24
         l &= 0xFF
-        code >>= 56  # r in place, so that h, l and r take no more memory than the draw's temporaries
-        return (h, l, code) if edges else (h, None, None)
+        code >>= 56  # r in place, so that h, l and r take no more memory than three arrays
+        return h, l, code
+    with _ALIAS_LOCK:
+        rim_table, off_table = _alias_table(), _height_table()
     h = np.zeros(count, dtype=np.int64)
     lr = np.zeros(count, dtype=np.int64) if edges else None  # l | r << 32
-    large = np.arange(count, dtype=np.int64) << 32 | (_LEFT | _RIGHT if edges else 0) | n
+    large = np.arange(count, dtype=np.int64) << 32 | _LEFT | _RIGHT | n
     depth = 0
     # every partition is a compress: numpy 2.4 takes 1.7 ms to subscript 450K
     # int64s by a half-true bool mask, and compress 0.21 ms
@@ -303,38 +411,51 @@ def uniform_bst_stats(
         k = _root_ranks(rest, g)
         rest -= 1
         rest -= k
-        # the kids split once into the nonempty small and the large, and are
-        # built in place over k and rest; a kid keeps its parent's tree and
-        # its parent's edge bit on its side
-        big = _pairs(k > _SMALL, rest > _SMALL)
-        kept = _pairs(k > 0, rest > 0)
-        kept ^= big
-        k |= large & (_TREE | _LEFT)
-        rest |= large & (_TREE | _RIGHT)
-        del large
-        if edges:
-            # an empty kid on an edge ends it at its parent
-            lr[k.compress(k & (_LEFT | _SIZE) == _LEFT) >> 32] += depth
-            lr[rest.compress(rest & (_RIGHT | _SIZE) == _RIGHT) >> 32] += depth << 32
+        # the kids, still bare sizes, split once into the nonempty small and the
+        # large, each against the cut of its side; then, in place, each keeps its
+        # parent's tree and its parent's edge bit on its side
+        side = large >> 30
+        side &= 3
+        cut = _CUTS.take(side, axis=0).ravel()
+        del side
         kids = _pairs(k, rest)
         del k, rest
+        big = kids > cut
+        del cut
+        kept = kids > 0
+        kept ^= big
+        pair = kids.reshape(-1, 2)
+        pair |= large[:, None] & _KEEP
+        del large, pair
+        if edges:
+            # an empty kid on an edge ends it at its parent
+            k, rest = kids[0::2], kids[1::2]
+            lr[k.compress(k & (_LEFT | _SIZE) == _LEFT) >> 32] += depth
+            lr[rest.compress(rest & (_RIGHT | _SIZE) == _RIGHT) >> 32] += depth << 32
+            del k, rest
         small, large = kids.compress(kept), kids.compress(big)
         del kids, kept, big
         depth += 1
 
-        code = _alias_codes(small, g)
-        tree = small >> 32
-        np.maximum.at(h, tree, (code & 0xFF) + depth)
-        if edges:
-            # l | r << 32 plus the depth on each, each half kept if its edge bit is set
-            code >>= 24
-            code += depth << 32 | depth
-            side = small >> 30
-            side &= 3
-            code &= _EDGE_HALVES.take(side)
-            np.add.at(lr, tree, code)
-            del side
-        del small, tree, code
+        # the small intervals on an edge, the rim, draw (h, l, r), the rest their heights
+        on = (small & (_LEFT | _RIGHT)).astype(bool)
+        rim, small = small.compress(on), small.compress(~on)
+        del on
+        code = _alias_codes(small, off_table, g)
+        code += depth
+        np.maximum.at(h, small >> 32, code)
+        del small, code
+        if rim.size:
+            code = _alias_codes(rim, rim_table, g)
+            tree = rim >> 32
+            np.maximum.at(h, tree, (code & 0xFF) + depth)
+            if edges:
+                # l | r << 32 plus the depth on each, the half of the rim's edge kept
+                code >>= 24
+                code += depth << 32 | depth
+                code &= _EDGE_HALVES.take(rim >> 30 & 3)
+                np.add.at(lr, tree, code)
+        del rim
     return (h, lr & 0xFFFFFFFF, lr >> 32) if edges else (h, None, None)
 
 
@@ -342,7 +463,8 @@ def wreath_heights(n: int, m: int, count: int, g: np.random.Generator) -> np.nda
     """Heights of ``count`` iid BSTs of uniform S_n wr S_m words, 1 <= n, m < 2^30.
 
     Such a tree is an external uniform BST on the m blocks, with an iid
-    uniform BST on n keys (from :func:`uniform_bst_stats`) at every block.
+    uniform BST on n keys at every block: its (h, l, r) from
+    :func:`uniform_bst_stats`, or for n <= _SMALL its packed alias code.
     The external tree is split top down like those, a live interval being
     tree << 32 | size: the root block of an interval hangs at an offset,
     its left child at offset + l + 1 and its right child at offset + r + 1,
@@ -350,7 +472,10 @@ def wreath_heights(n: int, m: int, count: int, g: np.random.Generator) -> np.nda
     """
     if not 1 <= m <= _SIZE:
         raise ValueError(f"m must be in 1..{_SIZE}, got {m}")
-    hb, lb, rb = uniform_bst_stats(n, count * m, g)  # taken in order, one per block visited
+    # taken in order, one per block visited; n <= _SMALL keeps one packed code a block,
+    # unpacked a level at a time, a third of the memory of three arrays
+    packed = 1 <= n <= _SMALL
+    blocks = _small_codes(n, count * m, g) if packed else uniform_bst_stats(n, count * m, g)
     h = np.zeros(count, dtype=np.int64)
     live = np.arange(count, dtype=np.int64) << 32 | m
     offset = np.zeros(count, dtype=np.int64)
@@ -358,13 +483,18 @@ def wreath_heights(n: int, m: int, count: int, g: np.random.Generator) -> np.nda
     while live.size:
         block = slice(used, used + live.size)
         used = block.stop
+        if packed:
+            code = blocks[block]
+            hb, lb, rb = code & 0xFF, code >> 24 & 0xFF, code >> 56
+        else:
+            hb, lb, rb = (a[block] for a in blocks)
         tree = live >> 32
-        np.maximum.at(h, tree, offset + hb[block])
+        np.maximum.at(h, tree, offset + hb)
         size = live & _SIZE
         k = g.integers(0, size)
         tree <<= 32
         kids = _pairs(tree | k, tree | (size - 1 - k))
-        offsets = _pairs(offset + lb[block] + 1, offset + rb[block] + 1)
+        offsets = _pairs(offset + lb + 1, offset + rb + 1)
         keep = _pairs(k > 0, k < size - 1)
         live, offset = kids.compress(keep), offsets.compress(keep)
     return h

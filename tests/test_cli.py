@@ -74,11 +74,11 @@ def test_fig8_golden_digest(capsys, args, digest):
 
 TREE_GOLDEN = [
     (["table1"], "5ce51e718033b657db914dba4ce0c8317cff73d866fb90823e95de864dbebe6a"),
-    (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "d0abf4c02095c68ac3f365bf1b8751d9815ac87945b7340be882706b5c981813"),
-    (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "af63ad2162396d2cbafa78c0d5e6641a079f7a5cfb1a24738b96de1030cf5810"),
+    (["theorem2-diff", "--n", "500", "--m", "2", "--trials", "600", "--seed", "7"], "593b296a4fb96dc6d0f4c5d375b6914aaf5830b95b1b0aa6eda32df11d16c51d"),
+    (["theorem2-diff", "--n", "37", "--m", "3", "--trials", "251", "--seed", "11", "--format", "json"], "aa54926f5235647aecfeb1d31837b0b7c999e61036ba8780b65e961d226c3439"),
     (
         ["explore-conjecture", "--grid", "20x5,1x3,30x1", "--trials", "300", "--seed", "3", "--format", "json"],
-        "61e54cdac80cc6d1aff54730b8399f84244a0ffc483329ebf678e3cdca6747cb",
+        "d95ebbfb7a43c56fce1f3e5df7b80685bce97a84cd7ccb07453e6e3c2bd7f093",
     ),
 ]
 
@@ -96,7 +96,10 @@ def test_tree_golden_digest(capsys, args, digest):
     # The theorem2 digests were re-recorded when theorem2-diff became a two-cell chunked grid,
     # wreath chunk c on stream 2c and uniform chunk c on stream 2c + 1: the same law, other
     # streams. theorem2-json and explore-json were re-recorded when JSON came to write nan as
-    # null, as RFC 8259 has no NaN: only those cells moved in explore-json.
+    # null, as RFC 8259 has no NaN: only those cells moved in explore-json. All three were
+    # re-recorded when subtrees off the edges of up to 64 keys came to draw their height whole:
+    # the same law, drawn from a height-only table above 20 keys off the edges, and alias
+    # columns read from raw words.
     out = run_cli(capsys, args)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -368,30 +371,33 @@ def test_import_leaves_the_thread_pool_unloaded():
 
 
 def test_import_builds_no_alias_table():
-    # the alias table and the subtree tables are built on first use, never at import,
+    # the alias tables and the subtree tables are built on first use, never at import,
     # and no subcommand pulls in the tree builder
     code = (
         "import sys, butterfly_trees.cli as c; print('butterfly_trees.bst' in sys.modules); "
-        "print(c.sampling._alias_table.cache_info().currsize, c.butterfly._subtree_table.cache_info().currsize)"
+        "print(c.sampling._alias_table.cache_info().currsize, c.sampling._height_table.cache_info().currsize, "
+        "c.butterfly._subtree_table.cache_info().currsize)"
     )
-    assert fresh_python(code).stdout == "False\n0 0\n"
+    assert fresh_python(code).stdout == "False\n0 0 0\n"
 
 
 def test_first_theorem2_runs_build_the_alias_table_once():
     # a chunk's two halves, and here four runs at once on more threads than cores, all ask
-    # for the alias table before it exists: one builds it, and every run keeps its numbers
+    # for the alias tables before they exist: one builds each, and every run keeps its numbers
     code = (
         "import sys\n"
         "from concurrent.futures import ThreadPoolExecutor\n"
         "import butterfly_trees.cli as c\n"
         "sys.setswitchinterval(1e-6)\n"
-        "with ThreadPoolExecutor(4) as pool:\n"
-        "    runs = list(pool.map(lambda s: c.theorem2_diff_data(30, 2, 300, s), range(4)))\n"
-        "sys.setswitchinterval(0.005)\n"
+        "try:\n"
+        "    with ThreadPoolExecutor(4) as pool:\n"
+        "        runs = list(pool.map(lambda s: c.theorem2_diff_data(30, 2, 300, s), range(4)))\n"
+        "finally:\n"
+        "    sys.setswitchinterval(0.005)\n"
         "assert runs == [c.theorem2_diff_data(30, 2, 300, s) for s in range(4)]\n"
-        "print(c.sampling._alias_table.cache_info().misses)"
+        "print(c.sampling._alias_table.cache_info().misses, c.sampling._height_table.cache_info().misses)"
     )
-    assert fresh_python(code).stdout == "1\n"
+    assert fresh_python(code).stdout == "1 1\n"
 
 
 def test_fmt_numpy_scalars():

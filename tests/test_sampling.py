@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +16,16 @@ from butterfly_trees import butterfly, cli, sampling
 from butterfly_trees.butterfly import class_indices, shape_indices, stats_from_subtrees
 from butterfly_trees.exact import cycle_law_counts, lis_law_counts
 from butterfly_trees.sampling import (
-    _COLS,
-    _ORDERS,
     _SMALL,
+    _SMALL_OFF,
     RngState,
+    _alias_codes,
     _alias_table,
+    _below,
+    _height_counts,
+    _height_table,
     _law_counts,
+    _raw,
     _root_ranks,
     _words,
     cycle_law_samples,
@@ -160,7 +165,7 @@ def test_root_ranks_of_another_bit_generator_are_numpys():
     assert_ranks_are_numpys(size, np.random.Generator(np.random.MT19937(0)), np.random.Generator(np.random.MT19937(0)))
 
 
-@pytest.mark.parametrize("n", [3, 21, 41, 20_000])
+@pytest.mark.parametrize("n", [3, 21, 41, 64, 65, 20_000])
 def test_heights_alone_are_the_stats_heights(n):
     # edges=False skips the edge work and nothing else: the same heights, the same state after
     g, reference = RngState(26, n).generator(), RngState(26, n).generator()
@@ -170,36 +175,38 @@ def test_heights_alone_are_the_stats_heights(n):
     assert g.bit_generator.state == reference.bit_generator.state
 
 
-# sha256 of the (h, l, r) bytes and of the heights, recorded when the level loop still
-# partitioned one array of intervals: a first level all small (n <= 20) or all large, and
-# later levels with both
+# sha256 of the (h, l, r) bytes and of the heights: a first level all small (n <= 20) or all
+# large, and later levels with both. Re-recorded, all but (1, 7), when subtrees off the edges of
+# up to 64 keys came to draw their height whole: the same law, drawn from a height-only table
+# above 20 keys off the edges, and alias columns read from raw words. (1, 7) kept its bytes and
+# state: seven one-key trees read seven words either way
 SPLIT_DIGESTS = {
     (1, 7): "e3c2af35d1dfc500e16f826a071cc311bf55003a3de77de7ea3376c6b6fa2857",
-    (20, 50): "2247a02dc0014caa2485f625b275a91329f993a8dba24a8029682c7bbb523823",
-    (21, 50): "29f311eb871dc967e7b4d08ebe02c88001d64e5607b21a73084ec99635b1b4f5",
-    (22, 50): "935264cada8be248364e63e5723fc1196120d618226e728b5d51dbb601311259",
-    (41, 50): "e43287ecc9bf248d9ef346f8a7a964b777a6690b2d27429463ecdf0e905235b1",
-    (20000, 12): "3afd2d160b1cd24afce88d32cc8ce2ac6fa2f768d04c43fcbd16a7411c323274",
+    (20, 50): "532748224705f814f05ad3924ab958c642b1443f47ac75accb7c94acdc09f697",
+    (21, 50): "2de79c621cc093d86c68e571f6853d52464771bf99861b70521d7a4ecf289791",
+    (22, 50): "c96be2cf77e6c68c20c54f76782b1bf387f8d15eee49ca061ab5370793bdd37a",
+    (41, 50): "597f0c4b85ed57518941599b14431e8c7c6236d43d7b685c6c4f3447ad7ac399",
+    (20000, 12): "5758bd2d75d4841883b76960f3c72bb0f7b4b057967466ca6280df744c55f280",
 }
 WREATH_DIGESTS = {
-    (3, 10**4, 3): "e5c12039fb24ba01398865a38430746edf45e5e8b7717983c70c7d4c570fcf23",
-    (10**4, 2, 5): "a5500d46f8926d36a7cf08dda76a968afe32cf1cd3e557ffb56a53c5f81d0454",
+    (3, 10**4, 3): "755d45cb61c4d8768dfeba1fbca11e6db7833cb83c5505da1428193ecb81ccfa",
+    (10**4, 2, 5): "646241e2f5dc892dd0ad35f3ee91b54042f300fbd0948a860188acde9fc51e5a",
 }
 
 # sha256 of the generator's state after each of those calls, as state_digest gives it,
-# recorded before the live interval packed its edge bits above its size: a change that
-# keeps the outputs but reads a different number of words fails here
+# re-recorded with the digests above: a change that keeps the outputs but reads a different
+# number of words fails here
 SPLIT_STATES = {
     (1, 7): "18278238dc80bacaa6f1fca61f96c0b63d220aaec0c5b88372a4f5e8e68c3eff",
-    (20, 50): "a25b5898c4ef4bef955ba5372faa0e4c6c1530e8f598d826183484f64d136633",
-    (21, 50): "debbe2b8f861392a3a9380f21d24c81500aa30a6ad9c0ca3ce7e06788537fe85",
-    (22, 50): "187fd68ee4469b65a0462454462ded6706f286f0f17c3ab22ee488ac8a0d2ed9",
-    (41, 50): "09a1f71e91b2b79774868380409ad87ce2186f0e80f1e3da229f9ee098127f46",
-    (20000, 12): "79b590552065cb3fde285011629bf87f1d711641dc1dd86ae51955f3abfb9f08",
+    (20, 50): "2bd87c3915960757092bc699a2c5ecc04c9ea1413fb4b92e111bd5149b7e73fd",
+    (21, 50): "64138c88d4fd45defee9d240fb5d4462a9169c05931e7f2a08e6eccc9765316c",
+    (22, 50): "bb31993c84b3d64d4d3888df82f470548c3ea9adec2adf413fb4cd71f338dfcf",
+    (41, 50): "7de532bf202f4b5dbe626edce8e0435a950ab4a73dbdadce3e7baf27ac61ae23",
+    (20000, 12): "0cfd580239e766e3caf6d90c46acd4823594f678ac6fefc02be07d0c56d12262",
 }
 WREATH_STATES = {
-    (3, 10**4, 3): "35baa73a929ef4df06856d228e06e4f554d7e0b4f609cb75c98d356369416001",
-    (10**4, 2, 5): "2e314b0148213e6a6c128bc0409760ba269a7e190208efddb47b9d3ee3d2f834",
+    (3, 10**4, 3): "142884462501009cb83c11d2f476973424fa4f9b20b0d77897e38f047944420a",
+    (10**4, 2, 5): "4f1d280031d233d6d2299f5fff11ac0c60e4f718a07afc166742b7000f818eda",
 }
 
 
@@ -225,24 +232,29 @@ def test_wreath_heights_draw_order_is_pinned(n, m, count):
 
 
 @pytest.mark.parametrize(
-    "n,m,bound",
+    "n,m,count,bound",
     [
-        # theorem2's chunk: 2.93 MiB measured, 3.15 MiB while the level loop kept a tree array
+        # theorem2's chunk: 0.96 MiB measured, 2.93 MiB while intervals of 21 to 64 keys off the
+        # edges still split, 3.15 MiB while the level loop kept a tree array
         # beside its intervals, 5.26 MB while each level kept its arrays until the next
         # level's replaced them
-        (10**4, 2, 3.2 * 2**20),
-        # README's largest explore chunk: 81.7 MiB measured, the external tree's arrays, with or
-        # without a tree array in the level loop; 174.0 MB while a root of at most 20 keys went
-        # through the level loop's (h, l | r << 32) sums
-        (3, 10**4, 100 * 2**20),
+        (10**4, 2, 250, 3.2 * 2**20),
+        # README's largest explore chunk: 52.1 MiB measured, the blocks' packed codes and the
+        # external tree's arrays; 81.7 MiB while the blocks' h, l and r were three arrays,
+        # 174.0 MB while a root of at most 20 keys went through the level loop's
+        # (h, l | r << 32) sums
+        (3, 10**4, 250, 100 * 2**20),
+        # the largest chunk of one-key blocks, theorem2-diff --n 1 --m 8388608's: 137.5 MiB
+        # measured, 252.0 MiB while the blocks' h, l and r were three arrays
+        (1, 1 << 23, 1, 144 * 2**20),
     ],
-    ids=["theorem2", "explore"],
+    ids=["theorem2", "explore", "one-key-blocks"],
 )
-def test_wreath_heights_chunk_peak_memory(n, m, bound):
-    _alias_table()  # built outside the trace
+def test_wreath_heights_chunk_peak_memory(n, m, count, bound):
+    _alias_table(), _height_table()  # built outside the trace
     tracemalloc.start()
     try:
-        wreath_heights(n, m, 250, RngState(25).generator())
+        wreath_heights(n, m, count, RngState(25).generator())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -250,11 +262,12 @@ def test_wreath_heights_chunk_peak_memory(n, m, bound):
 
 
 def test_uniform_bst_stats_chunk_peak_memory():
-    # all of (h, l, r): 2.13 MiB measured, 2.33 MiB while the level loop kept a tree array
+    # all of (h, l, r): 0.91 MiB measured, 2.13 MiB while intervals of 21 to 64 keys off the edges
+    # still split, 2.33 MiB while the level loop kept a tree array
     # beside its intervals, 5.80 MB while each level kept its arrays until the next level's
     # replaced them; two halves on two threads now fit in one's memory. The heights alone,
-    # theorem2's uniform half: 1.95 MiB measured, 2.33 MiB with the tree array
-    _alias_table()  # built outside the trace
+    # theorem2's uniform half: 0.91 MiB measured, 1.95 MiB while intervals of 21 to 64 keys split
+    _alias_table(), _height_table()  # built outside the trace
     for edges, bound in ((True, 4 * 2**20), (False, 3 * 2**20)):
         tracemalloc.start()
         try:
@@ -266,8 +279,9 @@ def test_uniform_bst_stats_chunk_peak_memory():
 
 
 def test_small_tree_draws_peak_memory():
-    # 2^21 trees of at most _SMALL keys, one alias code each: 50.0 MiB measured with or without
-    # the edges, the draw's u, index, alias mask and codes, which h, l and r reuse in place;
+    # 2^21 trees of at most _SMALL keys, one alias code each: 49.0 MiB measured with or without
+    # the edges, the codes and one 2^20-interval sub-block's words, index, thresholds and masks,
+    # which h, l and r reuse in place; 50.0 MiB while the whole draw's temporaries lived at once,
     # 66.0 MiB while every tree's size came as a count-long np.full and h, l and r as copies
     _alias_table()  # built outside the trace
     for n, edges in ((1, True), (20, True), (20, False)):
@@ -280,12 +294,29 @@ def test_small_tree_draws_peak_memory():
         assert peak <= 56 * 2**20
 
 
+def test_one_key_tree_draws_peak_memory():
+    # 2^23 one-key trees, a theorem2-diff --n 1 --m 8388608 chunk's blocks: 192.0 MiB measured
+    # with the edges, h, l and r themselves, and 97.0 MiB for the heights alone, the codes plus
+    # one sub-block's temporaries; 200.0 MiB either way while the whole draw's temporaries lived
+    # at once
+    _alias_table()  # built outside the trace
+    for edges, bound in ((True, 196), (False, 100)):
+        tracemalloc.start()
+        try:
+            uniform_bst_stats(1, 1 << 23, RngState(25).generator(), edges=edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20
+
+
 def test_theorem2_chunk_peak_memory():
-    # both halves of one theorem2 chunk, on their two threads: 3.8-4.1 MiB measured over
-    # seeds 1-5 and 25, as the threads' overlap moves the peak (4.2-4.8 MiB while the level
-    # loop kept a tree array, 4.3-4.4 MB over seeds 1-5 while the uniform half also summed
-    # its edges); the halves' own peaks, 2.9 and 1.9 MiB, sum to 4.9 MiB
-    cli.theorem2_diff_data(100, 2, 10, 0)  # the alias table and the thread pool's imports, outside the trace
+    # both halves of one theorem2 chunk, on their two threads: 1.6-1.9 MiB measured over
+    # seeds 1-5 and 25, as the threads' overlap moves the peak (3.8-4.1 MiB while intervals of
+    # 21 to 64 keys off the edges still split, 4.2-4.8 MiB while the level loop kept a tree
+    # array, 4.3-4.4 MB over seeds 1-5 while the uniform half also summed its edges); the
+    # halves' own peaks, 0.96 and 0.91 MiB, sum to 1.9 MiB
+    cli.theorem2_diff_data(100, 2, 10, 0)  # the alias tables and the thread pool's imports, outside the trace
     tracemalloc.start()
     try:
         cli.theorem2_diff_data(10**4, 2, 250, 25)
@@ -324,22 +355,81 @@ def test_law_counts_height_marginal_matches_size_recursion():
         np.testing.assert_allclose(cdf, uniform_height_cdf(s, s - 1), rtol=0, atol=1e-12)
 
 
-def test_alias_columns_rebuild_the_law_exactly():
-    # column c of size s gives thr to its primary and the rest of its capacity
-    # to its alias; summed in Python ints, that is count * 20!/s! for every triple
-    thr, codes = _alias_table()
-    cap = _ORDERS // _COLS
-    assert _ORDERS % _COLS == 0 and _ORDERS < 2**63
-    assert not thr.flags.writeable and not codes.flags.writeable
+def height_law(s: int) -> dict[int, int]:
+    """The nonzero counts of the height-only table's law of s keys, keyed h."""
+    return {h: c for h, c in enumerate(_height_counts()[s]) if c}
+
+
+def test_height_counts_are_the_law_counts_height_marginal():
+    T = _law_counts()
     for s in range(1, _SMALL + 1):
-        got = Counter()
-        for c in range(_COLS):
-            i = s * _COLS + c
-            assert 0 <= thr[i] <= cap
-            got[int(codes[2 * i])] += int(thr[i])
-            got[int(codes[2 * i + 1])] += cap - int(thr[i])
-        want = {h | l << 24 | r << 56: c * (_ORDERS // math.factorial(s)) for (h, l, r), c in law_triples(s).items()}
-        assert +got == want
+        assert _height_counts()[s] == T[s].sum(axis=(1, 2))[1 : s + 1].tolist()
+
+
+def test_height_counts_match_size_recursion():
+    # s! in all, and the FFT size recursion's height law, up to the largest interval drawn whole
+    counts = _height_counts()
+    assert len(counts) == _SMALL_OFF + 1 and not counts[0]
+    for s in range(1, _SMALL_OFF + 1):
+        assert len(counts[s]) == s and sum(counts[s]) == math.factorial(s)
+        cdf = [float(Fraction(c, math.factorial(s))) for c in itertools.accumulate(counts[s])]
+        np.testing.assert_allclose(cdf, uniform_height_cdf(s, s - 1), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("s", range(1, 9))
+def test_height_counts_match_every_insertion_order(s):
+    heights = Counter()
+    for (h, _, _), c in enumerated_triples(s).items():
+        heights[h] += c
+    assert height_law(s) == heights
+
+
+def test_alias_columns_rebuild_the_law_exactly():
+    # column c of size s gives num to its primary and s! - num to its alias; summed in Python
+    # ints, that is count * 2^bits for every outcome, and thr is num / s! in 64 - bits bits,
+    # rounded down; for both tables, the (h, l, r) one of 2^11 columns and the height one of 2^6
+    hlr = lambda s: {h | l << 24 | r << 56: c for (h, l, r), c in law_triples(s).items()}
+    for (thr, codes, num), top, bits, law in ((_alias_table(), _SMALL, 11, hlr), (_height_table(), _SMALL_OFF, 6, height_law)):
+        assert thr.shape == num.shape == codes.shape[:2] == (top + 1, 1 << bits)
+        assert thr.dtype == np.uint64
+        for s in range(1, top + 1):
+            cap = math.factorial(s)
+            got = Counter()
+            for c in range(1 << bits):
+                primary = int(num[s, c])
+                assert 0 <= primary <= cap and int(thr[s, c]) == (primary << (64 - bits)) // cap
+                got[int(codes[s, c, 0])] += primary
+                got[int(codes[s, c, 1])] += cap - primary
+            assert +got == {code: c << bits for code, c in law(s).items()}
+
+
+@pytest.mark.parametrize("step", [-1, 1], ids=["above", "below"])
+def test_a_tie_reads_further_words(step):
+    # a 64-key column whose threshold's first 58 bits are the first word's high bits and whose
+    # next 64 are the second word: the third word decides, against the threshold's next bits,
+    # here one more or one less than the third word, and the draw reads exactly three words
+    g, twin = RngState(27).generator(), RngState(27).generator()
+    first, second, third = (int(w) for w in twin.bit_generator.random_raw(3))
+    col, den = first & 63, math.factorial(64)
+    bits = ((first >> 6) << 64 | second) << 64 | third + step
+    thr = np.zeros((65, 64), dtype=np.uint64)
+    num = np.zeros((65, 64), dtype=object)
+    codes = np.zeros((65, 64, 2), dtype=np.int64)
+    num[64, col] = -(-bits * den >> 186)  # the least num whose num / 64! starts with those 186 bits
+    assert (num[64, col] << 186) // den == bits
+    thr[64, col] = first >> 6
+    codes[64, col] = 1, 2
+    got = _alias_codes(np.array([64]), (thr, codes, num), g)
+    assert got.tolist() == [1 if step > 0 else 2]
+    assert g.bit_generator.state == twin.bit_generator.state
+
+
+def test_an_exact_threshold_is_never_below():
+    # a fraction whose first bits equal a dyadic threshold's every bit is not below it: no word read
+    g = RngState(28).generator()
+    state = g.bit_generator.state
+    assert not _below(3, 8, 3 << 55, 58, g)
+    assert g.bit_generator.state == state
 
 
 @pytest.mark.parametrize("n", [*range(1, 8), 9])
@@ -355,19 +445,20 @@ def test_uniform_bst_stats_match_all_of_s_n(n):
         assert chi_square_pvalue(obs, {t: trials * c / total for t, c in exact.items()}) > P_FLOOR
 
 
-@pytest.mark.parametrize("n", [20, 21, 30])
+@pytest.mark.parametrize("n", [20, 21, 30, 64, 65])
 def test_uniform_bst_stats_match_word_trees(n):
-    # two samples of the joint (h, l, r) law, either side of the alias-table cutoff
+    # two samples of the joint (h, l, r) law, either side of the two alias-table cutoffs
     trials = 40_000
     split = triples(*uniform_bst_stats(n, trials, RngState(12, n).generator()))
     words = triples(*batch_summaries(uniform_words(n, trials, RngState(13, n).generator())))
     assert two_sample_pvalue(split, words) > P_FLOOR
 
 
-@pytest.mark.parametrize("n", [21, 40, 2000])
+@pytest.mark.parametrize("n", [21, 40, 64, 65, 2000])
 def test_uniform_bst_height_law(n):
     # the size recursion of the height law, one FFT per level, at sizes that
-    # split at the root above the alias table: once, a few times, many levels
+    # split at the root above the alias table: once, a few times, many levels;
+    # at 64 and 65 the root's kids are drawn whole, or one of them splits again
     trials, K = 10_000, min(n - 1, 80)
     cdf = uniform_height_cdf(n, K)
     pmf = np.diff(cdf, prepend=0.0)
@@ -518,7 +609,12 @@ def test_nonsimple_butterfly_stats_chunk_peak_memory():
 def test_cached_builders_return_read_only_arrays():
     # every caller shares the cached arrays, theorem2-diff's worker thread too: a write through
     # one caller would change every later draw, so each array refuses it
-    calls = {butterfly._subtree_table: [(k,) for k in range(5)], butterfly._top_order: [(d,) for d in (0, 1, 2, 6, 19)], _alias_table: [()]}
+    calls = {
+        butterfly._subtree_table: [(k,) for k in range(5)],
+        butterfly._top_order: [(d,) for d in (0, 1, 2, 6, 19)],
+        _alias_table: [()],
+        _height_table: [()],
+    }
     cached = {f for m in (butterfly, sampling) for f in vars(m).values() if hasattr(f, "cache_info") and f.__module__ == m.__name__}
     assert cached == set(calls)
     for builder, args in calls.items():
@@ -589,6 +685,15 @@ def test_words_are_numpys_uint32_draws(kind, count):
     assert got.dtype == want.dtype and np.array_equal(got, want)
     np.testing.assert_equal(g.bit_generator.state, twin.bit_generator.state)
     assert g.integers(0, 2, size=5).tolist() == twin.integers(0, 2, size=5).tolist()
+
+
+@pytest.mark.parametrize("kind", DRAW_KINDS)
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_raw_words_are_numpys_uint64_draws(kind, count):
+    g, twin = twin_generators(kind)
+    got, want = _raw(g, count), twin.integers(0, 2**64, size=count, dtype=np.uint64)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    np.testing.assert_equal(g.bit_generator.state, twin.bit_generator.state)
 
 
 @pytest.mark.parametrize("kind", DRAW_KINDS)
