@@ -24,7 +24,7 @@ and class indices of :func:`nonsimple_butterfly_stats`, whose bounds are
 powers of two, which the rule never rejects, so each is its word's top
 bits. So these are numpy's draws; every other bounded draw is numpy's own
 call. The alias draws of small subtrees read whole 64-bit words instead
-(:func:`_raw`, PCG64's raw words): each word's low bits pick a column of
+(full-range uint64 ``integers`` draws): each word's low bits pick a column of
 Walker's alias table (Vose, IEEE TSE 1991), and its other bits, read as a
 binary fraction and extended by further words in the rare case of a tie,
 are compared with the column's exact threshold. The tables are built in
@@ -222,21 +222,11 @@ def _height_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _alias_columns([(list(range(s)), counts) for s, counts in enumerate(_height_counts()) if s], 6)
 
 
-def _raw(g: np.random.Generator, count: int) -> np.ndarray:
-    """The next ``count`` 64-bit words of ``g`` as uint64: ``g.integers(0, 2**64,
-    count, dtype=np.uint64)``, which for PCG64 is its raw words, read without
-    ``integers``' wrapper."""
-    bg = g.bit_generator
-    if type(bg) is np.random.PCG64:
-        return bg.random_raw(count)
-    return g.integers(0, 1 << 64, size=count, dtype=np.uint64)
-
-
 def _alias_codes(small: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray], g: np.random.Generator) -> np.ndarray:
     """The code of each small interval from one exact alias draw of ``table``
     (:func:`_alias_columns`) at its size, its low bits, ``& _SIZE``.
 
-    The interval reads one 64-bit word of :func:`_raw`. Its low ``bits`` pick
+    The interval reads one full-range uint64 word of ``g``. Its low ``bits`` pick
     the column, and its other 64 - bits bits, read as a binary fraction U,
     pick the primary if U is below the column's threshold: thr, unless the bits
     equal it, where further words extend U and are compared with the
@@ -250,7 +240,7 @@ def _alias_codes(small: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndar
     out = np.empty(small.size, dtype=np.int64)
     for lo in range(0, small.size, _BLOCK):
         hi = min(lo + _BLOCK, small.size)
-        w = _raw(g, hi - lo)
+        w = g.integers(0, 1 << 64, size=hi - lo, dtype=np.uint64)
         at = small[lo:hi] & _SIZE
         at <<= bits
         at |= w.view(np.int64) & (1 << bits) - 1
@@ -273,7 +263,7 @@ def _below(num: int, den: int, u: int, k: int, g: np.random.Generator) -> bool:
     rest = (num << k) - u * den  # num / den = (u + rest / den) / 2^k
     while rest:
         q, rest = divmod(rest << 64, den)
-        x = int(_raw(g, 1)[0])
+        x = int(g.integers(0, 1 << 64, dtype=np.uint64))
         if x != q:
             return x < q
     return False

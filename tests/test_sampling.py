@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -25,7 +26,6 @@ from butterfly_trees.sampling import (
     _height_counts,
     _height_table,
     _law_counts,
-    _raw,
     _root_ranks,
     _words,
     cycle_law_samples,
@@ -355,20 +355,26 @@ def test_law_counts_height_marginal_matches_size_recursion():
         np.testing.assert_allclose(cdf, uniform_height_cdf(s, s - 1), rtol=0, atol=1e-12)
 
 
+@functools.cache
+def height_counts() -> list[list[int]]:
+    """``_height_counts()``, built once for the module: each build takes tens of ms."""
+    return _height_counts()
+
+
 def height_law(s: int) -> dict[int, int]:
     """The nonzero counts of the height-only table's law of s keys, keyed h."""
-    return {h: c for h, c in enumerate(_height_counts()[s]) if c}
+    return {h: c for h, c in enumerate(height_counts()[s]) if c}
 
 
 def test_height_counts_are_the_law_counts_height_marginal():
     T = _law_counts()
     for s in range(1, _SMALL + 1):
-        assert _height_counts()[s] == T[s].sum(axis=(1, 2))[1 : s + 1].tolist()
+        assert height_counts()[s] == T[s].sum(axis=(1, 2))[1 : s + 1].tolist()
 
 
 def test_height_counts_match_size_recursion():
     # s! in all, and the FFT size recursion's height law, up to the largest interval drawn whole
-    counts = _height_counts()
+    counts = height_counts()
     assert len(counts) == _SMALL_OFF + 1 and not counts[0]
     for s in range(1, _SMALL_OFF + 1):
         assert len(counts[s]) == s and sum(counts[s]) == math.factorial(s)
@@ -685,15 +691,6 @@ def test_words_are_numpys_uint32_draws(kind, count):
     assert got.dtype == want.dtype and np.array_equal(got, want)
     np.testing.assert_equal(g.bit_generator.state, twin.bit_generator.state)
     assert g.integers(0, 2, size=5).tolist() == twin.integers(0, 2, size=5).tolist()
-
-
-@pytest.mark.parametrize("kind", DRAW_KINDS)
-@pytest.mark.parametrize("count", [0, 1, 7])
-def test_raw_words_are_numpys_uint64_draws(kind, count):
-    g, twin = twin_generators(kind)
-    got, want = _raw(g, count), twin.integers(0, 2**64, size=count, dtype=np.uint64)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    np.testing.assert_equal(g.bit_generator.state, twin.bit_generator.state)
 
 
 @pytest.mark.parametrize("kind", DRAW_KINDS)
