@@ -15,7 +15,7 @@ a grid of G cells draws chunk c from the generator of stream
 ``RngState(seed, c * G + i)``, so no two (cell, chunk) pairs share a stream.
 ``fig8`` and ``law-hist`` are one cell, ``explore-conjecture`` one cell per
 grid entry, and ``theorem2-diff`` two: its wreath heights are cell 0, and its
-uniform heights cell 1, drawn at the same time on one worker thread.
+uniform heights cell 1, both drawn on the calling thread.
 A ``fig8`` chunk draws its trees' top-level shape bits, then one index per
 bottom subtree of min(n, 4) levels, from its stream
 (``sampling.nonsimple_butterfly_stats``). ``clt-simple`` and ``gepp-check``
@@ -264,22 +264,15 @@ def fig8_data(n: int, trials: int, seed: int) -> tuple[dict, dict]:
 def theorem2_diff_data(n: int, m: int, trials: int, seed: int) -> tuple[dict, dict]:
     """Paired scaled mean-height difference: S_n wr S_m sample vs uniform S_{nm}.
 
-    A two-cell chunked grid: the wreath heights are cell 0, drawn here, and the
-    uniform heights cell 1, drawn whole on one worker thread and read once at the
-    end. numpy's draws and large array operations release the GIL, so the halves
-    overlap, but only partly: at the criterion's 2000 trials, 249 ms threaded
-    against 281 ms with the two cells run one after the other (in-process medians
-    of 6 alternating calls on a loaded 2-vCPU Xeon). The ``np.maximum.at`` and
-    ``np.add.at`` sums run at 1.0x on two threads, and the Python dispatch of
-    every numpy op holds the GIL, so each whole-level op the level loops drop
-    saves GIL hand-offs as well as work.
+    A two-cell chunked grid, both cells drawn on the calling thread: the wreath
+    heights are cell 0, and the uniform heights cell 1. A worker thread for
+    cell 1 cost time instead of saving it: the Python dispatch of every numpy
+    op holds the GIL, so the two halves contended for it on every op, and each
+    took ~20 ms of a 250-row chunk threaded against ~8 ms alone.
     """
-    from concurrent.futures import ThreadPoolExecutor  # imported where used, off the package's import time
-
-    with ThreadPoolExecutor(1) as worker:
-        uniform = worker.submit(_chunked, trials, n * m, seed, lambda b, g: sampling.uniform_bst_stats(n * m, b, g, edges=False)[0], 1, 2)
-        hw = _chunked(trials, n * m, seed, lambda b, g: sampling.wreath_heights(n, m, b, g), 0, 2)
-        d = (hw - uniform.result()) / math.log(n * m)
+    hw = _chunked(trials, n * m, seed, lambda b, g: sampling.wreath_heights(n, m, b, g), 0, 2)
+    hu = _chunked(trials, n * m, seed, lambda b, g: sampling.uniform_bst_stats(n * m, b, g, edges=False)[0], 1, 2)
+    d = (hw - hu) / math.log(n * m)
     band, note = (float("nan"), float("nan")), "exploratory"
     if n == 1:
         note = "degenerate: S_1 wr S_m is S_m, so the difference has mean 0 in law"

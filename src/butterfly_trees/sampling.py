@@ -373,9 +373,8 @@ def uniform_bst_stats(
     its own tree's l or r. So every interval adds its share to
     l | r << 32, zero off the edges; ``edges=False`` draws the same words
     and sums nothing, for a caller that reads only h. A level's arrays are freed
-    before the next level's are made, so that two calls on two threads fit
-    in the memory that one took while it kept them. ``g`` must not be drawn
-    from on another thread during the call.
+    before the next level's are made, so the peak is about one level's.
+    ``g`` must not be drawn from on another thread during the call.
     """
     if not 1 <= n <= _SIZE:
         raise ValueError(f"n must be in 1..{_SIZE}, got {n}")

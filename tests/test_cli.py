@@ -90,8 +90,9 @@ def test_tree_golden_digest(capsys, args, digest):
     # words (explore-conjecture also moved to one stream per cell and chunk), and again
     # when every subtree of at most 20 keys came whole from the alias table: each change
     # consumes each chunk's stream differently. The theorem2 digests were re-recorded again
-    # when each chunk's uniform heights moved to the child of its stream, drawn on a worker
-    # thread beside the wreath heights, which keep the chunk's stream. table1 was re-recorded
+    # when each chunk's uniform heights moved to the child of its stream, then drawn on a
+    # worker thread beside the wreath heights (since drawn after them on the calling thread,
+    # which moved no byte), which keep the chunk's stream. table1 was re-recorded
     # when the subcommands that sample nothing stopped writing a seed line: that line alone left.
     # The theorem2 digests were re-recorded when theorem2-diff became a two-cell chunked grid,
     # wreath chunk c on stream 2c and uniform chunk c on stream 2c + 1: the same law, other
@@ -365,7 +366,7 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_import_leaves_the_thread_pool_unloaded():
-    # theorem2-diff imports concurrent.futures where it starts its worker thread
+    # no subcommand starts a thread, and the package imports no thread pool
     run = fresh_python("import sys, butterfly_trees.cli; print('concurrent.futures' in sys.modules)")
     assert run.stdout == "False\n"
 

@@ -311,12 +311,12 @@ def test_one_key_tree_draws_peak_memory():
 
 
 def test_theorem2_chunk_peak_memory():
-    # both halves of one theorem2 chunk, on their two threads: 1.6-1.9 MiB measured over
-    # seeds 1-5 and 25, as the threads' overlap moves the peak (3.8-4.1 MiB while intervals of
-    # 21 to 64 keys off the edges still split, 4.2-4.8 MiB while the level loop kept a tree
-    # array, 4.3-4.4 MB over seeds 1-5 while the uniform half also summed its edges); the
-    # halves' own peaks, 0.96 and 0.91 MiB, sum to 1.9 MiB
-    cli.theorem2_diff_data(100, 2, 10, 0)  # the alias tables and the thread pool's imports, outside the trace
+    # both halves of one theorem2 chunk, one after the other on the calling thread, so they no
+    # longer overlap: 0.96-0.98 MiB measured over seeds 1-5 and 25, the wreath half's peak.
+    # 1.6-1.9 MiB while the uniform half ran on a worker thread beside it, 3.8-4.1 MiB while
+    # intervals of 21 to 64 keys off the edges still split, 4.2-4.8 MiB while the level loop
+    # kept a tree array, 4.3-4.4 MB over seeds 1-5 while the uniform half also summed its edges
+    cli.theorem2_diff_data(100, 2, 10, 0)  # the alias tables, outside the trace
     tracemalloc.start()
     try:
         cli.theorem2_diff_data(10**4, 2, 250, 25)
@@ -613,7 +613,7 @@ def test_nonsimple_butterfly_stats_chunk_peak_memory():
 
 
 def test_cached_builders_return_read_only_arrays():
-    # every caller shares the cached arrays, theorem2-diff's worker thread too: a write through
+    # every caller shares the cached arrays, on any thread: a write through
     # one caller would change every later draw, so each array refuses it
     calls = {
         butterfly._subtree_table: [(k,) for k in range(5)],
