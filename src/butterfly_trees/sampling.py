@@ -4,7 +4,7 @@ shapes (a draw of the top levels' bits, then one uniform class index per
 bottom subtree of up to four levels), and those of uniform S_n and
 S_n wr S_m words (Theorem 2's block model) by root splits, with no word
 built, a subtree on an edge of at most 20 keys drawing its whole (h, l, r),
-and one off the edges of at most 64 keys its height, from exact alias tables;
+and one off the edges of at most 96 keys its height, from exact alias tables;
 and the two recursive distributional laws (LIS-law and cycle-law of
 nonsimple butterflies).
 Each returns ``count`` iid draws, one per row or entry.
@@ -48,7 +48,9 @@ import numpy as np
 from .butterfly import TABLE_LEVELS, stats_from_subtrees
 
 _SMALL = 20  # an interval on an edge of at most this many keys draws its whole (h, l, r) from an alias table
-_SMALL_OFF = 64  # an interval off the edges of at most this many keys draws its height from an alias table
+# an interval off the edges of at most this many keys draws its height from an alias table;
+# 128 would split less still, but its counts alone take 60-100 ms to build, more than a short run saves
+_SMALL_OFF = 96
 _BLOCK = 1 << 20  # the alias draw reads its words and builds its codes this many intervals at a time
 _SIZE = (1 << 30) - 1  # size field of a live interval
 _LEFT, _RIGHT = 1 << 30, 1 << 31  # edge bits of a live interval
@@ -137,25 +139,31 @@ def _height_counts() -> list[list[int]]:
     """C[s][h]: the insertion orders of s <= _SMALL_OFF keys whose BST has height
     h, in Python ints; C[0] is empty.
 
-    F_h(s), the orders of s keys of height at most h, is s! for s <= h + 1 and
-    otherwise sum_k C(s-1, k) F_{h-1}(k) F_{h-1}(s-1-k) over the first key's
-    rank k, whose terms at k and s-1-k are equal; F_{-1} is 1 on the empty
-    tree and 0 elsewhere. First differences along h give the law.
+    By complements: E_h(s), the orders of s keys taller than h, is 0 for
+    s <= h + 1 and otherwise s! less the orders whose first key's rank k leaves
+    both sides at most h - 1 high. Expanding each side's k! - E_{h-1}(k) gives
+    E_h(s) = 2 A(s) - sum_k C(s-1, k) E_{h-1}(k) E_{h-1}(s-1-k), where
+    A(s) = sum_{j<s} (s-1)!/j! E_{h-1}(j), so A(s+1) = s A(s) + E_{h-1}(s); the
+    sum runs only over k and s-1-k both at least h + 1, whose terms at k and
+    s-1-k are equal. E_{-1}(s) is s! for s >= 1, and
+    C[s][h] = E_{h-1}(s) - E_h(s).
     """
-    below = [1] + [0] * _SMALL_OFF  # F_{h-1}(s), from h = 0
+    over = [0] + [math.factorial(s) for s in range(1, _SMALL_OFF + 1)]  # E_{h-1}(s), from h = 0
     C = [[] for _ in range(_SMALL_OFF + 1)]
     for h in range(_SMALL_OFF):
-        at = [math.factorial(s) for s in range(min(h + 2, _SMALL_OFF + 1))]
-        for m in range(h + 1, _SMALL_OFF):  # s - 1
-            f = sum(math.comb(m, k) * below[k] * below[m - k] for k in range((m + 1) // 2)) << 1
-            if m % 2 == 0:
-                f += math.comb(m, m // 2) * below[m // 2] ** 2
-            at.append(f)
-        for s in range(1, _SMALL_OFF + 1):
-            C[s].append(at[s] - below[s])
-        below = at
+        at = [0] * (_SMALL_OFF + 1)
+        a = 0  # A(s), from s = h + 1
+        for s in range(h + 1, _SMALL_OFF + 1):
+            m, e = s - 1, a << 1
+            if m >= 2 * h + 2:
+                e -= sum(math.comb(m, k) * over[k] * over[m - k] for k in range(h + 1, (m + 1) // 2)) << 1
+                if m % 2 == 0:
+                    e -= math.comb(m, m // 2) * over[m // 2] ** 2
+            at[s] = e
+            C[s].append(over[s] - e)
+            a = s * a + over[s]
+        over = at
     for s in range(1, _SMALL_OFF + 1):
-        del C[s][s:]  # heights above s - 1 have no orders
         assert sum(C[s]) == math.factorial(s)
     return C
 
@@ -167,10 +175,13 @@ def _alias_columns(laws: list[tuple[list[int], list[int]]], bits: int) -> tuple[
 
     An outcome of s keys weighs its count of the s! orders times 2^bits, so each
     column holds s!. Vose's pairing, in Python ints, leaves each column num of
-    its primary, codes[s, c, 0], and the rest to its alias, codes[s, c, 1].
-    thr is num / s! as a binary fraction of 64 - bits bits, rounded down, which
-    :func:`_alias_codes` compares with a word's high bits; num keeps the
-    threshold exact for a tie.
+    its primary, codes[s, c, 0], and the rest to its alias, codes[s, c, 1]. The
+    padding, the empty columns after the outcomes, sits on top of the small
+    columns, and each run of it is paired in one step with the top large
+    column, as many at once as that column's weight takes: the same pairs as
+    one at a time. thr is num / s! as a binary fraction of 64 - bits bits,
+    rounded down, which :func:`_alias_codes` compares with a word's high bits;
+    num keeps the threshold exact for a tie.
     """
     cols = 1 << bits
     thr = np.zeros((len(laws) + 1, cols), dtype=np.uint64)
@@ -178,13 +189,23 @@ def _alias_columns(laws: list[tuple[list[int], list[int]]], bits: int) -> tuple[
     codes = np.zeros((len(laws) + 1, cols, 2), dtype=np.int64)
     for s, (code, count) in enumerate(laws, 1):
         cap = math.factorial(s)
-        pad = [0] * (cols - len(code))  # empty columns: weight 0, always their alias
-        code = code + pad
-        weight = [c << bits for c in count] + pad
+        n, pads = len(code), cols - len(code)  # the padding: columns n.., weight 0, always their alias
+        code = code + [0] * pads
+        weight = [c << bits for c in count] + [0] * pads
         alias = list(range(cols))
-        small = [c for c in alias if weight[c] < cap]
-        large = [c for c in alias if weight[c] >= cap]
-        while small:
+        small = [c for c in range(n) if weight[c] < cap]
+        large = [c for c in range(n) if weight[c] >= cap]
+        base = len(small)  # the padding left sits on small[:base], under every column pushed since
+        while small or pads:
+            if pads and len(small) == base:
+                big = large[-1]
+                t = min(pads, weight[big] // cap)
+                pads -= t
+                alias[n + pads : n + pads + t] = [big] * t  # popped from the last column down
+                weight[big] -= t * cap
+                if weight[big] < cap:
+                    small.append(large.pop())
+                continue
             c, big = small.pop(), large.pop()
             alias[c] = big
             weight[big] -= cap - weight[c]
@@ -217,9 +238,9 @@ def _alias_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.cache
 def _height_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alias columns (:func:`_alias_columns`) of the height law of every size
-    s <= _SMALL_OFF, 2^6 columns a size, one for each height up to 63; each
-    code is the height. Built on first use, not at import."""
-    return _alias_columns([(list(range(s)), counts) for s, counts in enumerate(_height_counts()) if s], 6)
+    s <= _SMALL_OFF, 2^7 columns a size, more than the 96 heights of 96 keys;
+    each code is the height. Built on first use, not at import."""
+    return _alias_columns([(list(range(s)), counts) for s, counts in enumerate(_height_counts()) if s], 7)
 
 
 def _alias_codes(small: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray], g: np.random.Generator) -> np.ndarray:

@@ -165,7 +165,7 @@ def test_root_ranks_of_another_bit_generator_are_numpys():
     assert_ranks_are_numpys(size, np.random.Generator(np.random.MT19937(0)), np.random.Generator(np.random.MT19937(0)))
 
 
-@pytest.mark.parametrize("n", [3, 21, 41, 64, 65, 20_000])
+@pytest.mark.parametrize("n", [3, 21, 41, 64, 65, 96, 97, 20_000])
 def test_heights_alone_are_the_stats_heights(n):
     # edges=False skips the edge work and nothing else: the same heights, the same state after
     g, reference = RngState(26, n).generator(), RngState(26, n).generator()
@@ -179,18 +179,20 @@ def test_heights_alone_are_the_stats_heights(n):
 # large, and later levels with both. Re-recorded, all but (1, 7), when subtrees off the edges of
 # up to 64 keys came to draw their height whole: the same law, drawn from a height-only table
 # above 20 keys off the edges, and alias columns read from raw words. (1, 7) kept its bytes and
-# state: seven one-key trees read seven words either way
+# state: seven one-key trees read seven words either way. (22, 50), (41, 50) and (20000, 12)
+# were re-recorded again for the same law, with heights drawn whole up to 96 keys off the
+# edges, from 2^7 columns; the first two kept their states, reading as many words as before
 SPLIT_DIGESTS = {
     (1, 7): "e3c2af35d1dfc500e16f826a071cc311bf55003a3de77de7ea3376c6b6fa2857",
     (20, 50): "532748224705f814f05ad3924ab958c642b1443f47ac75accb7c94acdc09f697",
     (21, 50): "2de79c621cc093d86c68e571f6853d52464771bf99861b70521d7a4ecf289791",
-    (22, 50): "c96be2cf77e6c68c20c54f76782b1bf387f8d15eee49ca061ab5370793bdd37a",
-    (41, 50): "597f0c4b85ed57518941599b14431e8c7c6236d43d7b685c6c4f3447ad7ac399",
-    (20000, 12): "5758bd2d75d4841883b76960f3c72bb0f7b4b057967466ca6280df744c55f280",
+    (22, 50): "a2fb0142a67c5faee905e5f5e430b08d807ae0232d61bfe8a9065f4a2a8a9d1c",
+    (41, 50): "2e4087a24901d7ab5809f77f62d3ebe859be5b1fc6aa6774958e12ffc6e1e1b2",
+    (20000, 12): "bec05994f29618f751676894a28670852aad0ad74a6736fb9c1647bccf1c99db",
 }
 WREATH_DIGESTS = {
     (3, 10**4, 3): "755d45cb61c4d8768dfeba1fbca11e6db7833cb83c5505da1428193ecb81ccfa",
-    (10**4, 2, 5): "646241e2f5dc892dd0ad35f3ee91b54042f300fbd0948a860188acde9fc51e5a",
+    (10**4, 2, 5): "2e4b9d5c911fdd6bc6cd7fdf326b41940d5312c4154aea0967200b75c01810f1",
 }
 
 # sha256 of the generator's state after each of those calls, as state_digest gives it,
@@ -202,11 +204,11 @@ SPLIT_STATES = {
     (21, 50): "64138c88d4fd45defee9d240fb5d4462a9169c05931e7f2a08e6eccc9765316c",
     (22, 50): "bb31993c84b3d64d4d3888df82f470548c3ea9adec2adf413fb4cd71f338dfcf",
     (41, 50): "7de532bf202f4b5dbe626edce8e0435a950ab4a73dbdadce3e7baf27ac61ae23",
-    (20000, 12): "0cfd580239e766e3caf6d90c46acd4823594f678ac6fefc02be07d0c56d12262",
+    (20000, 12): "d8219771f9e6a333ced3a1958125df967871b6396cad3a15e7db595dca3f65ed",
 }
 WREATH_STATES = {
     (3, 10**4, 3): "142884462501009cb83c11d2f476973424fa4f9b20b0d77897e38f047944420a",
-    (10**4, 2, 5): "4f1d280031d233d6d2299f5fff11ac0c60e4f718a07afc166742b7000f818eda",
+    (10**4, 2, 5): "96cf517461fde9ac5fce427e9a70496f4ad77a8ab36ea5d2cbc8283f20e451d2",
 }
 
 
@@ -361,6 +363,57 @@ def height_counts() -> list[list[int]]:
     return _height_counts()
 
 
+def distribution_height_counts(top: int) -> list[list[int]]:
+    """C[s][h], the insertion orders of s <= top keys whose BST has height h,
+    by the distribution recursion, not the builder's complements: F_h(s), the
+    orders of s keys of height at most h, is s! for s <= h + 1 and otherwise
+    sum_k C(s-1, k) F_{h-1}(k) F_{h-1}(s-1-k) over the first key's rank k;
+    F_{-1} is 1 on the empty tree and 0 elsewhere. First differences along h
+    give the law."""
+    below = [1] + [0] * top  # F_{h-1}(s), from h = 0
+    C = [[] for _ in range(top + 1)]
+    for h in range(top):
+        at = [math.factorial(s) for s in range(min(h + 2, top + 1))]
+        for m in range(h + 1, top):  # s - 1
+            f = sum(math.comb(m, k) * below[k] * below[m - k] for k in range((m + 1) // 2)) << 1
+            if m % 2 == 0:
+                f += math.comb(m, m // 2) * below[m // 2] ** 2
+            at.append(f)
+        for s in range(1, top + 1):
+            C[s].append(at[s] - below[s])
+        below = at
+    for s in range(1, top + 1):
+        del C[s][s:]  # heights above s - 1 have no orders
+    return C
+
+
+def vose_columns(laws: list[tuple[list[int], list[int]]], bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_alias_columns(laws, bits)`` by Vose's pairing one column at a time, the
+    padding columns too."""
+    cols = 1 << bits
+    thr = np.zeros((len(laws) + 1, cols), dtype=np.uint64)
+    num = np.zeros((len(laws) + 1, cols), dtype=object)
+    codes = np.zeros((len(laws) + 1, cols, 2), dtype=np.int64)
+    for s, (code, count) in enumerate(laws, 1):
+        cap = math.factorial(s)
+        pad = [0] * (cols - len(code))
+        code = code + pad
+        weight = [c << bits for c in count] + pad
+        alias = list(range(cols))
+        small = [c for c in alias if weight[c] < cap]
+        large = [c for c in alias if weight[c] >= cap]
+        while small:
+            c, big = small.pop(), large.pop()
+            alias[c] = big
+            weight[big] -= cap - weight[c]
+            (small if weight[big] < cap else large).append(big)
+        num[s] = weight
+        thr[s] = [(w << (64 - bits)) // cap for w in weight]
+        codes[s, :, 0] = code
+        codes[s, :, 1] = [code[c] for c in alias]
+    return thr, codes, num
+
+
 def height_law(s: int) -> dict[int, int]:
     """The nonzero counts of the height-only table's law of s keys, keyed h."""
     return {h: c for h, c in enumerate(height_counts()[s]) if c}
@@ -382,6 +435,28 @@ def test_height_counts_match_size_recursion():
         np.testing.assert_allclose(cdf, uniform_height_cdf(s, s - 1), rtol=0, atol=1e-12)
 
 
+def test_height_counts_match_the_distribution_recursion():
+    # the builder's complement recursion and the recursion of the law itself, for every s <= _SMALL_OFF
+    assert height_counts() == distribution_height_counts(_SMALL_OFF)
+
+
+def test_alias_columns_pair_as_vose_one_column_at_a_time():
+    # the padding paired in bulk leaves both tables as pairing one column at a time does
+    T = _law_counts()
+    rim = []
+    for s in range(1, _SMALL + 1):
+        at = np.nonzero(T[s])
+        h, l, r = (i - 1 for i in at)
+        rim.append(((h | l << 24 | r << 56).tolist(), T[s][at].tolist()))
+    off = [(list(range(s)), height_counts()[s]) for s in range(1, _SMALL_OFF + 1)]
+    for table, laws in ((_alias_table(), rim), (_height_table(), off)):
+        thr, codes, num = table
+        bits = thr.shape[1].bit_length() - 1
+        want_thr, want_codes, want_num = vose_columns(laws, bits)
+        assert np.array_equal(thr, want_thr) and np.array_equal(codes, want_codes)
+        assert num.tolist() == want_num.tolist()
+
+
 @pytest.mark.parametrize("s", range(1, 9))
 def test_height_counts_match_every_insertion_order(s):
     heights = Counter()
@@ -393,12 +468,15 @@ def test_height_counts_match_every_insertion_order(s):
 def test_alias_columns_rebuild_the_law_exactly():
     # column c of size s gives num to its primary and s! - num to its alias; summed in Python
     # ints, that is count * 2^bits for every outcome, and thr is num / s! in 64 - bits bits,
-    # rounded down; for both tables, the (h, l, r) one of 2^11 columns and the height one of 2^6
+    # rounded down; for both tables, the (h, l, r) one and the height one, their rows and
+    # 2^bits columns read from the table
     hlr = lambda s: {h | l << 24 | r << 56: c for (h, l, r), c in law_triples(s).items()}
-    for (thr, codes, num), top, bits, law in ((_alias_table(), _SMALL, 11, hlr), (_height_table(), _SMALL_OFF, 6, height_law)):
-        assert thr.shape == num.shape == codes.shape[:2] == (top + 1, 1 << bits)
+    for (thr, codes, num), law in ((_alias_table(), hlr), (_height_table(), height_law)):
+        rows, cols = thr.shape
+        bits = cols.bit_length() - 1
+        assert cols == 1 << bits and num.shape == codes.shape[:2] == (rows, cols)
         assert thr.dtype == np.uint64
-        for s in range(1, top + 1):
+        for s in range(1, rows):
             cap = math.factorial(s)
             got = Counter()
             for c in range(1 << bits):
@@ -451,7 +529,7 @@ def test_uniform_bst_stats_match_all_of_s_n(n):
         assert chi_square_pvalue(obs, {t: trials * c / total for t, c in exact.items()}) > P_FLOOR
 
 
-@pytest.mark.parametrize("n", [20, 21, 30, 64, 65])
+@pytest.mark.parametrize("n", [20, 21, 30, 64, 65, 96, 97])
 def test_uniform_bst_stats_match_word_trees(n):
     # two samples of the joint (h, l, r) law, either side of the two alias-table cutoffs
     trials = 40_000
@@ -460,11 +538,11 @@ def test_uniform_bst_stats_match_word_trees(n):
     assert two_sample_pvalue(split, words) > P_FLOOR
 
 
-@pytest.mark.parametrize("n", [21, 40, 64, 65, 2000])
+@pytest.mark.parametrize("n", [21, 40, 64, 65, 96, 97, 2000])
 def test_uniform_bst_height_law(n):
     # the size recursion of the height law, one FFT per level, at sizes that
     # split at the root above the alias table: once, a few times, many levels;
-    # at 64 and 65 the root's kids are drawn whole, or one of them splits again
+    # at 96 and 97 the root's kids are drawn whole, or one of them splits again
     trials, K = 10_000, min(n - 1, 80)
     cdf = uniform_height_cdf(n, K)
     pmf = np.diff(cdf, prepend=0.0)
