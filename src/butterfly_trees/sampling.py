@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -49,7 +50,7 @@ from .butterfly import TABLE_LEVELS, stats_from_subtrees
 
 _SMALL = 20  # an interval on an edge of at most this many keys draws its whole (h, l, r) from an alias table
 # an interval off the edges of at most this many keys draws its height from an alias table;
-# 128 would split less still, but its counts alone take 60-100 ms to build, more than a short run saves
+# 128 splits less still, but its counts alone take 60-100 ms to build, which slowed explore-conjecture's default run
 _SMALL_OFF = 96
 _BLOCK = 1 << 20  # the alias draw reads its words and builds its codes this many intervals at a time
 _SIZE = (1 << 30) - 1  # size field of a live interval
@@ -149,6 +150,7 @@ def _height_counts() -> list[list[int]]:
     C[s][h] = E_{h-1}(s) - E_h(s).
     """
     over = [0] + [math.factorial(s) for s in range(1, _SMALL_OFF + 1)]  # E_{h-1}(s), from h = 0
+    comb = [[math.comb(m, k) for k in range(m + 1)] for m in range(_SMALL_OFF)]
     C = [[] for _ in range(_SMALL_OFF + 1)]
     for h in range(_SMALL_OFF):
         at = [0] * (_SMALL_OFF + 1)
@@ -156,9 +158,10 @@ def _height_counts() -> list[list[int]]:
         for s in range(h + 1, _SMALL_OFF + 1):
             m, e = s - 1, a << 1
             if m >= 2 * h + 2:
-                e -= sum(math.comb(m, k) * over[k] * over[m - k] for k in range(h + 1, (m + 1) // 2)) << 1
+                lo, mid = h + 1, (m + 1) // 2  # k in lo..mid - 1 and m - k, and k = m / 2 once
+                e -= sum(map(operator.mul, map(operator.mul, comb[m][lo:mid], over[lo:mid]), over[m - lo : m - mid : -1])) << 1
                 if m % 2 == 0:
-                    e -= math.comb(m, m // 2) * over[m // 2] ** 2
+                    e -= comb[m][m // 2] * over[m // 2] ** 2
             at[s] = e
             C[s].append(over[s] - e)
             a = s * a + over[s]
@@ -190,7 +193,6 @@ def _alias_columns(laws: list[tuple[list[int], list[int]]], bits: int) -> tuple[
     for s, (code, count) in enumerate(laws, 1):
         cap = math.factorial(s)
         n, pads = len(code), cols - len(code)  # the padding: columns n.., weight 0, always their alias
-        code = code + [0] * pads
         weight = [c << bits for c in count] + [0] * pads
         alias = list(range(cols))
         small = [c for c in range(n) if weight[c] < cap]
@@ -212,9 +214,9 @@ def _alias_columns(laws: list[tuple[list[int], list[int]]], bits: int) -> tuple[
             (small if weight[big] < cap else large).append(big)
         assert all(weight[c] == cap for c in large)
         num[s] = weight
-        thr[s] = [(w << (64 - bits)) // cap for w in weight]
-        codes[s, :, 0] = code
-        codes[s, :, 1] = [code[c] for c in alias]
+        thr[s, :n] = [(w << (64 - bits)) // cap for w in weight[:n]]  # the padding's weight and thr stay 0
+        codes[s, :n, 0] = code
+        codes[s, :, 1] = codes[s, alias, 0]
     for a in (thr, num, codes):
         a.flags.writeable = False
     return thr, codes, num

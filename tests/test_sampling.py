@@ -236,7 +236,8 @@ def test_wreath_heights_draw_order_is_pinned(n, m, count):
 @pytest.mark.parametrize(
     "n,m,count,bound",
     [
-        # theorem2's chunk: 0.96 MiB measured, 2.93 MiB while intervals of 21 to 64 keys off the
+        # theorem2's chunk: 0.69 MiB measured, 0.96 MiB while intervals of 65 to 96 keys off the
+        # edges still split, 2.93 MiB while intervals of 21 to 64 keys off the
         # edges still split, 3.15 MiB while the level loop kept a tree array
         # beside its intervals, 5.26 MB while each level kept its arrays until the next
         # level's replaced them
@@ -264,11 +265,13 @@ def test_wreath_heights_chunk_peak_memory(n, m, count, bound):
 
 
 def test_uniform_bst_stats_chunk_peak_memory():
-    # all of (h, l, r): 0.91 MiB measured, 2.13 MiB while intervals of 21 to 64 keys off the edges
+    # all of (h, l, r): 0.63 MiB measured, 0.91 MiB while intervals of 65 to 96 keys off the
+    # edges still split, 2.13 MiB while intervals of 21 to 64 keys off the edges
     # still split, 2.33 MiB while the level loop kept a tree array
     # beside its intervals, 5.80 MB while each level kept its arrays until the next level's
-    # replaced them; two halves on two threads now fit in one's memory. The heights alone,
-    # theorem2's uniform half: 0.91 MiB measured, 1.95 MiB while intervals of 21 to 64 keys split
+    # replaced them. The heights alone,
+    # theorem2's uniform half: 0.63 MiB measured, 0.91 MiB while intervals of 65 to 96 keys
+    # split, 1.95 MiB while intervals of 21 to 64 keys split
     _alias_table(), _height_table()  # built outside the trace
     for edges, bound in ((True, 4 * 2**20), (False, 3 * 2**20)):
         tracemalloc.start()
@@ -314,8 +317,9 @@ def test_one_key_tree_draws_peak_memory():
 
 def test_theorem2_chunk_peak_memory():
     # both halves of one theorem2 chunk, one after the other on the calling thread, so they no
-    # longer overlap: 0.96-0.98 MiB measured over seeds 1-5 and 25, the wreath half's peak.
-    # 1.6-1.9 MiB while the uniform half ran on a worker thread beside it, 3.8-4.1 MiB while
+    # longer overlap: 0.69 MiB measured over seeds 1-5 and 25, the wreath half's peak; 0.96-0.98
+    # MiB while intervals of 65 to 96 keys off the edges still split, 1.6-1.9 MiB while the
+    # uniform half ran on a worker thread beside the wreath half, 3.8-4.1 MiB while
     # intervals of 21 to 64 keys off the edges still split, 4.2-4.8 MiB while the level loop
     # kept a tree array, 4.3-4.4 MB over seeds 1-5 while the uniform half also summed its edges
     cli.theorem2_diff_data(100, 2, 10, 0)  # the alias tables, outside the trace
