@@ -444,19 +444,13 @@ def test_height_counts_match_the_distribution_recursion():
     assert height_counts() == distribution_height_counts(_SMALL_OFF)
 
 
-def test_alias_columns_pair_as_vose_one_column_at_a_time():
-    # the padding paired in bulk leaves both tables as pairing one column at a time does
-    T = _law_counts()
-    rim = []
-    for s in range(1, _SMALL + 1):
-        at = np.nonzero(T[s])
-        h, l, r = (i - 1 for i in at)
-        rim.append(((h | l << 24 | r << 56).tolist(), T[s][at].tolist()))
-    off = [(list(range(s)), height_counts()[s]) for s in range(1, _SMALL_OFF + 1)]
-    for table, laws in ((_alias_table(), rim), (_height_table(), off)):
-        thr, codes, num = table
-        bits = thr.shape[1].bit_length() - 1
-        want_thr, want_codes, want_num = vose_columns(laws, bits)
+def test_alias_columns_pair_as_vose_one_column_at_a_time(monkeypatch):
+    # the padding paired in bulk leaves both tables as pairing one column at a time does:
+    # each table's builder, rerun with the one-column loop in place of _alias_columns
+    built = [(_alias_table(), _alias_table.__wrapped__), (_height_table(), _height_table.__wrapped__)]
+    monkeypatch.setattr(sampling, "_alias_columns", vose_columns)
+    for (thr, codes, num), build in built:
+        want_thr, want_codes, want_num = build()
         assert np.array_equal(thr, want_thr) and np.array_equal(codes, want_codes)
         assert num.tolist() == want_num.tolist()
 
@@ -546,7 +540,7 @@ def test_uniform_bst_stats_match_word_trees(n):
 def test_uniform_bst_height_law(n):
     # the size recursion of the height law, one FFT per level, at sizes that
     # split at the root above the alias table: once, a few times, many levels;
-    # at 96 and 97 the root's kids are drawn whole, or one of them splits again
+    # up to 97 keys every interval off the edges has at most 95 and is drawn whole
     trials, K = 10_000, min(n - 1, 80)
     cdf = uniform_height_cdf(n, K)
     pmf = np.diff(cdf, prepend=0.0)
